@@ -42,6 +42,7 @@ from .syscalls import Acquire, CallBegin, CallEnd, Release
 __all__ = ["MonitorComponent", "synchronized", "unsynchronized", "is_synchronized"]
 
 _INTERNAL_PREFIX = "_"
+_object_getattribute = object.__getattribute__
 
 
 class MonitorComponent:
@@ -76,13 +77,13 @@ class MonitorComponent:
         return object.__getattribute__(self, "_vm_kernel")
 
     def __getattribute__(self, name: str) -> Any:
-        value = object.__getattribute__(self, name)
-        if name.startswith(_INTERNAL_PREFIX) or callable(value) or name in (
+        value = _object_getattribute(self, name)
+        if name[:1] == _INTERNAL_PREFIX or callable(value) or name in (
             "vm_name",
             "kernel",
         ):
             return value
-        kernel = object.__getattribute__(self, "_vm_kernel")
+        kernel = _object_getattribute(self, "_vm_kernel")
         if kernel is not None and current_kernel() is kernel:
             kernel.record_access(self, name, is_write=False)
         return value

@@ -120,9 +120,14 @@ TRANSITION_OF_EVENT: Dict[EventKind, str] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One observable action in a VM execution.
+
+    Events are immutable because every sink and detector of a run shares
+    the same object.  They are slotted, so each costs no per-instance
+    ``__dict__``; :meth:`Kernel.emit <repro.vm.kernel.Kernel.emit>` fills
+    the slots directly instead of calling the generated ``__init__``.
 
     Attributes:
         seq: global sequence number (unique, dense from 0).

@@ -26,8 +26,10 @@ Termination taxonomy of :meth:`Kernel.run` (see :class:`RunStatus`):
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -90,6 +92,32 @@ __all__ = ["Kernel", "RunResult", "RunStatus", "current_kernel", "current_thread
 # access.  The VM is cooperatively single-threaded, so a module-level slot
 # (not a threading.local) is correct and cheap.
 _CURRENT: List[Tuple["Kernel", SimThread]] = []
+
+_NEW = ThreadState.NEW
+_RUNNABLE = ThreadState.RUNNABLE
+_object_getattribute = object.__getattribute__
+
+# Kernel.emit builds each Event by filling its slots: the generated frozen
+# __init__ would pay one object.__setattr__ call per field.
+_new_object = object.__new__
+_set_seq = Event.seq.__set__
+_set_time = Event.time.__set__
+_set_thread = Event.thread.__set__
+_set_kind = Event.kind.__set__
+_set_monitor = Event.monitor.__set__
+_set_component = Event.component.__set__
+_set_method = Event.method.__set__
+_set_detail = Event.detail.__set__
+
+
+def _vm_name_of(ref: Any) -> Any:
+    """``ref._vm_name``, or None.  Read with ``object.__getattribute__``
+    to skip a component's instrumentation hook, which never records
+    ``_``-prefixed names anyway."""
+    try:
+        return _object_getattribute(ref, "_vm_name")
+    except AttributeError:
+        return None
 
 
 def current_kernel() -> Optional["Kernel"]:
@@ -264,6 +292,11 @@ class Kernel:
         self.barriers: Dict[str, BarrierObject] = {}
         self.components: Dict[str, Any] = {}
         self._clock_waiters: List[SimThread] = []
+        #: deadline index: never later than the earliest armed timed-wait
+        #: or timed-acquire deadline, so :meth:`step` scans for expiries
+        #: only once it is due.  Cleared deadlines leave it stale-low,
+        #: which costs one empty scan; every scan recomputes it exactly.
+        self._next_deadline: float = math.inf
         self._ran = False
 
     # -- registration ----------------------------------------------------------
@@ -380,7 +413,7 @@ class Kernel:
             return ref
         if isinstance(ref, MonitorObject):
             return ref.name
-        vm_name = getattr(ref, "_vm_name", None)
+        vm_name = _vm_name_of(ref)
         if vm_name is not None:
             return vm_name
         raise UnknownSyscallError(f"cannot resolve monitor reference {ref!r}")
@@ -408,7 +441,7 @@ class Kernel:
     def _component_name(self, ref: Any) -> str:
         if isinstance(ref, str):
             return ref
-        vm_name = getattr(ref, "_vm_name", None)
+        vm_name = _vm_name_of(ref)
         if vm_name is not None:
             return vm_name
         return type(ref).__name__
@@ -470,16 +503,15 @@ class Kernel:
         method: Optional[str] = None,
         **detail: Any,
     ) -> Event:
-        event = Event(
-            seq=self._seq,
-            time=self.time,
-            thread=thread,
-            kind=kind,
-            monitor=monitor,
-            component=component,
-            method=method,
-            detail=detail,
-        )
+        event = _new_object(Event)
+        _set_seq(event, self._seq)
+        _set_time(event, self.time)
+        _set_thread(event, thread)
+        _set_kind(event, kind)
+        _set_monitor(event, monitor)
+        _set_component(event, component)
+        _set_method(event, method)
+        _set_detail(event, detail)
         self._seq += 1
         if self.trace_mode == "full":
             self.trace.append(event)
@@ -684,7 +716,11 @@ class Kernel:
         thread.waiting_since = self.time
         thread.waits_entered += 1
         # Java's wait(0) waits forever; only positive timeouts are timed.
-        thread.wait_deadline = self.time + timeout if timeout else None
+        if timeout:
+            thread.wait_deadline = self.time + timeout
+            self._next_deadline = min(self._next_deadline, thread.wait_deadline)
+        else:
+            thread.wait_deadline = None
         comp, meth = thread.current_frame()
         self.emit(
             thread.name,
@@ -731,7 +767,9 @@ class Kernel:
             reason=reason.value,
         )
 
-    def _sys_notify(self, thread: SimThread, call: Notify, all_waiters: bool) -> None:
+    def _sys_notify(
+        self, thread: SimThread, call: Notify | NotifyAll, all_waiters: bool = False
+    ) -> None:
         name = self._monitor_name(call.monitor, thread)
         monitor = self.monitors[name]
         if not monitor.is_owned_by(thread.name):
@@ -778,16 +816,20 @@ class Kernel:
             )
         thread.send_value = None
 
-    def _sys_tick(self, thread: SimThread) -> None:
+    def _sys_tick(self, thread: SimThread, call: Tick) -> None:
         self._do_tick(by=thread.name)
         thread.send_value = None
 
     def _do_tick(self, by: str) -> None:
         self.clock_time += 1
-        resumed = [
-            t for t in self._clock_waiters if (t.await_target or 0) <= self.clock_time
-        ]
-        self._clock_waiters = [t for t in self._clock_waiters if t not in resumed]
+        resumed: List[SimThread] = []
+        still_waiting: List[SimThread] = []
+        for t in self._clock_waiters:
+            if (t.await_target or 0) <= self.clock_time:
+                resumed.append(t)
+            else:
+                still_waiting.append(t)
+        self._clock_waiters = still_waiting
         self.emit(
             by,
             EventKind.CLOCK_TICK,
@@ -829,6 +871,29 @@ class Kernel:
             result=call.result,
             **({"interrupted": True} if call.interrupted else {}),
         )
+        thread.send_value = None
+
+    def _sys_access(
+        self, thread: SimThread, call: Read | Write, kind: EventKind = EventKind.READ
+    ) -> None:
+        self.emit(
+            thread.name,
+            kind,
+            component=self._component_name(call.component),
+            method=thread.current_frame()[1],
+            field=call.field,
+        )
+        thread.send_value = None
+
+    def _sys_interrupt(self, thread: SimThread, call: Interrupt) -> None:
+        self.interrupt(call.thread, by=thread.name)
+        thread.send_value = None
+
+    def _sys_get_time(self, thread: SimThread, call: GetTime) -> None:
+        thread.send_value = self.clock_time
+
+    def _sys_yield(self, thread: SimThread, call: Yield) -> None:
+        self.emit(thread.name, EventKind.YIELD)
         thread.send_value = None
 
     # -- counting semaphores (S1..S3) -------------------------------------------------
@@ -887,6 +952,7 @@ class Kernel:
             # tryAcquire(n, timeout) on virtual time; resolves False at the
             # deadline if the permits were never granted.
             thread.acquire_deadline = self.time + timeout
+            self._next_deadline = min(self._next_deadline, thread.acquire_deadline)
         self._grant_sem(sem)
 
     def _grant_sem(self, sem: SemaphoreObject) -> None:
@@ -1300,9 +1366,8 @@ class Kernel:
 
     def _maybe_spurious_wakeup(self) -> None:
         """With the configured probability, wake one random waiting thread
-        without any notify."""
-        if self.spurious_wakeup_rate <= 0.0:
-            return
+        without any notify.  :meth:`step` calls it only for a positive
+        rate, so a rate of zero draws nothing from the kernel RNG."""
         if self.rng.random() >= self.spurious_wakeup_rate:
             return
         candidates = [
@@ -1418,18 +1483,6 @@ class Kernel:
         # Like a spurious wake, expiry can hit a free monitor.
         self._grant_lock(monitor)
 
-    def _expire_timed_waits(self) -> None:
-        """Wake every timed waiter whose deadline has been reached."""
-        expired = [
-            t.name
-            for t in self.threads.values()
-            if t.state is ThreadState.WAITING
-            and t.wait_deadline is not None
-            and self.time >= t.wait_deadline
-        ]
-        for name in expired:
-            self.expire_wait(name)
-
     def expire_acquire(self, name: str, by: str = "<timer>") -> None:
         """Fail thread ``name``'s timed semaphore acquire: the thread
         resumes with ``False`` (``tryAcquire`` on virtual time), mirroring
@@ -1462,9 +1515,19 @@ class Kernel:
         # holding back smaller requests.
         self._grant_sem(sem)
 
-    def _expire_timed_acquires(self) -> None:
-        """Fail every timed semaphore acquire whose deadline has been
-        reached."""
+    def _expire_deadlines(self) -> None:
+        """Wake every timed waiter, then fail every timed semaphore
+        acquire, whose deadline has been reached; then recompute the
+        deadline index."""
+        expired = [
+            t.name
+            for t in self.threads.values()
+            if t.state is ThreadState.WAITING
+            and t.wait_deadline is not None
+            and self.time >= t.wait_deadline
+        ]
+        for name in expired:
+            self.expire_wait(name)
         expired = [
             t.name
             for t in self.threads.values()
@@ -1475,6 +1538,22 @@ class Kernel:
         ]
         for name in expired:
             self.expire_acquire(name)
+        self._next_deadline = self._earliest_deadline()
+
+    def _earliest_deadline(self) -> float:
+        """The earliest armed timed-wait or timed-acquire deadline, or
+        ``math.inf`` when none is armed."""
+        deadlines: List[float] = [
+            t.wait_deadline
+            for t in self.threads.values()
+            if t.state is ThreadState.WAITING and t.wait_deadline is not None
+        ]
+        deadlines += [
+            t.acquire_deadline
+            for t in self.threads.values()
+            if t.state is ThreadState.BLOCKED and t.acquire_deadline is not None
+        ]
+        return min(deadlines, default=math.inf)
 
     # -- native observability counters --------------------------------------------------
 
@@ -1523,13 +1602,6 @@ class Kernel:
         return find_cycle(self._blocked_edges())
 
     # -- the run loop ----------------------------------------------------------------------
-
-    def _runnable(self) -> List[SimThread]:
-        return [
-            t
-            for t in self.threads.values()
-            if t.state in (ThreadState.NEW, ThreadState.RUNNABLE)
-        ]
 
     def _resume(self, thread: SimThread) -> Optional[Syscall]:
         """Resume a thread's generator; return its next syscall or None when
@@ -1593,97 +1665,49 @@ class Kernel:
                 self._grant_lock(monitor)
 
     def _dispatch(self, thread: SimThread, syscall: Syscall) -> None:
-        if isinstance(syscall, Acquire):
-            self._sys_acquire(thread, syscall)
-        elif isinstance(syscall, Release):
-            self._sys_release(thread, syscall)
-        elif isinstance(syscall, Wait):
-            self._sys_wait(thread, syscall)
-        elif isinstance(syscall, Notify):
-            self._sys_notify(thread, syscall, all_waiters=False)
-        elif isinstance(syscall, NotifyAll):
-            self._sys_notify(thread, syscall, all_waiters=True)
-        elif isinstance(syscall, Read):
-            self.emit(
-                thread.name,
-                EventKind.READ,
-                component=self._component_name(syscall.component),
-                method=thread.current_frame()[1],
-                field=syscall.field,
-            )
-            thread.send_value = None
-        elif isinstance(syscall, Write):
-            self.emit(
-                thread.name,
-                EventKind.WRITE,
-                component=self._component_name(syscall.component),
-                method=thread.current_frame()[1],
-                field=syscall.field,
-            )
-            thread.send_value = None
-        elif isinstance(syscall, Interrupt):
-            self.interrupt(syscall.thread, by=thread.name)
-            thread.send_value = None
-        elif isinstance(syscall, Tick):
-            self._sys_tick(thread)
-        elif isinstance(syscall, AwaitTime):
-            self._sys_await(thread, syscall)
-        elif isinstance(syscall, GetTime):
-            thread.send_value = self.clock_time
-        elif isinstance(syscall, Yield):
-            self.emit(thread.name, EventKind.YIELD)
-            thread.send_value = None
-        elif isinstance(syscall, CallBegin):
-            self._sys_call_begin(thread, syscall)
-        elif isinstance(syscall, CallEnd):
-            self._sys_call_end(thread, syscall)
-        elif isinstance(syscall, SemAcquire):
-            self._sys_sem_acquire(thread, syscall)
-        elif isinstance(syscall, SemRelease):
-            self._sys_sem_release(thread, syscall)
-        elif isinstance(syscall, RwAcquire):
-            self._sys_rw_acquire(thread, syscall)
-        elif isinstance(syscall, RwRelease):
-            self._sys_rw_release(thread, syscall)
-        elif isinstance(syscall, BarrierAwait):
-            self._sys_barrier_await(thread, syscall)
-        else:
-            raise UnknownSyscallError(f"thread {thread.name!r} yielded {syscall!r}")
+        """Run ``syscall``'s handler from the dispatch table.  A subclass
+        of a syscall dispatches as its nearest syscall base in its MRO,
+        resolved on first use and cached in the table."""
+        kind = type(syscall)
+        handler = _SYSCALL_HANDLERS.get(kind)
+        if handler is None:
+            for base in kind.__mro__[1:]:
+                if base in _SYSCALL_HANDLERS:
+                    handler = _SYSCALL_HANDLERS[kind] = _SYSCALL_HANDLERS[base]
+                    break
+            else:
+                raise UnknownSyscallError(
+                    f"thread {thread.name!r} yielded {syscall!r}"
+                )
+        handler(self, thread, syscall)
 
     def step(self) -> bool:
         """Execute one scheduling step.  Returns False at quiescence."""
         if self.fault_injector is not None:
             self.fault_injector.on_step(self)
-        self._maybe_spurious_wakeup()
-        self._expire_timed_waits()
-        self._expire_timed_acquires()
-        runnable = self._runnable()
+        if self.spurious_wakeup_rate > 0.0:
+            self._maybe_spurious_wakeup()
+        if self.time >= self._next_deadline:
+            self._expire_deadlines()
+        runnable = [
+            t
+            for t in self.threads.values()
+            if t.state is _RUNNABLE or t.state is _NEW
+        ]
         if not runnable:
             if self.auto_tick and self._clock_waiters:
                 target = min(t.await_target or 0 for t in self._clock_waiters)
                 while self.clock_time < target:
                     self._do_tick(by="<auto>")
                 return True
-            timed = [
-                t.wait_deadline
-                for t in self.threads.values()
-                if t.state is ThreadState.WAITING and t.wait_deadline is not None
-            ]
-            timed += [
-                t.acquire_deadline
-                for t in self.threads.values()
-                if t.state is ThreadState.BLOCKED
-                and t.acquire_deadline is not None
-            ]
-            if timed:
+            deadline = self._earliest_deadline()
+            if deadline < math.inf:
                 # Quiescent but for timed waiters/acquirers: advance
                 # virtual time to the earliest deadline (the virtual-time
                 # analogue of auto_tick) instead of declaring STUCK.
-                target = min(timed)
-                if target > self.time:
-                    self.time = target
-                self._expire_timed_waits()
-                self._expire_timed_acquires()
+                if deadline > self.time:
+                    self.time = int(deadline)
+                self._expire_deadlines()
                 return True
             return False
         names = [t.name for t in runnable]
@@ -1736,9 +1760,9 @@ class Kernel:
                 t.waiting_ticks += self.time - t.waiting_since
                 t.waiting_since = None
         live = [t for t in self.threads.values() if t.is_live()]
+        cycle = self._wait_for_cycle() if live else []
         if status is not RunStatus.STEP_LIMIT:
             if live:
-                cycle = self._wait_for_cycle()
                 status = RunStatus.DEADLOCK if cycle else RunStatus.STUCK
             else:
                 status = RunStatus.COMPLETED
@@ -1752,7 +1776,7 @@ class Kernel:
                 if t.state is ThreadState.TERMINATED
             },
             thread_states={t.name: t.state.value for t in self.threads.values()},
-            deadlock_cycle=self._wait_for_cycle() if live else [],
+            deadlock_cycle=cycle,
             stuck_threads=[t.name for t in live],
             crashed={
                 t.name: t.exception
@@ -1763,3 +1787,29 @@ class Kernel:
             abort_reason=self.abort_reason,
         )
         return result
+
+
+#: The one syscall dispatch table: syscall type -> handler taking
+#: ``(kernel, thread, syscall)``.  :meth:`Kernel._dispatch` adds each
+#: subclass of these types on first use.
+_SYSCALL_HANDLERS: Dict[type, Callable[[Kernel, SimThread, Any], None]] = {
+    Acquire: Kernel._sys_acquire,
+    Release: Kernel._sys_release,
+    Wait: Kernel._sys_wait,
+    Notify: Kernel._sys_notify,
+    NotifyAll: partial(Kernel._sys_notify, all_waiters=True),
+    Read: Kernel._sys_access,
+    Write: partial(Kernel._sys_access, kind=EventKind.WRITE),
+    Interrupt: Kernel._sys_interrupt,
+    Tick: Kernel._sys_tick,
+    AwaitTime: Kernel._sys_await,
+    GetTime: Kernel._sys_get_time,
+    Yield: Kernel._sys_yield,
+    CallBegin: Kernel._sys_call_begin,
+    CallEnd: Kernel._sys_call_end,
+    SemAcquire: Kernel._sys_sem_acquire,
+    SemRelease: Kernel._sys_sem_release,
+    RwAcquire: Kernel._sys_rw_acquire,
+    RwRelease: Kernel._sys_rw_release,
+    BarrierAwait: Kernel._sys_barrier_await,
+}

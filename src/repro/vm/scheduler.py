@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """A recorded scheduling decision: at a point with ``options``
     candidates of ``kind``, index ``chosen`` was taken."""
@@ -43,6 +43,15 @@ class Decision:
     kind: str
     options: Tuple[str, ...]
     chosen: int
+
+
+# RecordingScheduler.pick records one Decision per scheduling step and
+# fills its slots directly: the generated frozen __init__ would pay one
+# object.__setattr__ call per field.
+_new_object = object.__new__
+_set_kind = Decision.kind.__set__
+_set_options = Decision.options.__set__
+_set_chosen = Decision.chosen.__set__
 
 
 class ChoiceExhaustedError(Exception):
@@ -209,7 +218,11 @@ class RecordingScheduler(Scheduler):
 
     def pick(self, kind: str, options: Sequence[str]) -> int:
         index = self.inner.pick(kind, options)
-        self.log.append(Decision(kind, tuple(options), index))
+        decision = _new_object(Decision)
+        _set_kind(decision, kind)
+        _set_options(decision, tuple(options))
+        _set_chosen(decision, index)
+        self.log.append(decision)
         return index
 
     def decision_indices(self) -> List[int]:

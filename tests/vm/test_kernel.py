@@ -690,3 +690,279 @@ class TestAccessRecordingToggle:
         kernel.spawn(producer, name="p")
         result = kernel.run()
         assert result.trace.by_kind(EventKind.WRITE)
+
+
+class TestDispatchTable:
+    def test_every_syscall_class_has_a_handler(self):
+        import repro.vm.syscalls as syscalls
+        from repro.vm.kernel import _SYSCALL_HANDLERS
+
+        concrete = [getattr(syscalls, n) for n in syscalls.__all__ if n != "Syscall"]
+        assert concrete
+        missing = [cls.__name__ for cls in concrete if cls not in _SYSCALL_HANDLERS]
+        assert missing == []
+
+    def test_subclass_dispatches_as_its_syscall_base(self):
+        from repro.vm.kernel import _SYSCALL_HANDLERS
+
+        class TracedAcquire(Acquire):
+            pass
+
+        kernel = make_kernel()
+        kernel.new_monitor("m")
+
+        def body():
+            yield TracedAcquire("m")
+            yield Release("m")
+            return "done"
+
+        kernel.spawn(body, name="t")
+        result = kernel.run()
+        assert result.thread_results["t"] == "done"
+        assert [e.kind for e in result.trace.by_thread("t")] == [
+            EventKind.THREAD_START,
+            EventKind.MONITOR_REQUEST,
+            EventKind.MONITOR_ACQUIRE,
+            EventKind.MONITOR_RELEASE,
+            EventKind.THREAD_END,
+        ]
+        assert _SYSCALL_HANDLERS[TracedAcquire] is _SYSCALL_HANDLERS[Acquire]
+
+    def test_non_syscall_raises_at_the_yield_point(self):
+        from repro.vm.kernel import _SYSCALL_HANDLERS
+
+        kernel = make_kernel()
+        caught = []
+
+        def body():
+            try:
+                yield "not a syscall"
+            except UnknownSyscallError as exc:
+                caught.append(str(exc))
+            yield Yield()
+            return "recovered"
+
+        kernel.spawn(body, name="t")
+        result = kernel.run()
+        assert result.thread_results["t"] == "recovered"
+        assert caught and "not a syscall" in caught[0]
+        assert str not in _SYSCALL_HANDLERS
+
+
+class TestEventObjects:
+    def _events(self):
+        kernel = make_kernel()
+        kernel.new_monitor("m")
+
+        def body():
+            yield Acquire("m")
+            yield Release("m")
+
+        kernel.spawn(body, name="t")
+        return list(kernel.run().trace)
+
+    def test_emitted_events_are_frozen(self):
+        import dataclasses
+
+        event = self._events()[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.seq = 99
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.detail = {}
+        assert not hasattr(event, "__dict__")
+
+    def test_emitted_event_equals_constructed_event(self):
+        from repro.vm import Event
+
+        for event in self._events():
+            assert event == Event(
+                seq=event.seq,
+                time=event.time,
+                thread=event.thread,
+                kind=event.kind,
+                monitor=event.monitor,
+                component=event.component,
+                method=event.method,
+                detail=dict(event.detail),
+            )
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        events = self._events()
+        assert pickle.loads(pickle.dumps(events)) == events
+
+    def test_dataclasses_replace(self):
+        import dataclasses
+
+        event = self._events()[1]
+        moved = dataclasses.replace(event, thread="other")
+        assert moved.thread == "other"
+        assert moved.kind is event.kind and moved.seq == event.seq
+        assert event.thread == "t"
+
+
+class TestDeadlineIndex:
+    """Timed waits and acquires expire at exactly their own deadline,
+    whatever order they were armed in and however stale the index is."""
+
+    @staticmethod
+    def _spinner(steps):
+        def spin():
+            for _ in range(steps):
+                yield Yield()
+
+        return spin
+
+    @staticmethod
+    def _expiries(result):
+        return [
+            (e.thread, e.time, e.detail["deadline"])
+            for e in result.trace.by_kind(EventKind.WAIT_TIMEOUT)
+        ]
+
+    @staticmethod
+    def _armed_at(result, thread):
+        return [
+            e.time
+            for e in result.trace.by_thread(thread)
+            if e.kind is EventKind.MONITOR_WAIT
+        ]
+
+    def test_decreasing_deadlines_expire_in_deadline_order(self):
+        kernel = make_kernel()
+        kernel.new_monitor("m")
+
+        def waiter(timeout):
+            yield Acquire("m")
+            yield Wait("m", timeout=timeout)
+            yield Release("m")
+
+        kernel.spawn(waiter, 40, name="late")
+        kernel.spawn(waiter, 5, name="early")
+        kernel.spawn(self._spinner(60), name="spin")
+        result = kernel.run()
+        assert result.ok
+        (late_armed,) = self._armed_at(result, "late")
+        (early_armed,) = self._armed_at(result, "early")
+        assert early_armed + 5 < late_armed + 40
+        assert self._expiries(result) == [
+            ("early", early_armed + 5, early_armed + 5),
+            ("late", late_armed + 40, late_armed + 40),
+        ]
+
+    def test_notified_wait_leaves_a_stale_deadline(self):
+        kernel = make_kernel()
+        kernel.new_monitor("m")
+
+        def waiter():
+            yield Acquire("m")
+            yield Wait("m", timeout=10)  # notified long before step 10
+            yield Wait("m", timeout=30)  # nobody notifies: times out
+            yield Release("m")
+
+        def notifier():
+            yield Acquire("m")
+            yield Notify("m")
+            yield Release("m")
+            for _ in range(60):
+                yield Yield()
+
+        kernel.spawn(waiter, name="w")
+        kernel.spawn(notifier, name="n")
+        result = kernel.run()
+        assert result.ok
+        reasons = [
+            e.detail["reason"]
+            for e in result.trace.by_kind(EventKind.MONITOR_NOTIFIED)
+        ]
+        assert reasons == ["notify", "timeout"]
+        first, second = self._armed_at(result, "w")
+        assert first + 10 < second + 30
+        assert self._expiries(result) == [("w", second + 30, second + 30)]
+
+    def test_timed_semaphore_acquire(self):
+        from repro.vm import SemAcquire
+
+        kernel = make_kernel()
+        kernel.new_semaphore("s", permits=0)
+        got = []
+
+        def acquirer():
+            got.append((yield SemAcquire("s", timeout=7)))
+
+        kernel.spawn(acquirer, name="a")
+        kernel.spawn(self._spinner(20), name="spin")
+        result = kernel.run()
+        assert result.ok and got == [False]
+        (request,) = result.trace.by_kind(EventKind.SEM_REQUEST)
+        (expiry,) = result.trace.by_kind(EventKind.WAIT_TIMEOUT)
+        assert expiry.detail["primitive"] == "semaphore"
+        assert expiry.time == expiry.detail["deadline"] == request.time + 7
+
+    def test_quiescence_jumps_to_the_deadline(self):
+        kernel = make_kernel()
+        kernel.new_monitor("m")
+
+        def waiter():
+            yield Acquire("m")
+            yield Wait("m", timeout=100)
+            yield Release("m")
+            return "timed out"
+
+        kernel.spawn(waiter, name="w")
+        result = kernel.run()
+        assert result.thread_results["w"] == "timed out"
+        (armed,) = self._armed_at(result, "w")
+        assert self._expiries(result) == [("w", armed + 100, armed + 100)]
+        assert result.steps < 10
+
+
+class TestRunBookkeeping:
+    def test_tick_resumes_clock_waiters_in_arrival_order(self):
+        from repro.vm import AwaitTime, Tick
+
+        kernel = make_kernel()
+
+        def sleeper(target):
+            yield AwaitTime(target)
+
+        def ticker():
+            yield Tick()
+            yield Tick()
+
+        kernel.spawn(sleeper, 1, name="a")
+        kernel.spawn(sleeper, 2, name="b")
+        kernel.spawn(sleeper, 1, name="c")
+        kernel.spawn(ticker, name="t")
+        result = kernel.run()
+        assert result.ok
+        resumed = [e.detail["resumed"] for e in result.trace.by_kind(EventKind.CLOCK_TICK)]
+        assert resumed == [["a", "c"], ["b"]]
+
+    def test_deadlock_diagnosed_once(self, monkeypatch):
+        from repro.vm import RoundRobinScheduler
+
+        kernel = Kernel(scheduler=RoundRobinScheduler())
+        kernel.new_monitor("m1")
+        kernel.new_monitor("m2")
+
+        def grab(first, second):
+            yield Acquire(first)
+            yield Yield()
+            yield Acquire(second)
+
+        kernel.spawn(grab, "m1", "m2", name="a")
+        kernel.spawn(grab, "m2", "m1", name="b")
+        calls = []
+        diagnose = kernel._wait_for_cycle
+
+        def counted():
+            calls.append(1)
+            return diagnose()
+
+        monkeypatch.setattr(kernel, "_wait_for_cycle", counted)
+        result = kernel.run()
+        assert result.status is RunStatus.DEADLOCK
+        assert sorted(result.deadlock_cycle) == ["a", "b"]
+        assert len(calls) == 1
