@@ -113,6 +113,14 @@ class OnlineCompletionChecker(OnlineDetector):
 
     name = "completion"
 
+    kinds = frozenset(
+        {
+            EventKind.CALL_BEGIN,
+            EventKind.CALL_END,
+            EventKind.CLOCK_TICK,
+        }
+    )
+
     def __init__(self, expectations: Sequence[Expectation] = ()) -> None:
         self.expectations = list(expectations)
         self._order: List[CallRecord] = []

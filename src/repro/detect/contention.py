@@ -147,6 +147,33 @@ class OnlineContentionProfiler(OnlineDetector):
 
     name = "contention"
 
+    #: every kind the kernel emits with a ``monitor``: :meth:`_profile`
+    #: creates a profile for any of them, even those it does not count
+    kinds = frozenset(
+        {
+            EventKind.MONITOR_REQUEST,
+            EventKind.MONITOR_ACQUIRE,
+            EventKind.MONITOR_RELEASE,
+            EventKind.MONITOR_WAIT,
+            EventKind.MONITOR_NOTIFIED,
+            EventKind.NOTIFY,
+            EventKind.NOTIFY_ALL,
+            EventKind.SPURIOUS_WAKEUP,
+            EventKind.WAIT_TIMEOUT,
+            EventKind.SEM_REQUEST,
+            EventKind.SEM_ACQUIRE,
+            EventKind.SEM_RELEASE,
+            EventKind.RW_REQUEST,
+            EventKind.RW_ACQUIRE,
+            EventKind.RW_DOWNGRADE,
+            EventKind.RW_RELEASE,
+            EventKind.BARRIER_AWAIT,
+            EventKind.BARRIER_TRIP,
+            EventKind.BARRIER_RESUME,
+            EventKind.BARRIER_BROKEN,
+        }
+    )
+
     def __init__(self) -> None:
         self.report = ContentionReport()
         # (thread, monitor) -> request time, for open requests

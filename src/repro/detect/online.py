@@ -14,8 +14,10 @@ sink that plugs into :meth:`repro.vm.kernel.Kernel.subscribe`.  With the
 kernel's ``trace_mode="none"``, a run's memory footprint drops from
 O(events) to O(detector state) while the pipeline still sees every event
 — this is what lets :mod:`repro.engine` campaigns afford full detection
-on every run.  A pipeline finding that is already *permanent* (a
-wait-for cycle among blocked threads) may abort the run early via
+on every run.  Each detector declares the event :attr:`~OnlineDetector.kinds`
+its fold reads, and the pipeline routes every event to only those
+detectors.  A pipeline finding that is already *permanent* (a wait-for
+cycle among blocked threads) may abort the run early via
 :meth:`~repro.vm.kernel.Kernel.request_abort` instead of burning steps.
 
 Import discipline: the concrete detector modules import this one (for
@@ -31,6 +33,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -39,7 +42,7 @@ from typing import (
 )
 
 from repro.classify.symptoms import SymptomTracker
-from repro.vm.events import Event
+from repro.vm.events import Event, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vm.kernel import Kernel, RunResult
@@ -69,10 +72,18 @@ class OnlineDetector:
     it must only return a reason for findings that are already permanent
     — aborting cannot un-happen an event, but a transient condition would
     make the early-stopped run diverge from the natural one.
+
+    :attr:`kinds` lists the event kinds whose arrival changes the
+    detector's state (bookkeeping-only kinds included); a pipeline
+    delivers only those kinds, and polls :meth:`abort_reason` only after
+    them.  ``None`` means every kind.
     """
 
     #: Stable key identifying the detector's findings in pipeline output.
     name: str = "detector"
+
+    #: Event kinds the fold reads; ``None`` routes every kind here.
+    kinds: Optional[FrozenSet[EventKind]] = None
 
     def on_event(self, event: Event) -> None:
         raise NotImplementedError
@@ -207,6 +218,15 @@ class DetectionSummary:
 class DetectorPipeline:
     """A set of online detectors behind one kernel event sink.
 
+    Events are routed by kind: one table, built at construction, maps
+    each kind to the handlers whose fold reads it — the symptom tracker
+    first, then the detectors in report order, then the abort poll of
+    each detector that overrides :meth:`~OnlineDetector.abort_reason`
+    (polled only after its own kinds, the only events that can change
+    it).  :meth:`attach` subscribes each handler kind-filtered, once per
+    handler; :meth:`on_event` walks the same table for replay and batch
+    callers.
+
     Args:
         detectors: the detectors to run; defaults to
             :func:`default_detectors` (all seven).
@@ -233,13 +253,69 @@ class DetectorPipeline:
         self.early_stop = early_stop
         #: the abort reason this pipeline raised, if any
         self.aborted: Optional[str] = None
-        self.events_seen = 0
+        self._counted = 0
+        self._seq_start = 0
         self._kernel: Optional["Kernel"] = None
+        #: (handler, kinds) per subscriber, in delivery order
+        self._targets = self._subscribers()
+        #: kind -> handlers in delivery order: the table on_event walks
+        self._routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {}
+        for handler, kinds in self._targets:
+            for kind in kinds:
+                self._routes[kind] = self._routes.get(kind, ()) + (handler,)
+
+    def _subscribers(
+        self,
+    ) -> List[Tuple[Callable[[Event], None], Tuple[EventKind, ...]]]:
+        """Symptoms, the detectors in report order, then the abort polls
+        of the detectors that can abort, each with its kinds."""
+        every = tuple(EventKind)
+
+        def kinds_of(target: Any) -> Tuple[EventKind, ...]:
+            kinds = getattr(target, "kinds", None)
+            return every if kinds is None else tuple(kinds)
+
+        targets = [(self.symptoms.on_event, kinds_of(self.symptoms))]
+        targets += [(d.on_event, kinds_of(d)) for d in self.detectors]
+        if self.early_stop:
+            targets += [
+                (self._abort_poll(d), kinds_of(d))
+                for d in self.detectors
+                if getattr(type(d), "abort_reason", OnlineDetector.abort_reason)
+                is not OnlineDetector.abort_reason
+            ]
+        return targets
+
+    def _abort_poll(self, detector: OnlineDetector) -> Callable[[Event], None]:
+        """A handler asking ``detector`` for an abort reason; the first
+        reason wins and is forwarded to the attached kernel."""
+        abort_reason = detector.abort_reason
+
+        def poll(event: Event) -> None:
+            if self.aborted is None:
+                reason = abort_reason()
+                if reason is not None:
+                    self.aborted = reason
+                    if self._kernel is not None:
+                        self._kernel.request_abort(reason)
+
+        return poll
+
+    @property
+    def events_seen(self) -> int:
+        """Events delivered this run: the attached kernel's emissions since
+        :meth:`attach`, plus any fed through :meth:`on_event`."""
+        seen = self._counted
+        if self._kernel is not None:
+            seen += self._kernel.events_emitted - self._seq_start
+        return seen
 
     def attach(self, kernel: "Kernel") -> "DetectorPipeline":
         """Subscribe to a kernel's event bus; returns self for chaining."""
         self._kernel = kernel
-        kernel.subscribe(self.on_event)
+        self._seq_start = kernel.events_emitted
+        for handler, kinds in self._targets:
+            kernel.subscribe(handler, kinds=kinds)
         return self
 
     def reset(self) -> "DetectorPipeline":
@@ -250,23 +326,14 @@ class DetectorPipeline:
             detector.reset()
         self.symptoms.reset()
         self.aborted = None
-        self.events_seen = 0
+        self._counted = 0
         self._kernel = None
         return self
 
     def on_event(self, event: Event) -> None:
-        self.events_seen += 1
-        self.symptoms.on_event(event)
-        for detector in self.detectors:
-            detector.on_event(event)
-        if self.early_stop and self.aborted is None:
-            for detector in self.detectors:
-                reason = detector.abort_reason()
-                if reason is not None:
-                    self.aborted = reason
-                    if self._kernel is not None:
-                        self._kernel.request_abort(reason)
-                    break
+        self._counted += 1
+        for handler in self._routes.get(event.kind, ()):
+            handler(event)
 
     def findings(self) -> Dict[str, Any]:
         """Raw findings keyed by detector name."""

@@ -74,6 +74,24 @@ class OnlineStarvationDetector(OnlineDetector):
 
     name = "starvation"
 
+    kinds = frozenset(
+        {
+            EventKind.MONITOR_REQUEST,
+            EventKind.MONITOR_ACQUIRE,
+            EventKind.MONITOR_WAIT,
+            EventKind.MONITOR_NOTIFIED,
+            EventKind.SEM_REQUEST,
+            EventKind.SEM_ACQUIRE,
+            EventKind.RW_REQUEST,
+            EventKind.RW_ACQUIRE,
+            EventKind.RW_DOWNGRADE,
+            EventKind.WAIT_TIMEOUT,
+            EventKind.INTERRUPT,
+            EventKind.THREAD_END,
+            EventKind.THREAD_CRASH,
+        }
+    )
+
     def __init__(
         self, bypass_threshold: int = 3, include_resolved: bool = False
     ) -> None:

@@ -115,6 +115,19 @@ class OnlineHbDetector(OnlineDetector):
 
     name = "hb"
 
+    kinds = frozenset(
+        {
+            EventKind.MONITOR_ACQUIRE,
+            EventKind.MONITOR_RELEASE,
+            EventKind.MONITOR_WAIT,
+            EventKind.NOTIFY,
+            EventKind.NOTIFY_ALL,
+            EventKind.MONITOR_NOTIFIED,
+            EventKind.READ,
+            EventKind.WRITE,
+        }
+    )
+
     def __init__(self, max_reports: int = 100) -> None:
         self.max_reports = max_reports
         self._thread_vc: Dict[str, VectorClock] = {}

@@ -144,6 +144,32 @@ class OnlineWaitGraphDetector(OnlineDetector):
 
     name = "waitgraph"
 
+    #: ``live_cycle`` (the abort reason) is only ever set on some of
+    #: these, so an abort poll after them stops the run on that event
+    kinds = frozenset(
+        {
+            EventKind.MONITOR_REQUEST,
+            EventKind.MONITOR_ACQUIRE,
+            EventKind.MONITOR_RELEASE,
+            EventKind.MONITOR_WAIT,
+            EventKind.MONITOR_NOTIFIED,
+            EventKind.SEM_REQUEST,
+            EventKind.SEM_ACQUIRE,
+            EventKind.SEM_RELEASE,
+            EventKind.RW_REQUEST,
+            EventKind.RW_ACQUIRE,
+            EventKind.RW_DOWNGRADE,
+            EventKind.RW_RELEASE,
+            EventKind.BARRIER_AWAIT,
+            EventKind.BARRIER_RESUME,
+            EventKind.BARRIER_BROKEN,
+            EventKind.WAIT_TIMEOUT,
+            EventKind.INTERRUPT,
+            EventKind.THREAD_END,
+            EventKind.THREAD_CRASH,
+        }
+    )
+
     def __init__(self) -> None:
         self.state = WaitForState()
         self._hold_count: Dict[Tuple[str, str], int] = {}

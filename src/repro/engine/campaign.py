@@ -515,6 +515,9 @@ class _Aggregator:
         self.live = live
         self.result = CampaignResult(spec=spec)
         self._seen: set = set()
+        # goal flags, set as unique summaries merge (never rescanned)
+        self._failed = False
+        self._deadlocked = False
         if spec.metrics:
             self.result.metrics = MetricsRegistry()
         if spec.coverage:
@@ -543,6 +546,12 @@ class _Aggregator:
         else:
             self._seen.add(key)
             self.result.summaries.append(summary)
+            if not summary.ok:
+                self._failed = True
+            if summary.status == RunStatus.DEADLOCK.value or (
+                summary.detection or {}
+            ).get("deadlock_cycle"):
+                self._deadlocked = True
             for code in summary.detected_classes:
                 self.result.class_counts[code] += 1
                 self.progress.classes[code] += 1
@@ -577,15 +586,11 @@ class _Aggregator:
             )
 
     def goal_reached(self) -> Optional[str]:
-        if self.spec.goal == "first-failure" and any(
-            not s.ok for s in self.result.summaries
-        ):
+        """The goal met so far, if any: O(1) for the failure and deadlock
+        goals, whose flags :meth:`merge` sets."""
+        if self.spec.goal == "first-failure" and self._failed:
             return "first-failure"
-        if self.spec.goal == "first-deadlock" and any(
-            s.status == RunStatus.DEADLOCK.value
-            or (s.detection or {}).get("deadlock_cycle")
-            for s in self.result.summaries
-        ):
+        if self.spec.goal == "first-deadlock" and self._deadlocked:
             return "first-deadlock"
         if (
             self.spec.goal == "coverage"
@@ -850,17 +855,12 @@ def _run_pool(
 
     def handle(kind: str, shard_id: str, payload) -> None:
         nonlocal goal
-        if kind in ("frame", "run"):
-            # "frame" wraps the summary with shard-local telemetry
-            # counters; bare "run" payloads (pre-frame workers) still work.
-            frame: Optional[TelemetryFrame] = None
-            if kind == "frame":
-                frame = TelemetryFrame.from_dict(payload)
-                if frame.summary is None:
-                    return
-                summary = frame.summary
-            else:
-                summary = RunSummary.from_dict(payload)
+        if kind == "frame":
+            # the run's summary wrapped with shard-local telemetry counters
+            frame = TelemetryFrame.from_dict(payload)
+            summary = frame.summary
+            if summary is None:
+                return
             if shard_id in buffers:
                 buffers[shard_id].append(summary)
             aggregator.merge(summary, shard_id=shard_id, frame=frame)

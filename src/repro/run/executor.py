@@ -78,7 +78,15 @@ def timed_runner(timeout: float) -> KernelRunner:
         return lambda kernel: kernel.run()
 
     def run(kernel: Kernel) -> RunResult:
+        fired = False
+
         def _on_alarm(signum: int, frame: Any) -> None:
+            nonlocal fired
+            fired = True
+            # A handler that runs inside a finalizer or a ``gc.callbacks``
+            # hook has its exception swallowed (reported as unraisable);
+            # the abort request still stops the run loop.
+            kernel.request_abort("timeout")
             raise RunTimeoutInterrupt()
 
         try:
@@ -87,19 +95,22 @@ def timed_runner(timeout: float) -> KernelRunner:
             return kernel.run()
         try:
             signal.setitimer(signal.ITIMER_REAL, timeout)
-            return kernel.run()
+            result = kernel.run()
+            if not fired:
+                return result
         except RunTimeoutInterrupt:
-            live = [t.name for t in kernel.threads.values() if t.is_live()]
-            return RunResult(
-                status=RunStatus.TIMEOUT,
-                trace=kernel.trace,
-                steps=kernel.steps,
-                stuck_threads=live,
-                schedule_log=list(kernel.schedule_log),
-            )
+            pass
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
+        live = [t.name for t in kernel.threads.values() if t.is_live()]
+        return RunResult(
+            status=RunStatus.TIMEOUT,
+            trace=kernel.trace,
+            steps=kernel.steps,
+            stuck_threads=live,
+            schedule_log=list(kernel.schedule_log),
+        )
 
     return run
 

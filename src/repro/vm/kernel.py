@@ -464,6 +464,9 @@ class Kernel:
         instead of a Python call into a subscriber that would discard it.
         Unfiltered subscribers always run first, in subscription order;
         kind-filtered subscribers follow, in subscription order per kind.
+        A :class:`~repro.detect.online.DetectorPipeline` attaches as a set
+        of kind-filtered subscribers (one per detector), so it runs after
+        any unfiltered sink.
         """
         if kinds is None:
             self._sinks.append(sink)

@@ -253,6 +253,69 @@ class TestJournalAndResume:
         # The journal is whole again for the *next* resume.
         assert len(CampaignJournal(journal_path).load().shards) == 4
 
+class _NoIterList(list):
+    """A summaries list whose iteration fails: goal checks must not scan."""
+
+    def __iter__(self):
+        raise AssertionError("goal check iterated result.summaries")
+
+
+def _summary(index, status="completed", detection=None):
+    from repro.testing.explorer import RunSummary
+
+    return RunSummary(
+        index=index, status=status, decisions=(index,), seed=index,
+        detection=detection,
+    )
+
+
+class TestGoalFlags:
+    def _aggregator(self, goal):
+        from repro.engine.campaign import _Aggregator
+        from repro.engine.progress import ProgressTracker
+
+        aggregator = _Aggregator(
+            CampaignSpec(factory="pc-bug", goal=goal), ProgressTracker()
+        )
+        aggregator.result.summaries = _NoIterList()
+        return aggregator
+
+    def test_first_failure_goal_check_does_not_iterate_summaries(self):
+        aggregator = self._aggregator("first-failure")
+        for i in range(50):
+            aggregator.merge(_summary(i))
+            assert aggregator.goal_reached() is None
+        aggregator.merge(_summary(50, status="deadlock"))
+        assert aggregator.goal_reached() == "first-failure"
+
+    def test_first_deadlock_goal_check_does_not_iterate_summaries(self):
+        aggregator = self._aggregator("first-deadlock")
+        aggregator.merge(_summary(0, status="crashed"))
+        assert aggregator.goal_reached() is None
+        aggregator.merge(_summary(1, detection={"deadlock_cycle": ["a", "b"]}))
+        assert aggregator.goal_reached() == "first-deadlock"
+
+    def test_duplicate_does_not_set_flag(self):
+        aggregator = self._aggregator("first-failure")
+        aggregator.merge(_summary(0))
+        # same schedule key, failing status: deduplicated, never counted
+        aggregator.merge(_summary(0, status="deadlock"))
+        assert aggregator.result.duplicates == 1
+        assert aggregator.goal_reached() is None
+
+    def test_resume_restores_goal(self, tmp_path):
+        spec = CampaignSpec(
+            factory="racing-locks", mode="systematic", budget=500, workers=0,
+            shard_size=5, goal="first-failure",
+            journal_path=str(tmp_path / "c.jsonl"),
+        )
+        first = run_campaign(spec)
+        assert first.goal_reached == "first-failure"
+        resumed = run_campaign(spec, resume=True)
+        assert resumed.goal_reached == "first-failure"
+        assert resumed.n_executed == first.n_executed
+
+
 class TestCampaignMetrics:
     def test_metrics_out_implies_metrics(self):
         spec = CampaignSpec(factory="pc-ok", metrics_out="/tmp/m.jsonl")

@@ -1,6 +1,8 @@
 """Tests for RunExecutor: one assembly reused across runs, with results
 identical to building everything fresh per run."""
 
+import time
+
 import pytest
 
 from repro.run import RunConfig, RunConfigError
@@ -129,6 +131,18 @@ class TestExplore:
         result = executor.explore("random", seeds=[0])
         assert [r.result.status.value for r in result.runs] == ["timeout"]
 
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+    def test_timeout_survives_a_swallowed_interrupt(self):
+        # the alarm lands inside a finalizer, which swallows the
+        # interrupt (as a gc.callbacks hook does); the run must still end
+        # as a timeout, not spin on to its step limit
+        executor = RunExecutor(
+            config(workload=f"{__name__}:finalizer_factory", timeout=0.2)
+        )
+        result = executor.explore("random", seeds=[0])
+        assert [r.result.status.value for r in result.runs] == ["timeout"]
+        assert result.runs[0].result.steps < FINALIZER_MAX_STEPS
+
     def test_summarize_attaches_everything(self):
         executor = RunExecutor(
             config(
@@ -151,6 +165,34 @@ def spin_factory(scheduler):
     kernel = Kernel(scheduler=scheduler, max_steps=50_000_000)
 
     def spinner():
+        while True:
+            yield Tick()
+
+    kernel.spawn(spinner, name="spin")
+    return kernel
+
+
+#: a bound on the finalizer workload, so a lost timeout ends the run
+FINALIZER_MAX_STEPS = 200_000
+
+
+class _SlowFinalizer:
+    """Garbage whose finalizer outlasts the run timeout: an exception
+    raised by a signal handler running inside it is swallowed."""
+
+    def __del__(self):
+        deadline = time.monotonic() + 0.5
+        while time.monotonic() < deadline:
+            pass
+
+
+def finalizer_factory(scheduler):
+    from repro.vm import Kernel, Tick
+
+    kernel = Kernel(scheduler=scheduler, max_steps=FINALIZER_MAX_STEPS)
+
+    def spinner():
+        _SlowFinalizer()  # dropped at once: its finalizer runs here
         while True:
             yield Tick()
 
