@@ -4,14 +4,18 @@
 nothing: workers already shipped one summary per run, the frame wrapper
 adds two shard-local integers, and the orchestrator's aggregator makes
 one extra ``LiveAggregator.note_run`` call per merged run while the HTTP
-server sleeps in ``accept`` on a daemon thread.
+server sleeps in ``accept`` on a daemon thread.  That call counts
+nothing: the run is already folded into the campaign state the live
+view reads, so it only updates the run's shard row and publishes one SSE
+frame.
 
 As in bench Ext-I, a single-digit overhead drowns in shared-box noise on
 an end-to-end wall measurement, so the headline number is deterministic:
 capture one campaign's summary stream, then time exactly the marginal
 work telemetry adds per run — frame wrap + wire dict round trip +
-``note_run`` fold (with an SSE subscriber attached, so the publish path
-runs too) — and divide by the campaign's own CPU time.  A loose
+``note_run``'s shard-row update and publish (with an SSE subscriber
+attached, so the fan-out runs too) — and divide by the campaign's own
+CPU time.  A loose
 end-to-end gate (full campaign with a bound server and subscriber vs
 telemetry off) rides along to catch gross regressions.
 """
@@ -82,8 +86,9 @@ def _capture_summaries():
 
 def _telemetry_pass_seconds(captured) -> float:
     """Best-of-N CPU seconds for the full per-run telemetry path over a
-    captured stream: frame wrap, wire-dict round trip, aggregator fold
-    (with one subscriber draining lazily, as an SSE client would)."""
+    captured stream: frame wrap, wire-dict round trip, shard-row update
+    and publish (with one subscriber draining lazily, as an SSE client
+    would)."""
     best = None
     for _ in range(PASS_ROUNDS):
         aggregator = LiveAggregator()
@@ -121,8 +126,8 @@ def test_live_telemetry_overhead(results_dir):
         f"({end_to_end:+.1%} end to end)\n"
         f"  telemetry marginal work:  {marginal * 1000:8.2f} ms  "
         f"({overhead:+.1%}, {per_run_us:.1f} us/run)\n"
-        "  (marginal = frame wrap + wire round trip + note_run fold "
-        "with a subscriber)"
+        "  (marginal = frame wrap + wire round trip + note_run row "
+        "update + publish with a subscriber)"
     )
     write_result(results_dir, "extM_live_overhead.txt", text)
     print()

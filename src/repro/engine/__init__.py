@@ -9,8 +9,8 @@
   point, with per-run wall-clock timeouts;
 * :mod:`~repro.engine.journal` — the JSONL checkpoint that makes a
   killed campaign resumable without rework;
-* :mod:`~repro.engine.progress` — live counters (runs/sec, distinct
-  failure signatures, coverage %);
+* :mod:`~repro.engine.progress` — the campaign's one incremental state
+  (every count, shard row and merged metric) and its heartbeat;
 * :mod:`~repro.engine.campaign` — the orchestrator tying it together;
 * :mod:`~repro.engine.workloads` — the named Ext-B program factories.
 

@@ -32,14 +32,13 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.obs.live.frames import TelemetryFrame
-from repro.obs.metrics import Counter as MetricsCounter
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
+from repro.obs.metrics import MetricsRegistry
 from repro.run.config import DETECTOR_ORDER, RunConfig, RunConfigError, _coerce_faults
 from repro.testing.explorer import RunSummary, wilson_interval
 from repro.vm.kernel import RunStatus
 
 from .journal import CampaignJournal
-from .progress import ProgressTracker
+from .progress import ProgressTracker, state_view
 from .shards import Shard, plan_seed_shards, plan_systematic_shards
 from .worker import WorkerTask, execute_shard, worker_main
 
@@ -297,26 +296,33 @@ class ReplayArtifact:
 
 @dataclass
 class CampaignResult:
-    """Merged outcome of a campaign (unique schedules only)."""
+    """Merged outcome of a campaign (unique schedules only).
+
+    Every count is a view of :attr:`progress`, the campaign state the
+    orchestrator folds each merged run and shard transition into once.
+    """
 
     spec: CampaignSpec
     summaries: List[RunSummary] = field(default_factory=list)
-    duplicates: int = 0
-    shards_total: int = 0
-    shards_completed: int = 0
-    shards_failed: List[str] = field(default_factory=list)
-    shards_resumed: int = 0
-    shards_requeued: int = 0
+    progress: ProgressTracker = field(default_factory=ProgressTracker, repr=False)
     exhausted: bool = False
     goal_reached: Optional[str] = None
     wall_time: float = 0.0
-    coverage: Optional[Any] = None  # CoverageMatrix when tracked
-    #: failure-class code -> number of unique schedules implicating it
-    #: (populated only when the spec ran with ``detect=True``)
-    class_counts: Counter = field(default_factory=Counter)
-    #: merged per-run metrics (unique schedules only; populated only when
-    #: the spec ran with ``metrics=True``)
-    metrics: Optional[MetricsRegistry] = None
+
+    duplicates = state_view("duplicates", "runs discarded as duplicate schedules")
+    shards_total = state_view("shards_total", "shards planned")
+    shards_completed = state_view("shards_done", "shards completed or resumed")
+    shards_failed = state_view("shards_failed", "ids of shards out of retries")
+    shards_resumed = state_view("shards_resumed", "shards merged from the journal")
+    shards_requeued = state_view("shards_requeued", "crash requeues")
+    coverage = state_view("coverage", "the CoverageMatrix, when tracked")
+    class_counts = state_view("classes", "failure class -> unique schedules with it")
+
+    @property
+    def metrics(self) -> Optional[MetricsRegistry]:
+        """Merged per-run metrics (unique schedules only; None unless the
+        spec ran with ``metrics=True``)."""
+        return self.progress.metrics if self.spec.metrics else None
 
     @property
     def n_runs(self) -> int:
@@ -329,24 +335,21 @@ class CampaignResult:
         return len(self.summaries) + self.duplicates
 
     def statuses(self) -> Counter:
-        return Counter(s.status for s in self.summaries)
+        return Counter(self.progress.statuses)
 
     def failures(self) -> List[RunSummary]:
         return [s for s in self.summaries if not s.ok]
 
     def distinct_failure_signatures(self) -> List[Tuple[str, Tuple[str, ...]]]:
-        seen: Dict[Tuple[str, Tuple[str, ...]], None] = {}
-        for s in self.failures():
-            seen.setdefault(s.signature)
-        return list(seen)
+        return list(self.progress.signatures)
 
     def failure_rate(self) -> float:
         if not self.summaries:
             return 0.0
-        return len(self.failures()) / len(self.summaries)
+        return self.progress.failures / len(self.summaries)
 
     def failure_rate_interval(self, z: float = 1.96) -> Tuple[float, float]:
-        return wilson_interval(len(self.failures()), len(self.summaries), z)
+        return wilson_interval(self.progress.failures, len(self.summaries), z)
 
     def first_failure(self) -> Optional[RunSummary]:
         for s in self.summaries:
@@ -390,49 +393,15 @@ class CampaignResult:
         Pure: builds a fresh registry each call, leaving :attr:`metrics`
         untouched — safe to call repeatedly (exporters, tests).
         """
-        registry = MetricsRegistry()
-        if self.metrics is not None:
-            registry.merge(self.metrics)
-        runs = registry.counter(
-            "campaign_runs_total", "unique schedules merged, by run status"
-        )
-        for status, count in self.statuses().items():
-            runs.inc(count, status=status)
-        registry.counter(
-            "campaign_duplicate_schedules_total",
-            "runs discarded as duplicate schedules",
-        ).inc(self.duplicates)
-        classes = registry.counter(
-            "campaign_failure_classes_total",
-            "unique schedules implicating each Table-1 failure class",
-        )
-        for code, count in self.class_counts.items():
-            classes.inc(count, failure_class=code)
-        shards = registry.counter(
-            "campaign_shards_total", "shard dispositions across the campaign"
-        )
-        shards.inc(self.shards_completed, state="completed")
-        shards.inc(len(self.shards_failed), state="failed")
-        shards.inc(self.shards_requeued, state="requeued")
-        shards.inc(self.shards_resumed, state="resumed")
-        if self.wall_time > 0:
-            registry.gauge(
-                "campaign_runs_per_second",
-                "overall campaign throughput (executed runs / wall time)",
-                agg="last",
-            ).set(self.n_executed / self.wall_time)
-        from repro.obs.live.aggregate import attach_campaign_info
+        from repro.obs.live.aggregate import campaign_registry
 
-        attach_campaign_info(
-            registry,
-            {
-                "fingerprint": self.spec.fingerprint(),
-                "factory": self.spec.factory,
-                "mode": self.spec.mode,
-            },
-            self.shards_total,
-        )
-        return registry
+        info = {
+            "fingerprint": self.spec.fingerprint(),
+            "factory": self.spec.factory,
+            "mode": self.spec.mode,
+        }
+        rate = self.n_executed / self.wall_time if self.wall_time > 0 else None
+        return campaign_registry(self.progress, info, rate)
 
     def describe(self) -> str:
         status_counts = ", ".join(
@@ -446,12 +415,11 @@ class CampaignResult:
             + (f" ({self.duplicates} duplicates)" if self.duplicates else ""),
             f"  outcomes: {status_counts or 'none'}",
         ]
-        n_failures = len(self.failures())
         if self.summaries:
             lo, hi = self.failure_rate_interval()
             lines.append(
-                f"  failures: {n_failures} ({self.failure_rate():.1%}), "
-                f"{len(self.distinct_failure_signatures())} distinct signature(s), "
+                f"  failures: {self.progress.failures} ({self.failure_rate():.1%}), "
+                f"{len(self.progress.signatures)} distinct signature(s), "
                 f"95% CI [{lo:.1%}, {hi:.1%}]"
             )
         if self.class_counts:
@@ -495,13 +463,11 @@ class CampaignResult:
 
 
 class _Aggregator:
-    """Merges run summaries: dedupe by schedule hash, fold coverage.
-
-    When a :class:`~repro.obs.live.aggregate.LiveAggregator` is attached
-    it receives every merged summary *with this aggregator's duplicate
-    verdict*, immediately after the fold — the live state is therefore
-    the same merge in the same order, which is what makes mid-run
-    ``/status`` equal to the post-hoc journal merge.
+    """The campaign's single dedup point: drops repeated schedules from
+    the result, sets the goal flags, and hands every merged run — with
+    its duplicate verdict — to the campaign state's one fold
+    (:meth:`ProgressTracker.note_run`), then to the live view when one
+    is attached.
     """
 
     def __init__(
@@ -513,25 +479,16 @@ class _Aggregator:
         self.spec = spec
         self.progress = progress
         self.live = live
-        self.result = CampaignResult(spec=spec)
+        self.result = CampaignResult(spec=spec, progress=progress)
         self._seen: set = set()
         # goal flags, set as unique summaries merge (never rescanned)
         self._failed = False
         self._deadlocked = False
-        if spec.metrics:
-            self.result.metrics = MetricsRegistry()
         if spec.coverage:
-            from repro.analysis import build_all_cofgs
             from repro.coverage.matrix import CoverageMatrix
+            from repro.run.executor import coverage_cofgs
 
-            if ":" in spec.coverage:
-                module_name, class_name = spec.coverage.split(":", 1)
-            else:
-                module_name, class_name = spec.coverage.rsplit(".", 1)
-            import importlib
-
-            cls = getattr(importlib.import_module(module_name), class_name)
-            self.result.coverage = CoverageMatrix(build_all_cofgs(cls))
+            progress.coverage = CoverageMatrix(coverage_cofgs(spec.coverage))
 
     def merge(
         self,
@@ -541,9 +498,7 @@ class _Aggregator:
     ) -> None:
         key = summary.schedule_key
         duplicate = key in self._seen
-        if duplicate:
-            self.result.duplicates += 1
-        else:
+        if not duplicate:
             self._seen.add(key)
             self.result.summaries.append(summary)
             if not summary.ok:
@@ -552,33 +507,6 @@ class _Aggregator:
                 summary.detection or {}
             ).get("deadlock_cycle"):
                 self._deadlocked = True
-            for code in summary.detected_classes:
-                self.result.class_counts[code] += 1
-                self.progress.classes[code] += 1
-            if self.result.metrics is not None and summary.metrics:
-                self.result.metrics.merge_snapshot(
-                    MetricsSnapshot.from_dict(summary.metrics)
-                )
-                contended = self.result.metrics.get(
-                    "vm_monitor_contended_ticks_total"
-                )
-                if isinstance(contended, MetricsCounter):
-                    top = contended.top(1, label="monitor")
-                    if top:
-                        self.progress.top_contended = top[0]
-            if self.result.coverage is not None:
-                counts = {
-                    (m, s, d): n for m, s, d, n in summary.arc_hits
-                }
-                label = (
-                    f"seed{summary.seed}"
-                    if summary.seed is not None
-                    else f"run{summary.index}"
-                )
-                self.result.coverage.add_counts(counts, label=label)
-                self.progress.coverage_fraction = (
-                    self.result.coverage.coverage_fraction()
-                )
         self.progress.note_run(summary, duplicate=duplicate)
         if self.live is not None:
             self.live.note_run(
@@ -592,11 +520,7 @@ class _Aggregator:
             return "first-failure"
         if self.spec.goal == "first-deadlock" and self._deadlocked:
             return "first-deadlock"
-        if (
-            self.spec.goal == "coverage"
-            and self.result.coverage is not None
-            and self.result.coverage.coverage_fraction() >= 1.0
-        ):
+        if self.spec.goal == "coverage" and (self.progress.coverage_fraction or 0) >= 1:
             return "coverage"
         return None
 
@@ -659,12 +583,11 @@ def run_campaign(
         telemetry.info.setdefault("factory", spec.factory)
         telemetry.info.setdefault("mode", spec.mode)
         telemetry.info.setdefault("workers", spec.workers)
-        if telemetry.total_runs is None:
-            telemetry.total_runs = spec.budget
-        telemetry.set_shards_total(len(shards))
+        if progress.total_runs is None:
+            progress.total_runs = spec.budget
+        telemetry.bind(progress)
     aggregator = _Aggregator(spec, progress, live=telemetry)
     result = aggregator.result
-    result.shards_total = len(shards)
 
     # -- journal / resume --------------------------------------------------
     journal: Optional[CampaignJournal] = None
@@ -691,12 +614,7 @@ def run_campaign(
         for shard_id in sorted(resumed_ids):
             for summary in completed[shard_id]:
                 aggregator.merge(summary, shard_id=shard_id)
-        shard_resumed_count = len(resumed_ids - {PLAN_SHARD_ID})
-        result.shards_resumed = shard_resumed_count
-        result.shards_completed = shard_resumed_count
-        progress.note_shards_resumed(shard_resumed_count)
-        if telemetry is not None:
-            telemetry.note_shards_resumed(sorted(resumed_ids - {PLAN_SHARD_ID}))
+        progress.note_shards_resumed(sorted(resumed_ids - {PLAN_SHARD_ID}))
 
         # The systematic planner re-ran during _plan (its runs are the
         # price of rebuilding the deterministic shard list); merge them
@@ -765,7 +683,6 @@ def _run_inline(
 ) -> Optional[str]:
     """Sequential in-process execution (``workers=0``): no isolation, no
     timeouts beyond the per-run alarm — the debug path."""
-    result = aggregator.result
     while pending:
         shard = pending.popleft()
         outcome = execute_shard(
@@ -779,12 +696,7 @@ def _run_inline(
             journal.append_shard(
                 shard.shard_id, outcome.summaries, exhausted=outcome.exhausted
             )
-        result.shards_completed += 1
-        progress.note_shard_done()
-        if aggregator.live is not None:
-            aggregator.live.note_shard_done(
-                shard.shard_id, exhausted=outcome.exhausted
-            )
+        progress.note_shard_done(shard.shard_id, exhausted=outcome.exhausted)
         progress.maybe_emit()
         goal = aggregator.goal_reached()
         if goal is not None:
@@ -804,7 +716,6 @@ def _run_pool(
     shard deadlines, bounded retries, early goal stop."""
     from queue import Empty
 
-    result = aggregator.result
     ctx = _mp_context()
     queue = ctx.Queue()
     active: Dict[str, _Active] = {}
@@ -838,14 +749,8 @@ def _run_pool(
             retry_not_before[shard.shard_id] = time.monotonic() + backoff
             pending.append(shard)
             progress.note_shard_requeued(shard.shard_id)
-            result.shards_requeued += 1
-            if aggregator.live is not None:
-                aggregator.live.note_shard_requeued(shard.shard_id)
         else:
-            result.shards_failed.append(shard.shard_id)
-            progress.note_shard_failed()
-            if aggregator.live is not None:
-                aggregator.live.note_shard_failed(shard.shard_id, error=error)
+            progress.note_shard_failed(shard.shard_id, error=error)
 
     def retire(shard_id: str) -> Optional[_Active]:
         entry = active.pop(shard_id, None)
@@ -871,10 +776,7 @@ def _run_pool(
             summaries = buffers.pop(shard_id, [])
             if journal is not None:
                 journal.append_shard(shard_id, summaries, exhausted=bool(payload))
-            result.shards_completed += 1
-            progress.note_shard_done()
-            if aggregator.live is not None:
-                aggregator.live.note_shard_done(shard_id, exhausted=bool(payload))
+            progress.note_shard_done(shard_id, exhausted=bool(payload))
             retire(shard_id)
         elif kind == "fail":
             entry = retire(shard_id)

@@ -2,9 +2,9 @@
 
 The live half of the observability layer: compact
 :class:`~repro.obs.live.frames.TelemetryFrame` messages streamed from
-campaign workers, an incrementally merged
-:class:`~repro.obs.live.aggregate.LiveAggregator` whose state is
-byte-for-byte the post-hoc journal merge, an embedded stdlib HTTP
+campaign workers, a :class:`~repro.obs.live.aggregate.LiveAggregator`
+that views the campaign's one state (the very objects the final result
+reads) and fans SSE frames out, an embedded stdlib HTTP
 endpoint (:class:`~repro.obs.live.server.TelemetryServer` — ``/status``
 JSON, ``/metrics`` Prometheus, ``/events`` SSE), a terminal dashboard
 (:mod:`~repro.obs.live.dash`), and a Perfetto-loadable Chrome

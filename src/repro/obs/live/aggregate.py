@@ -1,39 +1,38 @@
-"""Incremental campaign state, safe to read while the campaign runs.
+"""Live view of a campaign's state, safe to read while the campaign runs.
 
-The campaign orchestrator owns one :class:`LiveAggregator` and feeds it
-exactly the stream its result-building ``_Aggregator`` consumes: one
-``note_run`` per merged summary (with the orchestrator's duplicate
-verdict), plus shard-lifecycle notes.  Because the live aggregator
-applies the *same* fold in the *same* order — unique-only class counts,
-unique-only :class:`~repro.obs.metrics.MetricsSnapshot` merges — its
-final state is byte-for-byte the post-hoc journal-merged summary; the
-tests pin that equality, including under ``--resume``.
+A :class:`LiveAggregator` keeps no run or shard counters of its own: it
+is a view of one :class:`~repro.engine.progress.ProgressTracker`, the
+campaign's only incremental state.  ``run_campaign`` binds it to the
+campaign's tracker; built standalone, it binds to a fresh one.  The
+tracker folds every merged run and shard transition once, so ``/status``,
+``/metrics`` and the SSE frames read the very objects the final
+:class:`~repro.engine.campaign.CampaignResult` reads, including under
+``--resume``.
 
-Everything is guarded by one lock so the embedded HTTP server's handler
-threads (``/status``, ``/metrics``, SSE) can read mid-campaign without
-torn counters.  SSE subscribers receive one compact dict per frame via
-bounded queues; a slow consumer drops frames rather than stalling the
-orchestrator.
+What the aggregator adds is the live surface: campaign identity
+(``info``), ``state``/``goal``, the shard rows' shard-local counters
+from each :class:`~repro.obs.live.frames.TelemetryFrame`, and the SSE
+fan-out.  The tracker's lock guards the fold and every HTTP read, so the
+embedded server's handler threads never see torn counters.  SSE
+subscribers receive one compact dict per frame via bounded queues; a
+slow consumer drops frames rather than stalling the orchestrator.
 """
 
 from __future__ import annotations
 
 import json
 import queue
-import threading
 import time
-from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.obs.metrics import Counter as MetricsCounter
-from repro.obs.metrics import Gauge, MetricsRegistry, MetricsSnapshot
+from repro.engine.progress import ProgressTracker, ShardRow, state_view
+from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.testing.explorer import RunSummary
 from repro.vm.kernel import RunStatus
 
 from .frames import TelemetryFrame
 
-__all__ = ["LiveAggregator", "ShardRow", "STATUS_FORMAT"]
+__all__ = ["LiveAggregator", "ShardRow", "STATUS_FORMAT", "campaign_registry"]
 
 #: ``format`` marker of the ``/status`` JSON document.
 STATUS_FORMAT = "repro-live-status"
@@ -43,36 +42,8 @@ STATUS_FORMAT = "repro-live-status"
 _SUBSCRIBER_DEPTH = 256
 
 
-@dataclass
-class ShardRow:
-    """Live view of one shard's disposition."""
-
-    shard: str
-    state: str = "pending"  # pending|running|done|failed|resumed
-    runs: int = 0
-    timeouts: int = 0
-    attempts: int = 1
-    exhausted: bool = False
-    error: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        row: Dict[str, Any] = {
-            "shard": self.shard,
-            "state": self.state,
-            "runs": self.runs,
-            "attempts": self.attempts,
-        }
-        if self.timeouts:
-            row["timeouts"] = self.timeouts
-        if self.exhausted:
-            row["exhausted"] = True
-        if self.error:
-            row["error"] = self.error
-        return row
-
-
 class LiveAggregator:
-    """Thread-safe incremental merge of a campaign's telemetry stream."""
+    """Thread-safe view of a campaign's state, plus its SSE fan-out."""
 
     def __init__(
         self,
@@ -80,42 +51,33 @@ class LiveAggregator:
         total_runs: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self._lock = threading.Lock()
-        self._clock = clock
-        self.started_at = clock()
         #: campaign identity (fingerprint, factory, mode, budget, ...)
         self.info: Dict[str, Any] = dict(info or {})
-        self.total_runs = total_runs
         self.state = "running"
         self.goal: Optional[str] = None
-
-        self.runs = 0  # unique schedules merged
-        self.executed = 0  # every execution, duplicates included
-        self.duplicates = 0
-        self.failures = 0  # unique non-ok schedules
-        self.statuses: "Counter[str]" = Counter()
-        self.class_counts: "Counter[str]" = Counter()
-        self.signatures: Set[Tuple[str, Tuple[str, ...]]] = set()
-        #: merged per-run metrics registry (unique schedules only) —
-        #: byte-identical to ``CampaignResult.metrics`` by construction
-        self.metrics = MetricsRegistry()
-        self.metrics_seen = False
-
-        self.shards: Dict[str, ShardRow] = {}
-        self.shards_total = 0
-        self.shards_done = 0
-        self.shards_failed = 0
-        self.shards_requeued = 0
-        self.shards_resumed = 0
-
         self._frame_seq = 0
         self._subscribers: List["queue.Queue[Dict[str, Any]]"] = []
+        self.bind(ProgressTracker(total_runs=total_runs, clock=clock))
+
+    def bind(self, progress: ProgressTracker) -> None:
+        """View ``progress`` from now on, and publish its shard
+        transitions to the SSE subscribers."""
+        self.progress = progress
+        progress.listener = self._publish
+
+    runs = state_view("unique_runs", "unique schedules merged")
+    executed = state_view("runs", "every execution, duplicates included")
+    duplicates = state_view("duplicates", "duplicate schedules merged")
+    failures = state_view("failures", "unique failing schedules")
+    class_counts = state_view("classes", "failure-class code -> unique schedules")
+    metrics = state_view("metrics", "merged per-run metrics registry")
+    total_runs = state_view("total_runs", "the campaign's run budget")
+    shards = state_view("shards", "shard id -> ShardRow")
+    shards_total = state_view("shards_total", "shards planned")
+    shards_done = state_view("shards_done", "shards completed or resumed")
+    shards_resumed = state_view("shards_resumed", "shards merged from the journal")
 
     # -- intake (orchestrator thread) --------------------------------------
-
-    def set_shards_total(self, count: int) -> None:
-        with self._lock:
-            self.shards_total = count
 
     def note_run(
         self,
@@ -124,27 +86,14 @@ class LiveAggregator:
         shard_id: str = "",
         frame: Optional[TelemetryFrame] = None,
     ) -> None:
-        """Fold one merged run.  ``duplicate`` is the orchestrator's
-        schedule-dedup verdict; duplicates count as executions only."""
-        with self._lock:
-            self.executed += 1
-            if duplicate:
-                self.duplicates += 1
-            else:
-                self.runs += 1
-                self.statuses[summary.status] += 1
-                if not summary.ok:
-                    self.failures += 1
-                    self.signatures.add(summary.signature)
-                for code in summary.detected_classes:
-                    self.class_counts[code] += 1
-                if summary.metrics:
-                    self.metrics_seen = True
-                    self.metrics.merge_snapshot(
-                        MetricsSnapshot.from_dict(summary.metrics)
-                    )
-            row = self._row(shard_id or (frame.shard if frame else ""))
-            if row is not None:
+        """Publish one merged run, already folded into the bound state,
+        and update its shard row from the frame's shard-local counters
+        (``duplicate`` is the orchestrator's schedule-dedup verdict)."""
+        progress = self.progress
+        with progress.lock:
+            shard = shard_id or (frame.shard if frame else "")
+            if shard:
+                row = progress.shard_row(shard)
                 row.state = "running"
                 if frame is not None:
                     row.runs = max(row.runs, frame.runs)
@@ -154,172 +103,59 @@ class LiveAggregator:
                     row.runs += 1
                     if summary.status == RunStatus.TIMEOUT.value:
                         row.timeouts += 1
-            published: Dict[str, Any] = {
-                "kind": "run",
-                "shard": shard_id or (frame.shard if frame else ""),
-                "status": summary.status,
-                "duplicate": duplicate,
-                "classes": list(summary.detected_classes),
-                "runs": self.runs,
-                "executed": self.executed,
-                "duplicates": self.duplicates,
-                "failures": self.failures,
-            }
-            self._publish(published)
-
-    def note_shard_done(
-        self, shard_id: str, exhausted: bool = False, runs: Optional[int] = None
-    ) -> None:
-        with self._lock:
-            self.shards_done += 1
-            row = self._row(shard_id)
-            if row is not None:
-                row.state = "done"
-                row.exhausted = exhausted
-                if runs is not None:
-                    row.runs = max(row.runs, runs)
             self._publish(
                 {
-                    "kind": "shard-done",
-                    "shard": shard_id,
-                    "exhausted": exhausted,
-                    "shards_done": self.shards_done,
-                    "shards_total": self.shards_total,
+                    "kind": "run",
+                    "shard": shard,
+                    "status": summary.status,
+                    "duplicate": duplicate,
+                    "classes": list(summary.detected_classes),
+                    "runs": progress.unique_runs,
+                    "executed": progress.runs,
+                    "duplicates": progress.duplicates,
+                    "failures": progress.failures,
                 }
             )
 
-    def note_shard_failed(self, shard_id: str, error: str = "") -> None:
-        with self._lock:
-            self.shards_failed += 1
-            row = self._row(shard_id)
-            if row is not None:
-                row.state = "failed"
-                row.error = error
-            self._publish(
-                {"kind": "shard-failed", "shard": shard_id, "error": error}
-            )
-
-    def note_shard_requeued(self, shard_id: str) -> None:
-        with self._lock:
-            self.shards_requeued += 1
-            row = self._row(shard_id)
-            if row is not None:
-                row.attempts += 1
-                row.state = "pending"
-                row.runs = 0
-                row.timeouts = 0
-            self._publish({"kind": "shard-requeued", "shard": shard_id})
-
-    def note_shards_resumed(self, shard_ids: List[str]) -> None:
-        with self._lock:
-            self.shards_resumed += len(shard_ids)
-            self.shards_done += len(shard_ids)
-            for shard_id in shard_ids:
-                row = self._row(shard_id)
-                if row is not None:
-                    row.state = "resumed"
-
     def close(self, goal: Optional[str] = None, state: str = "done") -> None:
         """Mark the campaign finished and wake every SSE subscriber."""
-        with self._lock:
+        with self.progress.lock:
             self.state = state
             self.goal = goal
             self._publish({"kind": "end", "state": state, "goal": goal})
 
     # -- reads (HTTP handler threads) --------------------------------------
 
-    def elapsed(self) -> float:
-        return max(self._clock() - self.started_at, 1e-9)
-
-    def runs_per_sec(self) -> float:
-        return self.executed / self.elapsed()
-
-    def eta_seconds(self) -> Optional[float]:
-        if not self.total_runs or self.executed <= 0:
-            return None
-        remaining = self.total_runs - self.executed
-        if remaining <= 0:
-            return 0.0
-        return remaining / self.runs_per_sec()
-
     def status(self) -> Dict[str, Any]:
         """The ``/status`` JSON document (see docs/formats.md)."""
-        with self._lock:
-            eta = self.eta_seconds()
+        progress = self.progress
+        with progress.lock:
             doc: Dict[str, Any] = {
                 "format": STATUS_FORMAT,
                 "version": 1,
                 "state": self.state,
                 "goal": self.goal,
-                "runs": self.runs,
-                "executed": self.executed,
-                "duplicates": self.duplicates,
-                "failures": self.failures,
-                "signatures": len(self.signatures),
-                "total_runs": self.total_runs,
-                "statuses": dict(sorted(self.statuses.items())),
-                "class_counts": dict(sorted(self.class_counts.items())),
-                "elapsed_seconds": round(self.elapsed(), 3),
-                "runs_per_sec": round(self.runs_per_sec(), 3),
-                "eta_seconds": None if eta is None else round(eta, 3),
-                "shards": {
-                    "total": self.shards_total,
-                    "done": self.shards_done,
-                    "failed": self.shards_failed,
-                    "requeued": self.shards_requeued,
-                    "resumed": self.shards_resumed,
-                },
+                "runs": progress.unique_runs,
+                "executed": progress.runs,
+                **progress.counts(),
+                "statuses": dict(sorted(progress.statuses.items())),
+                "class_counts": dict(sorted(progress.classes.items())),
                 "shard_table": [
-                    row.to_dict()
-                    for _, row in sorted(self.shards.items())
+                    row.to_dict() for _, row in sorted(progress.shards.items())
                 ],
             }
             doc.update(self.info)
-            top = self._top_contended()
-            if top is not None:
-                doc["top_contended"] = {"monitor": top[0], "ticks": top[1]}
             return doc
 
     def status_json(self) -> str:
         return json.dumps(self.status(), sort_keys=True)
 
     def registry(self) -> MetricsRegistry:
-        """A fresh campaign-level registry mirroring
-        :meth:`repro.engine.campaign.CampaignResult.build_metrics`, built
-        from the live counters — what ``/metrics`` serves mid-run."""
-        with self._lock:
-            registry = MetricsRegistry()
-            if self.metrics_seen:
-                registry.merge(self.metrics)
-            runs = registry.counter(
-                "campaign_runs_total", "unique schedules merged, by run status"
-            )
-            for status_value, count in self.statuses.items():
-                runs.inc(count, status=status_value)
-            registry.counter(
-                "campaign_duplicate_schedules_total",
-                "runs discarded as duplicate schedules",
-            ).inc(self.duplicates)
-            classes = registry.counter(
-                "campaign_failure_classes_total",
-                "unique schedules implicating each Table-1 failure class",
-            )
-            for code, count in self.class_counts.items():
-                classes.inc(count, failure_class=code)
-            shards = registry.counter(
-                "campaign_shards_total", "shard dispositions across the campaign"
-            )
-            shards.inc(self.shards_done, state="completed")
-            shards.inc(self.shards_failed, state="failed")
-            shards.inc(self.shards_requeued, state="requeued")
-            shards.inc(self.shards_resumed, state="resumed")
-            registry.gauge(
-                "campaign_runs_per_second",
-                "overall campaign throughput (executed runs / wall time)",
-                agg="last",
-            ).set(self.runs_per_sec())
-            attach_campaign_info(registry, self.info, self.shards_total)
-            return registry
+        """What ``/metrics`` serves mid-run: :func:`campaign_registry`
+        over the bound state, with the throughput so far."""
+        progress = self.progress
+        with progress.lock:
+            return campaign_registry(progress, self.info, progress.runs_per_sec())
 
     # -- SSE plumbing ------------------------------------------------------
 
@@ -327,29 +163,19 @@ class LiveAggregator:
         subscriber: "queue.Queue[Dict[str, Any]]" = queue.Queue(
             maxsize=_SUBSCRIBER_DEPTH
         )
-        with self._lock:
+        with self.progress.lock:
             self._subscribers.append(subscriber)
         return subscriber
 
     def unsubscribe(self, subscriber: "queue.Queue[Dict[str, Any]]") -> None:
-        with self._lock:
+        with self.progress.lock:
             try:
                 self._subscribers.remove(subscriber)
             except ValueError:
                 pass
 
-    # -- internals ---------------------------------------------------------
-
-    def _row(self, shard_id: str) -> Optional[ShardRow]:
-        if not shard_id:
-            return None
-        row = self.shards.get(shard_id)
-        if row is None:
-            row = ShardRow(shard=shard_id)
-            self.shards[shard_id] = row
-        return row
-
     def _publish(self, frame: Dict[str, Any]) -> None:
+        """Fan ``frame`` out to every subscriber (callers hold the lock)."""
         self._frame_seq += 1
         frame["seq"] = self._frame_seq
         for subscriber in self._subscribers:
@@ -362,13 +188,47 @@ class LiveAggregator:
                 except (queue.Empty, queue.Full):
                     pass
 
-    def _top_contended(self) -> Optional[Tuple[str, float]]:
-        contended = self.metrics.get("vm_monitor_contended_ticks_total")
-        if isinstance(contended, MetricsCounter):
-            top = contended.top(1, label="monitor")
-            if top:
-                return top[0]
-        return None
+
+def campaign_registry(
+    progress: ProgressTracker,
+    info: Mapping[str, Any],
+    runs_per_sec: Optional[float],
+) -> MetricsRegistry:
+    """The campaign-level registry over a campaign state, freshly built:
+    the one builder behind the live ``/metrics`` and
+    :meth:`~repro.engine.campaign.CampaignResult.build_metrics`."""
+    registry = MetricsRegistry()
+    registry.merge(progress.metrics)
+    runs = registry.counter(
+        "campaign_runs_total", "unique schedules merged, by run status"
+    )
+    for status_value, count in progress.statuses.items():
+        runs.inc(count, status=status_value)
+    registry.counter(
+        "campaign_duplicate_schedules_total",
+        "runs discarded as duplicate schedules",
+    ).inc(progress.duplicates)
+    classes = registry.counter(
+        "campaign_failure_classes_total",
+        "unique schedules implicating each Table-1 failure class",
+    )
+    for code, count in progress.classes.items():
+        classes.inc(count, failure_class=code)
+    shards = registry.counter(
+        "campaign_shards_total", "shard dispositions across the campaign"
+    )
+    shards.inc(progress.shards_done, state="completed")
+    shards.inc(len(progress.shards_failed), state="failed")
+    shards.inc(progress.shards_requeued, state="requeued")
+    shards.inc(progress.shards_resumed, state="resumed")
+    if runs_per_sec is not None:
+        registry.gauge(
+            "campaign_runs_per_second",
+            "overall campaign throughput (executed runs / wall time)",
+            agg="last",
+        ).set(runs_per_sec)
+    attach_campaign_info(registry, info, progress.shards_total)
+    return registry
 
 
 def attach_campaign_info(

@@ -22,6 +22,8 @@ import urllib.error
 import urllib.request
 from typing import IO, Any, Callable, Dict, List, Mapping, Optional
 
+from repro.engine.progress import format_duration
+
 from .aggregate import LiveAggregator
 
 __all__ = [
@@ -42,16 +44,6 @@ def _bar(fraction: float, width: int = 30) -> str:
     fraction = min(max(fraction, 0.0), 1.0)
     filled = int(round(fraction * width))
     return "[" + "#" * filled + "-" * (width - filled) + f"] {fraction:4.0%}"
-
-
-def _duration(seconds: float) -> str:
-    if seconds < 60:
-        return f"{seconds:.0f}s"
-    minutes, secs = divmod(int(round(seconds)), 60)
-    if minutes < 60:
-        return f"{minutes}m{secs:02d}s"
-    hours, minutes = divmod(minutes, 60)
-    return f"{hours}h{minutes:02d}m"
 
 
 def render_dashboard(status: Mapping[str, Any]) -> str:
@@ -79,10 +71,11 @@ def render_dashboard(status: Mapping[str, Any]) -> str:
     lines.append(runs_bit)
 
     rate_bit = f"{float(status.get('runs_per_sec', 0.0)):.1f} runs/s"
-    rate_bit += f" · elapsed {_duration(float(status.get('elapsed_seconds', 0)))}"
+    elapsed = format_duration(float(status.get("elapsed_seconds", 0)))
+    rate_bit += f" · elapsed {elapsed}"
     eta = status.get("eta_seconds")
     if eta is not None and float(eta) > 0:
-        rate_bit += f" · eta {_duration(float(eta))}"
+        rate_bit += f" · eta {format_duration(float(eta))}"
     lines.append(rate_bit)
 
     failures = int(status.get("failures", 0))

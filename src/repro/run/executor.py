@@ -29,7 +29,16 @@ import importlib
 import random
 import signal
 import time
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.detect.online import DetectorPipeline, OnlineDetector
 from repro.faults.injector import FaultInjector
@@ -124,15 +133,10 @@ def _scheduler_seed(scheduler: Any) -> int:
     return int(seed) if seed is not None else 0
 
 
-def _coverage_extractor(
-    coverage_spec: Optional[str],
-) -> Optional[Callable[[Any], List[Tuple[str, str, str, int]]]]:
-    """Build a trace -> per-arc hit count extractor from a component spec
-    (CoFGs are built once per executor, not once per run)."""
-    if not coverage_spec:
-        return None
+def coverage_cofgs(coverage_spec: str) -> Dict[str, Any]:
+    """The CoFGs (method -> CoFG) of a ``module:Class`` coverage
+    component, whose arcs a run's coverage is counted over."""
     from repro.analysis import build_all_cofgs
-    from repro.coverage.tracker import CoverageTracker
 
     if ":" in coverage_spec:
         module_name, class_name = coverage_spec.split(":", 1)
@@ -142,8 +146,20 @@ def _coverage_extractor(
         raise RunConfigError(
             f"coverage spec {coverage_spec!r} must be module:Class"
         )
-    cls = getattr(importlib.import_module(module_name), class_name)
-    cofgs = build_all_cofgs(cls)
+    component = getattr(importlib.import_module(module_name), class_name)
+    return build_all_cofgs(component)
+
+
+def _coverage_extractor(
+    coverage_spec: Optional[str],
+) -> Optional[Callable[[Any], List[Tuple[str, str, str, int]]]]:
+    """Build a trace -> per-arc hit count extractor from a component spec
+    (CoFGs are built once per executor, not once per run)."""
+    if not coverage_spec:
+        return None
+    from repro.coverage.tracker import CoverageTracker
+
+    cofgs = coverage_cofgs(coverage_spec)
 
     def extract(trace: Any) -> List[Tuple[str, str, str, int]]:
         tracker = CoverageTracker(cofgs)

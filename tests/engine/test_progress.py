@@ -2,7 +2,8 @@
 
 import io
 
-from repro.engine.progress import ProgressTracker
+from repro.engine.progress import ProgressTracker, format_duration
+from repro.obs.metrics import MetricsRegistry
 from repro.testing.explorer import RunSummary
 
 
@@ -14,6 +15,27 @@ def stuck_run(index, threads=("c0",)):
     return RunSummary(
         index=index, status="stuck", decisions=(index,), stuck_threads=threads
     )
+
+
+def contended_run(index, monitor, ticks):
+    """A clean run whose metrics report ``ticks`` contended on ``monitor``."""
+    registry = MetricsRegistry()
+    registry.counter("vm_monitor_contended_ticks_total").inc(ticks, monitor=monitor)
+    return RunSummary(
+        index=index,
+        status="completed",
+        decisions=(index,),
+        metrics=registry.snapshot().to_dict(),
+    )
+
+
+class HalfCovered:
+    """Stands in for a CoverageMatrix with one run and half its arcs hit."""
+
+    rows = [None]
+
+    def coverage_fraction(self):
+        return 0.5
 
 
 class FakeClock:
@@ -42,16 +64,27 @@ class TestCounters:
         assert tracker.runs == 2
         assert tracker.duplicates == 1
 
+    def test_failing_duplicate_is_not_a_failure(self):
+        tracker = ProgressTracker()
+        tracker.note_run(stuck_run(0))
+        tracker.note_run(stuck_run(0), duplicate=True)
+        assert tracker.runs == 2
+        assert tracker.failures == 1
+        assert tracker.statuses == {"stuck": 1}
+
     def test_shard_lifecycle(self):
         tracker = ProgressTracker()
         tracker.shards_total = 5
-        tracker.note_shards_resumed(2)
-        tracker.note_shard_done()
-        tracker.note_shard_requeued()
-        tracker.note_shard_failed()
+        tracker.note_shards_resumed(["a", "b"])
+        tracker.note_shard_done("c")
+        tracker.note_shard_requeued("d")
+        tracker.note_shard_failed("d", error="boom")
         assert tracker.shards_done == 3  # 2 resumed + 1 fresh
         assert tracker.shards_requeued == 1
-        assert tracker.shards_failed == 1
+        assert tracker.shards_failed == ["d"]
+        assert tracker.shards["a"].state == "resumed"
+        assert tracker.shards["d"].attempts == 2
+        assert tracker.shards["d"].error == "boom"
 
     def test_runs_per_sec(self):
         clock = FakeClock()
@@ -88,7 +121,7 @@ class TestEta:
         assert tracker.eta_seconds() == 0.0
 
     def test_format_duration(self):
-        fmt = ProgressTracker._format_duration
+        fmt = format_duration
         assert fmt(9.4) == "9s"
         assert fmt(75) == "1m15s"
         assert fmt(3660) == "1h01m"
@@ -99,7 +132,7 @@ class TestRendering:
         tracker = ProgressTracker(total_runs=20)
         tracker.shards_total = 4
         tracker.note_run(stuck_run(0))
-        tracker.coverage_fraction = 0.5
+        tracker.coverage = HalfCovered()
         line = tracker.render()
         assert "runs 1/20" in line
         assert "failures 1" in line
@@ -133,11 +166,11 @@ class TestRendering:
     def test_render_includes_eta_and_hot_monitor(self):
         clock = FakeClock()
         tracker = ProgressTracker(total_runs=100, clock=clock)
-        for i in range(20):
+        for i in range(19):
             tracker.note_run(ok_run(i))
+        tracker.note_run(contended_run(19, "Buffer", 120.0))
         clock.now += 4.0
         tracker.classes["FF-T5"] = 3
-        tracker.top_contended = ("Buffer", 120.0)
         line = tracker.render()
         assert "eta 16s" in line
         assert "classes FF-T5:3" in line
@@ -148,17 +181,16 @@ class TestFinalSummary:
     def test_render_final(self):
         clock = FakeClock()
         tracker = ProgressTracker(total_runs=4, clock=clock)
-        tracker.note_run(ok_run(0))
+        tracker.note_run(contended_run(0, "Queue", 42.0))
         tracker.note_run(stuck_run(1))
         clock.now += 2.0
         tracker.classes["FF-T2"] = 1
-        tracker.coverage_fraction = 0.75
-        tracker.top_contended = ("Queue", 42.0)
+        tracker.coverage = HalfCovered()
         line = tracker.render_final()
         assert line.startswith("done: 2 runs in 2s (1.0/s)")
         assert "failures 1 (1 signature(s))" in line
         assert "classes FF-T2:1" in line
-        assert "coverage 75%" in line
+        assert "coverage 50%" in line
         assert "hottest monitor Queue (42 ticks)" in line
 
     def test_final_omits_absent_sections(self):
@@ -236,8 +268,8 @@ class TestJsonMode:
         stream = io.StringIO()
         tracker, _ = self._tracker(stream)
         tracker.classes["DD.AB"] = 2
-        tracker.coverage_fraction = 0.5
-        tracker.top_contended = ("Buffer", 17.0)
+        tracker.note_run(contended_run(0, "Buffer", 17.0))
+        tracker.coverage = HalfCovered()
         tracker.note_shard_requeued("sh-1")
         tracker.maybe_emit(force=True)
         record = json.loads(stream.getvalue())
@@ -252,3 +284,35 @@ class TestJsonMode:
         tracker.note_run(ok_run(0))
         tracker.maybe_emit(force=True)
         assert stream.getvalue().startswith("runs 1/10")
+
+
+class TestViewsAgree:
+    def test_heartbeat_failures_equal_result_and_status(self):
+        """The final heartbeat counts unique failing schedules, as the
+        result and /status do (a failing duplicate schedule is not a
+        second failure)."""
+        import json
+
+        from repro.engine import CampaignSpec, run_campaign
+        from repro.obs.live import LiveAggregator
+
+        stream = io.StringIO()
+        tracker = ProgressTracker(
+            total_runs=60, stream=stream, interval=0.0, json_mode=True
+        )
+        telemetry = LiveAggregator()
+        spec = CampaignSpec(
+            factory="racing-locks",
+            mode="random",
+            budget=60,
+            shard_size=10,
+            workers=0,
+            detect=True,
+        )
+        result = run_campaign(spec, progress=tracker, telemetry=telemetry)
+        final = json.loads(stream.getvalue().splitlines()[-1])
+        assert final["final"] is True
+        assert result.duplicates > 0  # the case where the counts diverged
+        assert final["failures"] == len(result.failures())
+        assert final["failures"] == telemetry.status()["failures"]
+        assert final["classes"] == dict(sorted(result.class_counts.items()))

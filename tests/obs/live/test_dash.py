@@ -127,6 +127,7 @@ class TestRunDashboard:
 class TestLocalDashboard:
     def test_stop_paints_final_frame(self):
         aggregator = LiveAggregator(info={"factory": "pc"})
+        aggregator.progress.note_run(summary(), False)
         aggregator.note_run(summary(), False, "sh")
         stream = io.StringIO()
         dashboard = LocalDashboard(aggregator, stream, interval=10.0).start()

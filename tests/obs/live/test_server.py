@@ -57,6 +57,7 @@ class TestParseServeAddress:
 class TestRoutes:
     def test_status_serves_live_document(self, served):
         aggregator, server = served
+        aggregator.progress.note_run(summary(), False)
         aggregator.note_run(summary(), False, "sh-0")
         status, headers, body = get(server.url + "/status")
         assert status == 200
@@ -75,9 +76,9 @@ class TestRoutes:
         aggregator, server = served
         registry = MetricsRegistry()
         registry.counter("vm_steps_total").inc(4)
-        aggregator.note_run(
-            summary(metrics=registry.snapshot().to_dict()), False
-        )
+        run = summary(metrics=registry.snapshot().to_dict())
+        aggregator.progress.note_run(run, False)
+        aggregator.note_run(run, False)
         status, headers, body = get(server.url + "/metrics")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain; version=0.0.4")
