@@ -41,6 +41,33 @@ __all__ = [
     "classify_symptoms",
 ]
 
+# Event kinds bound to module names: function bodies read these, never
+# ``EventKind.X`` (a Python-level enum class lookup before 3.12).
+_MONITOR_ACQUIRE = EventKind.MONITOR_ACQUIRE
+_MONITOR_WAIT = EventKind.MONITOR_WAIT
+_MONITOR_RELEASE = EventKind.MONITOR_RELEASE
+_MONITOR_NOTIFIED = EventKind.MONITOR_NOTIFIED
+_NOTIFY = EventKind.NOTIFY
+_NOTIFY_ALL = EventKind.NOTIFY_ALL
+_INTERRUPT = EventKind.INTERRUPT
+_WAIT_TIMEOUT = EventKind.WAIT_TIMEOUT
+_SEM_REQUEST = EventKind.SEM_REQUEST
+_SEM_ACQUIRE = EventKind.SEM_ACQUIRE
+_RW_REQUEST = EventKind.RW_REQUEST
+_RW_ACQUIRE = EventKind.RW_ACQUIRE
+_RW_DOWNGRADE = EventKind.RW_DOWNGRADE
+_BARRIER_AWAIT = EventKind.BARRIER_AWAIT
+_BARRIER_RESUME = EventKind.BARRIER_RESUME
+_BARRIER_BROKEN = EventKind.BARRIER_BROKEN
+_CALL_BEGIN = EventKind.CALL_BEGIN
+_CALL_END = EventKind.CALL_END
+_READ = EventKind.READ
+_WRITE = EventKind.WRITE
+
+_ACCESSES = frozenset({_READ, _WRITE})
+_NOTIFIES = frozenset({_NOTIFY, _NOTIFY_ALL})
+_PRIMITIVE_GRANTS = frozenset({_SEM_ACQUIRE, _RW_ACQUIRE, _RW_DOWNGRADE})
+
 
 class Symptom(enum.Enum):
     """Observable consequences, in the vocabulary of Table 1."""
@@ -268,17 +295,17 @@ class SymptomTracker:
 
     def on_event(self, event: Event) -> None:
         kind = event.kind
-        if kind is EventKind.CALL_BEGIN:
+        if kind is _CALL_BEGIN:
             self._open_calls.setdefault(event.thread, []).append(
                 (event.component or "?", event.method or "?")
             )
-        elif kind is EventKind.CALL_END:
+        elif kind is _CALL_END:
             stack = self._open_calls.get(event.thread)
             if stack:
                 component, _ = stack.pop()
                 self._released.get(event.thread, set()).discard(component)
             self._close_env_markers(event)
-        elif kind is EventKind.MONITOR_WAIT:
+        elif kind is _MONITOR_WAIT:
             self._waits.setdefault(event.monitor, set()).add(event.thread)
             # Entering a wait means the guard was (re-)checked and found
             # false — a prior suspect wake was handled correctly.
@@ -287,9 +314,9 @@ class SymptomTracker:
                 event.monitor,
                 self._others_notifies(event.monitor, event.thread),
             )
-        elif kind is EventKind.MONITOR_NOTIFIED:
+        elif kind is _MONITOR_NOTIFIED:
             self._on_wake(event)
-        elif kind is EventKind.INTERRUPT:
+        elif kind is _INTERRUPT:
             # Delivery is certain only for a waiting/blocked target (the
             # kernel injects InterruptedError at the resumption point); a
             # runnable target merely gets its flag set, which a component
@@ -300,7 +327,7 @@ class SymptomTracker:
             # immediately with InterruptedError — no longer stuck.
             self._prim_blocked.pop(event.thread, None)
             self._barrier_wait.pop(event.thread, None)
-        elif kind is EventKind.MONITOR_RELEASE:
+        elif kind is _MONITOR_RELEASE:
             # The full (non-reentrant) release of a monitor whose component
             # still has an open call on this thread: the critical section
             # is no longer protected.  Normal method exits look the same
@@ -315,10 +342,10 @@ class SymptomTracker:
                     self._released.setdefault(event.thread, set()).add(
                         event.monitor
                     )
-        elif kind is EventKind.MONITOR_ACQUIRE:
+        elif kind is _MONITOR_ACQUIRE:
             if event.monitor:
                 self._released.get(event.thread, set()).discard(event.monitor)
-        elif kind in (EventKind.READ, EventKind.WRITE):
+        elif kind in _ACCESSES:
             if event.component and event.component in self._released.get(
                 event.thread, ()
             ):
@@ -329,7 +356,7 @@ class SymptomTracker:
                         event.method or "?",
                     )
                 )
-        elif kind in (EventKind.NOTIFY, EventKind.NOTIFY_ALL):
+        elif kind in _NOTIFIES:
             self._notify_counts[event.monitor] = (
                 self._notify_counts.get(event.monitor, 0) + 1
             )
@@ -345,29 +372,25 @@ class SymptomTracker:
                         event.method,
                     )
                 )
-        elif kind is EventKind.SEM_REQUEST:
+        elif kind is _SEM_REQUEST:
             self._prim_blocked[event.thread] = ("semaphore", event.monitor or "?")
-        elif kind is EventKind.RW_REQUEST:
+        elif kind is _RW_REQUEST:
             self._prim_blocked[event.thread] = (
                 event.detail.get("mode", "read"),
                 event.monitor or "?",
             )
-        elif kind in (
-            EventKind.SEM_ACQUIRE,
-            EventKind.RW_ACQUIRE,
-            EventKind.RW_DOWNGRADE,
-        ):
+        elif kind in _PRIMITIVE_GRANTS:
             self._prim_blocked.pop(event.thread, None)
-        elif kind is EventKind.WAIT_TIMEOUT:
+        elif kind is _WAIT_TIMEOUT:
             if event.detail.get("primitive") == "semaphore":
                 # A failed timed tryAcquire resumed with False.
                 self._prim_blocked.pop(event.thread, None)
-        elif kind is EventKind.BARRIER_AWAIT:
+        elif kind is _BARRIER_AWAIT:
             if not event.detail.get("broken"):
                 self._barrier_wait[event.thread] = event.monitor or "?"
-        elif kind is EventKind.BARRIER_RESUME:
+        elif kind is _BARRIER_RESUME:
             self._barrier_wait.pop(event.thread, None)
-        elif kind is EventKind.BARRIER_BROKEN:
+        elif kind is _BARRIER_BROKEN:
             for waiter in event.detail.get("waiters", ()):
                 self._barrier_wait.pop(waiter, None)
 

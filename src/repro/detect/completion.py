@@ -35,6 +35,12 @@ __all__ = [
     "check_completion_times",
 ]
 
+# Event kinds bound to module names: function bodies read these, never
+# ``EventKind.X`` (a Python-level enum class lookup before 3.12).
+_CALL_BEGIN = EventKind.CALL_BEGIN
+_CALL_END = EventKind.CALL_END
+_CLOCK_TICK = EventKind.CLOCK_TICK
+
 _UNSET = object()
 
 #: Public sentinel for "no return-value expectation".
@@ -132,7 +138,7 @@ class OnlineCompletionChecker(OnlineDetector):
 
     def on_event(self, event: Event) -> None:
         kind = event.kind
-        if kind is EventKind.CALL_BEGIN:
+        if kind is _CALL_BEGIN:
             record = CallRecord(
                 thread=event.thread,
                 component=event.component or "?",
@@ -142,7 +148,7 @@ class OnlineCompletionChecker(OnlineDetector):
             )
             self._open_stacks.setdefault(event.thread, []).append(len(self._order))
             self._order.append(record)
-        elif kind is EventKind.CALL_END:
+        elif kind is _CALL_END:
             stack = self._open_stacks.get(event.thread, [])
             if not stack:
                 return  # unmatched end: tolerated, dropped
@@ -158,7 +164,7 @@ class OnlineCompletionChecker(OnlineDetector):
                 end_time=event.time,
                 result=event.detail.get("result"),
             )
-        elif kind is EventKind.CLOCK_TICK:
+        elif kind is _CLOCK_TICK:
             self._ticks.append((event.time, event.detail.get("now")))
 
     def _clock_at(self, kernel_time: int) -> int:
@@ -263,7 +269,7 @@ class CompletionChecker:
         for event in trace:
             if event.time > kernel_time:
                 break
-            if event.kind is EventKind.CLOCK_TICK:
+            if event.kind is _CLOCK_TICK:
                 clock = event.detail.get("now", clock + 1)
         return clock
 

@@ -27,6 +27,14 @@ __all__ = [
     "profile_contention",
 ]
 
+# Event kinds bound to module names: function bodies read these, never
+# ``EventKind.X`` (a Python-level enum class lookup before 3.12).
+_MONITOR_REQUEST = EventKind.MONITOR_REQUEST
+_MONITOR_ACQUIRE = EventKind.MONITOR_ACQUIRE
+_MONITOR_WAIT = EventKind.MONITOR_WAIT
+_NOTIFY = EventKind.NOTIFY
+_NOTIFY_ALL = EventKind.NOTIFY_ALL
+
 
 @dataclass
 class MonitorProfile:
@@ -195,9 +203,9 @@ class OnlineContentionProfiler(OnlineDetector):
             return
         key = (event.thread, monitor)
         p = self._profile(monitor)
-        if event.kind is EventKind.MONITOR_REQUEST:
+        if event.kind is _MONITOR_REQUEST:
             self._pending_request[key] = event.time
-        elif event.kind is EventKind.MONITOR_ACQUIRE:
+        elif event.kind is _MONITOR_ACQUIRE:
             p.acquisitions += 1
             if key in self._pending_wait:
                 waited = event.time - self._pending_wait.pop(key)
@@ -210,14 +218,14 @@ class OnlineContentionProfiler(OnlineDetector):
                     p.contended_acquisitions += 1
                     p.total_blocked_time += blocked
                     p.max_blocked_time = max(p.max_blocked_time, blocked)
-        elif event.kind is EventKind.MONITOR_WAIT:
+        elif event.kind is _MONITOR_WAIT:
             p.waits += 1
             self._pending_wait[key] = event.time
-        elif event.kind is EventKind.NOTIFY:
+        elif event.kind is _NOTIFY:
             p.notifies += 1
             if not event.detail.get("woken"):
                 p.lost_notifies += 1
-        elif event.kind is EventKind.NOTIFY_ALL:
+        elif event.kind is _NOTIFY_ALL:
             p.notify_alls += 1
             if not event.detail.get("woken"):
                 p.lost_notifies += 1

@@ -40,12 +40,25 @@ __all__ = [
     "detect_races",
 ]
 
+# Event kinds bound to module names: function bodies read these, never
+# ``EventKind.X`` (a Python-level enum class lookup before 3.12).
+_MONITOR_ACQUIRE = EventKind.MONITOR_ACQUIRE
+_MONITOR_WAIT = EventKind.MONITOR_WAIT
+_MONITOR_RELEASE = EventKind.MONITOR_RELEASE
+_READ = EventKind.READ
+_WRITE = EventKind.WRITE
+
 
 class FieldState(enum.Enum):
     VIRGIN = "virgin"
     EXCLUSIVE = "exclusive"
     SHARED = "shared"
     SHARED_MODIFIED = "shared_modified"
+
+
+_EXCLUSIVE = FieldState.EXCLUSIVE
+_SHARED = FieldState.SHARED
+_SHARED_MODIFIED = FieldState.SHARED_MODIFIED
 
 
 @dataclass(frozen=True)
@@ -74,13 +87,16 @@ class RaceReport:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _FieldInfo:
-    state: FieldState = FieldState.VIRGIN
-    owner: Optional[str] = None
-    lockset: Optional[FrozenSet[str]] = None
+    """State of one accessed field (a field never accessed has none: it
+    is VIRGIN)."""
+
+    state: FieldState
+    owner: str
+    lockset: FrozenSet[str]
+    first_thread: str
     reported: bool = False
-    first_thread: Optional[str] = None
 
 
 class LocksetDetector:
@@ -92,58 +108,64 @@ class LocksetDetector:
 
     def observe(self, access: AccessRecord) -> Optional[RaceReport]:
         """Process one access; returns a report when a new race is found."""
-        info = self._fields.setdefault(
-            (access.component, access.field), _FieldInfo()
+        info = self._refine(
+            access.component,
+            access.field,
+            access.thread,
+            access.is_write,
+            access.locks_held,
         )
-        if info.state is FieldState.VIRGIN:
-            info.state = FieldState.EXCLUSIVE
-            info.owner = access.thread
-            info.first_thread = access.thread
-            info.lockset = access.locks_held
+        return None if info is None else self._report(info, access)
+
+    def _refine(
+        self,
+        component: str,
+        fieldname: str,
+        thread: str,
+        is_write: bool,
+        locks_held: FrozenSet[str],
+    ) -> Optional[_FieldInfo]:
+        """Advance the field's state machine by one access; returns the
+        field's info when this access exposes a race not yet reported."""
+        key = (component, fieldname)
+        info = self._fields.get(key)
+        if info is None:
+            self._fields[key] = _FieldInfo(_EXCLUSIVE, thread, locks_held, thread)
             return None
-        if info.state is FieldState.EXCLUSIVE:
-            if access.thread == info.owner:
-                # Refine even in the exclusive phase.  Original Eraser
-                # defers refinement to tolerate unsynchronized *object
-                # initialisation*, but component __init__ runs outside the
-                # VM and is invisible here, so every observed access is a
-                # real method access and may be counted.  This catches
-                # two-access races original Eraser reports one access late.
-                assert info.lockset is not None
-                info.lockset = info.lockset & access.locks_held
+        # Refine even in the exclusive phase.  Original Eraser defers
+        # refinement to tolerate unsynchronized *object initialisation*, but
+        # component __init__ runs outside the VM and is invisible here, so
+        # every observed access is a real method access and may be counted.
+        # This catches two-access races original Eraser reports one access
+        # late.  (An empty lockset, or the very set the access holds, is
+        # already refined.)
+        lockset = info.lockset
+        if lockset and lockset is not locks_held:
+            lockset = info.lockset = lockset & locks_held
+        state = info.state
+        if state is _EXCLUSIVE:
+            if thread == info.owner:
                 return None
             # Second thread arrives: keep refining from the exclusive-phase
             # lockset.
-            assert info.lockset is not None
-            info.lockset = info.lockset & access.locks_held
-            info.state = (
-                FieldState.SHARED_MODIFIED if access.is_write else FieldState.SHARED
-            )
-            return self._check(info, access)
-        assert info.lockset is not None
-        info.lockset = info.lockset & access.locks_held
-        if info.state is FieldState.SHARED and access.is_write:
-            info.state = FieldState.SHARED_MODIFIED
-        return self._check(info, access)
-
-    def _check(self, info: _FieldInfo, access: AccessRecord) -> Optional[RaceReport]:
-        if (
-            info.state is FieldState.SHARED_MODIFIED
-            and info.lockset is not None
-            and not info.lockset
-            and not info.reported
-        ):
-            info.reported = True
-            report = RaceReport(
-                component=access.component,
-                field=access.field,
-                first_thread=info.first_thread or "?",
-                second_thread=access.thread,
-                access=access,
-            )
-            self.reports.append(report)
-            return report
+            state = info.state = _SHARED_MODIFIED if is_write else _SHARED
+        elif state is _SHARED and is_write:
+            state = info.state = _SHARED_MODIFIED
+        if state is _SHARED_MODIFIED and not lockset and not info.reported:
+            return info
         return None
+
+    def _report(self, info: _FieldInfo, access: AccessRecord) -> RaceReport:
+        info.reported = True
+        report = RaceReport(
+            component=access.component,
+            field=access.field,
+            first_thread=info.first_thread,
+            second_thread=access.thread,
+            access=access,
+        )
+        self.reports.append(report)
+        return report
 
     def field_state(self, component: str, fieldname: str) -> FieldState:
         info = self._fields.get((component, fieldname))
@@ -161,8 +183,11 @@ class OnlineLocksetDetector(OnlineDetector):
     """Streaming Eraser over raw events.
 
     Reconstructs each thread's lockset incrementally (the same replay
-    :meth:`repro.vm.trace.Trace.accesses` performs in batch) and feeds
-    every READ/WRITE to the :class:`LocksetDetector` state machine.
+    :meth:`repro.vm.trace.Trace.accesses` performs in batch) and folds
+    every READ/WRITE straight into the :class:`LocksetDetector` state
+    machine.  A thread's held-lock frozenset is built once and reused
+    until its next acquire, release or wait; an :class:`AccessRecord` is
+    built only for an access that produces a :class:`RaceReport`.
     """
 
     name = "lockset"
@@ -180,35 +205,57 @@ class OnlineLocksetDetector(OnlineDetector):
     def __init__(self) -> None:
         self.detector = LocksetDetector()
         self._held: Dict[str, List[str]] = {}
+        #: thread -> frozenset of its ``_held`` stack, until the stack changes
+        self._locksets: Dict[str, FrozenSet[str]] = {}
 
     def reset(self) -> None:
         self.__init__()
 
     def on_event(self, event: Event) -> None:
-        stack = self._held.setdefault(event.thread, [])
-        if event.kind is EventKind.MONITOR_ACQUIRE:
+        kind = event.kind
+        thread = event.thread
+        if kind is _READ or kind is _WRITE:
+            locks_held = self._locksets.get(thread)
+            if locks_held is None:
+                locks_held = self._locksets[thread] = frozenset(
+                    self._held.get(thread, ())
+                )
+            component = event.component or "?"
+            fieldname = event.detail.get("field", "?")
+            is_write = kind is _WRITE
+            info = self.detector._refine(
+                component, fieldname, thread, is_write, locks_held
+            )
+            if info is not None:
+                self.detector._report(
+                    info,
+                    AccessRecord(
+                        thread=thread,
+                        component=component,
+                        field=fieldname,
+                        is_write=is_write,
+                        locks_held=locks_held,
+                        seq=event.seq,
+                        time=event.time,
+                    ),
+                )
+        elif kind is _MONITOR_ACQUIRE:
+            stack = self._held.setdefault(thread, [])
             for _ in range(event.detail.get("count", 1)):
                 stack.append(event.monitor or "?")
-        elif event.kind is EventKind.MONITOR_RELEASE:
+            self._locksets.pop(thread, None)
+        elif kind is _MONITOR_RELEASE:
+            stack = self._held.setdefault(thread, [])
             if event.monitor in stack:
                 stack.reverse()
                 stack.remove(event.monitor)
                 stack.reverse()
-        elif event.kind is EventKind.MONITOR_WAIT:
+            self._locksets.pop(thread, None)
+        elif kind is _MONITOR_WAIT:
             # wait releases the lock entirely
-            self._held[event.thread] = [m for m in stack if m != event.monitor]
-        elif event.kind in (EventKind.READ, EventKind.WRITE):
-            self.detector.observe(
-                AccessRecord(
-                    thread=event.thread,
-                    component=event.component or "?",
-                    field=event.detail.get("field", "?"),
-                    is_write=event.kind is EventKind.WRITE,
-                    locks_held=frozenset(self._held[event.thread]),
-                    seq=event.seq,
-                    time=event.time,
-                )
-            )
+            stack = self._held.get(thread, ())
+            self._held[thread] = [m for m in stack if m != event.monitor]
+            self._locksets.pop(thread, None)
 
     def finish(self) -> List[RaceReport]:
         return list(self.detector.reports)

@@ -31,6 +31,28 @@ __all__ = [
     "detect_lock_cycles",
 ]
 
+# Event kinds bound to module names: function bodies read these, never
+# ``EventKind.X`` (a Python-level enum class lookup before 3.12).
+_MONITOR_WAIT = EventKind.MONITOR_WAIT
+
+#: request events that establish ordering edges (monitor and first-class
+#: primitive acquisitions alike — a semaphore acquired while holding a
+#: monitor orders exactly like a nested lock).
+_REQUEST_KINDS = frozenset(
+    {EventKind.MONITOR_REQUEST, EventKind.SEM_REQUEST, EventKind.RW_REQUEST}
+)
+_GRANT_KINDS = frozenset(
+    {
+        EventKind.MONITOR_ACQUIRE,
+        EventKind.SEM_ACQUIRE,
+        EventKind.RW_ACQUIRE,
+        EventKind.RW_DOWNGRADE,
+    }
+)
+_RELEASE_KINDS = frozenset(
+    {EventKind.MONITOR_RELEASE, EventKind.SEM_RELEASE, EventKind.RW_RELEASE}
+)
+
 
 @dataclass(frozen=True)
 class LockOrderEdge:
@@ -82,32 +104,13 @@ class OnlineLockGraphDetector(OnlineDetector):
     def reset(self) -> None:
         self.__init__()
 
-    #: request events that establish ordering edges (monitor and
-    #: first-class primitive acquisitions alike — a semaphore acquired
-    #: while holding a monitor orders exactly like a nested lock).
-    _REQUEST_KINDS = (
-        EventKind.MONITOR_REQUEST,
-        EventKind.SEM_REQUEST,
-        EventKind.RW_REQUEST,
-    )
-    _GRANT_KINDS = (
-        EventKind.MONITOR_ACQUIRE,
-        EventKind.SEM_ACQUIRE,
-        EventKind.RW_ACQUIRE,
-        EventKind.RW_DOWNGRADE,
-    )
-    _RELEASE_KINDS = (
-        EventKind.MONITOR_RELEASE,
-        EventKind.SEM_RELEASE,
-        EventKind.RW_RELEASE,
-    )
-    kinds = frozenset(
-        _REQUEST_KINDS + _GRANT_KINDS + _RELEASE_KINDS + (EventKind.MONITOR_WAIT,)
+    kinds = (
+        _REQUEST_KINDS | _GRANT_KINDS | _RELEASE_KINDS | {EventKind.MONITOR_WAIT}
     )
 
     def on_event(self, event: Event) -> None:
         stack = self._held.setdefault(event.thread, [])
-        if event.kind in self._REQUEST_KINDS:
+        if event.kind in _REQUEST_KINDS:
             # The ordering edge is established at *request* time: a thread
             # blocked on `inner` while holding `outer` is the hazard even
             # if the grant never happens (as in an actual deadlock run).
@@ -118,16 +121,16 @@ class OnlineLockGraphDetector(OnlineDetector):
                     if not self.graph.has_edge(outer, monitor):
                         self.graph.add_edge(outer, monitor, witness=edge)
                     self.edges.append(edge)
-        elif event.kind in self._GRANT_KINDS:
+        elif event.kind in _GRANT_KINDS:
             monitor = event.monitor or "?"
             for _ in range(event.detail.get("count", 1)):
                 stack.append(monitor)
-        elif event.kind in self._RELEASE_KINDS:
+        elif event.kind in _RELEASE_KINDS:
             if event.monitor in stack:
                 stack.reverse()
                 stack.remove(event.monitor)
                 stack.reverse()
-        elif event.kind is EventKind.MONITOR_WAIT:
+        elif event.kind is _MONITOR_WAIT:
             self._held[event.thread] = [m for m in stack if m != event.monitor]
 
     def finish(self) -> List[PotentialDeadlock]:
@@ -135,9 +138,12 @@ class OnlineLockGraphDetector(OnlineDetector):
 
         A cycle formed entirely by one thread's acquisitions is excluded:
         a single thread cannot deadlock with itself through reentrant
-        locks.
+        locks.  Self-edges are never added, so a graph with fewer than
+        two edges has no cycle and skips the enumeration.
         """
         results: List[PotentialDeadlock] = []
+        if self.graph.number_of_edges() < 2:
+            return results
         for cycle in nx.simple_cycles(self.graph):
             witnesses = []
             ordered = list(cycle)

@@ -44,6 +44,22 @@ from .online import OnlineDetector, replay
 
 __all__ = ["OnlineReentryDetector", "ReentryFinding", "detect_reentry"]
 
+# Event kinds bound to module names: function bodies read these, never
+# ``EventKind.X`` (a Python-level enum class lookup before 3.12).
+_THREAD_END = EventKind.THREAD_END
+_THREAD_CRASH = EventKind.THREAD_CRASH
+_MONITOR_WAIT = EventKind.MONITOR_WAIT
+_MONITOR_RELEASE = EventKind.MONITOR_RELEASE
+_MONITOR_NOTIFIED = EventKind.MONITOR_NOTIFIED
+_SPURIOUS_WAKEUP = EventKind.SPURIOUS_WAKEUP
+_CALL_BEGIN = EventKind.CALL_BEGIN
+_CALL_END = EventKind.CALL_END
+_READ = EventKind.READ
+_WRITE = EventKind.WRITE
+
+_THREAD_EXITS = frozenset({_THREAD_END, _THREAD_CRASH})
+_WAKEUPS = frozenset({_MONITOR_NOTIFIED, _SPURIOUS_WAKEUP})
+
 
 @dataclass(frozen=True)
 class ReentryFinding:
@@ -164,17 +180,17 @@ class OnlineReentryDetector(OnlineDetector):
     def on_event(self, event: Event) -> None:
         kind = event.kind
         thread = event.thread
-        if kind is EventKind.CALL_BEGIN:
+        if kind is _CALL_BEGIN:
             self._frames.setdefault(thread, []).append(
                 _Frame(component=event.component or "?", method=event.method or "?")
             )
             return
         frame = self._top(thread)
         if frame is None:
-            if kind in (EventKind.THREAD_END, EventKind.THREAD_CRASH):
+            if kind in _THREAD_EXITS:
                 self._frames.pop(thread, None)
             return
-        if kind is EventKind.READ:
+        if kind is _READ:
             if event.component != frame.component:
                 return
             fieldname = str(event.detail.get("field", "?"))
@@ -182,16 +198,16 @@ class OnlineReentryDetector(OnlineDetector):
                 frame.reads.append(fieldname)
             if frame.state == "woken" and _guard_reread(frame.guard, frame.reads):
                 frame.state = "run"
-        elif kind is EventKind.WRITE:
+        elif kind is _WRITE:
             if event.component == frame.component and frame.state == "woken":
                 self._watch_write_or_exit(thread, frame, "premature-write")
-        elif kind is EventKind.MONITOR_WAIT:
+        elif kind is _MONITOR_WAIT:
             # A wait (or re-wait) never flags: the guard held.  Capture the
             # reads since the frame opened / the last wake as the guard.
             frame.guard = tuple(frame.reads)
             frame.reads = []
             frame.state = "waiting"
-        elif kind in (EventKind.MONITOR_NOTIFIED, EventKind.SPURIOUS_WAKEUP):
+        elif kind in _WAKEUPS:
             if frame.state != "waiting":
                 return
             frame.woke = True
@@ -199,23 +215,23 @@ class OnlineReentryDetector(OnlineDetector):
             # An unguarded wait (no component reads before it) is the
             # signal idiom, not a guarded wait: nothing to re-check.
             frame.state = "woken" if frame.guard else "run"
-        elif kind is EventKind.MONITOR_RELEASE:
+        elif kind is _MONITOR_RELEASE:
             if event.monitor == frame.component and frame.state == "woken":
                 self._watch_write_or_exit(thread, frame, "premature-exit")
-        elif kind is EventKind.CALL_END:
+        elif kind is _CALL_END:
             if event.component == frame.component and event.method == frame.method:
                 if frame.state == "woken":
                     self._watch_write_or_exit(thread, frame, "premature-exit")
                 stack = self._frames.get(thread)
                 if stack:
                     stack.pop()
-        elif kind is EventKind.THREAD_CRASH:
+        elif kind is _THREAD_CRASH:
             for open_frame in reversed(self._frames.get(thread, [])):
                 if open_frame.woke and not open_frame.flagged:
                     self._flag(thread, open_frame, "crash-after-wake")
                     break
             self._frames.pop(thread, None)
-        elif kind is EventKind.THREAD_END:
+        elif kind is _THREAD_END:
             self._frames.pop(thread, None)
 
     def finish(self) -> List[ReentryFinding]:

@@ -33,6 +33,26 @@ from .online import OnlineDetector, replay
 
 __all__ = ["StarvationReport", "OnlineStarvationDetector", "analyze_starvation"]
 
+# Event kinds bound to module names: function bodies read these, never
+# ``EventKind.X`` (a Python-level enum class lookup before 3.12).
+_THREAD_END = EventKind.THREAD_END
+_THREAD_CRASH = EventKind.THREAD_CRASH
+_MONITOR_REQUEST = EventKind.MONITOR_REQUEST
+_MONITOR_ACQUIRE = EventKind.MONITOR_ACQUIRE
+_MONITOR_WAIT = EventKind.MONITOR_WAIT
+_MONITOR_NOTIFIED = EventKind.MONITOR_NOTIFIED
+_INTERRUPT = EventKind.INTERRUPT
+_WAIT_TIMEOUT = EventKind.WAIT_TIMEOUT
+_SEM_REQUEST = EventKind.SEM_REQUEST
+_SEM_ACQUIRE = EventKind.SEM_ACQUIRE
+_RW_REQUEST = EventKind.RW_REQUEST
+_RW_ACQUIRE = EventKind.RW_ACQUIRE
+_RW_DOWNGRADE = EventKind.RW_DOWNGRADE
+
+_PRIMITIVE_REQUESTS = frozenset({_SEM_REQUEST, _RW_REQUEST})
+_PRIMITIVE_GRANTS = frozenset({_SEM_ACQUIRE, _RW_ACQUIRE, _RW_DOWNGRADE})
+_THREAD_EXITS = frozenset({_THREAD_END, _THREAD_CRASH})
+
 
 @dataclass(frozen=True)
 class StarvationReport:
@@ -113,18 +133,18 @@ class OnlineStarvationDetector(OnlineDetector):
     def on_event(self, event: Event) -> None:
         monitor = event.monitor
         thread = event.thread
-        if event.kind is EventKind.MONITOR_REQUEST:
+        if event.kind is _MONITOR_REQUEST:
             self._entry_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
-        elif event.kind is EventKind.MONITOR_ACQUIRE:
+        elif event.kind is _MONITOR_ACQUIRE:
             queued = self._entry_sets.setdefault(monitor, {})
             arrived = queued.pop(thread, event.seq)
             for bystander, bystander_arrived in queued.items():
                 if bystander_arrived < arrived:
                     key = (bystander, monitor)
                     self._lock_bypasses[key] = self._lock_bypasses.get(key, 0) + 1
-        elif event.kind is EventKind.MONITOR_WAIT:
+        elif event.kind is _MONITOR_WAIT:
             self._wait_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
-        elif event.kind is EventKind.MONITOR_NOTIFIED:
+        elif event.kind is _MONITOR_NOTIFIED:
             waiters = self._wait_sets.setdefault(monitor, {})
             arrived = waiters.pop(thread, event.seq)
             for bystander, bystander_arrived in waiters.items():
@@ -133,30 +153,26 @@ class OnlineStarvationDetector(OnlineDetector):
                     self._notify_bypasses[key] = self._notify_bypasses.get(key, 0) + 1
             # the woken thread re-enters the entry set
             self._entry_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
-        elif event.kind in (EventKind.SEM_REQUEST, EventKind.RW_REQUEST):
+        elif event.kind in _PRIMITIVE_REQUESTS:
             # Semaphore and rw-lock queues starve exactly like entry sets:
             # same arrival bookkeeping, different report kind.
             self._entry_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
-            if event.kind is EventKind.RW_REQUEST:
+            if event.kind is _RW_REQUEST:
                 self._prim_kind[monitor] = "rwlock"
                 self._rw_mode[(thread, monitor)] = event.detail.get("mode", "read")
             else:
                 self._prim_kind[monitor] = "semaphore"
-        elif event.kind in (
-            EventKind.SEM_ACQUIRE,
-            EventKind.RW_ACQUIRE,
-            EventKind.RW_DOWNGRADE,
-        ):
+        elif event.kind in _PRIMITIVE_GRANTS:
             queued = self._entry_sets.setdefault(monitor, {})
             arrived = queued.pop(thread, event.seq)
             for bystander, bystander_arrived in queued.items():
                 if bystander_arrived < arrived:
                     key = (bystander, monitor)
                     self._lock_bypasses[key] = self._lock_bypasses.get(key, 0) + 1
-        elif event.kind is EventKind.WAIT_TIMEOUT:
+        elif event.kind is _WAIT_TIMEOUT:
             if event.detail.get("primitive") == "semaphore":
                 self._entry_sets.setdefault(monitor, {}).pop(thread, None)
-        elif event.kind is EventKind.INTERRUPT:
+        elif event.kind is _INTERRUPT:
             # An interrupted primitive acquirer leaves its queue for good;
             # monitor entry sets are left to the monitor protocol events
             # (a post-wait reacquirer stays queued with the interrupt
@@ -164,7 +180,7 @@ class OnlineStarvationDetector(OnlineDetector):
             for mon, queued in self._entry_sets.items():
                 if mon in self._prim_kind:
                     queued.pop(thread, None)
-        elif event.kind in (EventKind.THREAD_END, EventKind.THREAD_CRASH):
+        elif event.kind in _THREAD_EXITS:
             for queued in self._entry_sets.values():
                 queued.pop(thread, None)
             for waiters in self._wait_sets.values():

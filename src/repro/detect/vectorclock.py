@@ -36,6 +36,21 @@ from .online import OnlineDetector, replay
 
 __all__ = ["VectorClock", "HbRace", "OnlineHbDetector", "detect_races_hb"]
 
+# Event kinds bound to module names: function bodies read these, never
+# ``EventKind.X`` (a Python-level enum class lookup before 3.12).
+_MONITOR_ACQUIRE = EventKind.MONITOR_ACQUIRE
+_MONITOR_WAIT = EventKind.MONITOR_WAIT
+_MONITOR_RELEASE = EventKind.MONITOR_RELEASE
+_MONITOR_NOTIFIED = EventKind.MONITOR_NOTIFIED
+_NOTIFY = EventKind.NOTIFY
+_NOTIFY_ALL = EventKind.NOTIFY_ALL
+_READ = EventKind.READ
+_WRITE = EventKind.WRITE
+
+_RELEASES = frozenset({_MONITOR_RELEASE, _MONITOR_WAIT})
+_NOTIFIES = frozenset({_NOTIFY, _NOTIFY_ALL})
+_ACCESSES = frozenset({_READ, _WRITE})
+
 
 class VectorClock:
     """A sparse integer vector clock keyed by thread name."""
@@ -149,28 +164,28 @@ class OnlineHbDetector(OnlineDetector):
         vc = self._vc_of(thread)
         kind = event.kind
 
-        if kind is EventKind.MONITOR_ACQUIRE:
+        if kind is _MONITOR_ACQUIRE:
             released = self._monitor_vc.get(event.monitor)
             if released is not None:
                 vc.join(released)
             vc.tick(thread)
-        elif kind in (EventKind.MONITOR_RELEASE, EventKind.MONITOR_WAIT):
+        elif kind in _RELEASES:
             # wait releases the lock exactly like a release does
             self._monitor_vc.setdefault(event.monitor, VectorClock()).join(vc)
             vc.tick(thread)
-        elif kind in (EventKind.NOTIFY, EventKind.NOTIFY_ALL):
+        elif kind in _NOTIFIES:
             for woken in event.detail.get("woken", []):
                 self._notify_vc[(event.monitor, woken)] = vc.copy()
             vc.tick(thread)
-        elif kind is EventKind.MONITOR_NOTIFIED:
+        elif kind is _MONITOR_NOTIFIED:
             sent = self._notify_vc.pop((event.monitor, thread), None)
             if sent is not None:
                 vc.join(sent)
             vc.tick(thread)
-        elif kind in (EventKind.READ, EventKind.WRITE):
+        elif kind in _ACCESSES:
             key = (event.component or "?", event.detail.get("field", "?"))
             epoch = self._fields.setdefault(key, _Epoch())
-            is_write = kind is EventKind.WRITE
+            is_write = kind is _WRITE
             # conflict with the last write
             if (
                 epoch.last_write_vc is not None

@@ -29,6 +29,45 @@ __all__ = [
     "find_deadlock_cycle",
 ]
 
+# Event kinds bound to module names: function bodies read these, never
+# ``EventKind.X`` (a Python-level enum class lookup before 3.12).
+_THREAD_END = EventKind.THREAD_END
+_THREAD_CRASH = EventKind.THREAD_CRASH
+_MONITOR_REQUEST = EventKind.MONITOR_REQUEST
+_MONITOR_ACQUIRE = EventKind.MONITOR_ACQUIRE
+_MONITOR_WAIT = EventKind.MONITOR_WAIT
+_MONITOR_RELEASE = EventKind.MONITOR_RELEASE
+_MONITOR_NOTIFIED = EventKind.MONITOR_NOTIFIED
+_INTERRUPT = EventKind.INTERRUPT
+_WAIT_TIMEOUT = EventKind.WAIT_TIMEOUT
+_SEM_REQUEST = EventKind.SEM_REQUEST
+_SEM_ACQUIRE = EventKind.SEM_ACQUIRE
+_SEM_RELEASE = EventKind.SEM_RELEASE
+_RW_REQUEST = EventKind.RW_REQUEST
+_RW_ACQUIRE = EventKind.RW_ACQUIRE
+_RW_RELEASE = EventKind.RW_RELEASE
+_RW_DOWNGRADE = EventKind.RW_DOWNGRADE
+_BARRIER_AWAIT = EventKind.BARRIER_AWAIT
+_BARRIER_RESUME = EventKind.BARRIER_RESUME
+_BARRIER_BROKEN = EventKind.BARRIER_BROKEN
+
+_RW_GRANTS = frozenset({_RW_ACQUIRE, _RW_DOWNGRADE})
+_THREAD_EXITS = frozenset({_THREAD_END, _THREAD_CRASH})
+
+#: kinds that add a blocked-on edge or redirect an ownership edge: the
+#: only events after which a new cycle can appear
+_CYCLE_KINDS = frozenset(
+    {
+        _MONITOR_REQUEST,
+        _MONITOR_NOTIFIED,
+        _MONITOR_ACQUIRE,
+        _SEM_REQUEST,
+        _SEM_ACQUIRE,
+        _RW_REQUEST,
+        _RW_ACQUIRE,
+    }
+)
+
 
 @dataclass
 class WaitForState:
@@ -184,41 +223,41 @@ class OnlineWaitGraphDetector(OnlineDetector):
         thread = event.thread
         monitor = event.monitor
         kind = event.kind
-        if kind is EventKind.MONITOR_REQUEST:
+        if kind is _MONITOR_REQUEST:
             # Blocked until a matching ACQUIRE appears.
             if state.owner.get(monitor) != thread:
                 state.blocked_on[thread] = monitor
-        elif kind is EventKind.MONITOR_ACQUIRE:
+        elif kind is _MONITOR_ACQUIRE:
             state.blocked_on.pop(thread, None)
             state.owner[monitor] = thread
             self._hold_count[(thread, monitor)] = self._hold_count.get(
                 (thread, monitor), 0
             ) + event.detail.get("count", 1)
-        elif kind is EventKind.MONITOR_RELEASE:
+        elif kind is _MONITOR_RELEASE:
             key = (thread, monitor)
             self._hold_count[key] = self._hold_count.get(key, 1) - 1
             if self._hold_count[key] <= 0:
                 self._hold_count.pop(key, None)
                 if state.owner.get(monitor) == thread:
                     del state.owner[monitor]
-        elif kind is EventKind.MONITOR_WAIT:
+        elif kind is _MONITOR_WAIT:
             self._hold_count.pop((thread, monitor), None)
             if state.owner.get(monitor) == thread:
                 del state.owner[monitor]
             state.waiting_on[thread] = monitor
-        elif kind is EventKind.MONITOR_NOTIFIED:
+        elif kind is _MONITOR_NOTIFIED:
             state.waiting_on.pop(thread, None)
             state.blocked_on[thread] = monitor
-        elif kind is EventKind.SEM_REQUEST:
+        elif kind is _SEM_REQUEST:
             state.blocked_on[thread] = monitor
             state.blocked_kind[thread] = "semaphore"
             state.sem_req_n[thread] = event.detail.get("n", 1)
-        elif kind is EventKind.SEM_ACQUIRE:
+        elif kind is _SEM_ACQUIRE:
             state._clear_request(thread)
             held = state.sem_held.setdefault(monitor, {})
             held[thread] = held.get(thread, 0) + event.detail.get("n", 1)
             state.sem_available[monitor] = event.detail.get("available", 0)
-        elif kind is EventKind.SEM_RELEASE:
+        elif kind is _SEM_RELEASE:
             held = state.sem_held.setdefault(monitor, {})
             left = held.get(thread, 0) - event.detail.get("n", 1)
             if left > 0:
@@ -226,7 +265,7 @@ class OnlineWaitGraphDetector(OnlineDetector):
             else:
                 held.pop(thread, None)
             state.sem_available[monitor] = event.detail.get("available", 0)
-        elif kind is EventKind.RW_REQUEST:
+        elif kind is _RW_REQUEST:
             # The writer's reentrant write request and a holder's read
             # request (reentrant read, or the never-blocking downgrade)
             # are granted in the same step; a read-only holder requesting
@@ -241,13 +280,13 @@ class OnlineWaitGraphDetector(OnlineDetector):
                 state.blocked_on[thread] = monitor
                 state.blocked_kind[thread] = "rwlock"
                 state.rw_req_mode[thread] = mode
-        elif kind in (EventKind.RW_ACQUIRE, EventKind.RW_DOWNGRADE):
+        elif kind in _RW_GRANTS:
             state._clear_request(thread)
             held = state.rw_held.setdefault(monitor, {})
             held[thread] = held.get(thread, 0) + 1
-            if kind is EventKind.RW_ACQUIRE and event.detail.get("mode") == "write":
+            if kind is _RW_ACQUIRE and event.detail.get("mode") == "write":
                 state.rw_writer[monitor] = thread
-        elif kind is EventKind.RW_RELEASE:
+        elif kind is _RW_RELEASE:
             held = state.rw_held.setdefault(monitor, {})
             left = held.get(thread, 0) - 1
             if left > 0:
@@ -260,39 +299,31 @@ class OnlineWaitGraphDetector(OnlineDetector):
                 and state.rw_writer.get(monitor) == thread
             ):
                 del state.rw_writer[monitor]
-        elif kind is EventKind.BARRIER_AWAIT:
+        elif kind is _BARRIER_AWAIT:
             if not event.detail.get("broken"):
                 state.waiting_on[thread] = monitor
-        elif kind is EventKind.BARRIER_RESUME:
+        elif kind is _BARRIER_RESUME:
             state.waiting_on.pop(thread, None)
-        elif kind is EventKind.BARRIER_BROKEN:
+        elif kind is _BARRIER_BROKEN:
             for waiter in event.detail.get("waiters", ()):
                 state.waiting_on.pop(waiter, None)
-        elif kind is EventKind.WAIT_TIMEOUT:
+        elif kind is _WAIT_TIMEOUT:
             if event.detail.get("primitive") == "semaphore":
                 # A failed timed tryAcquire: the thread resumed with False
                 # and no SEM_ACQUIRE will follow.
                 state._clear_request(thread)
-        elif kind is EventKind.INTERRUPT:
+        elif kind is _INTERRUPT:
             # An interrupted primitive acquirer resumes immediately (no
             # grant event follows); monitor bookkeeping is untouched —
             # monitor interrupts are resolved by later protocol events.
             if state.blocked_kind.get(thread) in ("semaphore", "rwlock"):
                 state._clear_request(thread)
-        elif kind in (EventKind.THREAD_END, EventKind.THREAD_CRASH):
+        elif kind in _THREAD_EXITS:
             state._clear_request(thread)
             state.waiting_on.pop(thread, None)
         # A cycle can only appear when a blocked-on edge is added or an
         # ownership edge is redirected.
-        if not self.live_cycle and kind in (
-            EventKind.MONITOR_REQUEST,
-            EventKind.MONITOR_NOTIFIED,
-            EventKind.MONITOR_ACQUIRE,
-            EventKind.SEM_REQUEST,
-            EventKind.SEM_ACQUIRE,
-            EventKind.RW_REQUEST,
-            EventKind.RW_ACQUIRE,
-        ):
+        if not self.live_cycle and kind in _CYCLE_KINDS:
             self.live_cycle = _cycle_of(state)
 
     def abort_reason(self) -> Optional[str]:

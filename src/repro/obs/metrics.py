@@ -45,6 +45,8 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 
 def _labelset(labels: Dict[str, Any]) -> LabelSet:
+    if not labels:
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -68,8 +70,21 @@ class Metric:
     def merge(self, other: "Metric") -> None:
         raise NotImplementedError
 
+    def merge_payload(self, payload: Dict[str, Any]) -> None:
+        """Fold one :meth:`to_dict` payload of the same metric in: the
+        same result as ``merge`` of the metric the payload describes."""
+        raise NotImplementedError
+
     def to_dict(self) -> Dict[str, Any]:
         raise NotImplementedError
+
+    def _require_kind(self, kind: Any) -> None:
+        """Raise unless a metric of ``kind`` may merge into this one."""
+        if kind != self.kind:
+            raise ValueError(
+                f"metric {self.name!r} already registered as {self.kind}, "
+                f"not {kind}"
+            )
 
 
 class Counter(Metric):
@@ -115,9 +130,17 @@ class Counter(Metric):
         return rows[:n]
 
     def merge(self, other: "Metric") -> None:
+        self._require_kind(other.kind)
         assert isinstance(other, Counter)
         for key, value in other._series.items():
             self._series[key] = self._series.get(key, 0) + value
+
+    def merge_payload(self, payload: Dict[str, Any]) -> None:
+        self._require_kind(payload.get("type"))
+        series = self._series
+        for row in payload.get("series", ()):
+            key = _labelset(row.get("labels", {}))
+            series[key] = series.get(key, 0) + row["value"]
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -173,12 +196,24 @@ class Gauge(Metric):
         return theirs  # "last"
 
     def merge(self, other: "Metric") -> None:
+        self._require_kind(other.kind)
         assert isinstance(other, Gauge)
         for key, value in other._series.items():
             if key in self._series:
                 self._series[key] = self._combine(self._series[key], value)
             else:
                 self._series[key] = value
+
+    def merge_payload(self, payload: Dict[str, Any]) -> None:
+        self._require_kind(payload.get("type"))
+        series = self._series
+        for row in payload.get("series", ()):
+            key = _labelset(row.get("labels", {}))
+            value = row["value"]
+            if key in series:
+                series[key] = self._combine(series[key], value)
+            else:
+                series[key] = value
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -253,11 +288,9 @@ class Histogram(Metric):
         return dict(self._series)
 
     def merge(self, other: "Metric") -> None:
+        self._require_kind(other.kind)
         assert isinstance(other, Histogram)
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: bucket bounds differ"
-            )
+        self._require_buckets(other.buckets)
         for key, theirs in other._series.items():
             mine = self._series.get(key)
             if mine is None:
@@ -269,6 +302,30 @@ class Histogram(Metric):
                     mine.counts[i] += c
                 mine.sum += theirs.sum
                 mine.count += theirs.count
+
+    def merge_payload(self, payload: Dict[str, Any]) -> None:
+        self._require_kind(payload.get("type"))
+        self._require_buckets(tuple(sorted(payload.get("buckets", DEFAULT_BUCKETS))))
+        series = self._series
+        for row in payload.get("series", ()):
+            key = _labelset(row.get("labels", {}))
+            counts = [int(c) for c in row["counts"]]
+            total = float(row.get("sum", 0.0))
+            count = int(row.get("count", 0))
+            mine = series.get(key)
+            if mine is None:
+                series[key] = _HistSeries(counts=counts, sum=total, count=count)
+            else:
+                for i, c in enumerate(counts):
+                    mine.counts[i] += c
+                mine.sum += total
+                mine.count += count
+
+    def _require_buckets(self, buckets: Tuple[float, ...]) -> None:
+        if buckets != self.buckets:
+            raise ValueError(
+                f"cannot merge histogram {self.name!r}: bucket bounds differ"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -353,7 +410,18 @@ class MetricsRegistry:
                 mine.merge(metric)
 
     def merge_snapshot(self, snapshot: "MetricsSnapshot") -> None:
-        self.merge(snapshot.to_registry())
+        """Fold a snapshot in, with the result of
+        ``merge(snapshot.to_registry())`` but in one pass: each row goes
+        straight into the existing series, and a :class:`Metric` is built
+        only for a name this registry has not seen.  Raises
+        ``ValueError`` on a metric-kind or histogram-bucket mismatch."""
+        for payload in snapshot.metrics:
+            name = str(payload["name"])
+            mine = self._metrics.get(name)
+            if mine is None:
+                self._metrics[name] = _metric_from_dict(payload)
+            else:
+                mine.merge_payload(payload)
 
     def snapshot(self) -> "MetricsSnapshot":
         return MetricsSnapshot(

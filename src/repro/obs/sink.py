@@ -21,7 +21,10 @@ empty list — observability off is free.  When installed, the handlers
 subscribe kind-filtered (``Kernel.subscribe(handler, kinds=...)``), so
 the (majority) event kinds that carry no monitor state cost one dict
 lookup inside the emit loop and never enter sink code; the
-monitor-protocol minority runs a short handler.  Event counting and the
+monitor-protocol minority runs a short handler.  That lookup stays in C
+because :class:`~repro.vm.events.EventKind` hashes by identity (the
+inherited ``Enum.__hash__`` is Python code and would cost more per event
+than the lookup it feeds).  Event counting and the
 per-thread counters cost nothing because the kernel maintains them
 natively (``events_emitted`` / ``thread_stats``).  Ext-I
 (``benchmarks/test_obs_overhead.py``) keeps this honest.
@@ -42,6 +45,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vm.scheduler import Scheduler
 
 __all__ = ["InstrumentationSink", "ObservedFactory"]
+
+# Event kinds bound to module names: function bodies read these, never
+# ``EventKind.X`` (a Python-level enum class lookup before 3.12).
+_MONITOR_REQUEST = EventKind.MONITOR_REQUEST
+_MONITOR_ACQUIRE = EventKind.MONITOR_ACQUIRE
+_MONITOR_WAIT = EventKind.MONITOR_WAIT
+_MONITOR_RELEASE = EventKind.MONITOR_RELEASE
+_MONITOR_NOTIFIED = EventKind.MONITOR_NOTIFIED
+_NOTIFY = EventKind.NOTIFY
+_NOTIFY_ALL = EventKind.NOTIFY_ALL
 
 
 class InstrumentationSink:
@@ -183,14 +196,15 @@ class InstrumentationSink:
             if depth > 0:
                 entry_depth[monitor] = depth - 1
             detail = event.detail
-            if detail.get("reentrant"):
-                return  # deeper hold of an already-open outermost hold
+            if detail:  # an uncontended first acquire carries no detail
+                if detail.get("reentrant"):
+                    return  # deeper hold of an already-open outermost hold
+                blocked_for = detail.get("blocked_for", 0)
+                if blocked_for:
+                    contended_ticks[monitor] = (
+                        contended_ticks.get(monitor, 0) + blocked_for
+                    )
             acquisitions[monitor] = acquisitions.get(monitor, 0) + 1
-            blocked_for = detail.get("blocked_for", 0)
-            if blocked_for:
-                contended_ticks[monitor] = (
-                    contended_ticks.get(monitor, 0) + blocked_for
-                )
             open_holds[(event.thread, monitor)] = event.time
 
         def close_hold(thread: str, monitor: str, now: int) -> None:
@@ -204,7 +218,8 @@ class InstrumentationSink:
                 tracer.end(span)
 
         def on_release(event: Event) -> None:
-            if not event.detail.get("reentrant"):
+            detail = event.detail
+            if not (detail and detail.get("reentrant")):
                 close_hold(event.thread, event.monitor, event.time)
 
         def on_wait(event: Event) -> None:
@@ -234,13 +249,13 @@ class InstrumentationSink:
                 lost_notifies[monitor] = lost_notifies.get(monitor, 0) + 1
 
         return close_hold, {
-            EventKind.MONITOR_REQUEST: on_request,
-            EventKind.MONITOR_ACQUIRE: on_acquire,
-            EventKind.MONITOR_RELEASE: on_release,
-            EventKind.MONITOR_WAIT: on_wait,
-            EventKind.MONITOR_NOTIFIED: on_notified,
-            EventKind.NOTIFY: on_notify,
-            EventKind.NOTIFY_ALL: on_notify,
+            _MONITOR_REQUEST: on_request,
+            _MONITOR_ACQUIRE: on_acquire,
+            _MONITOR_RELEASE: on_release,
+            _MONITOR_WAIT: on_wait,
+            _MONITOR_NOTIFIED: on_notified,
+            _NOTIFY: on_notify,
+            _NOTIFY_ALL: on_notify,
         }
 
     # -- finalization ------------------------------------------------------

@@ -34,7 +34,18 @@ class WakeReason(enum.Enum):
 
 
 class EventKind(enum.Enum):
-    """Kinds of trace events emitted by the kernel."""
+    """Kinds of trace events emitted by the kernel.
+
+    Members hash by identity.  Equality already is identity and pickling
+    returns the singleton, so this changes no lookup result; it keeps
+    every kind-keyed dict and set lookup (the kernel's kind filter,
+    detector routes, the sink's handler table, ``TRANSITION_OF_EVENT``)
+    in C instead of calling ``Enum.__hash__`` (Python code hashing the
+    member name) per lookup.  Only the iteration order of a set of kinds
+    changes, and no output depends on it.
+    """
+
+    __hash__ = object.__hash__
 
     THREAD_START = "thread_start"
     THREAD_END = "thread_end"

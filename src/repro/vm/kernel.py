@@ -93,8 +93,50 @@ __all__ = ["Kernel", "RunResult", "RunStatus", "current_kernel", "current_thread
 # (not a threading.local) is correct and cheap.
 _CURRENT: List[Tuple["Kernel", SimThread]] = []
 
+# Thread states and event kinds bound to module names: the step path reads
+# these, never ``ThreadState.X``/``EventKind.X`` (a Python-level enum class
+# lookup before 3.12).
 _NEW = ThreadState.NEW
 _RUNNABLE = ThreadState.RUNNABLE
+_BLOCKED = ThreadState.BLOCKED
+_WAITING = ThreadState.WAITING
+_CLOCK_WAIT = ThreadState.CLOCK_WAIT
+_TERMINATED = ThreadState.TERMINATED
+_CRASHED = ThreadState.CRASHED
+
+_THREAD_START = EventKind.THREAD_START
+_THREAD_END = EventKind.THREAD_END
+_THREAD_CRASH = EventKind.THREAD_CRASH
+_MONITOR_REQUEST = EventKind.MONITOR_REQUEST
+_MONITOR_ACQUIRE = EventKind.MONITOR_ACQUIRE
+_MONITOR_WAIT = EventKind.MONITOR_WAIT
+_MONITOR_RELEASE = EventKind.MONITOR_RELEASE
+_MONITOR_NOTIFIED = EventKind.MONITOR_NOTIFIED
+_NOTIFY = EventKind.NOTIFY
+_NOTIFY_ALL = EventKind.NOTIFY_ALL
+_SPURIOUS_WAKEUP = EventKind.SPURIOUS_WAKEUP
+_INTERRUPT = EventKind.INTERRUPT
+_WAIT_TIMEOUT = EventKind.WAIT_TIMEOUT
+_SEM_REQUEST = EventKind.SEM_REQUEST
+_SEM_ACQUIRE = EventKind.SEM_ACQUIRE
+_SEM_RELEASE = EventKind.SEM_RELEASE
+_RW_REQUEST = EventKind.RW_REQUEST
+_RW_ACQUIRE = EventKind.RW_ACQUIRE
+_RW_RELEASE = EventKind.RW_RELEASE
+_RW_DOWNGRADE = EventKind.RW_DOWNGRADE
+_BARRIER_AWAIT = EventKind.BARRIER_AWAIT
+_BARRIER_TRIP = EventKind.BARRIER_TRIP
+_BARRIER_RESUME = EventKind.BARRIER_RESUME
+_BARRIER_BROKEN = EventKind.BARRIER_BROKEN
+_CALL_BEGIN = EventKind.CALL_BEGIN
+_CALL_END = EventKind.CALL_END
+_READ = EventKind.READ
+_WRITE = EventKind.WRITE
+_CLOCK_AWAIT = EventKind.CLOCK_AWAIT
+_CLOCK_RESUME = EventKind.CLOCK_RESUME
+_CLOCK_TICK = EventKind.CLOCK_TICK
+_YIELD = EventKind.YIELD
+
 _object_getattribute = object.__getattribute__
 
 # Kernel.emit builds each Event by filling its slots: the generated frozen
@@ -462,6 +504,8 @@ class Kernel:
         ``kinds`` restricts delivery to the given event kinds, with the
         filtering done inside the emit loop — one dict lookup per event
         instead of a Python call into a subscriber that would discard it.
+        The lookup runs entirely in C: :class:`EventKind` members hash by
+        identity, so no Python-level ``__hash__`` is called per event.
         Unfiltered subscribers always run first, in subscription order;
         kind-filtered subscribers follow, in subscription order per kind.
         A :class:`~repro.detect.online.DetectorPipeline` attaches as a set
@@ -541,7 +585,7 @@ class Kernel:
         _, frame_method = thread.current_frame()
         self.emit(
             thread.name,
-            EventKind.WRITE if is_write else EventKind.READ,
+            _WRITE if is_write else _READ,
             component=comp_name,
             method=frame_method,
             field=fieldname,
@@ -562,7 +606,7 @@ class Kernel:
         thread.blocked_on = on
         thread.blocked_kind = kind
         thread.blocked_arg = arg
-        thread.state = ThreadState.BLOCKED
+        thread.state = _BLOCKED
         thread.blocked_since = self.time
 
     def _clear_blocked(self, thread: SimThread) -> int:
@@ -573,7 +617,7 @@ class Kernel:
         thread.blocked_kind = "monitor"
         thread.blocked_arg = None
         thread.acquire_deadline = None
-        thread.state = ThreadState.RUNNABLE
+        thread.state = _RUNNABLE
         blocked_for = 0
         if thread.blocked_since is not None:
             blocked_for = self.time - thread.blocked_since
@@ -612,7 +656,7 @@ class Kernel:
         blocked_for = self._clear_blocked(thread)
         self.emit(
             chosen_name,
-            EventKind.MONITOR_ACQUIRE,
+            _MONITOR_ACQUIRE,
             monitor=monitor.name,
             count=depth,
             blocked_for=blocked_for,
@@ -633,18 +677,18 @@ class Kernel:
     def _sys_acquire(self, thread: SimThread, call: Acquire) -> None:
         name = self._monitor_name(call.monitor, thread)
         monitor = self.monitors[name]
-        self.emit(thread.name, EventKind.MONITOR_REQUEST, monitor=name)
+        self.emit(thread.name, _MONITOR_REQUEST, monitor=name)
         if monitor.is_owned_by(thread.name):
             # Reentrant acquire: no contention, immediately deeper hold.
             monitor.entry_count += 1
             thread.push_hold(name)
-            self.emit(thread.name, EventKind.MONITOR_ACQUIRE, monitor=name, reentrant=True)
+            self.emit(thread.name, _MONITOR_ACQUIRE, monitor=name, reentrant=True)
             thread.send_value = None
             return
         if monitor.is_free() and not monitor.entry_set:
             monitor.acquire_by(thread.name)
             thread.push_hold(name)
-            self.emit(thread.name, EventKind.MONITOR_ACQUIRE, monitor=name)
+            self.emit(thread.name, _MONITOR_ACQUIRE, monitor=name)
             thread.send_value = None
             return
         # Contended (or the policy must arbitrate among queued threads).
@@ -663,11 +707,11 @@ class Kernel:
         thread.pop_hold(name)
         if monitor.entry_count == 0:
             monitor.owner = None
-            self.emit(thread.name, EventKind.MONITOR_RELEASE, monitor=name)
+            self.emit(thread.name, _MONITOR_RELEASE, monitor=name)
             self._grant_lock(monitor)
         else:
             self.emit(
-                thread.name, EventKind.MONITOR_RELEASE, monitor=name, reentrant=True
+                thread.name, _MONITOR_RELEASE, monitor=name, reentrant=True
             )
         thread.send_value = None
 
@@ -715,7 +759,7 @@ class Kernel:
         thread.saved_entry_count = depth
         monitor.add_waiter(thread.name)
         thread.waiting_on = name
-        thread.state = ThreadState.WAITING
+        thread.state = _WAITING
         thread.waiting_since = self.time
         thread.waits_entered += 1
         # Java's wait(0) waits forever; only positive timeouts are timed.
@@ -727,7 +771,7 @@ class Kernel:
         comp, meth = thread.current_frame()
         self.emit(
             thread.name,
-            EventKind.MONITOR_WAIT,
+            _MONITOR_WAIT,
             monitor=name,
             component=comp,
             method=meth,
@@ -763,7 +807,7 @@ class Kernel:
         self._mark_blocked(waiter, monitor.name)
         self.emit(
             waiter_name,
-            EventKind.MONITOR_NOTIFIED,
+            _MONITOR_NOTIFIED,
             monitor=monitor.name,
             by=by,
             spurious=reason is WakeReason.SPURIOUS,
@@ -800,7 +844,7 @@ class Kernel:
         comp, meth = thread.current_frame()
         self.emit(
             thread.name,
-            EventKind.NOTIFY_ALL if all_waiters else EventKind.NOTIFY,
+            _NOTIFY_ALL if all_waiters else _NOTIFY,
             monitor=name,
             component=comp,
             method=meth,
@@ -835,30 +879,30 @@ class Kernel:
         self._clock_waiters = still_waiting
         self.emit(
             by,
-            EventKind.CLOCK_TICK,
+            _CLOCK_TICK,
             now=self.clock_time,
             resumed=[t.name for t in resumed],
         )
         for waiter in resumed:
             waiter.await_target = None
-            waiter.state = ThreadState.RUNNABLE
+            waiter.state = _RUNNABLE
             waiter.send_value = None
-            self.emit(waiter.name, EventKind.CLOCK_RESUME, now=self.clock_time)
+            self.emit(waiter.name, _CLOCK_RESUME, now=self.clock_time)
 
     def _sys_await(self, thread: SimThread, call: AwaitTime) -> None:
         if self.clock_time >= call.target:
             thread.send_value = None
             return
         thread.await_target = call.target
-        thread.state = ThreadState.CLOCK_WAIT
+        thread.state = _CLOCK_WAIT
         self._clock_waiters.append(thread)
-        self.emit(thread.name, EventKind.CLOCK_AWAIT, target=call.target)
+        self.emit(thread.name, _CLOCK_AWAIT, target=call.target)
 
     def _sys_call_begin(self, thread: SimThread, call: CallBegin) -> None:
         comp = self._component_name(call.component)
         thread.call_stack.append((comp, call.method))
         self.emit(
-            thread.name, EventKind.CALL_BEGIN, component=comp, method=call.method
+            thread.name, _CALL_BEGIN, component=comp, method=call.method
         )
         thread.send_value = None
 
@@ -868,7 +912,7 @@ class Kernel:
             thread.call_stack.pop()
         self.emit(
             thread.name,
-            EventKind.CALL_END,
+            _CALL_END,
             component=comp,
             method=call.method,
             result=call.result,
@@ -896,7 +940,7 @@ class Kernel:
         thread.send_value = self.clock_time
 
     def _sys_yield(self, thread: SimThread, call: Yield) -> None:
-        self.emit(thread.name, EventKind.YIELD)
+        self.emit(thread.name, _YIELD)
         thread.send_value = None
 
     # -- counting semaphores (S1..S3) -------------------------------------------------
@@ -919,7 +963,7 @@ class Kernel:
         comp, meth = thread.current_frame()
         self.emit(
             thread.name,
-            EventKind.SEM_REQUEST,
+            _SEM_REQUEST,
             monitor=name,
             component=comp,
             method=meth,
@@ -940,7 +984,7 @@ class Kernel:
             sem.hold(thread.name, n)
             self.emit(
                 thread.name,
-                EventKind.SEM_ACQUIRE,
+                _SEM_ACQUIRE,
                 monitor=name,
                 n=n,
                 available=sem.permits,
@@ -975,7 +1019,7 @@ class Kernel:
             thread.send_value = True
             self.emit(
                 candidate,
-                EventKind.SEM_ACQUIRE,
+                _SEM_ACQUIRE,
                 monitor=sem.name,
                 n=need,
                 available=sem.permits,
@@ -999,7 +1043,7 @@ class Kernel:
         comp, meth = thread.current_frame()
         self.emit(
             thread.name,
-            EventKind.SEM_RELEASE,
+            _SEM_RELEASE,
             monitor=name,
             component=comp,
             method=meth,
@@ -1032,7 +1076,7 @@ class Kernel:
         comp, meth = thread.current_frame()
         self.emit(
             thread.name,
-            EventKind.RW_REQUEST,
+            _RW_REQUEST,
             monitor=name,
             component=comp,
             method=meth,
@@ -1052,7 +1096,7 @@ class Kernel:
                 lock.readers[thread.name] = lock.readers.get(thread.name, 0) + 1
                 self.emit(
                     thread.name,
-                    EventKind.RW_DOWNGRADE,
+                    _RW_DOWNGRADE,
                     monitor=name,
                     read_depth=lock.readers[thread.name],
                 )
@@ -1062,7 +1106,7 @@ class Kernel:
                 lock.readers[thread.name] += 1
                 self.emit(
                     thread.name,
-                    EventKind.RW_ACQUIRE,
+                    _RW_ACQUIRE,
                     monitor=name,
                     mode="read",
                     reentrant=True,
@@ -1073,7 +1117,7 @@ class Kernel:
                 lock.readers[thread.name] = 1
                 self.emit(
                     thread.name,
-                    EventKind.RW_ACQUIRE,
+                    _RW_ACQUIRE,
                     monitor=name,
                     mode="read",
                     readers=len(lock.readers),
@@ -1088,7 +1132,7 @@ class Kernel:
                 lock.writer_depth += 1
                 self.emit(
                     thread.name,
-                    EventKind.RW_ACQUIRE,
+                    _RW_ACQUIRE,
                     monitor=name,
                     mode="write",
                     reentrant=True,
@@ -1104,7 +1148,7 @@ class Kernel:
                 lock.writer_depth = 1
                 self.emit(
                     thread.name,
-                    EventKind.RW_ACQUIRE,
+                    _RW_ACQUIRE,
                     monitor=name,
                     mode="write",
                     blocked_for=0,
@@ -1139,7 +1183,7 @@ class Kernel:
                 writer.send_value = None
                 self.emit(
                     chosen,
-                    EventKind.RW_ACQUIRE,
+                    _RW_ACQUIRE,
                     monitor=lock.name,
                     mode="write",
                     blocked_for=blocked_for,
@@ -1154,7 +1198,7 @@ class Kernel:
                 reader.send_value = None
                 self.emit(
                     chosen,
-                    EventKind.RW_ACQUIRE,
+                    _RW_ACQUIRE,
                     monitor=lock.name,
                     mode="read",
                     readers=len(lock.readers),
@@ -1174,7 +1218,7 @@ class Kernel:
             if lock.writer_depth > 0:
                 self.emit(
                     thread.name,
-                    EventKind.RW_RELEASE,
+                    _RW_RELEASE,
                     monitor=name,
                     mode="write",
                     reentrant=True,
@@ -1184,7 +1228,7 @@ class Kernel:
             lock.writer = None
             self.emit(
                 thread.name,
-                EventKind.RW_RELEASE,
+                _RW_RELEASE,
                 monitor=name,
                 component=comp,
                 method=meth,
@@ -1198,7 +1242,7 @@ class Kernel:
             if lock.readers[thread.name] > 0:
                 self.emit(
                     thread.name,
-                    EventKind.RW_RELEASE,
+                    _RW_RELEASE,
                     monitor=name,
                     mode="read",
                     reentrant=True,
@@ -1208,7 +1252,7 @@ class Kernel:
             del lock.readers[thread.name]
             self.emit(
                 thread.name,
-                EventKind.RW_RELEASE,
+                _RW_RELEASE,
                 monitor=name,
                 component=comp,
                 method=meth,
@@ -1231,7 +1275,7 @@ class Kernel:
         if barrier.broken:
             self.emit(
                 thread.name,
-                EventKind.BARRIER_AWAIT,
+                _BARRIER_AWAIT,
                 monitor=name,
                 component=comp,
                 method=meth,
@@ -1254,7 +1298,7 @@ class Kernel:
         index = len(barrier.waiters)
         self.emit(
             thread.name,
-            EventKind.BARRIER_AWAIT,
+            _BARRIER_AWAIT,
             monitor=name,
             component=comp,
             method=meth,
@@ -1269,7 +1313,7 @@ class Kernel:
         barrier.arrival[thread.name] = index
         thread.waiting_on = name
         thread.waiting_kind = "barrier"
-        thread.state = ThreadState.WAITING
+        thread.state = _WAITING
         thread.waiting_since = self.time
         thread.waits_entered += 1
 
@@ -1280,7 +1324,7 @@ class Kernel:
         index = barrier.arrival.pop(waiter.name, 0)
         waiter.waiting_on = None
         waiter.waiting_kind = "monitor"
-        waiter.state = ThreadState.RUNNABLE
+        waiter.state = _RUNNABLE
         if waiter.waiting_since is not None:
             waiter.waiting_ticks += self.time - waiter.waiting_since
             waiter.waiting_since = None
@@ -1293,7 +1337,7 @@ class Kernel:
         released = list(barrier.waiters)
         self.emit(
             last.name,
-            EventKind.BARRIER_TRIP,
+            _BARRIER_TRIP,
             monitor=barrier.name,
             generation=generation,
             parties=barrier.parties,
@@ -1305,7 +1349,7 @@ class Kernel:
             waiter.send_value = index
             self.emit(
                 name,
-                EventKind.BARRIER_RESUME,
+                _BARRIER_RESUME,
                 monitor=barrier.name,
                 generation=generation,
                 index=index,
@@ -1313,7 +1357,7 @@ class Kernel:
         last.send_value = barrier.parties - 1
         self.emit(
             last.name,
-            EventKind.BARRIER_RESUME,
+            _BARRIER_RESUME,
             monitor=barrier.name,
             generation=generation,
             index=barrier.parties - 1,
@@ -1329,7 +1373,7 @@ class Kernel:
         parked = list(barrier.waiters)
         self.emit(
             by,
-            EventKind.BARRIER_BROKEN,
+            _BARRIER_BROKEN,
             monitor=barrier.name,
             generation=barrier.generation,
             waiters=parked,
@@ -1359,7 +1403,7 @@ class Kernel:
                 f"{monitor_name!r}"
             )
         monitor.remove_waiter(waiter_name)
-        self.emit(waiter_name, EventKind.SPURIOUS_WAKEUP, monitor=monitor.name)
+        self.emit(waiter_name, _SPURIOUS_WAKEUP, monitor=monitor.name)
         self._wake_waiter(
             monitor, waiter_name, by="<jvm>", reason=WakeReason.SPURIOUS
         )
@@ -1401,9 +1445,9 @@ class Kernel:
             raise UnknownSyscallError(f"cannot interrupt unknown thread {name!r}")
         thread = self.threads[name]
         self.emit(
-            name, EventKind.INTERRUPT, by=by, thread_state=thread.state.value
+            name, _INTERRUPT, by=by, thread_state=thread.state.value
         )
-        if thread.state is ThreadState.WAITING and thread.waiting_on:
+        if thread.state is _WAITING and thread.waiting_on:
             if thread.waiting_kind == "barrier":
                 # Interrupting a barrier waiter *breaks* the barrier: the
                 # interrupted thread gets InterruptedError, every other
@@ -1421,7 +1465,7 @@ class Kernel:
             self._wake_waiter(monitor, name, by=by, reason=WakeReason.INTERRUPT)
             self._grant_lock(monitor)
             return
-        if thread.state is ThreadState.BLOCKED and thread.blocked_on:
+        if thread.state is _BLOCKED and thread.blocked_on:
             if thread.blocked_kind == "semaphore":
                 sem = self.semaphores[thread.blocked_on]
                 sem.queue.remove(name)
@@ -1468,7 +1512,7 @@ class Kernel:
         ``reason="timeout"`` (used for natural virtual-time expiry and by
         fault-plan ``timeout`` rules forcing one)."""
         thread = self.threads.get(name)
-        if thread is None or thread.state is not ThreadState.WAITING:
+        if thread is None or thread.state is not _WAITING:
             raise UnknownSyscallError(
                 f"cannot expire wait of {name!r}: not waiting"
             )
@@ -1477,7 +1521,7 @@ class Kernel:
         monitor.remove_waiter(name)
         self.emit(
             name,
-            EventKind.WAIT_TIMEOUT,
+            _WAIT_TIMEOUT,
             monitor=monitor.name,
             by=by,
             deadline=thread.wait_deadline,
@@ -1494,7 +1538,7 @@ class Kernel:
         thread = self.threads.get(name)
         if (
             thread is None
-            or thread.state is not ThreadState.BLOCKED
+            or thread.state is not _BLOCKED
             or thread.blocked_kind != "semaphore"
         ):
             raise UnknownSyscallError(
@@ -1508,7 +1552,7 @@ class Kernel:
         thread.send_value = False
         self.emit(
             thread.name,
-            EventKind.WAIT_TIMEOUT,
+            _WAIT_TIMEOUT,
             monitor=sem.name,
             by=by,
             deadline=deadline,
@@ -1525,7 +1569,7 @@ class Kernel:
         expired = [
             t.name
             for t in self.threads.values()
-            if t.state is ThreadState.WAITING
+            if t.state is _WAITING
             and t.wait_deadline is not None
             and self.time >= t.wait_deadline
         ]
@@ -1534,7 +1578,7 @@ class Kernel:
         expired = [
             t.name
             for t in self.threads.values()
-            if t.state is ThreadState.BLOCKED
+            if t.state is _BLOCKED
             and t.blocked_kind == "semaphore"
             and t.acquire_deadline is not None
             and self.time >= t.acquire_deadline
@@ -1549,12 +1593,12 @@ class Kernel:
         deadlines: List[float] = [
             t.wait_deadline
             for t in self.threads.values()
-            if t.state is ThreadState.WAITING and t.wait_deadline is not None
+            if t.state is _WAITING and t.wait_deadline is not None
         ]
         deadlines += [
             t.acquire_deadline
             for t in self.threads.values()
-            if t.state is ThreadState.BLOCKED and t.acquire_deadline is not None
+            if t.state is _BLOCKED and t.acquire_deadline is not None
         ]
         return min(deadlines, default=math.inf)
 
@@ -1584,7 +1628,7 @@ class Kernel:
         holder; rw acquirers wait on the writer and all active readers."""
         edges: Dict[str, List[str]] = {}
         for thread in self.threads.values():
-            if thread.state is not ThreadState.BLOCKED or not thread.blocked_on:
+            if thread.state is not _BLOCKED or not thread.blocked_on:
                 continue
             if thread.blocked_kind == "semaphore":
                 succ = list(self.semaphores[thread.blocked_on].holders)
@@ -1609,10 +1653,10 @@ class Kernel:
     def _resume(self, thread: SimThread) -> Optional[Syscall]:
         """Resume a thread's generator; return its next syscall or None when
         it terminated/crashed."""
-        if thread.state is ThreadState.NEW:
-            thread.state = ThreadState.RUNNABLE
+        if thread.state is _NEW:
+            thread.state = _RUNNABLE
             thread.started_at = self.time
-            self.emit(thread.name, EventKind.THREAD_START)
+            self.emit(thread.name, _THREAD_START)
         _CURRENT.append((self, thread))
         try:
             if thread.throw_exc is not None:
@@ -1625,29 +1669,29 @@ class Kernel:
                 syscall = thread.body.send(value)
             return syscall
         except StopIteration as stop:
-            thread.state = ThreadState.TERMINATED
+            thread.state = _TERMINATED
             thread.result = stop.value
             thread.ended_at = self.time
-            self.emit(thread.name, EventKind.THREAD_END, result=stop.value)
+            self.emit(thread.name, _THREAD_END, result=stop.value)
             self._release_abandoned_locks(thread)
             return None
         except InterruptedError:
             # Propagating the interrupt out of the thread body is the
             # *correct* response to interruption (Java's cancellation
             # contract): the thread terminates cleanly, marked interrupted.
-            thread.state = ThreadState.TERMINATED
+            thread.state = _TERMINATED
             thread.result = None
             thread.ended_at = self.time
             self.emit(
-                thread.name, EventKind.THREAD_END, result=None, interrupted=True
+                thread.name, _THREAD_END, result=None, interrupted=True
             )
             self._release_abandoned_locks(thread)
             return None
         except Exception as exc:  # noqa: BLE001 - thread bodies may raise anything
-            thread.state = ThreadState.CRASHED
+            thread.state = _CRASHED
             thread.exception = exc
             thread.ended_at = self.time
-            self.emit(thread.name, EventKind.THREAD_CRASH, error=repr(exc))
+            self.emit(thread.name, _THREAD_CRASH, error=repr(exc))
             self._release_abandoned_locks(thread)
             return None
         finally:
@@ -1664,7 +1708,7 @@ class Kernel:
             if monitor.entry_count <= 0:
                 monitor.owner = None
                 monitor.entry_count = 0
-                self.emit(thread.name, EventKind.MONITOR_RELEASE, monitor=name, abandoned=True)
+                self.emit(thread.name, _MONITOR_RELEASE, monitor=name, abandoned=True)
                 self._grant_lock(monitor)
 
     def _dispatch(self, thread: SimThread, syscall: Syscall) -> None:
@@ -1776,7 +1820,7 @@ class Kernel:
             thread_results={
                 t.name: t.result
                 for t in self.threads.values()
-                if t.state is ThreadState.TERMINATED
+                if t.state is _TERMINATED
             },
             thread_states={t.name: t.state.value for t in self.threads.values()},
             deadlock_cycle=cycle,
@@ -1784,7 +1828,7 @@ class Kernel:
             crashed={
                 t.name: t.exception
                 for t in self.threads.values()
-                if t.state is ThreadState.CRASHED and t.exception is not None
+                if t.state is _CRASHED and t.exception is not None
             },
             schedule_log=list(self.schedule_log),
             abort_reason=self.abort_reason,

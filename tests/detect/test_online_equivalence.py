@@ -32,6 +32,7 @@ from repro.detect import (
     CompletionChecker,
     DetectionSummary,
     Expectation,
+    LocksetDetector,
     OnlineReentryDetector,
     analyze_run,
     analyze_starvation,
@@ -464,3 +465,40 @@ def test_kinds_complete_at_every_prefix(name):
             )
             checked += 1
     assert checked
+
+
+def _batch_lockset(trace):
+    """Eraser over :meth:`Trace.accesses` — the batch lockset replay that
+    shares no code with the online detector's fold."""
+    detector = LocksetDetector()
+    for access in trace.accesses():
+        detector.observe(access)
+    return detector.reports
+
+
+@pytest.mark.parametrize("mode", ["systematic", "random"])
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_lockset_matches_independent_batch_reference(name, mode):
+    """``detect_races`` replays the online class itself, so it cannot
+    catch a change in the online fold; this compares the pipeline's
+    lockset findings with a fresh :class:`LocksetDetector` fed the trace's
+    access records through ``observe``."""
+    pf = PipelineFactory(FACTORIES[name], early_stop=False)
+    checked = []
+
+    def on_run(run):
+        found = pf.pipeline.findings()["lockset"]
+        assert found == _batch_lockset(run.result.trace)
+        checked.append(bool(found))
+
+    if mode == "systematic":
+        explore_systematic(pf, max_runs=15, on_run=on_run, keep_runs=False)
+    else:
+        explore_random(pf, seeds=range(8), on_run=on_run, keep_runs=False)
+    assert checked
+
+
+def test_lockset_reference_sees_races():
+    """The differential sweep above is not vacuous: it compares reports."""
+    result = FACTORIES["unsync-counter"](RandomScheduler(seed=0)).run()
+    assert _batch_lockset(result.trace)

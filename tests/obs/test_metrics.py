@@ -1,9 +1,14 @@
 """Metrics registry: families, label series, merge, snapshot round trip."""
 
+import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -188,3 +193,213 @@ class TestSnapshot:
         r.merge_snapshot(self._populated().snapshot())
         assert r.counter("c").get(k="v") == 4
         assert r.gauge("g").get() == 3.0  # agg=sum survives the snapshot
+
+
+def _mixed_registry() -> MetricsRegistry:
+    """A registry with a counter and a histogram, and gauges under every
+    aggregation — the base the snapshots below are merged into."""
+    r = MetricsRegistry()
+    r.counter("c", "help c").inc(2, a="1", b="2")
+    r.counter("c").inc(0.5)
+    for agg in ("max", "min", "sum", "last"):
+        r.gauge(f"g_{agg}", agg=agg).set(3, m="x")
+    r.histogram("h", buckets=(1, 10)).observe(4, m="x")
+    return r
+
+
+def _hist_row(labels, counts, total, count):
+    return {"labels": labels, "counts": counts, "sum": total, "count": count}
+
+
+def _mixed_snapshot() -> MetricsSnapshot:
+    """Rows for names both already in :func:`_mixed_registry` and new to
+    it, label dicts in either key order, label values not yet strings."""
+    gauges = [
+        {
+            "name": f"g_{agg}",
+            "type": "gauge",
+            "help": "",
+            "agg": agg,
+            "series": [
+                {"labels": {"m": "x"}, "value": 5},
+                {"labels": {"m": "y"}, "value": 1.5},
+            ],
+        }
+        for agg in ("max", "min", "sum", "last")
+    ]
+    return MetricsSnapshot(
+        metrics=(
+            {
+                "name": "c",
+                "type": "counter",
+                "help": "other help",
+                "series": [
+                    {"labels": {"b": "2", "a": "1"}, "value": 3},
+                    {"labels": {"seed": 7}, "value": 1.25},
+                    {"labels": {}, "value": 1},
+                ],
+            },
+            {
+                "name": "c_new",
+                "type": "counter",
+                "help": "fresh",
+                "series": [{"labels": {"z": "1", "y": "2"}, "value": 4}],
+            },
+            *gauges,
+            {
+                "name": "g_new",
+                "type": "gauge",
+                "help": "",
+                "agg": "min",
+                "series": [{"labels": {"m": "x"}, "value": 2}],
+            },
+            {
+                "name": "h",
+                "type": "histogram",
+                "help": "",
+                "buckets": [10, 1],
+                "series": [
+                    _hist_row({"m": "x"}, [1, 0, 2], 30.5, 3),
+                    _hist_row({"m": "y"}, [0, 1, 0], 2.0, 1),
+                ],
+            },
+            {
+                "name": "h_new",
+                "type": "histogram",
+                "help": "",
+                "buckets": [5],
+                "series": [_hist_row({"q": 1}, [1, 0], 0.5, 1)],
+            },
+        )
+    )
+
+
+class TestOnePassMerge:
+    """``merge_snapshot`` folds rows straight into the series; the
+    two-step ``merge(snapshot.to_registry())`` is the reference."""
+
+    @pytest.mark.parametrize("base", [MetricsRegistry, _mixed_registry])
+    def test_matches_two_step_merge(self, base):
+        one, two = base(), base()
+        for _ in range(2):  # the second round finds every name present
+            one.merge_snapshot(_mixed_snapshot())
+            two.merge(_mixed_snapshot().to_registry())
+            assert one.to_dict() == two.to_dict()
+
+    def test_matches_two_step_merge_of_real_snapshots(self):
+        one, two = MetricsRegistry(), MetricsRegistry()
+        for amount in range(1, 4):
+            part = _mixed_registry()
+            part.counter("c").inc(amount, a="1", b="2")
+            part.gauge("g_max").set(amount, m="x")
+            part.histogram("h", buckets=(1, 10)).observe(amount * 4, m="y")
+            snapshot = MetricsSnapshot.from_dict(part.snapshot().to_dict())
+            one.merge_snapshot(snapshot)
+            two.merge(snapshot.to_registry())
+        assert one.to_dict() == two.to_dict()
+
+    def test_new_metric_not_aliased_to_snapshot(self):
+        snapshot = _mixed_snapshot()
+        before = snapshot.to_dict()
+        r = MetricsRegistry()
+        r.merge_snapshot(snapshot)
+        r.merge_snapshot(snapshot)
+        assert snapshot.to_dict() == before
+        assert r.counter("c_new").get(y="2", z="1") == 8
+        assert r.histogram("h_new").count(q="1") == 2
+
+    def test_bucket_mismatch_rejected(self):
+        r = MetricsRegistry()
+        r.histogram("h", buckets=(1, 2)).observe(1)
+        other = MetricsRegistry()
+        other.histogram("h", buckets=(1, 3)).observe(1)
+        with pytest.raises(ValueError, match="bucket bounds differ"):
+            r.merge_snapshot(other.snapshot())
+
+
+def _counter_then_gauge():
+    """A registry whose ``x`` is a counter (1) and one whose ``x`` is a
+    gauge (5): merging the second into the first must not yield 6."""
+    mine, theirs = MetricsRegistry(), MetricsRegistry()
+    mine.counter("x").inc(1)
+    theirs.gauge("x").set(5)
+    return mine, theirs
+
+
+MISMATCH = "'x' already registered as counter, not gauge"
+
+
+class TestKindMismatchOnMerge:
+    def test_merge_raises(self):
+        mine, theirs = _counter_then_gauge()
+        with pytest.raises(ValueError, match=MISMATCH):
+            mine.merge(theirs)
+
+    def test_merge_snapshot_raises(self):
+        mine, theirs = _counter_then_gauge()
+        with pytest.raises(ValueError, match=MISMATCH):
+            mine.merge_snapshot(theirs.snapshot())
+
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram"])
+    def test_metric_merge_raises_for_every_kind(self, kind):
+        mine = getattr(MetricsRegistry(), kind)("x")
+        other = MetricsRegistry()
+        other_kind = "gauge" if kind == "counter" else "counter"
+        theirs = getattr(other, other_kind)("x")
+        with pytest.raises(ValueError, match="already registered"):
+            mine.merge(theirs)
+        with pytest.raises(ValueError, match="already registered"):
+            mine.merge_payload(theirs.to_dict())
+
+    def test_journal_round_trip_raises(self):
+        """A run summary read back from a journal line (as ``--resume``
+        does) folds through the same check."""
+        from repro.engine.progress import ProgressTracker
+        from repro.testing.explorer import RunSummary
+
+        tracker = ProgressTracker()
+        for index, (kind, value) in enumerate((("counter", 1), ("gauge", 5))):
+            registry = MetricsRegistry()
+            if kind == "counter":
+                registry.counter("x").inc(value)
+            else:
+                registry.gauge("x").set(value)
+            summary = RunSummary(
+                index=index,
+                status="completed",
+                decisions=(index,),
+                metrics=registry.snapshot().to_dict(),
+            )
+            line = json.dumps(summary.to_dict())
+            restored = RunSummary.from_dict(json.loads(line))
+            if kind == "counter":
+                tracker.note_run(restored)
+            else:
+                with pytest.raises(ValueError, match="already registered"):
+                    tracker.note_run(restored)
+        assert tracker.metrics.counter("x").total == 1
+
+    def test_raises_with_assertions_disabled(self):
+        """The check is not an ``assert``: ``python -O`` still raises."""
+        code = (
+            "from repro.obs.metrics import MetricsRegistry\n"
+            "mine, theirs = MetricsRegistry(), MetricsRegistry()\n"
+            "mine.counter('x').inc(1)\n"
+            "theirs.gauge('x').set(5)\n"
+            "for merge in (mine.merge, lambda r: mine.merge_snapshot(r.snapshot())):\n"
+            "    try:\n"
+            "        merge(theirs)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'merged: {mine.to_dict()}')\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
