@@ -87,19 +87,15 @@ class FaultInjector:
             thread = kernel.threads.get(rule.thread or "")
             return thread is not None and thread.is_live()
         if rule.action == "timeout":
-            # A forced timeout can expire a monitor wait or a *timed*
-            # semaphore acquire (an untimed acquire has no deadline to
-            # force, exactly as in j.u.c).
+            # A forced timeout can end whatever park the target's primitive
+            # lets expire: a monitor wait or a *timed* semaphore acquire (an
+            # untimed acquire has no deadline to force, exactly as in j.u.c,
+            # and a barrier await here is never timed).
             thread = kernel.threads.get(rule.thread or "")
             if thread is None:
                 return False
-            if thread.state is ThreadState.WAITING:
-                return True
-            return (
-                thread.state is ThreadState.BLOCKED
-                and thread.blocked_kind == "semaphore"
-                and thread.acquire_deadline is not None
-            )
+            primitive = kernel.primitive_of(thread)
+            return primitive is not None and primitive.expirable(thread)
         # spurious: the named waiter (or any waiter of the monitor)
         waiter = self._spurious_target(rule, kernel)
         return waiter is not None
@@ -113,8 +109,9 @@ class FaultInjector:
             thread: Optional[SimThread] = kernel.threads.get(rule.thread)
             if thread is None or thread.state is not ThreadState.WAITING:
                 return None
+            # Only a monitor wait can wake spuriously (not a barrier).
             monitor_name = thread.waiting_on
-            if monitor_name is None:
+            if monitor_name is None or monitor_name not in kernel.monitors:
                 return None
             if rule.monitor is not None and rule.monitor != monitor_name:
                 return None
@@ -136,11 +133,7 @@ class FaultInjector:
             return
         if rule.action == "timeout":
             assert rule.thread is not None
-            thread = kernel.threads.get(rule.thread)
-            if thread is not None and thread.state is ThreadState.BLOCKED:
-                kernel.expire_acquire(rule.thread, by="<fault>")
-            else:
-                kernel.expire_wait(rule.thread, by="<fault>")
+            kernel.expire_wait(rule.thread, by="<fault>")
             return
         target = self._spurious_target(rule, kernel)
         assert target is not None  # checked by _applicable

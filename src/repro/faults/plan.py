@@ -14,6 +14,12 @@ Action          Kernel effect
                 waiter with no notify
 =============== ====================================================
 
+Which parked threads an action can reach depends on the primitive:
+``interrupt`` reaches every live thread; ``timeout`` reaches a monitor
+waiter or a timed semaphore acquirer (the primitive's ``expirable``);
+``spurious`` reaches a monitor waiter only.  A rule whose target is
+parked anywhere else stays armed and never fires.
+
 Triggers (exactly one per rule):
 
 * ``at_step = N`` — fire at the first step boundary where the kernel's

@@ -43,7 +43,6 @@ from typing import (
 )
 
 from .errors import (
-    BrokenBarrierError,
     DeadlockError,
     IllegalMonitorStateError,
     StepLimitExceededError,
@@ -55,8 +54,10 @@ from .monitor import MonitorObject, SelectionPolicy
 from .primitives import (
     RW_PREFERENCES,
     BarrierObject,
+    Primitive,
     RwLockObject,
     SemaphoreObject,
+    take_interrupt,
 )
 from .scheduler import FifoScheduler, Scheduler
 from .syscalls import (
@@ -138,6 +139,11 @@ _CLOCK_TICK = EventKind.CLOCK_TICK
 _YIELD = EventKind.YIELD
 
 _object_getattribute = object.__getattribute__
+
+
+def _is_blocked(thread: SimThread) -> bool:
+    return thread.state is _BLOCKED
+
 
 # Kernel.emit builds each Event by filling its slots: the generated frozen
 # __init__ would pay one object.__setattr__ call per field.
@@ -326,18 +332,17 @@ class Kernel:
         self._last_scheduled: Optional[str] = None
         self._seq = 0
         self.threads: Dict[str, SimThread] = {}
+        #: every primitive — monitors, semaphores, rw-locks, barriers — in
+        #: one name space (the ``monitor`` field of their events).
+        self.primitives: Dict[str, Primitive] = {}
+        #: the monitors among them.
         self.monitors: Dict[str, MonitorObject] = {}
-        #: first-class primitives (shared name space with monitors — the
-        #: ``monitor`` field of their events carries the primitive name).
-        self.semaphores: Dict[str, SemaphoreObject] = {}
-        self.rwlocks: Dict[str, RwLockObject] = {}
-        self.barriers: Dict[str, BarrierObject] = {}
         self.components: Dict[str, Any] = {}
         self._clock_waiters: List[SimThread] = []
-        #: deadline index: never later than the earliest armed timed-wait
-        #: or timed-acquire deadline, so :meth:`step` scans for expiries
-        #: only once it is due.  Cleared deadlines leave it stale-low,
-        #: which costs one empty scan; every scan recomputes it exactly.
+        #: deadline index: never later than the earliest armed deadline
+        #: of a timed park, so :meth:`step` scans for expiries only once
+        #: it is due.  Cleared deadlines leave it stale-low, which costs
+        #: one empty scan; every scan recomputes it exactly.
         self._next_deadline: float = math.inf
         self._ran = False
 
@@ -354,41 +359,32 @@ class Kernel:
             counter += 1
             unique = f"{base}#{counter}"
         self.components[unique] = component
-        monitor = MonitorObject(unique)
-        self.monitors[unique] = monitor
+        self.monitors[unique] = self.primitives[unique] = MonitorObject(unique)
         attach = getattr(component, "_vm_attach", None)
         if attach is not None:
             attach(self, unique)
         return component
 
-    def _check_primitive_name(self, name: str) -> None:
-        """Monitors and first-class primitives share one name space (the
-        ``monitor`` field of their events); reject collisions."""
-        for registry, kind in (
-            (self.monitors, "monitor"),
-            (self.semaphores, "semaphore"),
-            (self.rwlocks, "rw-lock"),
-            (self.barriers, "barrier"),
-        ):
-            if name in registry:
-                raise ValueError(f"{kind} {name!r} already exists")
+    def _add(self, primitive: Any) -> Any:
+        """Register a new primitive in the one name space (rejecting a
+        name any primitive already uses); returns it."""
+        existing = self.primitives.get(primitive.name)
+        if existing is not None:
+            raise ValueError(f"{existing.KIND} {primitive.name!r} already exists")
+        self.primitives[primitive.name] = primitive
+        return primitive
 
     def new_monitor(self, name: str) -> MonitorObject:
         """Create a bare named monitor (for lock-only examples without a
         component, e.g. the nested-lock demo of Section 3.1)."""
-        self._check_primitive_name(name)
-        monitor = MonitorObject(name)
-        self.monitors[name] = monitor
+        monitor = self.monitors[name] = self._add(MonitorObject(name))
         return monitor
 
     def new_semaphore(self, name: str, permits: int = 1) -> SemaphoreObject:
         """Create a counting semaphore with ``permits`` initial permits."""
         if permits < 0:
             raise ValueError(f"semaphore {name!r} needs permits >= 0, got {permits}")
-        self._check_primitive_name(name)
-        sem = SemaphoreObject(name, permits)
-        self.semaphores[name] = sem
-        return sem
+        return self._add(SemaphoreObject(name, permits))
 
     def new_rwlock(self, name: str, preference: str = "writer") -> RwLockObject:
         """Create a read-write lock.  ``preference`` is ``"writer"`` (a
@@ -399,19 +395,13 @@ class Kernel:
                 f"rw-lock preference must be one of {RW_PREFERENCES}, "
                 f"got {preference!r}"
             )
-        self._check_primitive_name(name)
-        lock = RwLockObject(name, preference)
-        self.rwlocks[name] = lock
-        return lock
+        return self._add(RwLockObject(name, preference))
 
     def new_barrier(self, name: str, parties: int) -> BarrierObject:
         """Create a cyclic barrier tripping every ``parties`` arrivals."""
         if parties < 1:
             raise ValueError(f"barrier {name!r} needs parties >= 1, got {parties}")
-        self._check_primitive_name(name)
-        barrier = BarrierObject(name, parties)
-        self.barriers[name] = barrier
-        return barrier
+        return self._add(BarrierObject(name, parties))
 
     def spawn(
         self,
@@ -460,25 +450,25 @@ class Kernel:
             return vm_name
         raise UnknownSyscallError(f"cannot resolve monitor reference {ref!r}")
 
-    def _primitive_name(self, ref: Any, registry: Dict[str, Any], kind: str) -> str:
+    def _resolve(self, ref: Any, cls: Any) -> Any:
         """Resolve a syscall's primitive reference (name string, the
         primitive object, or a component exposing ``_vm_name``) to the
-        name of an entry in ``registry``."""
+        registered primitive, which must be a ``cls``."""
+        kind = cls.KIND
         if isinstance(ref, str):
-            if ref not in registry:
-                raise UnknownSyscallError(f"unknown {kind} {ref!r}")
-            return ref
-        vm_name = getattr(ref, "_vm_name", None)
-        if isinstance(vm_name, str):
-            if vm_name not in registry:
-                raise UnknownSyscallError(
-                    f"component {vm_name!r} is not attached to a {kind}"
-                )
-            return vm_name
-        name = getattr(ref, "name", None)
-        if isinstance(name, str) and name in registry:
-            return name
-        raise UnknownSyscallError(f"cannot resolve {kind} reference {ref!r}")
+            name, missing = ref, f"unknown {kind} {ref!r}"
+        else:
+            vm_name = getattr(ref, "_vm_name", None)
+            if isinstance(vm_name, str):
+                name = vm_name
+                missing = f"component {vm_name!r} is not attached to a {kind}"
+            else:
+                name = getattr(ref, "name", None)
+                missing = f"cannot resolve {kind} reference {ref!r}"
+        primitive = self.primitives.get(name) if isinstance(name, str) else None
+        if not isinstance(primitive, cls):
+            raise UnknownSyscallError(missing)
+        return primitive
 
     def _component_name(self, ref: Any) -> str:
         if isinstance(ref, str):
@@ -591,76 +581,56 @@ class Kernel:
             field=fieldname,
         )
 
-    # -- wait-queue core: shared blocked-state bookkeeping ---------------------------
+    # -- the wait-queue core: parking threads in primitives ------------------------
 
-    def _mark_blocked(
+    def park(
         self,
         thread: SimThread,
         on: str,
-        kind: str = "monitor",
+        state: ThreadState = _BLOCKED,
         arg: Any = None,
+        deadline: Optional[int] = None,
     ) -> None:
-        """Park ``thread`` as BLOCKED on primitive ``on`` (the thread must
-        already sit in that primitive's wait queue).  Shared by every
-        primitive so the blocked-interval accounting is uniform."""
-        thread.blocked_on = on
-        thread.blocked_kind = kind
-        thread.blocked_arg = arg
-        thread.state = _BLOCKED
-        thread.blocked_since = self.time
-
-    def _clear_blocked(self, thread: SimThread) -> int:
-        """Unpark ``thread`` from BLOCKED (the caller has already removed
-        it from its wait queue): close the blocked interval and reset the
-        primitive bookkeeping.  Returns the ticks spent blocked."""
-        thread.blocked_on = None
-        thread.blocked_kind = "monitor"
-        thread.blocked_arg = None
-        thread.acquire_deadline = None
-        thread.state = _RUNNABLE
-        blocked_for = 0
-        if thread.blocked_since is not None:
-            blocked_for = self.time - thread.blocked_since
-            thread.blocked_ticks += blocked_for
-            thread.blocked_since = None
-        return blocked_for
-
-    # -- lock machinery -------------------------------------------------------------
-
-    def _grant_lock(self, monitor: MonitorObject) -> None:
-        """If the lock is free and the entry set is nonempty, grant it to a
-        thread chosen by the lock policy."""
-        if monitor.owner is not None or not monitor.entry_set:
-            return
-        chosen_name = monitor.select_blocked(self.lock_policy, self.rng)
-        thread = self.threads[chosen_name]
-        if thread.reacquiring:
-            depth = thread.saved_entry_count
-            monitor.acquire_by(chosen_name, depth)
-            for _ in range(depth):
-                thread.push_hold(monitor.name)
-            thread.saved_entry_count = 0
-            thread.reacquiring = False
-            if thread.pending_interrupt:
-                # JVM semantics: the InterruptedException of an interrupted
-                # wait is raised only after the monitor is reacquired.
-                thread.pending_interrupt = False
-                thread.throw_exc = InterruptedError(
-                    f"thread {chosen_name!r} interrupted while waiting on "
-                    f"{monitor.name!r}"
-                )
+        """Suspend ``thread`` in primitive ``on`` (the primitive has
+        already queued it): BLOCKED acquiring it, with request ``arg``, or
+        WAITING in it.  A ``deadline`` arms the expiry scan."""
+        if state is _BLOCKED:
+            thread.blocked_on = on
+            thread.blocked_arg = arg
+            thread.blocked_since = self.time
         else:
-            depth = 1
-            monitor.acquire_by(chosen_name, 1)
-            thread.push_hold(monitor.name)
-        blocked_for = self._clear_blocked(thread)
-        self.emit(
-            chosen_name,
-            _MONITOR_ACQUIRE,
-            monitor=monitor.name,
-            count=depth,
-            blocked_for=blocked_for,
-        )
+            thread.waiting_on = on
+            thread.waiting_since = self.time
+            thread.waits_entered += 1
+        thread.state = state
+        thread.deadline = deadline
+        if deadline is not None and deadline < self._next_deadline:
+            self._next_deadline = deadline
+
+    def unpark(self, thread: SimThread) -> int:
+        """Make a parked ``thread`` runnable (its primitive has already
+        dequeued it): close its blocked or waiting interval and clear the
+        park.  Returns the ticks spent parked."""
+        if thread.state is _BLOCKED:
+            since = thread.blocked_since
+            parked = self.time - since if since is not None else 0
+            thread.blocked_ticks += parked
+            thread.blocked_since = thread.blocked_on = thread.blocked_arg = None
+        else:
+            since = thread.waiting_since
+            parked = self.time - since if since is not None else 0
+            thread.waiting_ticks += parked
+            thread.waiting_since = thread.waiting_on = None
+        thread.deadline = None
+        thread.state = _RUNNABLE
+        return parked
+
+    def primitive_of(self, thread: SimThread) -> Optional[Primitive]:
+        """The primitive ``thread`` is parked in, or None."""
+        name = thread.blocked_on or thread.waiting_on
+        return self.primitives[name] if name is not None else None
+
+    # -- monitors ---------------------------------------------------------------------
 
     def _release_fully(self, thread: SimThread, monitor: MonitorObject) -> int:
         """Release every hold ``thread`` has on ``monitor`` (wait semantics).
@@ -673,33 +643,34 @@ class Kernel:
         return depth
 
     # -- syscall handlers --------------------------------------------------------------
+    #
+    # A handler leaves ``thread.send_value`` alone unless the syscall
+    # returns something: :meth:`_resume` has already reset it to None.
 
     def _sys_acquire(self, thread: SimThread, call: Acquire) -> None:
         name = self._monitor_name(call.monitor, thread)
         monitor = self.monitors[name]
         self.emit(thread.name, _MONITOR_REQUEST, monitor=name)
-        if monitor.is_owned_by(thread.name):
+        if monitor.owner == thread.name:
             # Reentrant acquire: no contention, immediately deeper hold.
             monitor.entry_count += 1
             thread.push_hold(name)
             self.emit(thread.name, _MONITOR_ACQUIRE, monitor=name, reentrant=True)
-            thread.send_value = None
             return
-        if monitor.is_free() and not monitor.entry_set:
+        if monitor.owner is None and not monitor.entry_set:
             monitor.acquire_by(thread.name)
             thread.push_hold(name)
             self.emit(thread.name, _MONITOR_ACQUIRE, monitor=name)
-            thread.send_value = None
             return
         # Contended (or the policy must arbitrate among queued threads).
-        monitor.add_blocked(thread.name)
-        self._mark_blocked(thread, name)
-        self._grant_lock(monitor)
+        monitor.entry_set.add(thread.name)
+        self.park(thread, name)
+        monitor.grant(self)
 
     def _sys_release(self, thread: SimThread, call: Release) -> None:
         name = self._monitor_name(call.monitor, thread)
         monitor = self.monitors[name]
-        if not monitor.is_owned_by(thread.name):
+        if monitor.owner != thread.name:
             raise IllegalMonitorStateError(
                 f"thread {thread.name!r} released monitor {name!r} it does not own"
             )
@@ -708,34 +679,14 @@ class Kernel:
         if monitor.entry_count == 0:
             monitor.owner = None
             self.emit(thread.name, _MONITOR_RELEASE, monitor=name)
-            self._grant_lock(monitor)
+            monitor.grant(self)
         else:
-            self.emit(
-                thread.name, _MONITOR_RELEASE, monitor=name, reentrant=True
-            )
-        thread.send_value = None
-
-    @staticmethod
-    def _yield_location(thread: SimThread) -> Optional[int]:
-        """Source line of the innermost yield the thread is suspended at.
-
-        Walks the ``yield from`` delegation chain so the line points into
-        the component method, not the ``@synchronized`` wrapper.  This is
-        what lets the coverage tracker match a runtime wait/notify event to
-        the static CoFG node built from the same source."""
-        gen = thread.body
-        while True:
-            inner = getattr(gen, "gi_yieldfrom", None)
-            if inner is None or not hasattr(inner, "gi_frame"):
-                break
-            gen = inner
-        frame = getattr(gen, "gi_frame", None)
-        return frame.f_lineno if frame is not None else None
+            self.emit(thread.name, _MONITOR_RELEASE, monitor=name, reentrant=True)
 
     def _sys_wait(self, thread: SimThread, call: Wait) -> None:
         name = self._monitor_name(call.monitor, thread)
         monitor = self.monitors[name]
-        if not monitor.is_owned_by(thread.name):
+        if monitor.owner != thread.name:
             raise IllegalMonitorStateError(
                 f"thread {thread.name!r} called wait() on monitor {name!r} "
                 f"without owning it"
@@ -746,28 +697,17 @@ class Kernel:
                 f"negative wait timeout {timeout!r} in thread {thread.name!r}"
             )
             return
-        if thread.interrupted:
-            # Java: wait() with the interrupt status set throws immediately,
-            # clears the status, and never releases the lock.
-            thread.interrupted = False
-            thread.throw_exc = InterruptedError(
-                f"thread {thread.name!r} called wait() on {name!r} with its "
-                f"interrupt flag set"
-            )
+        # Java: wait() with the interrupt status set throws immediately,
+        # clears the status, and never releases the lock.
+        if take_interrupt(thread, f"called wait() on {name!r}"):
             return
         depth = self._release_fully(thread, monitor)
         thread.saved_entry_count = depth
-        monitor.add_waiter(thread.name)
-        thread.waiting_on = name
-        thread.state = _WAITING
-        thread.waiting_since = self.time
-        thread.waits_entered += 1
+        monitor.wait_set.add(thread.name)
         # Java's wait(0) waits forever; only positive timeouts are timed.
-        if timeout:
-            thread.wait_deadline = self.time + timeout
-            self._next_deadline = min(self._next_deadline, thread.wait_deadline)
-        else:
-            thread.wait_deadline = None
+        self.park(
+            thread, name, _WAITING, deadline=self.time + timeout if timeout else None
+        )
         comp, meth = thread.current_frame()
         self.emit(
             thread.name,
@@ -776,50 +716,17 @@ class Kernel:
             component=comp,
             method=meth,
             depth=depth,
-            line=self._yield_location(thread),
+            line=thread.yield_line(),
             **({"timeout": timeout} if timeout else {}),
         )
-        self._grant_lock(monitor)
-
-    def _wake_waiter(
-        self,
-        monitor: MonitorObject,
-        waiter_name: str,
-        by: str,
-        reason: WakeReason = WakeReason.NOTIFY,
-    ) -> None:
-        """Move a waiter to the entry set (T5: D -> B).
-
-        ``reason`` records *why* the wait exited — notify, notifyAll,
-        interrupt, timeout, or spurious — in the MONITOR_NOTIFIED event,
-        so saved traces reproduce faulted runs byte-identically.
-        """
-        waiter = self.threads[waiter_name]
-        waiter.waiting_on = None
-        waiter.reacquiring = True
-        waiter.wait_deadline = None
-        if reason is WakeReason.INTERRUPT:
-            waiter.pending_interrupt = True
-        if waiter.waiting_since is not None:
-            waiter.waiting_ticks += self.time - waiter.waiting_since
-            waiter.waiting_since = None
-        monitor.add_blocked(waiter_name)
-        self._mark_blocked(waiter, monitor.name)
-        self.emit(
-            waiter_name,
-            _MONITOR_NOTIFIED,
-            monitor=monitor.name,
-            by=by,
-            spurious=reason is WakeReason.SPURIOUS,
-            reason=reason.value,
-        )
+        monitor.grant(self)
 
     def _sys_notify(
         self, thread: SimThread, call: Notify | NotifyAll, all_waiters: bool = False
     ) -> None:
         name = self._monitor_name(call.monitor, thread)
         monitor = self.monitors[name]
-        if not monitor.is_owned_by(thread.name):
+        if monitor.owner != thread.name:
             raise IllegalMonitorStateError(
                 f"thread {thread.name!r} called notify on monitor {name!r} "
                 f"without owning it"
@@ -849,23 +756,15 @@ class Kernel:
             component=comp,
             method=meth,
             woken=list(woken),
-            line=self._yield_location(thread),
+            line=thread.yield_line(),
             **({"injected_loss": True} if injected_loss else {}),
         )
+        reason = WakeReason.NOTIFY_ALL if all_waiters else WakeReason.NOTIFY
         for waiter in woken:
-            self._wake_waiter(
-                monitor,
-                waiter,
-                by=thread.name,
-                reason=(
-                    WakeReason.NOTIFY_ALL if all_waiters else WakeReason.NOTIFY
-                ),
-            )
-        thread.send_value = None
+            monitor.wake(self, waiter, thread.name, reason)
 
     def _sys_tick(self, thread: SimThread, call: Tick) -> None:
         self._do_tick(by=thread.name)
-        thread.send_value = None
 
     def _do_tick(self, by: str) -> None:
         self.clock_time += 1
@@ -891,7 +790,6 @@ class Kernel:
 
     def _sys_await(self, thread: SimThread, call: AwaitTime) -> None:
         if self.clock_time >= call.target:
-            thread.send_value = None
             return
         thread.await_target = call.target
         thread.state = _CLOCK_WAIT
@@ -904,7 +802,6 @@ class Kernel:
         self.emit(
             thread.name, _CALL_BEGIN, component=comp, method=call.method
         )
-        thread.send_value = None
 
     def _sys_call_end(self, thread: SimThread, call: CallEnd) -> None:
         comp = self._component_name(call.component)
@@ -918,7 +815,6 @@ class Kernel:
             result=call.result,
             **({"interrupted": True} if call.interrupted else {}),
         )
-        thread.send_value = None
 
     def _sys_access(
         self, thread: SimThread, call: Read | Write, kind: EventKind = EventKind.READ
@@ -930,463 +826,17 @@ class Kernel:
             method=thread.current_frame()[1],
             field=call.field,
         )
-        thread.send_value = None
 
     def _sys_interrupt(self, thread: SimThread, call: Interrupt) -> None:
         self.interrupt(call.thread, by=thread.name)
-        thread.send_value = None
 
     def _sys_get_time(self, thread: SimThread, call: GetTime) -> None:
         thread.send_value = self.clock_time
 
     def _sys_yield(self, thread: SimThread, call: Yield) -> None:
         self.emit(thread.name, _YIELD)
-        thread.send_value = None
 
-    # -- counting semaphores (S1..S3) -------------------------------------------------
-
-    def _sys_sem_acquire(self, thread: SimThread, call: SemAcquire) -> None:
-        name = self._primitive_name(call.semaphore, self.semaphores, "semaphore")
-        sem = self.semaphores[name]
-        n = call.n
-        if n < 1:
-            thread.throw_exc = ValueError(
-                f"thread {thread.name!r} asked semaphore {name!r} for {n} permits"
-            )
-            return
-        timeout = call.timeout
-        if timeout is not None and timeout < 0:
-            thread.throw_exc = ValueError(
-                f"negative acquire timeout {timeout!r} in thread {thread.name!r}"
-            )
-            return
-        comp, meth = thread.current_frame()
-        self.emit(
-            thread.name,
-            _SEM_REQUEST,
-            monitor=name,
-            component=comp,
-            method=meth,
-            n=n,
-            **({"timeout": timeout} if timeout is not None else {}),
-        )
-        if thread.interrupted:
-            # j.u.c Semaphore.acquire() is interruptible: arriving with the
-            # interrupt status set throws immediately and clears it.
-            thread.interrupted = False
-            thread.throw_exc = InterruptedError(
-                f"thread {thread.name!r} called acquire() on {name!r} with "
-                f"its interrupt flag set"
-            )
-            return
-        if not sem.queue and sem.permits >= n:
-            sem.permits -= n
-            sem.hold(thread.name, n)
-            self.emit(
-                thread.name,
-                _SEM_ACQUIRE,
-                monitor=name,
-                n=n,
-                available=sem.permits,
-                blocked_for=0,
-            )
-            thread.send_value = True
-            return
-        # Contended (or the policy must arbitrate among queued acquirers).
-        sem.queue.add(thread.name)
-        self._mark_blocked(thread, name, kind="semaphore", arg=n)
-        if timeout is not None:
-            # tryAcquire(n, timeout) on virtual time; resolves False at the
-            # deadline if the permits were never granted.
-            thread.acquire_deadline = self.time + timeout
-            self._next_deadline = min(self._next_deadline, thread.acquire_deadline)
-        self._grant_sem(sem)
-
-    def _grant_sem(self, sem: SemaphoreObject) -> None:
-        """Grant permits to queued acquirers while they fit.  The lock
-        policy selects each candidate; a selected candidate needing more
-        permits than are available stops the loop (no barging past it)."""
-        while sem.queue and sem.permits > 0:
-            candidate = sem.queue.peek_select(self.lock_policy, self.rng)
-            thread = self.threads[candidate]
-            need = int(thread.blocked_arg or 1)
-            if need > sem.permits:
-                return
-            sem.queue.remove(candidate)
-            sem.permits -= need
-            sem.hold(candidate, need)
-            blocked_for = self._clear_blocked(thread)
-            thread.send_value = True
-            self.emit(
-                candidate,
-                _SEM_ACQUIRE,
-                monitor=sem.name,
-                n=need,
-                available=sem.permits,
-                blocked_for=blocked_for,
-            )
-
-    def _sys_sem_release(self, thread: SimThread, call: SemRelease) -> None:
-        name = self._primitive_name(call.semaphore, self.semaphores, "semaphore")
-        sem = self.semaphores[name]
-        n = call.n
-        if n < 1:
-            thread.throw_exc = ValueError(
-                f"thread {thread.name!r} released {n} permits to semaphore {name!r}"
-            )
-            return
-        # No ownership requirement (j.u.c Semaphore.release()): any thread
-        # may add permits — which is exactly why a *dropped* release
-        # (lost-permit) has no local symptom at the dropping thread.
-        sem.permits += n
-        sem.unhold(thread.name, n)
-        comp, meth = thread.current_frame()
-        self.emit(
-            thread.name,
-            _SEM_RELEASE,
-            monitor=name,
-            component=comp,
-            method=meth,
-            n=n,
-            available=sem.permits,
-        )
-        thread.send_value = None
-        self._grant_sem(sem)
-
-    # -- read-write locks (R1..R4) ----------------------------------------------------
-
-    def _rw_read_admissible(self, lock: RwLockObject) -> bool:
-        """May a reader be admitted right now?  No active writer, and —
-        under writer preference — no queued writer either."""
-        if lock.writer is not None:
-            return False
-        if lock.preference == "writer" and lock.write_queue:
-            return False
-        return True
-
-    def _sys_rw_acquire(self, thread: SimThread, call: RwAcquire) -> None:
-        name = self._primitive_name(call.lock, self.rwlocks, "rw-lock")
-        lock = self.rwlocks[name]
-        mode = call.mode
-        if mode not in ("read", "write"):
-            thread.throw_exc = ValueError(
-                f"rw-lock mode must be 'read' or 'write', got {mode!r}"
-            )
-            return
-        comp, meth = thread.current_frame()
-        self.emit(
-            thread.name,
-            _RW_REQUEST,
-            monitor=name,
-            component=comp,
-            method=meth,
-            mode=mode,
-        )
-        if thread.interrupted:
-            thread.interrupted = False
-            thread.throw_exc = InterruptedError(
-                f"thread {thread.name!r} acquired rw-lock {name!r} with its "
-                f"interrupt flag set"
-            )
-            return
-        if mode == "read":
-            if lock.writer == thread.name:
-                # The j.u.c downgrade: a write holder may always take a
-                # read hold; it never blocks (R4, not R1->R2).
-                lock.readers[thread.name] = lock.readers.get(thread.name, 0) + 1
-                self.emit(
-                    thread.name,
-                    _RW_DOWNGRADE,
-                    monitor=name,
-                    read_depth=lock.readers[thread.name],
-                )
-                thread.send_value = None
-                return
-            if thread.name in lock.readers:
-                lock.readers[thread.name] += 1
-                self.emit(
-                    thread.name,
-                    _RW_ACQUIRE,
-                    monitor=name,
-                    mode="read",
-                    reentrant=True,
-                )
-                thread.send_value = None
-                return
-            if self._rw_read_admissible(lock) and not lock.read_queue:
-                lock.readers[thread.name] = 1
-                self.emit(
-                    thread.name,
-                    _RW_ACQUIRE,
-                    monitor=name,
-                    mode="read",
-                    readers=len(lock.readers),
-                    blocked_for=0,
-                )
-                thread.send_value = None
-                return
-            lock.read_queue.add(thread.name)
-            self._mark_blocked(thread, name, kind="rwlock", arg="read")
-        else:
-            if lock.writer == thread.name:
-                lock.writer_depth += 1
-                self.emit(
-                    thread.name,
-                    _RW_ACQUIRE,
-                    monitor=name,
-                    mode="write",
-                    reentrant=True,
-                )
-                thread.send_value = None
-                return
-            if (
-                lock.writer is None
-                and not lock.readers
-                and not lock.write_queue
-            ):
-                lock.writer = thread.name
-                lock.writer_depth = 1
-                self.emit(
-                    thread.name,
-                    _RW_ACQUIRE,
-                    monitor=name,
-                    mode="write",
-                    blocked_for=0,
-                )
-                thread.send_value = None
-                return
-            # A read holder requesting write lands here too: the j.u.c
-            # read->write upgrade is unsupported and blocks forever on its
-            # own read hold — a self-edge in the wait-for graph.
-            lock.write_queue.add(thread.name)
-            self._mark_blocked(thread, name, kind="rwlock", arg="write")
-        self._grant_rw(lock)
-
-    def _grant_rw(self, lock: RwLockObject) -> None:
-        """Admit queued acquirers according to the lock's preference.
-        Loops until nobody else may proceed: one writer when the lock is
-        fully free, else every admissible reader."""
-        granted = True
-        while granted:
-            granted = False
-            if (
-                lock.write_queue
-                and lock.writer is None
-                and not lock.readers
-                and not (lock.preference == "reader" and lock.read_queue)
-            ):
-                chosen = lock.write_queue.pop_select(self.lock_policy, self.rng)
-                writer = self.threads[chosen]
-                lock.writer = chosen
-                lock.writer_depth = 1
-                blocked_for = self._clear_blocked(writer)
-                writer.send_value = None
-                self.emit(
-                    chosen,
-                    _RW_ACQUIRE,
-                    monitor=lock.name,
-                    mode="write",
-                    blocked_for=blocked_for,
-                )
-                granted = True
-                continue
-            if lock.read_queue and self._rw_read_admissible(lock):
-                chosen = lock.read_queue.pop_select(self.lock_policy, self.rng)
-                reader = self.threads[chosen]
-                lock.readers[chosen] = lock.readers.get(chosen, 0) + 1
-                blocked_for = self._clear_blocked(reader)
-                reader.send_value = None
-                self.emit(
-                    chosen,
-                    _RW_ACQUIRE,
-                    monitor=lock.name,
-                    mode="read",
-                    readers=len(lock.readers),
-                    blocked_for=blocked_for,
-                )
-                granted = True
-
-    def _sys_rw_release(self, thread: SimThread, call: RwRelease) -> None:
-        name = self._primitive_name(call.lock, self.rwlocks, "rw-lock")
-        lock = self.rwlocks[name]
-        comp, meth = thread.current_frame()
-        if lock.writer == thread.name:
-            # Write holds unwind before read holds taken under them, so a
-            # downgrade sequence (write, read, release, release) leaves
-            # the read hold active after the first release — j.u.c order.
-            lock.writer_depth -= 1
-            if lock.writer_depth > 0:
-                self.emit(
-                    thread.name,
-                    _RW_RELEASE,
-                    monitor=name,
-                    mode="write",
-                    reentrant=True,
-                )
-                thread.send_value = None
-                return
-            lock.writer = None
-            self.emit(
-                thread.name,
-                _RW_RELEASE,
-                monitor=name,
-                component=comp,
-                method=meth,
-                mode="write",
-            )
-            thread.send_value = None
-            self._grant_rw(lock)
-            return
-        if thread.name in lock.readers:
-            lock.readers[thread.name] -= 1
-            if lock.readers[thread.name] > 0:
-                self.emit(
-                    thread.name,
-                    _RW_RELEASE,
-                    monitor=name,
-                    mode="read",
-                    reentrant=True,
-                )
-                thread.send_value = None
-                return
-            del lock.readers[thread.name]
-            self.emit(
-                thread.name,
-                _RW_RELEASE,
-                monitor=name,
-                component=comp,
-                method=meth,
-                mode="read",
-                readers=len(lock.readers),
-            )
-            thread.send_value = None
-            self._grant_rw(lock)
-            return
-        raise IllegalMonitorStateError(
-            f"thread {thread.name!r} released rw-lock {name!r} it does not hold"
-        )
-
-    # -- cyclic barriers (B1..B2) -------------------------------------------------------
-
-    def _sys_barrier_await(self, thread: SimThread, call: BarrierAwait) -> None:
-        name = self._primitive_name(call.barrier, self.barriers, "barrier")
-        barrier = self.barriers[name]
-        comp, meth = thread.current_frame()
-        if barrier.broken:
-            self.emit(
-                thread.name,
-                _BARRIER_AWAIT,
-                monitor=name,
-                component=comp,
-                method=meth,
-                broken=True,
-            )
-            thread.throw_exc = BrokenBarrierError(
-                f"thread {thread.name!r} arrived at broken barrier {name!r}"
-            )
-            return
-        if thread.interrupted:
-            # await() with the interrupt status set throws immediately and
-            # breaks the barrier for everyone already parked at it.
-            thread.interrupted = False
-            thread.throw_exc = InterruptedError(
-                f"thread {thread.name!r} called await() on {name!r} with "
-                f"its interrupt flag set"
-            )
-            self._break_barrier(barrier, by=thread.name)
-            return
-        index = len(barrier.waiters)
-        self.emit(
-            thread.name,
-            _BARRIER_AWAIT,
-            monitor=name,
-            component=comp,
-            method=meth,
-            index=index,
-            parties=barrier.parties,
-            line=self._yield_location(thread),
-        )
-        if index == barrier.parties - 1:
-            self._trip_barrier(barrier, last=thread)
-            return
-        barrier.waiters.add(thread.name)
-        barrier.arrival[thread.name] = index
-        thread.waiting_on = name
-        thread.waiting_kind = "barrier"
-        thread.state = _WAITING
-        thread.waiting_since = self.time
-        thread.waits_entered += 1
-
-    def _end_barrier_wait(self, barrier: BarrierObject, waiter: SimThread) -> int:
-        """Remove ``waiter`` from the barrier and close its waiting
-        interval; returns its arrival index."""
-        barrier.waiters.remove(waiter.name)
-        index = barrier.arrival.pop(waiter.name, 0)
-        waiter.waiting_on = None
-        waiter.waiting_kind = "monitor"
-        waiter.state = _RUNNABLE
-        if waiter.waiting_since is not None:
-            waiter.waiting_ticks += self.time - waiter.waiting_since
-            waiter.waiting_since = None
-        return index
-
-    def _trip_barrier(self, barrier: BarrierObject, last: SimThread) -> None:
-        """The final party arrived: release every waiter (B2) and start the
-        next generation."""
-        generation = barrier.generation
-        released = list(barrier.waiters)
-        self.emit(
-            last.name,
-            _BARRIER_TRIP,
-            monitor=barrier.name,
-            generation=generation,
-            parties=barrier.parties,
-            released=released + [last.name],
-        )
-        for name in released:
-            waiter = self.threads[name]
-            index = self._end_barrier_wait(barrier, waiter)
-            waiter.send_value = index
-            self.emit(
-                name,
-                _BARRIER_RESUME,
-                monitor=barrier.name,
-                generation=generation,
-                index=index,
-            )
-        last.send_value = barrier.parties - 1
-        self.emit(
-            last.name,
-            _BARRIER_RESUME,
-            monitor=barrier.name,
-            generation=generation,
-            index=barrier.parties - 1,
-        )
-        barrier.generation = generation + 1
-        barrier.arrival.clear()
-
-    def _break_barrier(self, barrier: BarrierObject, by: str) -> None:
-        """Break the barrier (a waiter or arrival was interrupted): every
-        parked waiter resumes with ``BrokenBarrierError``, and the barrier
-        rejects all future arrivals — j.u.c semantics without ``reset()``."""
-        barrier.broken = True
-        parked = list(barrier.waiters)
-        self.emit(
-            by,
-            _BARRIER_BROKEN,
-            monitor=barrier.name,
-            generation=barrier.generation,
-            waiters=parked,
-        )
-        for name in parked:
-            waiter = self.threads[name]
-            self._end_barrier_wait(barrier, waiter)
-            waiter.throw_exc = BrokenBarrierError(
-                f"barrier {barrier.name!r} broke while thread {name!r} "
-                f"awaited it"
-            )
-
-    # -- environment faults: spurious wakeups, interrupts, timed waits ---------------
+    # -- environment faults: spurious wakeups, interrupts, timeouts ---------------------
 
     def spurious_wake(self, monitor_name: str, waiter_name: str) -> None:
         """Spuriously wake ``waiter_name`` from ``monitor_name``'s wait set
@@ -1396,20 +846,13 @@ class Kernel:
         :class:`~repro.faults.FaultInjector` rule) route through this one
         method, so they emit identical event sequences for the same wake.
         """
-        monitor = self.monitors[monitor_name]
-        if waiter_name not in monitor.wait_set:
+        monitor = self.monitors.get(monitor_name)
+        if monitor is None or waiter_name not in monitor.wait_set:
             raise UnknownSyscallError(
                 f"cannot spuriously wake {waiter_name!r}: not waiting on "
-                f"{monitor_name!r}"
+                f"monitor {monitor_name!r}"
             )
-        monitor.remove_waiter(waiter_name)
-        self.emit(waiter_name, _SPURIOUS_WAKEUP, monitor=monitor.name)
-        self._wake_waiter(
-            monitor, waiter_name, by="<jvm>", reason=WakeReason.SPURIOUS
-        )
-        # Unlike notify (where the notifier still holds the lock), a
-        # spurious wakeup can hit a free monitor: grant immediately.
-        self._grant_lock(monitor)
+        monitor.cancel(self, self.threads[waiter_name], WakeReason.SPURIOUS, "<jvm>")
 
     def _maybe_spurious_wakeup(self) -> None:
         """With the configured probability, wake one random waiting thread
@@ -1430,15 +873,15 @@ class Kernel:
     def interrupt(self, name: str, by: str = "<env>") -> None:
         """Interrupt thread ``name`` (``Thread.interrupt()``), JVM-style.
 
-        * WAITING: woken with ``reason="interrupt"``; ``InterruptedError``
-          is raised once the monitor has been reacquired.
-        * BLOCKED on an acquire (not a post-wait reacquisition): removed
-          from the entry set and resumed with ``InterruptedError`` at the
-          acquire point.
-        * BLOCKED reacquiring after a wake: the error is delivered after
-          reacquisition, like the waiting case.
+        * Parked in a primitive (WAITING or BLOCKED): the primitive cancels
+          the park (:meth:`Primitive.cancel <repro.vm.primitives.Primitive.cancel>`).
+          A monitor waiter is woken with ``reason="interrupt"`` and raises
+          ``InterruptedError`` once it has reacquired the monitor, as does
+          a thread reacquiring after a wake; an acquirer leaves its queue
+          and raises ``InterruptedError`` at the acquire point; a barrier
+          party breaks the barrier.
         * Runnable (or clock-waiting): the interrupt flag is set; the next
-          ``Wait`` raises immediately.
+          interruptible call raises immediately.
         * Terminated/crashed: no effect (flag set, never observed).
         """
         if name not in self.threads:
@@ -1447,160 +890,49 @@ class Kernel:
         self.emit(
             name, _INTERRUPT, by=by, thread_state=thread.state.value
         )
-        if thread.state is _WAITING and thread.waiting_on:
-            if thread.waiting_kind == "barrier":
-                # Interrupting a barrier waiter *breaks* the barrier: the
-                # interrupted thread gets InterruptedError, every other
-                # waiter gets BrokenBarrierError (j.u.c CyclicBarrier).
-                barrier = self.barriers[thread.waiting_on]
-                self._end_barrier_wait(barrier, thread)
-                thread.throw_exc = InterruptedError(
-                    f"thread {name!r} interrupted while awaiting barrier "
-                    f"{barrier.name!r}"
-                )
-                self._break_barrier(barrier, by=name)
-                return
-            monitor = self.monitors[thread.waiting_on]
-            monitor.remove_waiter(name)
-            self._wake_waiter(monitor, name, by=by, reason=WakeReason.INTERRUPT)
-            self._grant_lock(monitor)
-            return
-        if thread.state is _BLOCKED and thread.blocked_on:
-            if thread.blocked_kind == "semaphore":
-                sem = self.semaphores[thread.blocked_on]
-                sem.queue.remove(name)
-                self._clear_blocked(thread)
-                thread.throw_exc = InterruptedError(
-                    f"thread {name!r} interrupted while acquiring semaphore "
-                    f"{sem.name!r}"
-                )
-                # Removing the acquirer may unblock a later, smaller one.
-                self._grant_sem(sem)
-                return
-            if thread.blocked_kind == "rwlock":
-                lock = self.rwlocks[thread.blocked_on]
-                queue = (
-                    lock.write_queue
-                    if thread.blocked_arg == "write"
-                    else lock.read_queue
-                )
-                queue.remove(name)
-                self._clear_blocked(thread)
-                thread.throw_exc = InterruptedError(
-                    f"thread {name!r} interrupted while acquiring rw-lock "
-                    f"{lock.name!r} for {thread.blocked_arg}"
-                )
-                # A removed queued writer may re-admit readers under
-                # writer preference.
-                self._grant_rw(lock)
-                return
-            if thread.reacquiring:
-                thread.pending_interrupt = True
-                return
-            monitor = self.monitors[thread.blocked_on]
-            monitor.remove_blocked(name)
-            self._clear_blocked(thread)
-            thread.throw_exc = InterruptedError(
-                f"thread {name!r} interrupted while blocked acquiring "
-                f"{monitor.name!r}"
-            )
-            return
-        thread.interrupted = True
+        primitive = self.primitive_of(thread)
+        if primitive is None:
+            thread.interrupted = True
+        else:
+            primitive.cancel(self, thread, WakeReason.INTERRUPT, by)
 
     def expire_wait(self, name: str, by: str = "<timer>") -> None:
-        """Expire thread ``name``'s wait as a timeout, waking it with
-        ``reason="timeout"`` (used for natural virtual-time expiry and by
-        fault-plan ``timeout`` rules forcing one)."""
+        """Expire thread ``name``'s wait or acquire as a timeout (used for
+        natural virtual-time expiry and by fault-plan ``timeout`` rules
+        forcing one).  A monitor waiter wakes with ``reason="timeout"``; a
+        timed semaphore acquire resolves ``False`` (``tryAcquire`` on
+        virtual time).  Raises ``UnknownSyscallError`` unless the thread's
+        primitive says its park is expirable."""
         thread = self.threads.get(name)
-        if thread is None or thread.state is not _WAITING:
+        primitive = self.primitive_of(thread) if thread is not None else None
+        if primitive is None or not primitive.expirable(thread):
             raise UnknownSyscallError(
-                f"cannot expire wait of {name!r}: not waiting"
+                f"cannot expire wait of {name!r}: not in an expirable wait"
             )
-        assert thread.waiting_on is not None
-        monitor = self.monitors[thread.waiting_on]
-        monitor.remove_waiter(name)
-        self.emit(
-            name,
-            _WAIT_TIMEOUT,
-            monitor=monitor.name,
-            by=by,
-            deadline=thread.wait_deadline,
-        )
-        self._wake_waiter(monitor, name, by=by, reason=WakeReason.TIMEOUT)
-        # Like a spurious wake, expiry can hit a free monitor.
-        self._grant_lock(monitor)
-
-    def expire_acquire(self, name: str, by: str = "<timer>") -> None:
-        """Fail thread ``name``'s timed semaphore acquire: the thread
-        resumes with ``False`` (``tryAcquire`` on virtual time), mirroring
-        :meth:`expire_wait` (used for natural virtual-time expiry and by
-        fault-plan ``timeout`` rules forcing one)."""
-        thread = self.threads.get(name)
-        if (
-            thread is None
-            or thread.state is not _BLOCKED
-            or thread.blocked_kind != "semaphore"
-        ):
-            raise UnknownSyscallError(
-                f"cannot expire acquire of {name!r}: not blocked on a semaphore"
-            )
-        assert thread.blocked_on is not None
-        sem = self.semaphores[thread.blocked_on]
-        sem.queue.remove(thread.name)
-        deadline = thread.acquire_deadline
-        self._clear_blocked(thread)
-        thread.send_value = False
-        self.emit(
-            thread.name,
-            _WAIT_TIMEOUT,
-            monitor=sem.name,
-            by=by,
-            deadline=deadline,
-            primitive="semaphore",
-        )
-        # The expired acquirer may have been the head of the queue
-        # holding back smaller requests.
-        self._grant_sem(sem)
+        primitive.cancel(self, thread, WakeReason.TIMEOUT, by)
 
     def _expire_deadlines(self) -> None:
-        """Wake every timed waiter, then fail every timed semaphore
-        acquire, whose deadline has been reached; then recompute the
-        deadline index."""
-        expired = [
-            t.name
-            for t in self.threads.values()
-            if t.state is _WAITING
-            and t.wait_deadline is not None
-            and self.time >= t.wait_deadline
+        """Expire every park whose deadline has been reached — waits
+        before acquires (WAITING before BLOCKED), each in thread order —
+        then recompute the deadline index."""
+        now = self.time
+        due = [
+            t for t in self.threads.values()
+            if t.deadline is not None and now >= t.deadline
         ]
-        for name in expired:
-            self.expire_wait(name)
-        expired = [
-            t.name
-            for t in self.threads.values()
-            if t.state is _BLOCKED
-            and t.blocked_kind == "semaphore"
-            and t.acquire_deadline is not None
-            and self.time >= t.acquire_deadline
-        ]
-        for name in expired:
-            self.expire_acquire(name)
+        due.sort(key=_is_blocked)
+        for thread in due:
+            # An earlier expiry may already have granted this thread.
+            if thread.deadline is not None:
+                self.expire_wait(thread.name)
         self._next_deadline = self._earliest_deadline()
 
     def _earliest_deadline(self) -> float:
-        """The earliest armed timed-wait or timed-acquire deadline, or
-        ``math.inf`` when none is armed."""
-        deadlines: List[float] = [
-            t.wait_deadline
-            for t in self.threads.values()
-            if t.state is _WAITING and t.wait_deadline is not None
-        ]
-        deadlines += [
-            t.acquire_deadline
-            for t in self.threads.values()
-            if t.state is _BLOCKED and t.acquire_deadline is not None
-        ]
-        return min(deadlines, default=math.inf)
+        """The earliest armed deadline, or ``math.inf`` when none is."""
+        return min(
+            (t.deadline for t in self.threads.values() if t.deadline is not None),
+            default=math.inf,
+        )
 
     # -- native observability counters --------------------------------------------------
 
@@ -1623,22 +955,15 @@ class Kernel:
     # -- diagnosis ----------------------------------------------------------------------
 
     def _blocked_edges(self) -> Dict[str, List[str]]:
-        """The wait-for graph over BLOCKED threads: monitor acquirers wait
-        on the single owner; semaphore acquirers wait on *every* permit
-        holder; rw acquirers wait on the writer and all active readers."""
+        """The wait-for graph over BLOCKED threads: each waits on what its
+        primitive says (:meth:`Primitive.waits_on
+        <repro.vm.primitives.Primitive.waits_on>`)."""
         edges: Dict[str, List[str]] = {}
         for thread in self.threads.values():
-            if thread.state is not _BLOCKED or not thread.blocked_on:
-                continue
-            if thread.blocked_kind == "semaphore":
-                succ = list(self.semaphores[thread.blocked_on].holders)
-            elif thread.blocked_kind == "rwlock":
-                succ = list(self.rwlocks[thread.blocked_on].holders())
-            else:
-                owner = self.monitors[thread.blocked_on].owner
-                succ = [owner] if owner is not None else []
-            if succ:
-                edges[thread.name] = succ
+            if thread.state is _BLOCKED and thread.blocked_on:
+                succ = self.primitives[thread.blocked_on].waits_on(thread)
+                if succ:
+                    edges[thread.name] = succ
         return edges
 
     def _wait_for_cycle(self) -> List[str]:
@@ -1709,7 +1034,7 @@ class Kernel:
                 monitor.owner = None
                 monitor.entry_count = 0
                 self.emit(thread.name, _MONITOR_RELEASE, monitor=name, abandoned=True)
-                self._grant_lock(monitor)
+                monitor.grant(self)
 
     def _dispatch(self, thread: SimThread, syscall: Syscall) -> None:
         """Run ``syscall``'s handler from the dispatch table.  A subclass
@@ -1854,9 +1179,9 @@ _SYSCALL_HANDLERS: Dict[type, Callable[[Kernel, SimThread, Any], None]] = {
     Yield: Kernel._sys_yield,
     CallBegin: Kernel._sys_call_begin,
     CallEnd: Kernel._sys_call_end,
-    SemAcquire: Kernel._sys_sem_acquire,
-    SemRelease: Kernel._sys_sem_release,
-    RwAcquire: Kernel._sys_rw_acquire,
-    RwRelease: Kernel._sys_rw_release,
-    BarrierAwait: Kernel._sys_barrier_await,
+    SemAcquire: lambda k, t, c: k._resolve(c.semaphore, SemaphoreObject).acquire(k, t, c),
+    SemRelease: lambda k, t, c: k._resolve(c.semaphore, SemaphoreObject).release(k, t, c),
+    RwAcquire: lambda k, t, c: k._resolve(c.lock, RwLockObject).acquire(k, t, c),
+    RwRelease: lambda k, t, c: k._resolve(c.lock, RwLockObject).release(k, t, c),
+    BarrierAwait: lambda k, t, c: k._resolve(c.barrier, BarrierObject).arrive(k, t, c),
 }

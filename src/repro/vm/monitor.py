@@ -14,6 +14,11 @@ policies here because the paper's failure classification hinges on them:
 * **notify-selection policy** — which waiter ``notify()`` wakes.  The JVM
   "arbitrarily select[s] a waiting thread" (Section 3.2); an unfair policy
   can leave one waiter unnotified forever (FF-T5).
+
+:class:`MonitorObject` implements the kernel's primitive protocol
+(:class:`~repro.vm.primitives.Primitive`): its grant is T2 out of the
+entry set, its wake is T5, and its cancel is the wait exit Java permits
+besides notify — interrupt, timeout, or spurious wakeup.
 """
 
 from __future__ import annotations
@@ -21,9 +26,13 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, ClassVar, List, Optional
+
+from .events import EventKind, WakeReason
+from .thread import SimThread, ThreadState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .kernel import Kernel
     from .waitq import WaitQueue
 
 __all__ = ["SelectionPolicy", "MonitorObject", "select_index"]
@@ -63,6 +72,16 @@ def select_index(
     raise ValueError(f"unknown policy {policy!r}")
 
 
+_BLOCKED = ThreadState.BLOCKED
+_MONITOR_ACQUIRE = EventKind.MONITOR_ACQUIRE
+_MONITOR_NOTIFIED = EventKind.MONITOR_NOTIFIED
+_SPURIOUS_WAKEUP = EventKind.SPURIOUS_WAKEUP
+_WAIT_TIMEOUT = EventKind.WAIT_TIMEOUT
+_INTERRUPT = WakeReason.INTERRUPT
+_TIMEOUT = WakeReason.TIMEOUT
+_SPURIOUS = WakeReason.SPURIOUS
+
+
 @dataclass
 class MonitorObject:
     """The synchronization state of one object.
@@ -82,6 +101,8 @@ class MonitorObject:
         entry_set: threads blocked trying to acquire, in arrival order.
         wait_set: threads suspended by ``wait``, in arrival order.
     """
+
+    KIND: ClassVar[str] = "monitor"
 
     name: str
     owner: Optional[str] = None
@@ -124,6 +145,111 @@ class MonitorObject:
     ) -> str:
         """Choose (and remove) the waiter a ``notify`` will wake."""
         return self.wait_set.pop_select(policy, rng)
+
+    # -- the primitive protocol ------------------------------------------
+
+    def admissible(self, thread: Optional[str], request: Any = None) -> bool:
+        """``thread`` may take the lock: it is free, or ``thread`` owns it
+        already (a reentrant acquire).  Grant loops pass ``None``."""
+        return self.owner is None or self.owner == thread
+
+    def grant(self, kernel: "Kernel") -> None:
+        """If the lock is free and the entry set is nonempty, grant it to
+        the thread the lock policy chooses (T2, or the reacquisition after
+        a T5, which restores the saved hold depth)."""
+        if not self.entry_set or not self.admissible(None):
+            return
+        chosen = self.entry_set.pop_select(kernel.lock_policy, kernel.rng)
+        thread = kernel.threads[chosen]
+        if thread.reacquiring:
+            depth = thread.saved_entry_count
+            thread.saved_entry_count = 0
+            thread.reacquiring = False
+            if thread.pending_interrupt:
+                # JVM semantics: the InterruptedException of an interrupted
+                # wait is raised only after the monitor is reacquired.
+                thread.pending_interrupt = False
+                thread.throw_exc = InterruptedError(
+                    f"thread {chosen!r} interrupted while waiting on "
+                    f"{self.name!r}"
+                )
+        else:
+            depth = 1
+        self.acquire_by(chosen, depth)
+        for _ in range(depth):
+            thread.push_hold(self.name)
+        kernel.emit(
+            chosen,
+            _MONITOR_ACQUIRE,
+            monitor=self.name,
+            count=depth,
+            blocked_for=kernel.unpark(thread),
+        )
+
+    def wake(self, kernel: "Kernel", waiter: str, by: str, reason: WakeReason) -> None:
+        """Move a waiter, already taken out of the wait set, to the entry
+        set (T5: D -> B).  ``reason`` records *why* the wait exited —
+        notify, notifyAll, interrupt, timeout, or spurious — in the
+        MONITOR_NOTIFIED event, so saved traces reproduce faulted runs
+        byte-identically."""
+        thread = kernel.threads[waiter]
+        kernel.unpark(thread)
+        thread.reacquiring = True
+        if reason is _INTERRUPT:
+            thread.pending_interrupt = True
+        self.entry_set.add(waiter)
+        kernel.park(thread, self.name)
+        kernel.emit(
+            waiter,
+            _MONITOR_NOTIFIED,
+            monitor=self.name,
+            by=by,
+            spurious=reason is _SPURIOUS,
+            reason=reason.value,
+        )
+
+    def cancel(
+        self, kernel: "Kernel", thread: SimThread, reason: WakeReason, by: str
+    ) -> None:
+        """End ``thread``'s wait or acquire without a notify or a grant.
+
+        A waiter is woken with ``reason`` and competes for the lock again;
+        an interrupted one gets ``InterruptedError`` once it holds it.  An
+        interrupted acquirer leaves the entry set with ``InterruptedError``,
+        unless it is reacquiring after a wake: then the error waits for
+        the reacquisition, like an interrupted wait."""
+        name = thread.name
+        if thread.state is _BLOCKED:
+            if thread.reacquiring:
+                thread.pending_interrupt = True
+                return
+            self.entry_set.remove(name)
+            kernel.unpark(thread)
+            thread.throw_exc = InterruptedError(
+                f"thread {name!r} interrupted while blocked acquiring "
+                f"{self.name!r}"
+            )
+            return
+        self.wait_set.remove(name)
+        if reason is _TIMEOUT:
+            kernel.emit(
+                name, _WAIT_TIMEOUT, monitor=self.name, by=by, deadline=thread.deadline
+            )
+        elif reason is _SPURIOUS:
+            kernel.emit(name, _SPURIOUS_WAKEUP, monitor=self.name)
+        self.wake(kernel, name, by, reason)
+        # Unlike notify (where the notifier still holds the lock), these
+        # exits can hit a free monitor: grant immediately.
+        self.grant(kernel)
+
+    def expirable(self, thread: SimThread) -> bool:
+        """Any wait, timed or not, can be forced to time out; an entry-set
+        acquire cannot."""
+        return thread.state is not _BLOCKED
+
+    def waits_on(self, thread: SimThread) -> List[str]:
+        """An acquirer waits on the single owner."""
+        return [self.owner] if self.owner is not None else []
 
     def snapshot(self) -> dict:
         """A plain-data view for diagnostics and exploration hashing."""

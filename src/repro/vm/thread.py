@@ -31,8 +31,8 @@ __all__ = ["ThreadState", "SimThread"]
 class ThreadState(enum.Enum):
     NEW = "new"
     RUNNABLE = "runnable"
-    BLOCKED = "blocked"        # in some monitor's entry set
-    WAITING = "waiting"        # in some monitor's wait set
+    BLOCKED = "blocked"        # in some primitive's acquire queue
+    WAITING = "waiting"        # in a monitor's wait set or at a barrier
     CLOCK_WAIT = "clock_wait"  # awaiting an abstract-clock time
     TERMINATED = "terminated"
     CRASHED = "crashed"
@@ -51,8 +51,11 @@ class SimThread:
             deliver IllegalMonitorStateError at the faulting yield point).
         held: stack of (monitor_name, entry_count) for reentrancy; the top
             is the innermost synchronized block.
-        blocked_on: monitor name while BLOCKED.
-        waiting_on: monitor name while WAITING.
+        blocked_on: while BLOCKED, the name of the primitive whose acquire
+            queue holds the thread: a monitor's entry set, a semaphore,
+            or a rw-lock.
+        waiting_on: while WAITING, the name of the monitor whose wait set
+            holds the thread, or of the barrier it is parked at.
         saved_entry_count: hold depth to restore after wait reacquisition.
         reacquiring: True when in an entry set because of notify (so the
             grant is a post-T5 reacquisition, not a fresh T2-after-T1).
@@ -63,11 +66,11 @@ class SimThread:
         started_at / ended_at: kernel times of start and termination.
         context_switches: times this thread was scheduled when a
             *different* thread ran the previous step (kernel-maintained).
-        blocked_ticks: total virtual time spent BLOCKED in entry sets
+        blocked_ticks: total virtual time spent BLOCKED in acquire queues
             (kernel-maintained; open intervals are closed at run end).
-        waiting_ticks: total virtual time spent WAITING in wait sets,
-            up to the wake — the post-notify reacquisition counts as
-            blocked time, not waiting time.
+        waiting_ticks: total virtual time spent WAITING in wait sets and
+            at barriers, up to the wake — the post-notify reacquisition
+            counts as blocked time, not waiting time.
         blocked_since / waiting_since: open-interval start times used by
             the kernel to maintain the two tick counters.
         interrupted: the Java-style interrupt flag.  Set by
@@ -77,10 +80,14 @@ class SimThread:
         pending_interrupt: set when an interrupt wakes a waiting/blocked
             thread; the kernel delivers ``InterruptedError`` once the
             monitor has been reacquired (JVM semantics), then clears it.
-        wait_deadline: virtual time at which the current timed wait
-            expires, or ``None`` for an untimed wait / not waiting.
+        deadline: virtual time at which the current timed park (a timed
+            monitor wait or semaphore acquire) expires, or ``None`` when
+            the thread is not parked or parked without a timeout.
         waits_entered: total waits this thread has entered (the per-thread
             wait ordinal fault-plan triggers count).
+        blocked_arg: what the BLOCKED thread asked its primitive for: the
+            permits needed (semaphore) or the mode "read"/"write"
+            (rw-lock).
     """
 
     name: str
@@ -106,20 +113,9 @@ class SimThread:
     waiting_since: Optional[int] = None
     interrupted: bool = False
     pending_interrupt: bool = False
-    wait_deadline: Optional[int] = None
+    deadline: Optional[int] = None
     waits_entered: int = 0
-    #: which primitive's wait queue the thread is parked in while BLOCKED
-    #: ("monitor" | "semaphore" | "rwlock") or WAITING ("monitor" |
-    #: "barrier").  Monitors are the default so monitor-only bookkeeping
-    #: is untouched by the wait-queue generalization.
-    blocked_kind: str = "monitor"
-    waiting_kind: str = "monitor"
-    #: what the blocked thread asked its primitive for: permits needed
-    #: (semaphore) or the requested mode "read"/"write" (rw-lock).
     blocked_arg: Any = None
-    #: virtual-time deadline of a timed semaphore acquire, kept separate
-    #: from ``wait_deadline`` (which belongs to monitor timed waits).
-    acquire_deadline: Optional[int] = None
 
     def innermost_monitor(self) -> Optional[str]:
         """Name of the monitor of the innermost synchronized block, or
@@ -152,6 +148,22 @@ class SimThread:
         if self.call_stack:
             return self.call_stack[-1]
         return (None, None)
+
+    def yield_line(self) -> Optional[int]:
+        """Source line of the innermost yield the thread is suspended at.
+
+        Walks the ``yield from`` delegation chain so the line points into
+        the component method, not the ``@synchronized`` wrapper.  This is
+        what lets the coverage tracker match a runtime wait/notify event to
+        the static CoFG node built from the same source."""
+        gen = self.body
+        while True:
+            inner = getattr(gen, "gi_yieldfrom", None)
+            if inner is None or not hasattr(inner, "gi_frame"):
+                break
+            gen = inner
+        frame = getattr(gen, "gi_frame", None)
+        return frame.f_lineno if frame is not None else None
 
     def __repr__(self) -> str:
         return f"SimThread({self.name!r}, {self.state.value})"

@@ -73,13 +73,6 @@ class WaitQueue:
         """Remove the first queued occurrence of ``thread``."""
         self._items.remove(thread)
 
-    def discard(self, thread: str) -> bool:
-        """Remove ``thread`` if queued; returns whether it was."""
-        if thread in self._items:
-            self._items.remove(thread)
-            return True
-        return False
-
     def peek_select(
         self, policy: SelectionPolicy, rng: Optional[random.Random]
     ) -> str:

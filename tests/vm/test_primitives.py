@@ -48,13 +48,14 @@ class TestWaitQueue:
         assert q == WaitQueue(["a", "b", "c"])
         assert q.snapshot() == ("a", "b", "c")
 
-    def test_remove_and_discard(self):
+    def test_remove(self):
         q = WaitQueue(["a", "b"])
         q.remove("a")
         assert list(q) == ["b"]
-        assert q.discard("b") is True
-        assert q.discard("b") is False
+        q.remove("b")
         assert not q
+        with pytest.raises(ValueError):
+            q.remove("b")
 
     def test_find_cycle_chain_walk(self):
         # monitor-style functional graph: a -> b -> c -> a
@@ -226,7 +227,7 @@ class TestSemaphore:
         kernel.spawn(t, name="t")
         kernel.step()  # acquires immediately, never blocks
         with pytest.raises(UnknownSyscallError):
-            kernel.expire_acquire("t")
+            kernel.expire_wait("t")
 
     def test_invalid_permit_counts_raise(self):
         kernel = make_kernel()
