@@ -1,11 +1,11 @@
 """Bench Ext-J: executor reuse vs per-run observation-stack rebuild.
 
 Before the run layer, every run of a campaign shard rebuilt its whole
-observation stack: ``PipelineFactory`` allocated a fresh
-``DetectorPipeline`` (seven detector objects plus a symptom tracker) and
-``ObservedFactory`` a fresh ``InstrumentationSink`` (nine state dicts
-and seven handler closures) per kernel.  ``RunExecutor`` builds each
-piece once per shard and ``reset()``\\ s it between runs.
+observation stack: a fresh ``DetectorPipeline`` (seven detector objects
+plus a symptom tracker) and a fresh ``InstrumentationSink`` (nine state
+dicts and seven handler closures) per kernel — the shape
+:func:`rebuilding` keeps here as the baseline.  ``RunExecutor`` builds
+each piece once per shard and ``reset()``\\ s it between runs.
 
 Shared CI boxes show +-20% run-to-run noise on end-to-end wall time,
 which can drown the saving on long runs, so the headline number is the
@@ -20,9 +20,9 @@ import time
 
 from conftest import write_result
 
-from repro.detect.online import DetectorPipeline, PipelineFactory
+from repro.detect.online import DetectorPipeline
 from repro.engine.workloads import resolve_factory
-from repro.obs.sink import InstrumentationSink, ObservedFactory
+from repro.obs.sink import InstrumentationSink
 from repro.run import RunConfig
 from repro.run.executor import RunExecutor
 from repro.run.registry import DETECTORS, load_builtins
@@ -72,10 +72,23 @@ def _time_setup_reused() -> float:
     return best
 
 
+def rebuilding(factory):
+    """The per-run rebuild path: ``factory`` with a fresh pipeline and a
+    fresh sink attached to every kernel it builds."""
+
+    def build(scheduler):
+        kernel = factory(scheduler)
+        DetectorPipeline().attach(kernel)
+        InstrumentationSink().install(kernel)
+        return kernel
+
+    return build
+
+
 def _time_e2e_rebuild() -> float:
     best = None
     for _ in range(3):
-        factory = ObservedFactory(PipelineFactory(resolve_factory("pc-bug")))
+        factory = rebuilding(resolve_factory("pc-bug"))
         start = time.perf_counter()
         explore_random(factory, seeds=range(E2E_RUNS), keep_runs=False)
         elapsed = time.perf_counter() - start
@@ -116,7 +129,7 @@ def test_executor_reuse_cuts_setup_overhead(results_dir):
         "",
         f"  end-to-end pc-bug shard ({E2E_RUNS} runs, detect+metrics, "
         f"best of 3):",
-        f"    per-run rebuild (old wrappers): {e2e_rebuild:.3f}s",
+        f"    per-run rebuild (fresh stack):  {e2e_rebuild:.3f}s",
         f"    RunExecutor reuse (run layer):  {e2e_executor:.3f}s",
         f"    end-to-end delta: {e2e_delta:+.1%}",
     ]

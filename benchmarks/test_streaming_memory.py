@@ -27,7 +27,7 @@ import pytest
 from conftest import write_result
 
 from repro.detect import DetectionSummary, analyze_run
-from repro.detect.online import PipelineFactory
+from repro.detect.online import DetectorPipeline
 from repro.vm import Acquire, Kernel, RandomScheduler, Release, Tick
 
 #: threads x iterations: enough events per run (~10k) that the stored
@@ -74,11 +74,13 @@ def sweep_batch():
 
 def sweep_streaming():
     summaries = []
-    pf = PipelineFactory(chatty_factory, trace_mode="none", early_stop=False)
     for seed in SEEDS:
-        result = pf(RandomScheduler(seed=seed)).run()
+        kernel = chatty_factory(RandomScheduler(seed=seed))
+        kernel.trace_mode = "none"
+        pipeline = DetectorPipeline(early_stop=False).attach(kernel)
+        result = kernel.run()
         assert len(result.trace) == 0
-        summaries.append(pf.pipeline.summary(result))
+        summaries.append(pipeline.summary(result))
     return summaries
 
 

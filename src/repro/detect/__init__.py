@@ -9,21 +9,21 @@ Public API::
         analyze_starvation,                       # FF-T2/FF-T5 fairness
         Expectation, check_completion_times,      # the Table-1 oracle
         analyze_run, DetectionReport,             # everything at once
-        DetectorPipeline, PipelineFactory,        # streaming (online) form
+        DetectorPipeline,                         # streaming (online) form
     )
 
 Every batch ``detect_*`` entry point above is a thin wrapper that replays
 the trace through the corresponding ``Online*`` detector; attach a
-:class:`DetectorPipeline` to a kernel (or wrap a program factory in
-:class:`PipelineFactory`) to run the same analyses while the run executes,
-with no stored trace at all under ``trace_mode="none"``.
+:class:`DetectorPipeline` to a kernel (``DetectorPipeline().attach(kernel)``,
+or let :class:`repro.run.RunExecutor` do it per run) to run the same
+analyses while the run executes, with no stored trace at all under
+``trace_mode="none"``.
 """
 
 from .online import (
     DetectionSummary,
     DetectorPipeline,
     OnlineDetector,
-    PipelineFactory,
     default_detectors,
     replay,
 )
@@ -86,7 +86,6 @@ __all__ = [
     "OnlineReentryDetector",
     "OnlineStarvationDetector",
     "OnlineWaitGraphDetector",
-    "PipelineFactory",
     "PotentialDeadlock",
     "RaceReport",
     "ReentryFinding",

@@ -46,7 +46,6 @@ from repro.vm.events import Event, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vm.kernel import Kernel, RunResult
-    from repro.vm.scheduler import Scheduler
 
     from .completion import Expectation
     from .report import DetectionReport
@@ -57,7 +56,6 @@ __all__ = [
     "default_detectors",
     "DetectorPipeline",
     "DetectionSummary",
-    "PipelineFactory",
 ]
 
 
@@ -365,57 +363,3 @@ class DetectorPipeline:
     def summary(self, result: "RunResult") -> DetectionSummary:
         """The compact summary engine workers ship across processes."""
         return DetectionSummary.from_report(self.report(result), aborted=self.aborted)
-
-
-class PipelineFactory:
-    """Wrap a program factory so every kernel it builds streams into a
-    fresh :class:`DetectorPipeline`.
-
-    The engine's ``ProgramFactory`` contract is ``factory(scheduler) ->
-    Kernel``; this class satisfies it while setting the kernel's
-    ``trace_mode`` and attaching the pipeline, so exploration and
-    campaign code can detect on every run without touching traces.  The
-    pipeline of the most recently built kernel is at :attr:`pipeline`
-    (runs are sequential within a worker, so one slot suffices).
-    """
-
-    def __init__(
-        self,
-        factory: Callable[["Scheduler"], "Kernel"],
-        *,
-        trace_mode: str = "full",
-        early_stop: bool = True,
-        expectations: Sequence["Expectation"] = (),
-        bypass_threshold: int = 3,
-        detectors: Optional[Callable[[], Sequence[OnlineDetector]]] = None,
-    ) -> None:
-        self.factory = factory
-        self.trace_mode = trace_mode
-        self.early_stop = early_stop
-        self.expectations = tuple(expectations)
-        self.bypass_threshold = bypass_threshold
-        self._detectors_factory = detectors
-        self.pipeline: Optional[DetectorPipeline] = None
-
-    def __call__(self, scheduler: "Scheduler") -> "Kernel":
-        kernel = self.factory(scheduler)
-        if kernel.trace_mode != self.trace_mode:
-            if self.trace_mode not in kernel.TRACE_MODES:
-                raise ValueError(
-                    f"trace_mode must be one of {kernel.TRACE_MODES}, "
-                    f"got {self.trace_mode!r}"
-                )
-            kernel.trace_mode = self.trace_mode
-        fresh = (
-            list(self._detectors_factory())
-            if self._detectors_factory is not None
-            else None
-        )
-        self.pipeline = DetectorPipeline(
-            fresh,
-            expectations=self.expectations,
-            bypass_threshold=self.bypass_threshold,
-            early_stop=self.early_stop,
-        )
-        self.pipeline.attach(kernel)
-        return kernel

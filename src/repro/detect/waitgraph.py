@@ -76,10 +76,10 @@ class WaitForState:
     Attributes:
         owner: monitor -> owning thread (monitors absent are free).
         blocked_on: thread -> primitive it was blocked acquiring (monitor,
-            semaphore, or rw-lock; see ``blocked_kind``).
+            semaphore, or rw-lock; see ``request_kind``).
         waiting_on: thread -> monitor whose wait set (or barrier whose
             party queue) it sat in.
-        blocked_kind: thread -> "monitor" | "semaphore" | "rwlock" for
+        request_kind: thread -> "monitor" | "semaphore" | "rwlock" for
             entries of ``blocked_on`` (absent means monitor).
         sem_held: semaphore -> thread -> permits currently attributed.
         sem_available: semaphore -> last known available-permit count
@@ -93,7 +93,7 @@ class WaitForState:
     owner: Dict[str, str] = field(default_factory=dict)
     blocked_on: Dict[str, str] = field(default_factory=dict)
     waiting_on: Dict[str, str] = field(default_factory=dict)
-    blocked_kind: Dict[str, str] = field(default_factory=dict)
+    request_kind: Dict[str, str] = field(default_factory=dict)
     sem_held: Dict[str, Dict[str, int]] = field(default_factory=dict)
     sem_available: Dict[str, int] = field(default_factory=dict)
     sem_req_n: Dict[str, int] = field(default_factory=dict)
@@ -104,7 +104,7 @@ class WaitForState:
     def _clear_request(self, thread: str) -> None:
         """Drop the outstanding-acquire bookkeeping of ``thread``."""
         self.blocked_on.pop(thread, None)
-        self.blocked_kind.pop(thread, None)
+        self.request_kind.pop(thread, None)
         self.sem_req_n.pop(thread, None)
         self.rw_req_mode.pop(thread, None)
 
@@ -130,7 +130,7 @@ def _cycle_of(state: WaitForState) -> List[str]:
     """
     edges: Dict[str, List[str]] = {}
     for thread, target in state.blocked_on.items():
-        kind = state.blocked_kind.get(thread, "monitor")
+        kind = state.request_kind.get(thread, "monitor")
         if kind == "semaphore":
             need = state.sem_req_n.get(thread, 1)
             available = state.sem_available.get(target)
@@ -139,7 +139,7 @@ def _cycle_of(state: WaitForState) -> List[str]:
                 for t, m in state.blocked_on.items()
                 if m == target
                 and t != thread
-                and state.blocked_kind.get(t) == "semaphore"
+                and state.request_kind.get(t) == "semaphore"
             ]
             if available is not None and available >= need and not queued:
                 succ: List[str] = []
@@ -250,7 +250,7 @@ class OnlineWaitGraphDetector(OnlineDetector):
             state.blocked_on[thread] = monitor
         elif kind is _SEM_REQUEST:
             state.blocked_on[thread] = monitor
-            state.blocked_kind[thread] = "semaphore"
+            state.request_kind[thread] = "semaphore"
             state.sem_req_n[thread] = event.detail.get("n", 1)
         elif kind is _SEM_ACQUIRE:
             state._clear_request(thread)
@@ -278,7 +278,7 @@ class OnlineWaitGraphDetector(OnlineDetector):
                 mode == "read" and not holds
             ):
                 state.blocked_on[thread] = monitor
-                state.blocked_kind[thread] = "rwlock"
+                state.request_kind[thread] = "rwlock"
                 state.rw_req_mode[thread] = mode
         elif kind in _RW_GRANTS:
             state._clear_request(thread)
@@ -316,7 +316,7 @@ class OnlineWaitGraphDetector(OnlineDetector):
             # An interrupted primitive acquirer resumes immediately (no
             # grant event follows); monitor bookkeeping is untouched —
             # monitor interrupts are resolved by later protocol events.
-            if state.blocked_kind.get(thread) in ("semaphore", "rwlock"):
+            if state.request_kind.get(thread) in ("semaphore", "rwlock"):
                 state._clear_request(thread)
         elif kind in _THREAD_EXITS:
             state._clear_request(thread)

@@ -30,7 +30,7 @@ from .metrics import (
     MetricsSnapshot,
 )
 from .profile import ProfileReport, TimedDetector, profile_workload
-from .sink import InstrumentationSink, ObservedFactory
+from .sink import InstrumentationSink
 from .spans import TICK_BUCKETS, Span, SpanTracer
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "SpanTracer",
     "TICK_BUCKETS",
     "InstrumentationSink",
-    "ObservedFactory",
     "write_metrics_jsonl",
     "load_metrics_jsonl",
     "to_prometheus",

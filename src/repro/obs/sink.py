@@ -42,9 +42,8 @@ from .spans import SpanTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vm.kernel import Kernel
-    from repro.vm.scheduler import Scheduler
 
-__all__ = ["InstrumentationSink", "ObservedFactory"]
+__all__ = ["InstrumentationSink"]
 
 # Event kinds bound to module names: function bodies read these, never
 # ``EventKind.X`` (a Python-level enum class lookup before 3.12).
@@ -350,31 +349,3 @@ class InstrumentationSink:
     def snapshot(self) -> MetricsSnapshot:
         """``collect()`` projected to the picklable snapshot form."""
         return self.collect().snapshot()
-
-
-class ObservedFactory:
-    """Wrap a program factory so every kernel it builds carries a fresh
-    :class:`InstrumentationSink` (the observability twin of
-    :class:`repro.detect.online.PipelineFactory`).
-
-    Satisfies the engine's ``ProgramFactory`` contract; the sink of the
-    most recently built kernel is at :attr:`sink` (runs are sequential
-    within a worker, so one slot suffices).
-    """
-
-    def __init__(
-        self,
-        factory: Callable[["Scheduler"], "Kernel"],
-        *,
-        trace_spans: bool = False,
-    ) -> None:
-        self.factory = factory
-        self.trace_spans = trace_spans
-        self.sink: Optional[InstrumentationSink] = None
-
-    def __call__(self, scheduler: "Scheduler") -> "Kernel":
-        kernel = self.factory(scheduler)
-        tracer = SpanTracer() if self.trace_spans else None
-        self.sink = InstrumentationSink(tracer=tracer)
-        self.sink.install(kernel)
-        return kernel

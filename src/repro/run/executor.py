@@ -1,12 +1,11 @@
 """RunExecutor: one assembly of kernel + pipeline + sink, reused per run.
 
-The old shape (PR 1-3) rebuilt the whole observation stack for every
-single run: ``PipelineFactory`` allocated a fresh
+Rebuilding the observation stack for every single run — a fresh
 :class:`~repro.detect.online.DetectorPipeline` (seven detector objects
-plus a symptom tracker) and ``ObservedFactory`` a fresh
+plus a symptom tracker) and a fresh
 :class:`~repro.obs.sink.InstrumentationSink` (nine state dicts and seven
-handler closures) per kernel.  On a campaign shard of a thousand short
-runs that is pure allocation overhead on the hot path (benchmarked as
+handler closures) per kernel — is pure allocation overhead on the hot
+path of a campaign shard of a thousand short runs (benchmarked as
 Ext-J).
 
 :class:`RunExecutor` builds each piece **once** and ``reset()``\\ s it

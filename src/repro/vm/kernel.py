@@ -454,21 +454,25 @@ class Kernel:
         """Resolve a syscall's primitive reference (name string, the
         primitive object, or a component exposing ``_vm_name``) to the
         registered primitive, which must be a ``cls``."""
-        kind = cls.KIND
+        if isinstance(ref, cls) and self.primitives.get(ref.name) is ref:
+            return ref
+        vm_name = None if isinstance(ref, str) else getattr(ref, "_vm_name", None)
         if isinstance(ref, str):
-            name, missing = ref, f"unknown {kind} {ref!r}"
+            name = ref
+        elif isinstance(vm_name, str):
+            name = vm_name
         else:
-            vm_name = getattr(ref, "_vm_name", None)
-            if isinstance(vm_name, str):
-                name = vm_name
-                missing = f"component {vm_name!r} is not attached to a {kind}"
-            else:
-                name = getattr(ref, "name", None)
-                missing = f"cannot resolve {kind} reference {ref!r}"
+            name = getattr(ref, "name", None)
         primitive = self.primitives.get(name) if isinstance(name, str) else None
-        if not isinstance(primitive, cls):
-            raise UnknownSyscallError(missing)
-        return primitive
+        if isinstance(primitive, cls):
+            return primitive
+        if isinstance(ref, str):
+            raise UnknownSyscallError(f"unknown {cls.KIND} {ref!r}")
+        if isinstance(vm_name, str):
+            raise UnknownSyscallError(
+                f"component {vm_name!r} is not attached to a {cls.KIND}"
+            )
+        raise UnknownSyscallError(f"cannot resolve {cls.KIND} reference {ref!r}")
 
     def _component_name(self, ref: Any) -> str:
         if isinstance(ref, str):

@@ -339,14 +339,6 @@ class RwLockObject:
     read_queue: WaitQueue = field(default_factory=WaitQueue)
     write_queue: WaitQueue = field(default_factory=WaitQueue)
 
-    def holders(self) -> Dict[str, int]:
-        """Every thread holding the lock in any mode: the writer plus all
-        active readers."""
-        held = dict(self.readers)
-        if self.writer is not None:
-            held[self.writer] = held.get(self.writer, 0) + self.writer_depth
-        return held
-
     # -- syscalls ----------------------------------------------------------
 
     def acquire(self, kernel: "Kernel", thread: SimThread, call: RwAcquire) -> None:
@@ -519,8 +511,11 @@ class RwLockObject:
         return False
 
     def waits_on(self, thread: SimThread) -> List[str]:
-        """An acquirer waits on the writer and all active readers."""
-        return list(self.holders())
+        """An acquirer waits on every active reader and the writer."""
+        held = list(self.readers)
+        if self.writer is not None and self.writer not in self.readers:
+            held.append(self.writer)
+        return held
 
 
 @dataclass

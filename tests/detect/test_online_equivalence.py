@@ -44,7 +44,7 @@ from repro.detect import (
     find_deadlock_cycle,
     profile_contention,
 )
-from repro.detect.online import PipelineFactory
+from repro.detect.online import DetectorPipeline
 from repro.engine.workloads import (
     WORKLOADS,
     barrier_template,
@@ -322,37 +322,53 @@ def assert_equivalent(pipeline, result, expectations):
     assert checker.check(trace) == checker._check_batch(trace)
 
 
+def streaming(factory, pipeline):
+    """``factory`` with ``pipeline`` reset and attached to every kernel it
+    builds, the way :class:`repro.run.RunExecutor` reuses one pipeline."""
+
+    def build(scheduler):
+        kernel = factory(scheduler)
+        pipeline.reset().attach(kernel)
+        return kernel
+
+    return build
+
+
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_systematic_equivalence(name):
     expectations = EXPECTATIONS.get(name, GENERIC)
-    pf = PipelineFactory(
-        FACTORIES[name], early_stop=False, expectations=expectations
-    )
+    pipeline = DetectorPipeline(early_stop=False, expectations=expectations)
     checked = []
 
     def on_run(run):
-        assert pf.pipeline is not None
-        assert_equivalent(pf.pipeline, run.result, expectations)
+        assert_equivalent(pipeline, run.result, expectations)
         checked.append(run)
 
-    explore_systematic(pf, max_runs=15, on_run=on_run, keep_runs=False)
+    explore_systematic(
+        streaming(FACTORIES[name], pipeline),
+        max_runs=15,
+        on_run=on_run,
+        keep_runs=False,
+    )
     assert checked
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_random_equivalence(name):
     expectations = EXPECTATIONS.get(name, GENERIC)
-    pf = PipelineFactory(
-        FACTORIES[name], early_stop=False, expectations=expectations
-    )
+    pipeline = DetectorPipeline(early_stop=False, expectations=expectations)
     checked = []
 
     def on_run(run):
-        assert pf.pipeline is not None
-        assert_equivalent(pf.pipeline, run.result, expectations)
+        assert_equivalent(pipeline, run.result, expectations)
         checked.append(run)
 
-    explore_random(pf, seeds=range(8), on_run=on_run, keep_runs=False)
+    explore_random(
+        streaming(FACTORIES[name], pipeline),
+        seeds=range(8),
+        on_run=on_run,
+        keep_runs=False,
+    )
     assert len(checked) == 8
 
 
@@ -376,27 +392,28 @@ def test_trace_mode_none_matches_full_trace_analysis(name):
         full_result = factory(RandomScheduler(seed=seed)).run()
         full_summary = DetectionSummary.from_report(analyze_run(full_result))
 
-        pf = PipelineFactory(factory, trace_mode="none", early_stop=False)
-        none_result = pf(RandomScheduler(seed=seed)).run()
+        kernel = factory(RandomScheduler(seed=seed))
+        kernel.trace_mode = "none"
+        pipeline = DetectorPipeline(early_stop=False).attach(kernel)
+        none_result = kernel.run()
         assert len(none_result.trace) == 0
-        assert pf.pipeline.summary(none_result) == full_summary
+        assert pipeline.summary(none_result) == full_summary
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_reentry_equivalence(name):
     """The opt-in reentry detector, routed by kind, against
     :func:`detect_reentry` replaying the whole stored trace."""
-    pf = PipelineFactory(
-        FACTORIES[name], early_stop=False, detectors=lambda: [OnlineReentryDetector()]
-    )
+    pipeline = DetectorPipeline([OnlineReentryDetector()], early_stop=False)
+    factory = streaming(FACTORIES[name], pipeline)
     checked = []
 
     def on_run(run):
-        assert pf.pipeline.findings()["reentry"] == detect_reentry(run.result.trace)
+        assert pipeline.findings()["reentry"] == detect_reentry(run.result.trace)
         checked.append(run)
 
-    explore_systematic(pf, max_runs=15, on_run=on_run, keep_runs=False)
-    explore_random(pf, seeds=range(8), on_run=on_run, keep_runs=False)
+    explore_systematic(factory, max_runs=15, on_run=on_run, keep_runs=False)
+    explore_random(factory, seeds=range(8), on_run=on_run, keep_runs=False)
     assert checked
 
 
@@ -483,18 +500,19 @@ def test_lockset_matches_independent_batch_reference(name, mode):
     catch a change in the online fold; this compares the pipeline's
     lockset findings with a fresh :class:`LocksetDetector` fed the trace's
     access records through ``observe``."""
-    pf = PipelineFactory(FACTORIES[name], early_stop=False)
+    pipeline = DetectorPipeline(early_stop=False)
+    factory = streaming(FACTORIES[name], pipeline)
     checked = []
 
     def on_run(run):
-        found = pf.pipeline.findings()["lockset"]
+        found = pipeline.findings()["lockset"]
         assert found == _batch_lockset(run.result.trace)
         checked.append(bool(found))
 
     if mode == "systematic":
-        explore_systematic(pf, max_runs=15, on_run=on_run, keep_runs=False)
+        explore_systematic(factory, max_runs=15, on_run=on_run, keep_runs=False)
     else:
-        explore_random(pf, seeds=range(8), on_run=on_run, keep_runs=False)
+        explore_random(factory, seeds=range(8), on_run=on_run, keep_runs=False)
     assert checked
 
 

@@ -1,5 +1,5 @@
 """Tests for the streaming pipeline itself: early abort, summaries,
-HB-vs-lockset dedup, and the factory wrapper."""
+HB-vs-lockset dedup, and attaching to a kernel."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.detect import (
     RaceReport,
     dedupe_hb_races,
 )
-from repro.detect.online import DetectorPipeline, PipelineFactory
+from repro.detect.online import DetectorPipeline
 from repro.engine.workloads import WORKLOADS
 from repro.vm import Acquire, Kernel, RandomScheduler, Release, RunStatus, Tick
 from repro.vm.events import EventKind
@@ -115,11 +115,20 @@ def _deadlocking_seed():
     pytest.fail("no deadlocking seed found")
 
 
+def _attached(factory, seed, *detectors, trace_mode=None, **options):
+    """A kernel from ``factory`` streaming into a fresh pipeline (the
+    default detectors unless ``detectors`` are given)."""
+    kernel = factory(RandomScheduler(seed=seed))
+    if trace_mode is not None:
+        kernel.trace_mode = trace_mode
+    pipeline = DetectorPipeline(list(detectors) or None, **options).attach(kernel)
+    return kernel, pipeline
+
+
 class TestEarlyStop:
     def test_abort_saves_steps_and_keeps_diagnosis(self):
         seed, natural_steps = _deadlocking_seed()
-        pf = PipelineFactory(deadlock_plus_spinner, early_stop=True)
-        kernel = pf(RandomScheduler(seed=seed))
+        kernel, pipeline = _attached(deadlock_plus_spinner, seed, early_stop=True)
         result = kernel.run()
         # Same diagnosis, far fewer steps: the wait-for cycle is permanent,
         # so aborting cannot change the outcome.
@@ -127,39 +136,34 @@ class TestEarlyStop:
         assert result.abort_reason is not None
         assert "wait-for cycle" in result.abort_reason
         assert result.steps < natural_steps
-        summary = pf.pipeline.summary(result)
+        summary = pipeline.summary(result)
         assert summary.aborted == result.abort_reason
         assert summary.deadlock_cycle
         assert "FF-T4" in summary.classes
 
     def test_early_stop_disabled_runs_to_quiescence(self):
         seed, natural_steps = _deadlocking_seed()
-        pf = PipelineFactory(deadlock_plus_spinner, early_stop=False)
-        result = pf(RandomScheduler(seed=seed)).run()
+        kernel, pipeline = _attached(deadlock_plus_spinner, seed, early_stop=False)
+        result = kernel.run()
         assert result.status is RunStatus.DEADLOCK
         assert result.abort_reason is None
         assert result.steps == natural_steps
-        assert pf.pipeline.aborted is None
+        assert pipeline.aborted is None
 
 
-class TestPipelineFactory:
+class TestAttachedPipeline:
     def test_invalid_trace_mode_rejected_at_build(self):
-        pf = PipelineFactory(WORKLOADS["pc-ok"], trace_mode="bogus")
-        with pytest.raises(ValueError, match="trace_mode"):
-            pf(RandomScheduler(seed=0))
+        from repro.run import RunConfig, RunConfigError, RunExecutor
 
-    def test_fresh_pipeline_per_kernel(self):
-        pf = PipelineFactory(WORKLOADS["pc-ok"])
-        pf(RandomScheduler(seed=0))
-        first = pf.pipeline
-        pf(RandomScheduler(seed=1))
-        assert pf.pipeline is not first
+        with pytest.raises(ValueError, match="trace_mode"):
+            Kernel(trace_mode="bogus")
+        with pytest.raises(RunConfigError, match="trace_mode"):
+            RunExecutor(RunConfig(workload="pc-ok", detect=True, trace_mode="bogus"))
 
     def test_events_seen_counts_stream(self):
-        pf = PipelineFactory(WORKLOADS["pc-ok"], trace_mode="none")
-        kernel = pf(RandomScheduler(seed=0))
+        kernel, pipeline = _attached(WORKLOADS["pc-ok"], 0, trace_mode="none")
         kernel.run()
-        assert pf.pipeline.events_seen > 0
+        assert pipeline.events_seen > 0
 
     def test_custom_detector_factory(self):
         from repro.detect import OnlineDetector
@@ -176,13 +180,10 @@ class TestPipelineFactory:
             def finish(self):
                 return self.n
 
-        pf = PipelineFactory(
-            WORKLOADS["pc-ok"], detectors=lambda: [CountingDetector()]
-        )
-        kernel = pf(RandomScheduler(seed=0))
+        kernel, pipeline = _attached(WORKLOADS["pc-ok"], 0, CountingDetector())
         kernel.run()
-        findings = pf.pipeline.findings()
-        assert findings == {"counting": pf.pipeline.events_seen}
+        findings = pipeline.findings()
+        assert findings == {"counting": pipeline.events_seen}
 
 
 class KindLog(OnlineDetector):
@@ -232,23 +233,23 @@ class AbortOnCallEnd(OnlineDetector):
 class TestKindRouting:
     def test_detector_without_kinds_sees_every_event(self):
         log = KindLog()
-        pf = PipelineFactory(WORKLOADS["pc-bug"], detectors=lambda: [log])
-        result = pf(RandomScheduler(seed=3)).run()
+        kernel, pipeline = _attached(WORKLOADS["pc-bug"], 3, log)
+        result = kernel.run()
         assert log.seen == list(result.trace)
-        assert pf.pipeline.events_seen == len(result.trace)
+        assert pipeline.events_seen == len(result.trace)
 
     def test_on_event_routes_like_attach(self):
         """Replay through ``on_event`` walks the same table the attached
         kernel fills: identical findings, and every event counted."""
         result = WORKLOADS["pc-bug"](RandomScheduler(seed=3)).run()
-        pf = PipelineFactory(WORKLOADS["pc-bug"], early_stop=False)
-        pf(RandomScheduler(seed=3)).run()
+        kernel, pipeline = _attached(WORKLOADS["pc-bug"], 3, early_stop=False)
+        kernel.run()
         replayed = DetectorPipeline(early_stop=False)
         for event in result.trace:
             replayed.on_event(event)
         assert replayed.events_seen == len(result.trace)
-        assert replayed.findings() == pf.pipeline.findings()
-        assert replayed.report(result) == pf.pipeline.report(result)
+        assert replayed.findings() == pipeline.findings()
+        assert replayed.report(result) == pipeline.report(result)
 
     def test_events_seen_counts_from_attach(self):
         kernel = WORKLOADS["pc-ok"](RandomScheduler(seed=0))
@@ -261,11 +262,11 @@ class TestKindRouting:
 
     def test_custom_abort_reason_honoured(self):
         detector = AbortOnCallEnd(abort_after=2)
-        pf = PipelineFactory(WORKLOADS["pc-ok"], detectors=lambda: [detector])
-        result = pf(RandomScheduler(seed=0)).run()
+        kernel, pipeline = _attached(WORKLOADS["pc-ok"], 0, detector)
+        result = kernel.run()
         assert result.abort_reason == "saw 2 call ends"
-        assert pf.pipeline.aborted == result.abort_reason
-        assert pf.pipeline.summary(result).aborted == result.abort_reason
+        assert pipeline.aborted == result.abort_reason
+        assert pipeline.summary(result).aborted == result.abort_reason
         # the run stopped at the end of the aborting event's step
         aborting = result.trace[detector.abort_seq]
         assert aborting.kind is EventKind.CALL_END
@@ -275,18 +276,16 @@ class TestKindRouting:
 
     def test_abort_polled_only_after_own_kinds(self):
         detector = AbortOnCallEnd(abort_after=10**6)
-        pf = PipelineFactory(WORKLOADS["pc-ok"], detectors=lambda: [detector])
-        result = pf(RandomScheduler(seed=0)).run()
+        kernel, _ = _attached(WORKLOADS["pc-ok"], 0, detector)
+        result = kernel.run()
         ends = sum(e.kind is EventKind.CALL_END for e in result.trace)
         assert result.abort_reason is None
         assert detector.polls == detector.ends == ends
 
     def test_abort_not_polled_without_early_stop(self):
         detector = AbortOnCallEnd(abort_after=1)
-        pf = PipelineFactory(
-            WORKLOADS["pc-ok"], early_stop=False, detectors=lambda: [detector]
-        )
-        result = pf(RandomScheduler(seed=0)).run()
+        kernel, _ = _attached(WORKLOADS["pc-ok"], 0, detector, early_stop=False)
+        result = kernel.run()
         assert result.abort_reason is None
         assert detector.polls == 0
 
@@ -325,7 +324,7 @@ PINNED_ABORTS = {
 def test_aborted_runs_pinned(name):
     factory = WORKLOADS.get(name, deadlock_plus_spinner)
     for seed, expected in PINNED_ABORTS[name].items():
-        pf = PipelineFactory(factory, trace_mode="none")
-        result = pf(RandomScheduler(seed=seed)).run()
+        kernel, pipeline = _attached(factory, seed, trace_mode="none")
+        result = kernel.run()
         assert (result.status.value, result.steps, result.abort_reason) == expected
-        assert pf.pipeline.aborted == expected[2]
+        assert pipeline.aborted == expected[2]

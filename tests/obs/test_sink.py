@@ -1,11 +1,11 @@
 """InstrumentationSink against real workloads: derived series, deadlock
-hold accounting, and the ObservedFactory wrapper."""
+hold accounting, and installing one sink per kernel."""
 
 import pytest
 
 from repro.engine.workloads import resolve_factory
 from repro.obs.metrics import Counter, Gauge
-from repro.obs.sink import InstrumentationSink, ObservedFactory
+from repro.obs.sink import InstrumentationSink
 from repro.obs.spans import SpanTracer
 from repro.vm.kernel import RunStatus
 from repro.vm.scheduler import RandomScheduler
@@ -125,34 +125,25 @@ class TestTracerIntegration:
         assert registry.get("span_vm_ticks") is not None
 
 
-class TestObservedFactory:
-    def test_fresh_sink_per_kernel(self):
-        observed = ObservedFactory(resolve_factory("pc-bug"))
-        observed(RandomScheduler(0)).run()
-        first = observed.sink
-        observed(RandomScheduler(1)).run()
-        assert observed.sink is not first
-        assert not observed.sink.snapshot().empty
+class TestInstalledSink:
+    def test_snapshot_after_run(self):
+        sink, _, _ = _run("pc-bug", 0)
+        assert not sink.snapshot().empty
 
     def test_trace_spans_opt_in(self):
-        observed = ObservedFactory(resolve_factory("pc-bug"), trace_spans=True)
-        observed(RandomScheduler(0)).run()
-        assert observed.sink.tracer is not None
-        assert ObservedFactory(resolve_factory("pc-bug"))(
-            RandomScheduler(0)
-        ) is not None  # plain wrapper still builds kernels
+        sink, _, _ = _run("pc-bug", 0, tracer=SpanTracer())
+        assert sink.tracer is not None
+        assert _run("pc-bug", 0)[0].tracer is None
 
     def test_snapshots_merge_across_runs(self):
-        observed = ObservedFactory(resolve_factory("pc-bug"))
         from repro.obs.metrics import MetricsRegistry
 
         merged = MetricsRegistry()
         total_events = 0
         for seed in range(2):
-            observed(RandomScheduler(seed)).run()
-            snap = observed.sink.snapshot()
-            merged.merge_snapshot(snap)
-            total_events += observed.sink.events_seen
+            sink, _, _ = _run("pc-bug", seed)
+            merged.merge_snapshot(sink.snapshot())
+            total_events += sink.events_seen
         assert merged.counter("vm_events_total").total == total_events
 
 

@@ -36,6 +36,12 @@ def make_kernel(**kwargs):
     return Kernel(scheduler=FifoScheduler(), **kwargs)
 
 
+def step_until(kernel, done):
+    """Step ``kernel`` until ``done()`` holds."""
+    while not done():
+        assert kernel.step(), "quiescent before the awaited state"
+
+
 class TestWaitQueue:
     def test_list_compatible_reads(self):
         q = WaitQueue(["a", "b"])
@@ -414,6 +420,133 @@ class TestRwLock:
         kernel.spawn(t, name="t")
         result = kernel.run()
         assert isinstance(result.crashed.get("t"), IllegalMonitorStateError)
+
+    def test_blocked_reader_is_interruptible(self):
+        kernel = make_kernel()
+        lock = kernel.new_rwlock("rw")
+        kernel.new_semaphore("gate", permits=0)
+        seen = {}
+
+        def writer():
+            yield RwAcquire("rw", "write")
+            yield SemAcquire("gate")  # hold the write lock until opened
+            yield RwRelease("rw")
+
+        def reader():
+            try:
+                yield RwAcquire("rw", "read")
+            except InterruptedError as exc:
+                seen["error"] = exc
+                yield SemRelease("gate")
+                return "interrupted"
+            yield RwRelease("rw")
+            return "read"
+
+        kernel.spawn(writer, name="w")
+        kernel.spawn(reader, name="r")
+        r = kernel.threads["r"]
+        step_until(kernel, lambda: r.state is ThreadState.BLOCKED)
+        assert lock.writer == "w" and lock.read_queue == ["r"]
+        kernel.interrupt("r")
+        # out of the read queue at once, runnable, the park cleared
+        assert lock.read_queue == [] and r.state is ThreadState.RUNNABLE
+        assert r.blocked_on is None and r.blocked_arg is None
+        result = kernel.run()
+        assert result.ok
+        assert result.thread_results["r"] == "interrupted"
+        assert "rw-lock 'rw' for read" in str(seen["error"])
+        assert lock.writer is None and not lock.readers
+
+    def test_interrupted_queued_writer_readmits_held_back_readers(self):
+        """Under writer preference a queued writer holds back new readers;
+        interrupting it re-runs the grant, which admits them at once."""
+        kernel = make_kernel()
+        lock = kernel.new_rwlock("rw", preference="writer")
+        kernel.new_semaphore("gate", permits=0)
+
+        def first_reader():
+            yield RwAcquire("rw", "read")
+            yield SemAcquire("gate")  # hold the read lock until opened
+            yield RwRelease("rw")
+
+        def writer():
+            try:
+                yield RwAcquire("rw", "write")
+            except InterruptedError:
+                return "interrupted"
+            yield RwRelease("rw")
+            return "wrote"
+
+        def second_reader():
+            yield RwAcquire("rw", "read")
+            yield SemRelease("gate")
+            yield RwRelease("rw")
+
+        kernel.spawn(first_reader, name="r0")
+        kernel.spawn(writer, name="w")
+        kernel.spawn(second_reader, name="r1")
+        r1 = kernel.threads["r1"]
+        step_until(kernel, lambda: r1.state is ThreadState.BLOCKED)
+        # r0 reads, w queues for write, r1 is held back behind it
+        assert list(lock.readers) == ["r0"]
+        assert lock.write_queue == ["w"] and lock.read_queue == ["r1"]
+        kernel.interrupt("w")
+        assert lock.write_queue == [] and lock.read_queue == []
+        assert set(lock.readers) == {"r0", "r1"}
+        assert r1.state is ThreadState.RUNNABLE
+        admitted = [
+            e for e in kernel.trace
+            if e.kind is EventKind.RW_ACQUIRE and e.thread == "r1"
+        ]
+        assert admitted[-1].detail["readers"] == 2
+        result = kernel.run()
+        assert result.ok and result.thread_results["w"] == "interrupted"
+        assert lock.writer is None and not lock.readers
+
+    def test_waits_on_edges_per_primitive(self):
+        """Each primitive's ``waits_on`` is the kernel's wait-for edge: on
+        a deadlocked mixed-deadlock run the monitor and semaphore edges
+        close exactly the cycle ``Kernel._wait_for_cycle`` reports."""
+        from repro.engine.workloads import WORKLOADS
+        from repro.vm import RandomScheduler
+
+        kernel = WORKLOADS["mixed-deadlock"](RandomScheduler(seed=0))
+        result = kernel.run()
+        assert result.status is RunStatus.DEADLOCK
+        t1, t2 = kernel.threads["t1"], kernel.threads["t2"]
+        monitor = kernel.primitives[t1.blocked_on]
+        semaphore = kernel.primitives[t2.blocked_on]
+        assert (monitor.name, semaphore.name) == ("m", "s")
+        assert monitor.waits_on(t1) == ["t2"]  # the monitor's owner
+        assert semaphore.waits_on(t2) == ["t1"]  # every permit holder
+        assert kernel._blocked_edges() == {"t1": ["t2"], "t2": ["t1"]}
+        assert kernel._wait_for_cycle() == result.deadlock_cycle == ["t1", "t2"]
+
+        # a rw acquirer waits on every holder (the upgrade: on itself)
+        kernel = make_kernel()
+        lock = kernel.new_rwlock("rw")
+
+        def upgrader():
+            yield RwAcquire("rw", "read")
+            yield RwAcquire("rw", "write")
+
+        kernel.spawn(upgrader, name="u")
+        result = kernel.run()
+        assert lock.waits_on(kernel.threads["u"]) == ["u"]
+        assert kernel._wait_for_cycle() == result.deadlock_cycle == ["u"]
+
+        # a barrier party waits on arrivals nobody owes: no edge, no cycle
+        kernel = make_kernel()
+        barrier = kernel.new_barrier("b", parties=2)
+
+        def party():
+            yield BarrierAwait("b")
+
+        kernel.spawn(party, name="p")
+        result = kernel.run()
+        assert result.status is RunStatus.STUCK
+        assert barrier.waits_on(kernel.threads["p"]) == []
+        assert kernel._blocked_edges() == {} and kernel._wait_for_cycle() == []
 
 
 class TestBarrier:
