@@ -36,21 +36,9 @@ syscall handlers, with ``java.util.concurrent`` semantics:
   on interrupt (``BrokenBarrierError`` for everyone else) and stays
   broken, as without ``reset()``.
 
-=========== ================= ================ ================ ==========
-operation   monitor           semaphore        rw-lock          barrier
-=========== ================= ================ ================ ==========
-admissible  lock free         permits >= n     no writer (and   last party
-                                               no readers for
-                                               a write)
-grant       T2 to one entry-  permits in       one writer, or   — (the last
-            set thread        policy order     every admissible party trips)
-                                               reader
-cancel      wake (interrupt,  leave queue,     leave queue,     break the
-            timeout,          re-grant         re-grant         barrier
-            spurious)
-expirable   any wait          timed acquires   never            never
-waits_on    the owner         permit holders   writer + readers nobody
-=========== ================= ================ ================ ==========
+What each primitive answers per operation is tabulated in
+``docs/architecture.md`` ("The wait-queue core and the primitive
+protocol").
 """
 
 from __future__ import annotations
