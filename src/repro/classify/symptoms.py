@@ -286,7 +286,9 @@ class SymptomTracker:
         self._barrier_wait: Dict[str, str] = {}
 
     def reset(self) -> None:
-        self.__init__()
+        """Clear every table in place for the next run."""
+        for state in vars(self).values():
+            state.clear()
 
     def _in_open_call(self, thread: str, component: Optional[str]) -> bool:
         return any(

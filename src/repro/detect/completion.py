@@ -134,7 +134,9 @@ class OnlineCompletionChecker(OnlineDetector):
         self._ticks: List[Tuple[int, Optional[int]]] = []
 
     def reset(self) -> None:
-        self.__init__(self.expectations)
+        self._order.clear()
+        self._open_stacks.clear()
+        self._ticks.clear()
 
     def on_event(self, event: Event) -> None:
         kind = event.kind

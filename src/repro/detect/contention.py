@@ -190,7 +190,10 @@ class OnlineContentionProfiler(OnlineDetector):
         self._pending_wait: Dict[Tuple[str, str], int] = {}
 
     def reset(self) -> None:
-        self.__init__()
+        # a new report: finish() hands the previous one out
+        self.report = ContentionReport()
+        self._pending_request.clear()
+        self._pending_wait.clear()
 
     def _profile(self, monitor: str) -> MonitorProfile:
         if monitor not in self.report.monitors:

@@ -209,7 +209,9 @@ class OnlineLocksetDetector(OnlineDetector):
         self._locksets: Dict[str, FrozenSet[str]] = {}
 
     def reset(self) -> None:
-        self.__init__()
+        detector = self.detector
+        for state in (detector._fields, detector.reports, self._held, self._locksets):
+            state.clear()
 
     def on_event(self, event: Event) -> None:
         kind = event.kind

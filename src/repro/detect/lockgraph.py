@@ -102,7 +102,11 @@ class OnlineLockGraphDetector(OnlineDetector):
         self._held: Dict[str, List[str]] = {}
 
     def reset(self) -> None:
-        self.__init__()
+        # cleared, not rebuilt: a DiGraph refers to itself through its
+        # cached degree views, so each discarded one is cyclic garbage
+        self.graph.clear()
+        self.edges.clear()
+        self._held.clear()
 
     kinds = (
         _REQUEST_KINDS | _GRANT_KINDS | _RELEASE_KINDS | {EventKind.MONITOR_WAIT}

@@ -91,8 +91,9 @@ class OnlineDetector:
 
     def reset(self) -> None:
         """Return to the just-constructed state so the instance can be
-        reused for another run (the executor resets instead of
-        reallocating)."""
+        reused for another run.  Clear the state in place (the executor
+        resets instead of reallocating), but never an object
+        :meth:`finish` has handed out."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support reset()"
         )
@@ -216,14 +217,16 @@ class DetectionSummary:
 class DetectorPipeline:
     """A set of online detectors behind one kernel event sink.
 
-    Events are routed by kind: one table, built at construction, maps
-    each kind to the handlers whose fold reads it — the symptom tracker
-    first, then the detectors in report order, then the abort poll of
-    each detector that overrides :meth:`~OnlineDetector.abort_reason`
-    (polled only after its own kinds, the only events that can change
-    it).  :meth:`attach` subscribes each handler kind-filtered, once per
-    handler; :meth:`on_event` walks the same table for replay and batch
-    callers.
+    Events are routed by kind: one table, :attr:`routes`, built at
+    construction, maps each kind to the handlers whose fold reads it —
+    the symptom tracker first, then the detectors in report order, then
+    the abort poll of each detector that overrides
+    :meth:`~OnlineDetector.abort_reason` (polled only after its own
+    kinds, the only events that can change it).  :meth:`attach` installs
+    that table into a kernel in one call; :meth:`on_event` walks the same
+    table for replay and batch callers.  A
+    :class:`~repro.run.executor.RunExecutor` installs the table itself,
+    merged with its sink's, and only :meth:`bind`\ s each run's kernel.
 
     Args:
         detectors: the detectors to run; defaults to
@@ -254,13 +257,12 @@ class DetectorPipeline:
         self._counted = 0
         self._seq_start = 0
         self._kernel: Optional["Kernel"] = None
-        #: (handler, kinds) per subscriber, in delivery order
-        self._targets = self._subscribers()
-        #: kind -> handlers in delivery order: the table on_event walks
-        self._routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {}
-        for handler, kinds in self._targets:
+        #: kind -> handlers in delivery order: the table kernels route by
+        #: and on_event walks
+        self.routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {}
+        for handler, kinds in self._subscribers():
             for kind in kinds:
-                self._routes[kind] = self._routes.get(kind, ()) + (handler,)
+                self.routes[kind] = self.routes.get(kind, ()) + (handler,)
 
     def _subscribers(
         self,
@@ -286,7 +288,7 @@ class DetectorPipeline:
 
     def _abort_poll(self, detector: OnlineDetector) -> Callable[[Event], None]:
         """A handler asking ``detector`` for an abort reason; the first
-        reason wins and is forwarded to the attached kernel."""
+        reason wins and is forwarded to the bound kernel."""
         abort_reason = detector.abort_reason
 
         def poll(event: Event) -> None:
@@ -301,25 +303,32 @@ class DetectorPipeline:
 
     @property
     def events_seen(self) -> int:
-        """Events delivered this run: the attached kernel's emissions since
-        :meth:`attach`, plus any fed through :meth:`on_event`."""
+        """Events delivered this run: the bound kernel's emissions since
+        :meth:`bind`, plus any fed through :meth:`on_event`."""
         seen = self._counted
         if self._kernel is not None:
             seen += self._kernel.events_emitted - self._seq_start
         return seen
 
-    def attach(self, kernel: "Kernel") -> "DetectorPipeline":
-        """Subscribe to a kernel's event bus; returns self for chaining."""
+    def bind(self, kernel: "Kernel") -> "DetectorPipeline":
+        """Make ``kernel``, whose routes deliver to this pipeline, the one
+        early aborts are asked of and events are counted on; returns self
+        for chaining."""
         self._kernel = kernel
         self._seq_start = kernel.events_emitted
-        for handler, kinds in self._targets:
-            kernel.subscribe(handler, kinds=kinds)
         return self
 
+    def attach(self, kernel: "Kernel") -> "DetectorPipeline":
+        """Route a kernel's events to this pipeline (:attr:`routes`) and
+        :meth:`bind` it; returns self for chaining."""
+        kernel.install_routes(self.routes)
+        return self.bind(kernel)
+
     def reset(self) -> "DetectorPipeline":
-        """Reset every detector and the symptom tracker for the next run
-        (same observable behaviour as constructing a fresh pipeline, minus
-        the per-run allocation); returns self for chaining."""
+        """Reset every detector and the symptom tracker in place for the
+        next run (same observable behaviour as constructing a fresh
+        pipeline, minus the per-run allocation) and unbind the kernel;
+        returns self for chaining."""
         for detector in self.detectors:
             detector.reset()
         self.symptoms.reset()
@@ -330,7 +339,7 @@ class DetectorPipeline:
 
     def on_event(self, event: Event) -> None:
         self._counted += 1
-        for handler in self._routes.get(event.kind, ()):
+        for handler in self.routes.get(event.kind, ()):
             handler(event)
 
     def findings(self) -> Dict[str, Any]:

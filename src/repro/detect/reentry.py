@@ -144,7 +144,8 @@ class OnlineReentryDetector(OnlineDetector):
         self._findings: List[ReentryFinding] = []
 
     def reset(self) -> None:
-        self.__init__()
+        self._frames.clear()
+        self._findings.clear()
 
     # -- helpers -----------------------------------------------------------
 

@@ -128,7 +128,15 @@ class OnlineStarvationDetector(OnlineDetector):
         self._rw_mode: Dict[Tuple[str, str], str] = {}
 
     def reset(self) -> None:
-        self.__init__(self.bypass_threshold, self.include_resolved)
+        for state in (
+            self._entry_sets,
+            self._wait_sets,
+            self._lock_bypasses,
+            self._notify_bypasses,
+            self._prim_kind,
+            self._rw_mode,
+        ):
+            state.clear()
 
     def on_event(self, event: Event) -> None:
         monitor = event.monitor

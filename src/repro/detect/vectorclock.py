@@ -152,7 +152,14 @@ class OnlineHbDetector(OnlineDetector):
         self.races: List[HbRace] = []
 
     def reset(self) -> None:
-        self.__init__(self.max_reports)
+        for state in (
+            self._thread_vc,
+            self._monitor_vc,
+            self._notify_vc,
+            self._fields,
+            self.races,
+        ):
+            state.clear()
 
     def _vc_of(self, thread: str) -> VectorClock:
         if thread not in self._thread_vc:

@@ -216,7 +216,10 @@ class OnlineWaitGraphDetector(OnlineDetector):
         self.live_cycle: List[str] = []
 
     def reset(self) -> None:
-        self.__init__()
+        for table in vars(self.state).values():
+            table.clear()
+        self._hold_count.clear()
+        self.live_cycle = []
 
     def on_event(self, event: Event) -> None:
         state = self.state

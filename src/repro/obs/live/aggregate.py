@@ -57,6 +57,8 @@ class LiveAggregator:
         self.goal: Optional[str] = None
         self._frame_seq = 0
         self._subscribers: List["queue.Queue[Dict[str, Any]]"] = []
+        #: the ``end`` frame :meth:`close` published, for late subscribers
+        self._end: Optional[Dict[str, Any]] = None
         self.bind(ProgressTracker(total_runs=total_runs, clock=clock))
 
     def bind(self, progress: ProgressTracker) -> None:
@@ -122,7 +124,8 @@ class LiveAggregator:
         with self.progress.lock:
             self.state = state
             self.goal = goal
-            self._publish({"kind": "end", "state": state, "goal": goal})
+            self._end = {"kind": "end", "state": state, "goal": goal}
+            self._publish(self._end)
 
     # -- reads (HTTP handler threads) --------------------------------------
 
@@ -160,10 +163,16 @@ class LiveAggregator:
     # -- SSE plumbing ------------------------------------------------------
 
     def subscribe(self) -> "queue.Queue[Dict[str, Any]]":
+        """A queue of every frame published from now on.  The stream
+        always ends with the ``end`` frame: a subscriber that arrives
+        after :meth:`close` finds it queued already (decided under the
+        same lock as the close, so no frame can fall in between)."""
         subscriber: "queue.Queue[Dict[str, Any]]" = queue.Queue(
             maxsize=_SUBSCRIBER_DEPTH
         )
         with self.progress.lock:
+            if self._end is not None:
+                subscriber.put_nowait(self._end)
             self._subscribers.append(subscriber)
         return subscriber
 

@@ -110,9 +110,8 @@ class _Handler(BaseHTTPRequestHandler):
         subscriber = aggregator.subscribe()
         try:
             self._sse("status", aggregator.status())
-            if aggregator.state != "running":
-                self._sse("end", {"state": aggregator.state})
-                return
+            # every frame queued since subscribing goes out, up to the end
+            # frame the subscription is guaranteed to receive
             while True:
                 try:
                     frame = subscriber.get(timeout=_SSE_HEARTBEAT)

@@ -31,6 +31,8 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "DEFAULT_BUCKETS",
+    "metric_row",
+    "series_rows",
 ]
 
 #: A label set, normalized: sorted ``(key, value)`` string pairs.
@@ -47,7 +49,31 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 def _labelset(labels: Dict[str, Any]) -> LabelSet:
     if not labels:
         return ()
+    if len(labels) == 1:  # the common per-thread / per-monitor series
+        ((key, value),) = labels.items()
+        return ((str(key), str(value)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def metric_row(
+    kind: str, name: str, help: str, series: List[Dict[str, Any]], **extra: Any
+) -> Dict[str, Any]:
+    """One metric in snapshot form: ``name``, ``type``, ``help``, then
+    ``extra`` (a gauge's ``agg``, a histogram's ``buckets``), then its
+    ``series`` rows.  Every ``to_dict`` builds its payload here, and
+    producers that write snapshot rows directly (the instrumentation
+    sink) build theirs here too."""
+    return {"name": name, "type": kind, "help": help, **extra, "series": series}
+
+
+def series_rows(label: str, values: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Snapshot-form rows of a one-label counter or gauge series: one
+    ``{"labels": {label: key}, "value": value}`` per entry, in label
+    order (the order ``to_dict`` sorts string-keyed series into)."""
+    return [
+        {"labels": {label: key}, "value": value}
+        for key, value in sorted(values.items())
+    ]
 
 
 class Metric:
@@ -143,15 +169,15 @@ class Counter(Metric):
             series[key] = series.get(key, 0) + row["value"]
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "type": self.kind,
-            "help": self.help,
-            "series": [
+        return metric_row(
+            self.kind,
+            self.name,
+            self.help,
+            [
                 {"labels": dict(labels), "value": value}
                 for labels, value in sorted(self._series.items())
             ],
-        }
+        )
 
 
 class Gauge(Metric):
@@ -216,16 +242,16 @@ class Gauge(Metric):
                 series[key] = value
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "type": self.kind,
-            "help": self.help,
-            "agg": self.agg,
-            "series": [
+        return metric_row(
+            self.kind,
+            self.name,
+            self.help,
+            [
                 {"labels": dict(labels), "value": value}
                 for labels, value in sorted(self._series.items())
             ],
-        }
+            agg=self.agg,
+        )
 
 
 @dataclass
@@ -328,12 +354,11 @@ class Histogram(Metric):
             )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "type": self.kind,
-            "help": self.help,
-            "buckets": list(self.buckets),
-            "series": [
+        return metric_row(
+            self.kind,
+            self.name,
+            self.help,
+            [
                 {
                     "labels": dict(labels),
                     "counts": list(series.counts),
@@ -342,7 +367,8 @@ class Histogram(Metric):
                 }
                 for labels, series in sorted(self._series.items())
             ],
-        }
+            buckets=list(self.buckets),
+        )
 
 
 class MetricsRegistry:
@@ -415,7 +441,13 @@ class MetricsRegistry:
         straight into the existing series, and a :class:`Metric` is built
         only for a name this registry has not seen.  Raises
         ``ValueError`` on a metric-kind or histogram-bucket mismatch."""
-        for payload in snapshot.metrics:
+        self.merge_rows(snapshot.metrics)
+
+    def merge_rows(self, rows: Iterable[Dict[str, Any]]) -> None:
+        """:meth:`merge_snapshot` of a snapshot's ``metrics`` rows as they
+        are, e.g. the ``"metrics"`` list of a ``RunSummary.metrics`` dict,
+        without building the :class:`MetricsSnapshot` first."""
+        for payload in rows:
             name = str(payload["name"])
             mine = self._metrics.get(name)
             if mine is None:

@@ -1,8 +1,9 @@
-"""The instrumentation sink: kernel event bus -> metrics registry.
+"""The instrumentation sink: kernel event bus -> per-run metric rows.
 
-:class:`InstrumentationSink` subscribes to a kernel's event bus (the same
-``subscribe`` hook the streaming detector pipeline uses) and derives the
-core scheduler/monitor series while the run executes:
+:class:`InstrumentationSink` routes a kernel's monitor-protocol events to
+its handlers (a kind-filtered routing table, like the streaming detector
+pipeline's) and derives the core scheduler/monitor series while the run
+executes:
 
 * ``vm_events_total`` / ``vm_steps_total`` and the wall-clock
   ``vm_events_per_second`` gauge;
@@ -18,7 +19,7 @@ core scheduler/monitor series while the run executes:
 
 Cost model: when no sink is installed the kernel's emit loop iterates an
 empty list — observability off is free.  When installed, the handlers
-subscribe kind-filtered (``Kernel.subscribe(handler, kinds=...)``), so
+are routed kind-filtered (``Kernel.install_routes``), so
 the (majority) event kinds that carry no monitor state cost one dict
 lookup inside the emit loop and never enter sink code; the
 monitor-protocol minority runs a short handler.  That lookup stays in C
@@ -27,17 +28,27 @@ inherited ``Enum.__hash__`` is Python code and would cost more per event
 than the lookup it feeds).  Event counting and the
 per-thread counters cost nothing because the kernel maintains them
 natively (``events_emitted`` / ``thread_stats``).  Ext-I
-(``benchmarks/test_obs_overhead.py``) keeps this honest.
+(``benchmarks/test_obs_overhead.py``) keeps this honest.  After the run,
+:meth:`InstrumentationSink.snapshot` writes the series straight into the
+snapshot form a ``RunSummary`` carries; no registry is built per run.
 """
 
 from __future__ import annotations
 
+import bisect
 import time
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.vm.events import Event, EventKind
 
-from .metrics import MetricsRegistry, MetricsSnapshot
+from .metrics import (
+    DEFAULT_BUCKETS,
+    MetricsRegistry,
+    MetricsSnapshot,
+    metric_row,
+    series_rows,
+)
 from .spans import SpanTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,41 +66,46 @@ _MONITOR_NOTIFIED = EventKind.MONITOR_NOTIFIED
 _NOTIFY = EventKind.NOTIFY
 _NOTIFY_ALL = EventKind.NOTIFY_ALL
 
+_by_name = itemgetter("name")
+
 
 class InstrumentationSink:
-    """Streams kernel events into a :class:`MetricsRegistry`.
+    """Streams kernel events into per-run metric series.
 
     Usage::
 
         sink = InstrumentationSink()
         sink.install(kernel)          # before kernel.run()
         result = kernel.run()
-        registry = sink.collect()     # finalize + pull native counters
+        snapshot = sink.snapshot()    # finalize + pull native counters
+        registry = sink.collect()     # the same series as a registry
 
-    ``collect`` closes still-open monitor holds (a deadlocked run holds
-    its locks at quiescence) and folds in the kernel's native per-thread
-    counters; call it once, after the run.
+    The first read after a run closes still-open monitor holds (a
+    deadlocked run holds its locks at quiescence), reads the kernel's
+    native per-thread counters and fixes the wall-clock event rate;
+    later reads of the same run return the same series.
+    :meth:`snapshot` writes the rows in snapshot form directly — no
+    :class:`MetricsRegistry` per run — and :meth:`collect` folds those
+    rows into a fresh registry.
 
     Args:
-        registry: fold into an existing registry (default: fresh).
         tracer: optional :class:`SpanTracer`; when given, every completed
             outermost monitor hold is recorded as a ``monitor-hold`` span
             (name + per-monitor label), giving hold-time histograms in
             both clocks for free.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanTracer] = None,
-    ) -> None:
-        self.registry = registry or MetricsRegistry()
+    def __init__(self, tracer: Optional[SpanTracer] = None) -> None:
         self.tracer = tracer
         self.events_seen = 0
         self._kernel: Optional["Kernel"] = None
         self._wall_start: Optional[float] = None
         self._seq_start = 0
-        self._collected = False
+        #: fixed by the first read after the run: wall-clock event rate
+        self._finished = False
+        self._events_per_second: Optional[float] = None
+        #: the run's (wall seconds, status), from :meth:`observe_run`
+        self._run_wall: Optional[Tuple[float, str]] = None
         # live derivation state, all plain dicts for speed
         self._entry_depth: Dict[str, int] = {}
         self._entry_peak: Dict[str, int] = {}
@@ -101,40 +117,48 @@ class InstrumentationSink:
         self._acquisitions: Dict[str, int] = {}
         self._lost_notifies: Dict[str, int] = {}
         self._close_hold, self._handlers = self._build_handlers()
+        #: kind -> handlers: the routing table :meth:`install` gives a kernel
+        self.routes = {kind: (handler,) for kind, handler in self._handlers.items()}
 
     def install(self, kernel: "Kernel") -> "InstrumentationSink":
-        """Subscribe to the kernel's event bus; returns self.
+        """Route the kernel's monitor-protocol events to this sink
+        (:attr:`routes`) and :meth:`bind` it; returns self.
 
-        Each monitor-protocol handler subscribes kind-filtered, so the
+        Each monitor-protocol handler is routed kind-filtered, so the
         (majority) events without a handler never reach sink code — their
         whole cost is the kernel-side filter lookup.  Event counting rides
         the kernel's native seq counter instead of a Python-side
         increment.
         """
+        kernel.install_routes(self.routes)
+        self.bind(kernel)
+        if self.tracer is not None:
+            self.tracer.attach(kernel)
+        return self
+
+    def bind(self, kernel: "Kernel") -> "InstrumentationSink":
+        """Start a run on ``kernel``, whose routes deliver to this sink:
+        its native counters and clock are read after the run, and the
+        wall-clock rate counts from now; returns self."""
         self._kernel = kernel
         self._wall_start = time.perf_counter()
         self._seq_start = kernel.events_emitted
-        for kind, handler in self._handlers.items():
-            kernel.subscribe(handler, kinds=(kind,))
-        if self.tracer is not None:
-            self.tracer.attach(kernel)
         return self
 
     def reset(self) -> "InstrumentationSink":
         """Return to the just-constructed state for the next run.
 
         The handler closures bind the state dicts (and the tracer) as
-        locals, so the dicts are cleared *in place*; only a tracer forces
-        a handler rebuild.  The registry is rebound fresh — collect()
-        reads it through the attribute, and the previous run's snapshot
-        stays valid in the old registry object.
+        locals, so the dicts are cleared *in place* and :attr:`routes`
+        stays valid; only a tracer forces a handler (and routes) rebuild.
         """
-        self.registry = MetricsRegistry()
         self.events_seen = 0
         self._kernel = None
         self._wall_start = None
         self._seq_start = 0
-        self._collected = False
+        self._finished = False
+        self._events_per_second = None
+        self._run_wall = None
         for state in (
             self._entry_depth,
             self._entry_peak,
@@ -150,7 +174,16 @@ class InstrumentationSink:
         if self.tracer is not None:
             self.tracer = SpanTracer()
             self._close_hold, self._handlers = self._build_handlers()
+            self.routes = {
+                kind: (handler,) for kind, handler in self._handlers.items()
+            }
         return self
+
+    def observe_run(self, seconds: float, status: str) -> None:
+        """Record the run's wall-clock duration and end status (the
+        ``run_wall_seconds`` histogram); a timing runner calls this once
+        the run returns."""
+        self._run_wall = (seconds, status)
 
     # -- the hot path (standalone form for feeding a sink without a
     # kernel; install() wires the handlers kind-filtered instead) ----------
@@ -259,93 +292,159 @@ class InstrumentationSink:
 
     # -- finalization ------------------------------------------------------
 
-    def collect(self) -> MetricsRegistry:
-        """Finalize the run's series into the registry and return it.
-
-        Idempotent per run: a second call returns the registry unchanged.
-        """
-        if self._collected:
-            return self.registry
-        self._collected = True
+    def _finish(self) -> None:
+        """Fix the run's end state once: the event count, the wall-clock
+        rate, and the monitor holds still open at quiescence."""
+        if self._finished:
+            return
+        self._finished = True
         kernel = self._kernel
         if kernel is not None:
             self.events_seen = kernel.events_emitted - self._seq_start
+        if self._wall_start is not None:
+            elapsed = max(time.perf_counter() - self._wall_start, 1e-9)
+            self._events_per_second = self.events_seen / elapsed
         now = kernel.time if kernel is not None else 0
         # A deadlocked/stuck run still holds monitors at quiescence: count
         # the hold up to the end of virtual time.
         for thread, monitor in list(self._open_holds):
             self._close_hold(thread, monitor, now)
 
-        registry = self.registry
-        registry.counter("vm_events_total", "events emitted by the kernel").inc(
-            self.events_seen
-        )
-        if self._wall_start is not None:
-            elapsed = max(time.perf_counter() - self._wall_start, 1e-9)
-            registry.gauge(
-                "vm_events_per_second",
-                "wall-clock event rate of the run (merged: peak across runs)",
-            ).set_max(self.events_seen / elapsed)
+    def _rows(self) -> List[Dict[str, Any]]:
+        """The run's series in snapshot form, sorted by metric name: the
+        rows a registry holding them would ``snapshot()`` to."""
+        self._finish()
+        rows = [
+            metric_row(
+                "counter",
+                "vm_events_total",
+                "events emitted by the kernel",
+                [{"labels": {}, "value": self.events_seen}],
+            ),
+            metric_row(
+                "counter",
+                "vm_monitor_acquisitions_total",
+                "outermost monitor acquisitions",
+                series_rows("monitor", self._acquisitions),
+            ),
+            metric_row(
+                "counter",
+                "vm_monitor_hold_ticks_total",
+                "virtual time monitors were held (outermost holds)",
+                series_rows("monitor", self._hold_ticks),
+            ),
+            metric_row(
+                "counter",
+                "vm_monitor_contended_ticks_total",
+                "virtual time threads blocked waiting for each monitor",
+                series_rows("monitor", self._contended_ticks),
+            ),
+            metric_row(
+                "counter",
+                "vm_notify_lost_total",
+                "notify/notifyAll calls that woke nobody",
+                series_rows("monitor", self._lost_notifies),
+            ),
+            metric_row(
+                "gauge",
+                "vm_entry_queue_depth_peak",
+                "peak entry-set depth per monitor",
+                series_rows("monitor", self._entry_peak),
+                agg="max",
+            ),
+            metric_row(
+                "gauge",
+                "vm_wait_queue_depth_peak",
+                "peak wait-set depth per monitor",
+                series_rows("monitor", self._wait_peak),
+                agg="max",
+            ),
+        ]
+        if self._events_per_second is not None:
+            rows.append(
+                metric_row(
+                    "gauge",
+                    "vm_events_per_second",
+                    "wall-clock event rate of the run (merged: peak across runs)",
+                    [{"labels": {}, "value": self._events_per_second}],
+                    agg="max",
+                )
+            )
+        kernel = self._kernel
         if kernel is not None:
-            registry.counter("vm_steps_total", "kernel scheduling steps").inc(
-                kernel.steps
+            rows.append(
+                metric_row(
+                    "counter",
+                    "vm_steps_total",
+                    "kernel scheduling steps",
+                    [{"labels": {}, "value": kernel.steps}],
+                )
             )
-            switches = registry.counter(
-                "vm_context_switches_total",
-                "times a thread was scheduled after a different thread",
-            )
-            blocked = registry.counter(
-                "vm_blocked_ticks_total",
-                "virtual time threads spent blocked in entry sets",
-            )
-            waiting = registry.counter(
-                "vm_waiting_ticks_total",
-                "virtual time threads spent in wait sets (pre-wake)",
-            )
+            switches: Dict[str, int] = {}
+            blocked: Dict[str, int] = {}
+            waiting: Dict[str, int] = {}
             for name, stats in kernel.thread_stats().items():
                 if stats["context_switches"]:
-                    switches.inc(stats["context_switches"], thread=name)
+                    switches[name] = stats["context_switches"]
                 if stats["blocked_ticks"]:
-                    blocked.inc(stats["blocked_ticks"], thread=name)
+                    blocked[name] = stats["blocked_ticks"]
                 if stats["waiting_ticks"]:
-                    waiting.inc(stats["waiting_ticks"], thread=name)
+                    waiting[name] = stats["waiting_ticks"]
+            rows += [
+                metric_row(
+                    "counter",
+                    "vm_context_switches_total",
+                    "times a thread was scheduled after a different thread",
+                    series_rows("thread", switches),
+                ),
+                metric_row(
+                    "counter",
+                    "vm_blocked_ticks_total",
+                    "virtual time threads spent blocked in entry sets",
+                    series_rows("thread", blocked),
+                ),
+                metric_row(
+                    "counter",
+                    "vm_waiting_ticks_total",
+                    "virtual time threads spent in wait sets (pre-wake)",
+                    series_rows("thread", waiting),
+                ),
+            ]
+        if self._run_wall is not None:
+            seconds, status = self._run_wall
+            counts = [0] * (len(DEFAULT_BUCKETS) + 1)
+            counts[bisect.bisect_left(DEFAULT_BUCKETS, seconds)] += 1
+            rows.append(
+                metric_row(
+                    "histogram",
+                    "run_wall_seconds",
+                    "wall-clock duration per run by status",
+                    [
+                        {
+                            "labels": {"status": status},
+                            "counts": counts,
+                            "sum": 0.0 + seconds,
+                            "count": 1,
+                        }
+                    ],
+                    buckets=list(DEFAULT_BUCKETS),
+                )
+            )
+        rows.sort(key=_by_name)
+        return rows
 
-        acquisitions = registry.counter(
-            "vm_monitor_acquisitions_total", "outermost monitor acquisitions"
-        )
-        for monitor, count in self._acquisitions.items():
-            acquisitions.inc(count, monitor=monitor)
-        hold = registry.counter(
-            "vm_monitor_hold_ticks_total",
-            "virtual time monitors were held (outermost holds)",
-        )
-        for monitor, ticks in self._hold_ticks.items():
-            hold.inc(ticks, monitor=monitor)
-        contended = registry.counter(
-            "vm_monitor_contended_ticks_total",
-            "virtual time threads blocked waiting for each monitor",
-        )
-        for monitor, ticks in self._contended_ticks.items():
-            contended.inc(ticks, monitor=monitor)
-        lost = registry.counter(
-            "vm_notify_lost_total", "notify/notifyAll calls that woke nobody"
-        )
-        for monitor, count in self._lost_notifies.items():
-            lost.inc(count, monitor=monitor)
-        entry_peak = registry.gauge(
-            "vm_entry_queue_depth_peak", "peak entry-set depth per monitor"
-        )
-        for monitor, peak in self._entry_peak.items():
-            entry_peak.set_max(peak, monitor=monitor)
-        wait_peak = registry.gauge(
-            "vm_wait_queue_depth_peak", "peak wait-set depth per monitor"
-        )
-        for monitor, peak in self._wait_peak.items():
-            wait_peak.set_max(peak, monitor=monitor)
+    def snapshot(self) -> MetricsSnapshot:
+        """The run's metrics in the picklable snapshot form, written
+        directly from the sink's state (the executor ships its
+        ``to_dict()`` as ``RunSummary.metrics``)."""
+        if self.tracer is not None:
+            return self.collect().snapshot()
+        return MetricsSnapshot(metrics=tuple(self._rows()))
+
+    def collect(self) -> MetricsRegistry:
+        """The run's series (and the tracer's span metrics) as a fresh
+        :class:`MetricsRegistry`, for callers that merge registries."""
+        registry = MetricsSnapshot(metrics=tuple(self._rows())).to_registry()
         if self.tracer is not None:
             registry.merge(self.tracer.registry)
         return registry
-
-    def snapshot(self) -> MetricsSnapshot:
-        """``collect()`` projected to the picklable snapshot form."""
-        return self.collect().snapshot()

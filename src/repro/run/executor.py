@@ -1,15 +1,16 @@
-"""RunExecutor: one assembly of kernel + pipeline + sink, reused per run.
+"""RunExecutor: one assembly of pipeline + sink + routes, reused per run.
 
 Rebuilding the observation stack for every single run — a fresh
 :class:`~repro.detect.online.DetectorPipeline` (seven detector objects
 plus a symptom tracker) and a fresh
 :class:`~repro.obs.sink.InstrumentationSink` (nine state dicts and seven
-handler closures) per kernel — is pure allocation overhead on the hot
-path of a campaign shard of a thousand short runs (benchmarked as
-Ext-J).
+handler closures) per kernel, each subscribing its handlers one by one —
+is pure allocation overhead on the hot path of a campaign shard of a
+thousand short runs (benchmarked as Ext-J).
 
-:class:`RunExecutor` builds each piece **once** and ``reset()``\\ s it
-between runs instead.  It satisfies the engine's ``ProgramFactory``
+:class:`RunExecutor` builds each piece **once**, with one kind-routing
+table that every kernel adopts, and resets the pieces in place between
+runs instead.  It satisfies the engine's ``ProgramFactory``
 contract (``executor(scheduler) -> Kernel``), so the explorers in
 :mod:`repro.testing.explorer` drive it directly — and because it also
 carries :attr:`runner` (the SIGALRM-bounded kernel runner), passing an
@@ -51,6 +52,7 @@ from repro.testing.explorer import (
     explore_random,
     explore_systematic,
 )
+from repro.vm.events import Event, EventKind
 from repro.vm.kernel import Kernel, RunResult, RunStatus
 
 from .config import RunConfig, RunConfigError
@@ -177,21 +179,41 @@ class RunExecutor:
     """Build and drive runs described by one :class:`RunConfig`.
 
     The executor *is* a ``ProgramFactory``: calling it with a scheduler
-    returns a ready kernel with the (reused) detector pipeline attached
-    and the (reused) instrumentation sink installed, per the config.
-    Runs within one executor are strictly sequential — the pipeline and
-    sink are reset at kernel-build time, and :meth:`summarize` reads the
-    assembly of the most recently finished run (the same one-slot
-    contract the old per-run wrapper factories had).
+    returns a ready kernel routed to the (reused) detector pipeline and
+    the (reused) instrumentation sink, per the config.  Runs within one
+    executor are strictly sequential — the pipeline and sink are reset
+    at kernel-build time, and :meth:`summarize` reads the assembly of
+    the most recently finished run (the same one-slot contract the old
+    per-run wrapper factories had).
+
+    Everything but the kernel is built once, here: the pipeline, the
+    sink, the fault injector, and the one kind-routing table (the
+    pipeline's routes, then the sink's) that every kernel adopts without
+    copying.  Building the next kernel :meth:`~repro.vm.kernel.Kernel.release`\ s
+    the previous one, so a finished run is freed by reference counting.
     """
 
     def __init__(self, config: RunConfig) -> None:
         config.validate()
         self.config = config
         self._base_factory: Callable[["Scheduler"], Kernel] = config.build_factory()
-        self._pipeline: Optional[DetectorPipeline] = None
-        self._sink: Optional[InstrumentationSink] = None
-        self._injector: Optional[FaultInjector] = None
+        self._pipeline: Optional[DetectorPipeline] = (
+            DetectorPipeline(self._build_detectors()) if config.detect else None
+        )
+        self._sink: Optional[InstrumentationSink] = (
+            InstrumentationSink() if config.metrics else None
+        )
+        self._injector: Optional[FaultInjector] = (
+            FaultInjector(config.faults) if config.faults is not None else None
+        )
+        #: kind -> handlers of the pipeline, then of the sink
+        self._routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {}
+        for part in (self._pipeline, self._sink):
+            if part is not None:
+                for kind, handlers in part.routes.items():
+                    self._routes[kind] = self._routes.get(kind, ()) + handlers
+        #: the most recent run's kernel, released when the next is built
+        self._kernel: Optional[Kernel] = None
         self._extract = _coverage_extractor(config.coverage)
         self._timed: KernelRunner = timed_runner(config.timeout)
         #: the runner matched to this config (timeout + run_wall_seconds
@@ -225,6 +247,10 @@ class RunExecutor:
     def __call__(self, scheduler: "Scheduler") -> Kernel:
         """``ProgramFactory`` contract: a fresh kernel wired to the reused
         observation stack."""
+        previous = self._kernel
+        if previous is not None:
+            self._kernel = None
+            previous.release()
         kernel = self._base_factory(scheduler)
         config = self.config
         if config.spurious_rate > 0.0:
@@ -233,43 +259,29 @@ class RunExecutor:
             # (fresh runs, journal --resume, and replay all agree).
             kernel.spurious_wakeup_rate = config.spurious_rate
             kernel.rng = random.Random(_scheduler_seed(scheduler))
-        if config.faults is not None:
-            if self._injector is None:
-                self._injector = FaultInjector(config.faults)
-            else:
-                self._injector.reset()
-            kernel.fault_injector = self._injector
-        if config.detect:
+        if self._injector is not None:
+            kernel.fault_injector = self._injector.reset()
+        if self._pipeline is not None:
             if kernel.trace_mode != config.trace_mode:
                 kernel.trace_mode = config.trace_mode
-            if self._pipeline is None:
-                self._pipeline = DetectorPipeline(self._build_detectors())
-            else:
-                self._pipeline.reset()
-            self._pipeline.attach(kernel)
-        if config.metrics:
-            if self._sink is None:
-                self._sink = InstrumentationSink()
-            else:
-                self._sink.reset()
-            self._sink.install(kernel)
+            self._pipeline.reset().bind(kernel)
+        if self._sink is not None:
+            self._sink.reset().bind(kernel)
+        if self._routes:
+            kernel.install_routes(self._routes)
+        self._kernel = kernel
         return kernel
 
     def _make_runner(self) -> KernelRunner:
-        if not self.config.metrics:
+        sink = self._sink
+        if sink is None:
             return self._timed
         timed = self._timed
 
         def run(kernel: Kernel) -> RunResult:
             started = time.perf_counter()
             result = timed(kernel)
-            sink = self._sink
-            if sink is not None:
-                sink.registry.histogram(
-                    "run_wall_seconds", "wall-clock duration per run by status"
-                ).observe(
-                    time.perf_counter() - started, status=result.status.value
-                )
+            sink.observe_run(time.perf_counter() - started, result.status.value)
             return result
 
         return run

@@ -67,6 +67,11 @@ class MonitorComponent:
         object.__setattr__(self, "_vm_kernel", kernel)
         object.__setattr__(self, "_vm_name", name)
 
+    # kernel.release() hook
+    def _vm_detach(self, kernel: Kernel) -> None:
+        if object.__getattribute__(self, "_vm_kernel") is kernel:
+            object.__setattr__(self, "_vm_kernel", None)
+
     @property
     def vm_name(self) -> str:
         """The registered component/monitor name."""

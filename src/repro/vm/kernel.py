@@ -138,6 +138,8 @@ _CLOCK_RESUME = EventKind.CLOCK_RESUME
 _CLOCK_TICK = EventKind.CLOCK_TICK
 _YIELD = EventKind.YIELD
 
+_RANDOM_POLICY = SelectionPolicy.RANDOM
+
 _object_getattribute = object.__getattribute__
 
 
@@ -251,7 +253,10 @@ class Kernel:
             the FF-T2 fairness discussion).
         notify_policy: how ``notify`` selects a waiter (Section 3.2's
             "arbitrarily select"; FF-T5 unfairness).
-        seed: RNG seed for RANDOM policies and fault injection.
+        seed: RNG seed for RANDOM policies and fault injection.  The
+            environment RNG (:attr:`rng`) is seeded on its first draw, so a
+            kernel that never draws (FIFO policies, zero fault rates)
+            never pays for seeding it.
         max_steps: syscall budget before the run aborts with STEP_LIMIT.
         auto_tick: at quiescence with clock waiters, advance the abstract
             clock to the earliest awaited time instead of declaring STUCK.
@@ -301,7 +306,8 @@ class Kernel:
         self.scheduler = scheduler or FifoScheduler()
         self.lock_policy = lock_policy
         self.notify_policy = notify_policy
-        self.rng = random.Random(seed)
+        self._rng_seed = seed
+        self._rng: Optional[random.Random] = None
         self.max_steps = max_steps
         self.auto_tick = auto_tick
         self.spurious_wakeup_rate = spurious_wakeup_rate
@@ -311,7 +317,10 @@ class Kernel:
         self._sinks: List[Callable[[Event], None]] = list(sinks or [])
         #: kind-filtered subscribers: EventKind -> callbacks.  Empty for
         #: most kernels; emit pays one truth test when unused.
-        self._kind_sinks: Dict[EventKind, List[Callable[[Event], None]]] = {}
+        self._kind_sinks: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {}
+        #: True while ``_kind_sinks`` is a table adopted by
+        #: :meth:`install_routes` (shared, so copied before any change)
+        self._routes_shared = False
         #: set via :meth:`request_abort`; a non-None value ends the run
         #: loop at the next step boundary (first reason wins).
         self.abort_reason: Optional[str] = None
@@ -345,6 +354,27 @@ class Kernel:
         #: one empty scan; every scan recomputes it exactly.
         self._next_deadline: float = math.inf
         self._ran = False
+
+    @property
+    def rng(self) -> random.Random:
+        """The environment RNG: RANDOM lock/notify policies, rate-driven
+        spurious wakeups and lost notifies.  Built from ``seed`` on first
+        use, which draws exactly what a construction-time RNG would; an
+        assigned RNG replaces it."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._rng_seed)
+        return rng
+
+    @rng.setter
+    def rng(self, rng: random.Random) -> None:
+        self._rng = rng
+
+    def rng_for(self, policy: SelectionPolicy) -> Optional[random.Random]:
+        """The RNG a selection under ``policy`` draws from: :attr:`rng`
+        for RANDOM, None for the deterministic policies (which never
+        draw, so they never seed it)."""
+        return self.rng if policy is _RANDOM_POLICY else None
 
     # -- registration ----------------------------------------------------------
 
@@ -509,8 +539,54 @@ class Kernel:
         if kinds is None:
             self._sinks.append(sink)
             return
-        for kind in kinds:
-            self._kind_sinks.setdefault(kind, []).append(sink)
+        self._add_routes({kind: (sink,) for kind in kinds})
+
+    def install_routes(
+        self, routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]]
+    ) -> None:
+        """Add a prebuilt kind-filtered routing table (EventKind -> sinks
+        in delivery order): the same deliveries as subscribing each sink
+        to its kinds in table order, in one call.
+
+        A kernel with no kind-filtered sinks yet adopts ``routes`` itself,
+        without copying, so one table built once serves every kernel of a
+        :class:`~repro.run.executor.RunExecutor`; a later
+        :meth:`subscribe` or install copies it first, never changing the
+        shared table.
+        """
+        if self._kind_sinks:
+            self._add_routes(routes)
+        else:
+            self._kind_sinks = routes
+            self._routes_shared = True
+
+    def _add_routes(
+        self, routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]]
+    ) -> None:
+        if self._routes_shared:
+            self._kind_sinks = dict(self._kind_sinks)
+            self._routes_shared = False
+        kind_sinks = self._kind_sinks
+        for kind, sinks in routes.items():
+            kind_sinks[kind] = kind_sinks.get(kind, ()) + sinks
+
+    def release(self) -> None:
+        """Let a finished run be freed by reference counting.
+
+        Drops the event subscriptions and detaches every registered
+        component (``_vm_detach`` hook) from this kernel, which breaks
+        the reference cycles a run builds: component to kernel and back
+        through ``components``, and through each thread's generator, and
+        kernel to subscriber and back.  The run's results, counters and
+        thread table stay readable; the kernel must not run again.
+        """
+        self._sinks = []
+        self._kind_sinks = {}
+        self._routes_shared = False
+        for component in self.components.values():
+            detach = getattr(component, "_vm_detach", None)
+            if detach is not None:
+                detach(self)
 
     @property
     def events_emitted(self) -> int:
@@ -745,12 +821,15 @@ class Kernel:
             if all_waiters:
                 # notifyAll wakes every waiter; order in the entry set
                 # follows the notify policy applied repeatedly.
+                rng = self.rng_for(self.notify_policy)
                 while monitor.wait_set:
-                    waiter = monitor.select_waiter(self.notify_policy, self.rng)
+                    waiter = monitor.select_waiter(self.notify_policy, rng)
                     woken.append(waiter)
             elif monitor.wait_set:
                 woken.append(
-                    monitor.select_waiter(self.notify_policy, self.rng)
+                    monitor.select_waiter(
+                        self.notify_policy, self.rng_for(self.notify_policy)
+                    )
                 )
         comp, meth = thread.current_frame()
         self.emit(

@@ -159,7 +159,9 @@ class MonitorObject:
         a T5, which restores the saved hold depth)."""
         if not self.entry_set or not self.admissible(None):
             return
-        chosen = self.entry_set.pop_select(kernel.lock_policy, kernel.rng)
+        chosen = self.entry_set.pop_select(
+            kernel.lock_policy, kernel.rng_for(kernel.lock_policy)
+        )
         thread = kernel.threads[chosen]
         if thread.reacquiring:
             depth = thread.saved_entry_count

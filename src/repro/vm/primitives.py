@@ -247,7 +247,9 @@ class SemaphoreObject:
         policy selects each candidate; a selected candidate needing more
         permits than are available stops the loop (no barging past it)."""
         while self.queue and self.permits > 0:
-            candidate = self.queue.peek_select(kernel.lock_policy, kernel.rng)
+            candidate = self.queue.peek_select(
+                kernel.lock_policy, kernel.rng_for(kernel.lock_policy)
+            )
             thread = kernel.threads[candidate]
             need = thread.blocked_arg
             if not self.admissible(candidate, need):
@@ -456,7 +458,9 @@ class RwLockObject:
                 and self.admissible(None, "write")
                 and not (self.preference == "reader" and self.read_queue)
             ):
-                chosen = self.write_queue.pop_select(kernel.lock_policy, kernel.rng)
+                chosen = self.write_queue.pop_select(
+                    kernel.lock_policy, kernel.rng_for(kernel.lock_policy)
+                )
                 self.writer = chosen
                 self.writer_depth = 1
                 kernel.emit(
@@ -467,7 +471,9 @@ class RwLockObject:
                     blocked_for=kernel.unpark(kernel.threads[chosen]),
                 )
             elif self.read_queue and self.admissible(None, "read"):
-                chosen = self.read_queue.pop_select(kernel.lock_policy, kernel.rng)
+                chosen = self.read_queue.pop_select(
+                    kernel.lock_policy, kernel.rng_for(kernel.lock_policy)
+                )
                 self.readers[chosen] = self.readers.get(chosen, 0) + 1
                 kernel.emit(
                     chosen,

@@ -132,6 +132,27 @@ class TestEvents:
         finally:
             connection.close()
 
+    def test_frames_queued_before_a_close_are_sent_before_end(self, served):
+        # the campaign merges a run and ends after the stream subscribed
+        # but before it sent its status event: the queued run frame must
+        # still go out, then the end
+        aggregator, server = served
+        status = aggregator.status
+
+        def status_then_finish():
+            document = status()
+            aggregator.note_run(summary(), False, "sh-0")
+            aggregator.close()
+            return document
+
+        aggregator.status = status_then_finish
+        connection, response = self._open_stream(server)
+        try:
+            events = [response.readline() for _ in range(9)][::3]
+            assert events == [b"event: status\n", b"event: frame\n", b"event: end\n"]
+        finally:
+            connection.close()
+
     def test_finished_campaign_ends_immediately(self, served):
         aggregator, server = served
         aggregator.close(goal="budget")

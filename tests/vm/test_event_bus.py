@@ -4,6 +4,7 @@ import pytest
 
 from repro.vm import (
     Acquire,
+    EventKind,
     FifoScheduler,
     Kernel,
     RandomScheduler,
@@ -119,3 +120,102 @@ class TestRequestAbort:
     def test_no_abort_leaves_reason_none(self):
         result = two_thread_kernel().run()
         assert result.abort_reason is None
+
+
+class TestInstalledRoutes:
+    """A prebuilt kind -> sinks table: adopted as is, copied on write."""
+
+    def test_routes_deliver_like_kind_subscriptions(self):
+        subscribed, routed = [], []
+        kernel = two_thread_kernel()
+        kinds = (EventKind.MONITOR_ACQUIRE, EventKind.MONITOR_RELEASE)
+        kernel.subscribe(subscribed.append, kinds=kinds)
+        kernel.run()
+        other = two_thread_kernel()
+        other.install_routes({kind: (routed.append,) for kind in kinds})
+        other.run()
+        assert [e.kind for e in routed] == [e.kind for e in subscribed]
+        assert len(routed) == 4
+
+    def test_shared_table_never_changes(self):
+        seen, late = [], []
+        table = {EventKind.MONITOR_ACQUIRE: (seen.append,)}
+        first, second = two_thread_kernel(), two_thread_kernel()
+        first.install_routes(table)
+        second.install_routes(table)
+        second.subscribe(late.append, kinds=(EventKind.MONITOR_ACQUIRE,))
+        second.install_routes({EventKind.MONITOR_RELEASE: (late.append,)})
+        assert table == {EventKind.MONITOR_ACQUIRE: (seen.append,)}
+        first.run()
+        assert len(seen) == 2 and not late
+        second.run()
+        assert len(seen) == 4 and len(late) == 4
+
+    def test_routes_follow_earlier_subscriptions(self):
+        order = []
+        kernel = two_thread_kernel()
+        kind = EventKind.MONITOR_ACQUIRE
+        kernel.subscribe(lambda event: order.append("subscribed"), kinds=(kind,))
+        kernel.install_routes({kind: (lambda event: order.append("routed"),)})
+        kernel.run()
+        assert order == ["subscribed", "routed"] * 2
+
+
+class TestRelease:
+    def test_release_detaches_components_and_subscribers(self):
+        from repro.engine.workloads import resolve_factory
+
+        kernel = resolve_factory("pc-bug")(RandomScheduler(seed=1))
+        seen = []
+        kernel.subscribe(seen.append)
+        result = kernel.run()
+        component = next(iter(kernel.components.values()))
+        assert component.kernel is kernel
+        kernel.release()
+        assert component.kernel is None
+        assert not kernel._sinks and not kernel._kind_sinks
+        # the run's results and counters stay readable
+        assert kernel.steps == result.steps == len(result.schedule_log)
+        assert set(kernel.thread_stats()) == set(result.thread_states)
+
+    def test_released_run_is_freed_without_the_collector(self):
+        import gc
+        import weakref
+
+        from repro.engine.workloads import resolve_factory
+
+        gc.collect()
+        gc.disable()
+        try:
+            kernel = resolve_factory("pc-bug")(RandomScheduler(seed=1))
+            kernel.run()
+            kernel.release()
+            alive = weakref.ref(kernel)
+            del kernel
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
+class TestEnvironmentRng:
+    def test_fifo_run_never_seeds_the_rng(self):
+        kernel = two_thread_kernel(seed=3)
+        kernel.run()
+        assert kernel._rng is None
+
+    def test_first_draw_matches_a_construction_time_seed(self):
+        import random
+
+        reference = random.Random(11)
+        kernel = Kernel(seed=11)
+        assert [kernel.rng.random() for _ in range(3)] == [
+            reference.random() for _ in range(3)
+        ]
+
+    def test_assigned_rng_is_used(self):
+        import random
+
+        kernel = Kernel(seed=11)
+        chosen = random.Random(5)
+        kernel.rng = chosen
+        assert kernel.rng is chosen
