@@ -65,6 +65,10 @@ _READ = EventKind.READ
 _WRITE = EventKind.WRITE
 
 _ACCESSES = frozenset({_READ, _WRITE})
+# Final thread-state values bound once: ``ThreadState.X.value`` is a
+# Python-level property read.
+_BLOCKED_VALUE = ThreadState.BLOCKED.value
+_WAITING_VALUE = ThreadState.WAITING.value
 _NOTIFIES = frozenset({_NOTIFY, _NOTIFY_ALL})
 _PRIMITIVE_GRANTS = frozenset({_SEM_ACQUIRE, _RW_ACQUIRE, _RW_DOWNGRADE})
 
@@ -500,7 +504,7 @@ class SymptomTracker:
                 context["component"] = component
                 context["method"] = method
                 context["detail"] = f"inside {component}.{method}"
-            if state == ThreadState.BLOCKED.value and thread not in result.deadlock_cycle:
+            if state == _BLOCKED_VALUE and thread not in result.deadlock_cycle:
                 prim = self._prim_blocked.get(thread)
                 if prim is not None and prim[0] == "semaphore":
                     context["detail"] = (
@@ -519,7 +523,7 @@ class SymptomTracker:
                             f"read acquire on {prim[1]} never granted"
                         )
                     observations.append((Symptom.PERMANENTLY_BLOCKED, context))
-            elif state == ThreadState.WAITING.value:
+            elif state == _WAITING_VALUE:
                 barrier = self._barrier_wait.get(thread)
                 if barrier is not None:
                     context["detail"] = (
@@ -536,7 +540,7 @@ class SymptomTracker:
             monitor
             for monitor, threads in self._waits.items()
             if any(
-                result.thread_states.get(t) == ThreadState.WAITING.value
+                result.thread_states.get(t) == _WAITING_VALUE
                 for t in threads
             )
         }

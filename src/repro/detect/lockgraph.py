@@ -143,10 +143,12 @@ class OnlineLockGraphDetector(OnlineDetector):
         A cycle formed entirely by one thread's acquisitions is excluded:
         a single thread cannot deadlock with itself through reentrant
         locks.  Self-edges are never added, so a graph with fewer than
-        two edges has no cycle and skips the enumeration.
+        two edges has no cycle and skips the enumeration (``edges``
+        records every edge witnessed, so fewer than two of those settles
+        it without asking the graph).
         """
         results: List[PotentialDeadlock] = []
-        if self.graph.number_of_edges() < 2:
+        if len(self.edges) < 2 or self.graph.number_of_edges() < 2:
             return results
         for cycle in nx.simple_cycles(self.graph):
             witnesses = []

@@ -77,10 +77,11 @@ class VectorClock:
     def happens_before(self, other: "VectorClock") -> bool:
         """True when self <= other componentwise (and they differ —
         equality also counts as ordered for race purposes)."""
-        return all(
-            clock <= other._clocks.get(thread, 0)
-            for thread, clock in self._clocks.items()
-        )
+        theirs = other._clocks.get
+        for thread, clock in self._clocks.items():
+            if clock > theirs(thread, 0):
+                return False
+        return True
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{t}:{c}" for t, c in sorted(self._clocks.items()))

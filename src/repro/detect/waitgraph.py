@@ -128,6 +128,8 @@ def _cycle_of(state: WaitForState) -> List[str]:
     it back under writer preference.  Starts are sorted, as the
     pre-primitive chain walk's were.
     """
+    if not state.blocked_on:  # no blocked thread, no edge
+        return []
     edges: Dict[str, List[str]] = {}
     for thread, target in state.blocked_on.items():
         kind = state.request_kind.get(thread, "monitor")

@@ -46,7 +46,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 
-def _labelset(labels: Dict[str, Any]) -> LabelSet:
+def _labelset(labels: Optional[Dict[str, Any]]) -> LabelSet:
     if not labels:
         return ()
     if len(labels) == 1:  # the common per-thread / per-monitor series
@@ -70,9 +70,10 @@ def series_rows(label: str, values: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Snapshot-form rows of a one-label counter or gauge series: one
     ``{"labels": {label: key}, "value": value}`` per entry, in label
     order (the order ``to_dict`` sorts string-keyed series into)."""
+    if len(values) < 2:  # the usual one monitor: nothing to sort
+        return [{"labels": {label: key}, "value": value} for key, value in values.items()]
     return [
-        {"labels": {label: key}, "value": value}
-        for key, value in sorted(values.items())
+        {"labels": {label: key}, "value": values[key]} for key in sorted(values)
     ]
 
 
@@ -164,9 +165,11 @@ class Counter(Metric):
     def merge_payload(self, payload: Dict[str, Any]) -> None:
         self._require_kind(payload.get("type"))
         series = self._series
+        get = series.get
         for row in payload.get("series", ()):
-            key = _labelset(row.get("labels", {}))
-            series[key] = series.get(key, 0) + row["value"]
+            labels = row.get("labels")
+            key = _labelset(labels) if labels else ()
+            series[key] = get(key, 0) + row["value"]
 
     def to_dict(self) -> Dict[str, Any]:
         return metric_row(
@@ -234,7 +237,7 @@ class Gauge(Metric):
         self._require_kind(payload.get("type"))
         series = self._series
         for row in payload.get("series", ()):
-            key = _labelset(row.get("labels", {}))
+            key = _labelset(row.get("labels"))
             value = row["value"]
             if key in series:
                 series[key] = self._combine(series[key], value)
@@ -334,7 +337,7 @@ class Histogram(Metric):
         self._require_buckets(tuple(sorted(payload.get("buckets", DEFAULT_BUCKETS))))
         series = self._series
         for row in payload.get("series", ()):
-            key = _labelset(row.get("labels", {}))
+            key = _labelset(row.get("labels"))
             counts = [int(c) for c in row["counts"]]
             total = float(row.get("sum", 0.0))
             count = int(row.get("count", 0))
@@ -487,7 +490,7 @@ def _metric_from_dict(payload: Dict[str, Any]) -> Metric:
             name, help_text, buckets=payload.get("buckets", DEFAULT_BUCKETS)
         )
         for row in payload.get("series", ()):
-            key = _labelset(row.get("labels", {}))
+            key = _labelset(row.get("labels"))
             histogram._series[key] = _HistSeries(
                 counts=[int(c) for c in row["counts"]],
                 sum=float(row.get("sum", 0.0)),

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import bisect
 import time
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.vm.events import Event, EventKind
@@ -67,6 +67,16 @@ _NOTIFY = EventKind.NOTIFY
 _NOTIFY_ALL = EventKind.NOTIFY_ALL
 
 _by_name = itemgetter("name")
+_by_thread_name = attrgetter("name")
+
+
+def _counter(name: str, help: str, series: List[Dict[str, Any]]) -> Dict[str, Any]:
+    return metric_row("counter", name, help, series)
+
+
+def _peak(name: str, help: str, series: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """A gauge merged across runs by its maximum."""
+    return metric_row("gauge", name, help, series, agg="max")
 
 
 class InstrumentationSink:
@@ -315,99 +325,89 @@ class InstrumentationSink:
         rows a registry holding them would ``snapshot()`` to."""
         self._finish()
         rows = [
-            metric_row(
-                "counter",
+            _counter(
                 "vm_events_total",
                 "events emitted by the kernel",
                 [{"labels": {}, "value": self.events_seen}],
             ),
-            metric_row(
-                "counter",
+            _counter(
                 "vm_monitor_acquisitions_total",
                 "outermost monitor acquisitions",
                 series_rows("monitor", self._acquisitions),
             ),
-            metric_row(
-                "counter",
+            _counter(
                 "vm_monitor_hold_ticks_total",
                 "virtual time monitors were held (outermost holds)",
                 series_rows("monitor", self._hold_ticks),
             ),
-            metric_row(
-                "counter",
+            _counter(
                 "vm_monitor_contended_ticks_total",
                 "virtual time threads blocked waiting for each monitor",
                 series_rows("monitor", self._contended_ticks),
             ),
-            metric_row(
-                "counter",
+            _counter(
                 "vm_notify_lost_total",
                 "notify/notifyAll calls that woke nobody",
                 series_rows("monitor", self._lost_notifies),
             ),
-            metric_row(
-                "gauge",
+            _peak(
                 "vm_entry_queue_depth_peak",
                 "peak entry-set depth per monitor",
                 series_rows("monitor", self._entry_peak),
-                agg="max",
             ),
-            metric_row(
-                "gauge",
+            _peak(
                 "vm_wait_queue_depth_peak",
                 "peak wait-set depth per monitor",
                 series_rows("monitor", self._wait_peak),
-                agg="max",
             ),
         ]
         if self._events_per_second is not None:
             rows.append(
-                metric_row(
-                    "gauge",
+                _peak(
                     "vm_events_per_second",
                     "wall-clock event rate of the run (merged: peak across runs)",
                     [{"labels": {}, "value": self._events_per_second}],
-                    agg="max",
                 )
             )
         kernel = self._kernel
         if kernel is not None:
-            rows.append(
-                metric_row(
-                    "counter",
+            switches: List[Dict[str, Any]] = []
+            blocked: List[Dict[str, Any]] = []
+            waiting: List[Dict[str, Any]] = []
+            for thread in sorted(kernel.threads.values(), key=_by_thread_name):
+                name = thread.name
+                if thread.context_switches:
+                    switches.append(
+                        {"labels": {"thread": name}, "value": thread.context_switches}
+                    )
+                if thread.blocked_ticks:
+                    blocked.append(
+                        {"labels": {"thread": name}, "value": thread.blocked_ticks}
+                    )
+                if thread.waiting_ticks:
+                    waiting.append(
+                        {"labels": {"thread": name}, "value": thread.waiting_ticks}
+                    )
+            rows += [
+                _counter(
                     "vm_steps_total",
                     "kernel scheduling steps",
                     [{"labels": {}, "value": kernel.steps}],
-                )
-            )
-            switches: Dict[str, int] = {}
-            blocked: Dict[str, int] = {}
-            waiting: Dict[str, int] = {}
-            for name, stats in kernel.thread_stats().items():
-                if stats["context_switches"]:
-                    switches[name] = stats["context_switches"]
-                if stats["blocked_ticks"]:
-                    blocked[name] = stats["blocked_ticks"]
-                if stats["waiting_ticks"]:
-                    waiting[name] = stats["waiting_ticks"]
-            rows += [
-                metric_row(
-                    "counter",
+                ),
+                _counter(
                     "vm_context_switches_total",
                     "times a thread was scheduled after a different thread",
-                    series_rows("thread", switches),
+                    switches,
                 ),
-                metric_row(
-                    "counter",
+                _counter(
                     "vm_blocked_ticks_total",
                     "virtual time threads spent blocked in entry sets",
-                    series_rows("thread", blocked),
+                    blocked,
                 ),
-                metric_row(
-                    "counter",
+                _counter(
                     "vm_waiting_ticks_total",
                     "virtual time threads spent in wait sets (pre-wake)",
-                    series_rows("thread", waiting),
+                    waiting,
                 ),
             ]
         if self._run_wall is not None:

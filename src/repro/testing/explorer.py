@@ -403,7 +403,7 @@ def explore_systematic(
         run = ExplorationRun(
             index=result.n_executed,
             prefix=tuple(prefix),
-            decisions=tuple(d.chosen for d in decisions),
+            decisions=tuple([d.chosen for d in decisions]),
             result=run_result,
         )
         failed = run.failed
@@ -443,7 +443,7 @@ def _explore_seeded(
         run = ExplorationRun(
             index=result.n_executed,
             prefix=(),
-            decisions=tuple(d.chosen for d in recorder.log),
+            decisions=tuple([d.chosen for d in recorder.log]),
             result=run_result,
             seed=seed,
         )

@@ -36,7 +36,7 @@ import functools
 import inspect
 from typing import Any, Callable, Generator, Optional
 
-from .kernel import Kernel, current_kernel, current_thread
+from .kernel import Kernel
 from .syscalls import Acquire, CallBegin, CallEnd, Release
 
 __all__ = ["MonitorComponent", "synchronized", "unsynchronized", "is_synchronized"]
@@ -89,15 +89,15 @@ class MonitorComponent:
         ):
             return value
         kernel = _object_getattribute(self, "_vm_kernel")
-        if kernel is not None and current_kernel() is kernel:
-            kernel.record_access(self, name, is_write=False)
+        if kernel is not None:  # records only while it executes a thread
+            kernel.record_access(self, name, False)
         return value
 
     def __setattr__(self, name: str, value: Any) -> None:
         if not name.startswith(_INTERNAL_PREFIX):
             kernel = object.__getattribute__(self, "_vm_kernel")
-            if kernel is not None and current_kernel() is kernel:
-                kernel.record_access(self, name, is_write=True)
+            if kernel is not None:  # records only while it executes a thread
+                kernel.record_access(self, name, True)
         object.__setattr__(self, name, value)
 
 

@@ -646,18 +646,18 @@ class Kernel:
         hooks; a no-op outside VM execution (e.g. during ``__init__``) and
         when access recording is disabled.
         """
-        if not self.record_accesses:
+        if not self.record_accesses or not _CURRENT:
             return
-        if not _CURRENT or _CURRENT[-1][0] is not self:
+        kernel, thread = _CURRENT[-1]
+        if kernel is not self:
             return
-        thread = _CURRENT[-1][1]
-        comp_name = self._component_name(component)
-        _, frame_method = thread.current_frame()
+        frames = thread.call_stack  # the innermost frame's method, if any
         self.emit(
             thread.name,
             _WRITE if is_write else _READ,
-            component=comp_name,
-            method=frame_method,
+            None,
+            self._component_name(component),
+            frames[-1][1] if frames else None,
             field=fieldname,
         )
 
@@ -1144,11 +1144,14 @@ class Kernel:
             self._maybe_spurious_wakeup()
         if self.time >= self._next_deadline:
             self._expire_deadlines()
-        runnable = [
-            t
-            for t in self.threads.values()
-            if t.state is _RUNNABLE or t.state is _NEW
-        ]
+        # one pass builds both lists (two comprehensions cost twice as much)
+        runnable: List[SimThread] = []
+        names: List[str] = []
+        for t in self.threads.values():
+            state = t.state
+            if state is _RUNNABLE or state is _NEW:
+                runnable.append(t)
+                names.append(t.name)
         if not runnable:
             if self.auto_tick and self._clock_waiters:
                 target = min(t.await_target or 0 for t in self._clock_waiters)
@@ -1165,7 +1168,6 @@ class Kernel:
                 self._expire_deadlines()
                 return True
             return False
-        names = [t.name for t in runnable]
         index = self.scheduler.pick("run", names)
         if not 0 <= index < len(names):
             raise UnknownSyscallError(
