@@ -309,7 +309,9 @@ class SymptomTracker:
             stack = self._open_calls.get(event.thread)
             if stack:
                 component, _ = stack.pop()
-                self._released.get(event.thread, set()).discard(component)
+                released = self._released.get(event.thread)
+                if released:
+                    released.discard(component)
             self._close_env_markers(event)
         elif kind is _MONITOR_WAIT:
             self._waits.setdefault(event.monitor, set()).add(event.thread)
@@ -350,7 +352,9 @@ class SymptomTracker:
                     )
         elif kind is _MONITOR_ACQUIRE:
             if event.monitor:
-                self._released.get(event.thread, set()).discard(event.monitor)
+                released = self._released.get(event.thread)
+                if released:
+                    released.discard(event.monitor)
         elif kind in _ACCESSES:
             if event.component and event.component in self._released.get(
                 event.thread, ()

@@ -162,14 +162,11 @@ class OnlineHbDetector(OnlineDetector):
         ):
             state.clear()
 
-    def _vc_of(self, thread: str) -> VectorClock:
-        if thread not in self._thread_vc:
-            self._thread_vc[thread] = VectorClock({thread: 1})
-        return self._thread_vc[thread]
-
     def on_event(self, event: Event) -> None:
         thread = event.thread
-        vc = self._vc_of(thread)
+        vc = self._thread_vc.get(thread)
+        if vc is None:
+            vc = self._thread_vc[thread] = VectorClock({thread: 1})
         kind = event.kind
 
         if kind is _MONITOR_ACQUIRE:
@@ -179,7 +176,10 @@ class OnlineHbDetector(OnlineDetector):
             vc.tick(thread)
         elif kind in _RELEASES:
             # wait releases the lock exactly like a release does
-            self._monitor_vc.setdefault(event.monitor, VectorClock()).join(vc)
+            released = self._monitor_vc.get(event.monitor)
+            if released is None:
+                released = self._monitor_vc[event.monitor] = VectorClock()
+            released.join(vc)
             vc.tick(thread)
         elif kind in _NOTIFIES:
             for woken in event.detail.get("woken", []):
@@ -192,7 +192,9 @@ class OnlineHbDetector(OnlineDetector):
             vc.tick(thread)
         elif kind in _ACCESSES:
             key = (event.component or "?", event.detail.get("field", "?"))
-            epoch = self._fields.setdefault(key, _Epoch())
+            epoch = self._fields.get(key)
+            if epoch is None:
+                epoch = self._fields[key] = _Epoch()
             is_write = kind is _WRITE
             # conflict with the last write
             if (

@@ -165,7 +165,7 @@ class RunSummary:
     def schedule_key(self) -> str:
         """Stable hash of the decision sequence — the dedupe key for
         identical schedules reached from different shards/seeds."""
-        raw = ",".join(str(d) for d in self.decisions)
+        raw = ",".join(map(str, self.decisions))
         return hashlib.sha1(raw.encode()).hexdigest()
 
     @classmethod
