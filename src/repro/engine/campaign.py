@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _MODES = ("random", "pct", "systematic")
+# read on every merged run (an enum member's ``.value`` is a property read)
+_DEADLOCK = RunStatus.DEADLOCK.value
 _GOALS = ("budget", "first-failure", "first-deadlock", "coverage")
 _TRACE_MODES = ("full", "none")
 
@@ -503,7 +505,7 @@ class _Aggregator:
             self.result.summaries.append(summary)
             if not summary.ok:
                 self._failed = True
-            if summary.status == RunStatus.DEADLOCK.value or (
+            if summary.status == _DEADLOCK or (
                 summary.detection or {}
             ).get("deadlock_cycle"):
                 self._deadlocked = True

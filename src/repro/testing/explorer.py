@@ -59,6 +59,10 @@ __all__ = [
     "wilson_interval",
 ]
 
+# Read on every merged run: bound once (an enum member's ``.value`` is a
+# Python-level property read on 3.11).
+_COMPLETED = RunStatus.COMPLETED.value
+
 #: Builds a fresh kernel (components + threads registered) around the
 #: scheduler the explorer supplies.  Must not run it.
 ProgramFactory = Callable[[Scheduler], Kernel]
@@ -146,7 +150,7 @@ class RunSummary:
 
     @property
     def ok(self) -> bool:
-        return self.status == RunStatus.COMPLETED.value and not self.crashed
+        return self.status == _COMPLETED and not self.crashed
 
     @property
     def detected_classes(self) -> Tuple[str, ...]:

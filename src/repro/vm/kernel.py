@@ -532,14 +532,17 @@ class Kernel:
         identity, so no Python-level ``__hash__`` is called per event.
         Unfiltered subscribers always run first, in subscription order;
         kind-filtered subscribers follow, in subscription order per kind.
-        A :class:`~repro.detect.online.DetectorPipeline` attaches as a set
-        of kind-filtered subscribers (one per detector), so it runs after
-        any unfiltered sink.
+        A :class:`~repro.detect.online.DetectorPipeline` attaches as a
+        kind-filtered routing table (:meth:`install_routes`), so it runs
+        after any unfiltered sink.
         """
         if kinds is None:
             self._sinks.append(sink)
             return
-        self._add_routes({kind: (sink,) for kind in kinds})
+        routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {}
+        for kind in kinds:
+            routes[kind] = routes.get(kind, ()) + (sink,)
+        self._add_routes(routes)
 
     def install_routes(
         self, routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]]

@@ -264,7 +264,15 @@ class MonitorObject:
         }
 
 
-def _new_queue() -> "WaitQueue":
-    from .waitq import WaitQueue
+#: :class:`~repro.vm.waitq.WaitQueue`, looked up on first use (that
+#: module imports this one)
+_WaitQueue: Any = None
 
-    return WaitQueue()
+
+def _new_queue() -> "WaitQueue":
+    global _WaitQueue
+    if _WaitQueue is None:
+        from .waitq import WaitQueue
+
+        _WaitQueue = WaitQueue
+    return _WaitQueue()
