@@ -226,7 +226,8 @@ class DetectorPipeline:
     that table into a kernel in one call; :meth:`on_event` walks the same
     table for replay and batch callers.  A
     :class:`~repro.run.executor.RunExecutor` installs the table itself,
-    merged with its sink's, and only :meth:`bind`\ s each run's kernel.
+    merged with its sink's, and only binds each run's kernel
+    (:meth:`bind`).
 
     Args:
         detectors: the detectors to run; defaults to

@@ -189,8 +189,9 @@ class RunExecutor:
     Everything but the kernel is built once, here: the pipeline, the
     sink, the fault injector, and the one kind-routing table (the
     pipeline's routes, then the sink's) that every kernel adopts without
-    copying.  Building the next kernel :meth:`~repro.vm.kernel.Kernel.release`\ s
-    the previous one, so a finished run is freed by reference counting.
+    copying.  Building the next kernel releases the previous one
+    (:meth:`~repro.vm.kernel.Kernel.release`), so a finished run is freed
+    by reference counting.
     """
 
     def __init__(self, config: RunConfig) -> None:

@@ -49,7 +49,6 @@ class PCTScheduler(Scheduler):
         self.seed = seed
         self.depth = depth
         self.expected_steps = expected_steps
-        self._rng = random.Random(seed)
         self._priorities: Dict[str, float] = {}
         self._change_points: List[int] = []
         self._step = 0

@@ -116,13 +116,19 @@ class RandomScheduler(Scheduler):
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self.seed = seed
-        self._rng = random.Random(seed)
+        #: seeded on the first pick after construction or reset (the same
+        #: draws as seeding eagerly: nothing draws in between), so a run,
+        #: which resets its scheduler first, seeds it once
+        self._rng: Optional[random.Random] = None
 
     def reset(self) -> None:
-        self._rng = random.Random(self.seed)
+        self._rng = None
 
     def pick(self, kind: str, options: Sequence[str]) -> int:
-        return self._rng.randrange(len(options))
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self.seed)
+        return rng.randrange(len(options))
 
 
 class ReplayScheduler(Scheduler):
