@@ -501,6 +501,8 @@ class SymptomTracker:
                 )
             )
         for thread, state in result.thread_states.items():
+            if state != _BLOCKED_VALUE and state != _WAITING_VALUE:
+                continue  # only a thread left blocked or waiting shows one
             stack = self._open_calls.get(thread)
             context: Dict[str, Any] = {"thread": thread}
             if stack:
