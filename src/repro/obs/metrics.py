@@ -70,8 +70,6 @@ def series_rows(label: str, values: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Snapshot-form rows of a one-label counter or gauge series: one
     ``{"labels": {label: key}, "value": value}`` per entry, in label
     order (the order ``to_dict`` sorts string-keyed series into)."""
-    if len(values) < 2:  # the usual one monitor: nothing to sort
-        return [{"labels": {label: key}, "value": value} for key, value in values.items()]
     return [
         {"labels": {label: key}, "value": values[key]} for key in sorted(values)
     ]
@@ -165,11 +163,9 @@ class Counter(Metric):
     def merge_payload(self, payload: Dict[str, Any]) -> None:
         self._require_kind(payload.get("type"))
         series = self._series
-        get = series.get
         for row in payload.get("series", ()):
-            labels = row.get("labels")
-            key = _labelset(labels) if labels else ()
-            series[key] = get(key, 0) + row["value"]
+            key = _labelset(row.get("labels"))
+            series[key] = series.get(key, 0) + row["value"]
 
     def to_dict(self) -> Dict[str, Any]:
         return metric_row(

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import bisect
 import time
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.vm.events import Event, EventKind
@@ -67,7 +67,6 @@ _NOTIFY = EventKind.NOTIFY
 _NOTIFY_ALL = EventKind.NOTIFY_ALL
 
 _by_name = itemgetter("name")
-_by_thread_name = attrgetter("name")
 
 
 def _counter(name: str, help: str, series: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -371,23 +370,15 @@ class InstrumentationSink:
             )
         kernel = self._kernel
         if kernel is not None:
-            switches: List[Dict[str, Any]] = []
-            blocked: List[Dict[str, Any]] = []
-            waiting: List[Dict[str, Any]] = []
-            for thread in sorted(kernel.threads.values(), key=_by_thread_name):
-                name = thread.name
-                if thread.context_switches:
-                    switches.append(
-                        {"labels": {"thread": name}, "value": thread.context_switches}
-                    )
-                if thread.blocked_ticks:
-                    blocked.append(
-                        {"labels": {"thread": name}, "value": thread.blocked_ticks}
-                    )
-                if thread.waiting_ticks:
-                    waiting.append(
-                        {"labels": {"thread": name}, "value": thread.waiting_ticks}
-                    )
+            stats = kernel.thread_stats()
+
+            def per_thread(counter: str) -> List[Dict[str, Any]]:
+                """The threads' nonzero ``counter`` values as series rows."""
+                return series_rows(
+                    "thread",
+                    {name: s[counter] for name, s in stats.items() if s[counter]},
+                )
+
             rows += [
                 _counter(
                     "vm_steps_total",
@@ -397,17 +388,17 @@ class InstrumentationSink:
                 _counter(
                     "vm_context_switches_total",
                     "times a thread was scheduled after a different thread",
-                    switches,
+                    per_thread("context_switches"),
                 ),
                 _counter(
                     "vm_blocked_ticks_total",
                     "virtual time threads spent blocked in entry sets",
-                    blocked,
+                    per_thread("blocked_ticks"),
                 ),
                 _counter(
                     "vm_waiting_ticks_total",
                     "virtual time threads spent in wait sets (pre-wake)",
-                    waiting,
+                    per_thread("waiting_ticks"),
                 ),
             ]
         if self._run_wall is not None:
