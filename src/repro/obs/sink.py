@@ -127,7 +127,9 @@ class InstrumentationSink:
         self._lost_notifies: Dict[str, int] = {}
         self._close_hold, self._handlers = self._build_handlers()
         #: kind -> handlers: the routing table :meth:`install` gives a kernel
-        self.routes = {kind: (handler,) for kind, handler in self._handlers.items()}
+        self.routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {
+            kind: (handler,) for kind, handler in self._handlers.items()
+        }
 
     def install(self, kernel: "Kernel") -> "InstrumentationSink":
         """Route the kernel's monitor-protocol events to this sink

@@ -209,10 +209,12 @@ class RunExecutor:
         )
         #: kind -> handlers of the pipeline, then of the sink
         self._routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {}
-        for part in (self._pipeline, self._sink):
-            if part is not None:
-                for kind, handlers in part.routes.items():
-                    self._routes[kind] = self._routes.get(kind, ()) + handlers
+        for table in (
+            self._pipeline.routes if self._pipeline is not None else {},
+            self._sink.routes if self._sink is not None else {},
+        ):
+            for kind, handlers in table.items():
+                self._routes[kind] = self._routes.get(kind, ()) + handlers
         #: the most recent run's kernel, released when the next is built
         self._kernel: Optional[Kernel] = None
         self._extract = _coverage_extractor(config.coverage)
@@ -274,15 +276,15 @@ class RunExecutor:
         return kernel
 
     def _make_runner(self) -> KernelRunner:
-        sink = self._sink
-        if sink is None:
+        if self._sink is None:
             return self._timed
         timed = self._timed
+        observe_run = self._sink.observe_run
 
         def run(kernel: Kernel) -> RunResult:
             started = time.perf_counter()
             result = timed(kernel)
-            sink.observe_run(time.perf_counter() - started, result.status.value)
+            observe_run(time.perf_counter() - started, result.status.value)
             return result
 
         return run
