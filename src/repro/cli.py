@@ -449,15 +449,13 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         from repro.vm.scheduler import (
             ChoiceExhaustedError,
             FifoScheduler,
-            RecordingScheduler,
             ReplayScheduler,
         )
 
-        recorder = RecordingScheduler(
-            ReplayScheduler(decisions, fallback=FifoScheduler())
-        )
         try:
-            result = executor.execute(recorder)
+            result = executor.execute(
+                ReplayScheduler(decisions, fallback=FifoScheduler())
+            )
         except ChoiceExhaustedError as exc:
             raise SystemExit(
                 f"error: decision sequence does not fit this program: {exc}"

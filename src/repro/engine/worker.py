@@ -78,26 +78,30 @@ def execute_shard(
             emit(summary)
 
     shard = task.shard
-    if shard.mode == "systematic":
-        result = executor.explore(
-            "systematic",
-            roots=[list(p) for p in shard.prefixes],
-            max_runs=shard.max_runs,
-            stop_on_failure=task.stop_on_failure,
-            on_run=on_run,
-            keep_runs=False,
-        )
-        outcome.exhausted = result.exhausted
-    elif shard.mode in ("random", "pct"):
-        executor.explore(
-            shard.mode,
-            seeds=shard.seeds,
-            stop_on_failure=task.stop_on_failure,
-            on_run=on_run,
-            keep_runs=False,
-        )
-    else:
-        raise ValueError(f"unknown shard mode {shard.mode!r}")
+    try:
+        if shard.mode == "systematic":
+            result = executor.explore(
+                "systematic",
+                roots=[list(p) for p in shard.prefixes],
+                max_runs=shard.max_runs,
+                stop_on_failure=task.stop_on_failure,
+                on_run=on_run,
+                keep_runs=False,
+            )
+            outcome.exhausted = result.exhausted
+        elif shard.mode in ("random", "pct"):
+            executor.explore(
+                shard.mode,
+                seeds=shard.seeds,
+                stop_on_failure=task.stop_on_failure,
+                on_run=on_run,
+                keep_runs=False,
+            )
+        else:
+            raise ValueError(f"unknown shard mode {shard.mode!r}")
+    finally:
+        # the shard's last run, freed before the next shard's first
+        executor.release()
     return outcome
 
 

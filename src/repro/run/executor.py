@@ -191,7 +191,7 @@ class RunExecutor:
     pipeline's routes, then the sink's) that every kernel adopts without
     copying.  Building the next kernel releases the previous one
     (:meth:`~repro.vm.kernel.Kernel.release`), so a finished run is freed
-    by reference counting.
+    by reference counting; :meth:`release` frees the last one.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -274,6 +274,20 @@ class RunExecutor:
             kernel.install_routes(self._routes)
         self._kernel = kernel
         return kernel
+
+    def release(self) -> None:
+        """Free the most recent run: release its kernel and clear the
+        pipeline and sink, which still refer to it and its events.  Call
+        it once the last run is summarized; the executor may build more
+        runs afterwards."""
+        kernel = self._kernel
+        if kernel is not None:
+            self._kernel = None
+            kernel.release()
+        if self._pipeline is not None:
+            self._pipeline.reset()
+        if self._sink is not None:
+            self._sink.reset()
 
     def _make_runner(self) -> KernelRunner:
         if self._sink is None:

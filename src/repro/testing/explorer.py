@@ -407,11 +407,13 @@ def explore_systematic(
         run = ExplorationRun(
             index=result.n_executed,
             prefix=tuple(prefix),
-            decisions=tuple([d.chosen for d in decisions]),
+            decisions=tuple(kernel.choice_log),
             result=run_result,
         )
+        del kernel, run_result
         failed = run.failed
         _record(result, run, on_run, keep_runs)
+        del run  # unless kept, the next run starts with this one freed
         if stop_on_failure and failed:
             result.pending = [tuple(p) for p in stack]
             return result
@@ -441,18 +443,19 @@ def _explore_seeded(
     runner = _resolve_runner(factory, runner)
     result = ExplorationResult()
     for seed in seeds:
-        recorder = RecordingScheduler(make_scheduler(seed))
-        kernel = factory(recorder)
+        kernel = factory(make_scheduler(seed))
         run_result = runner(kernel)
         run = ExplorationRun(
             index=result.n_executed,
             prefix=(),
-            decisions=tuple([d.chosen for d in recorder.log]),
+            decisions=tuple(kernel.choice_log),
             result=run_result,
             seed=seed,
         )
+        del kernel, run_result
         failed = run.failed
         _record(result, run, on_run, keep_runs)
+        del run  # unless kept, the next run starts with this one freed
         if stop_on_failure and failed:
             break
     return result

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import inspect
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from .kernel import Kernel
 from .syscalls import Acquire, CallBegin, CallEnd, Release
@@ -43,6 +43,9 @@ __all__ = ["MonitorComponent", "synchronized", "unsynchronized", "is_synchronize
 
 _INTERNAL_PREFIX = "_"
 _object_getattribute = object.__getattribute__
+
+#: the immutable syscalls a wrapped call of one method yields
+_WrapperCalls = Tuple[CallBegin, Acquire, Release]
 
 
 class MonitorComponent:
@@ -66,11 +69,16 @@ class MonitorComponent:
     def _vm_attach(self, kernel: Kernel, name: str) -> None:
         object.__setattr__(self, "_vm_kernel", kernel)
         object.__setattr__(self, "_vm_name", name)
+        #: method name -> its wrapper syscalls, built on first call (see
+        #: _wrapper_calls); each refers back to the component, so the
+        #: cache lives only while the component is attached
+        object.__setattr__(self, "_vm_calls", {})
 
     # kernel.release() hook
     def _vm_detach(self, kernel: Kernel) -> None:
         if object.__getattribute__(self, "_vm_kernel") is kernel:
             object.__setattr__(self, "_vm_kernel", None)
+            object.__getattribute__(self, "_vm_calls").clear()
 
     @property
     def vm_name(self) -> str:
@@ -101,6 +109,22 @@ class MonitorComponent:
         object.__setattr__(self, name, value)
 
 
+def _wrapper_calls(component: Any, name: str) -> _WrapperCalls:
+    """The ``CallBegin``, ``Acquire`` and ``Release`` a wrapped call of
+    ``component.name`` yields.  They are immutable, so an attached
+    component caches them for its later calls; a component that was
+    never attached gets fresh ones on every call."""
+    calls = (CallBegin(component, name), Acquire(component), Release(component))
+    try:
+        cache: Dict[str, _WrapperCalls] = _object_getattribute(
+            component, "_vm_calls"
+        )
+    except AttributeError:
+        return calls
+    cache[name] = calls
+    return calls
+
+
 def synchronized(method: Callable[..., Any]) -> Callable[..., Generator]:
     """Declare a component method synchronized (the Java keyword).
 
@@ -109,19 +133,28 @@ def synchronized(method: Callable[..., Any]) -> Callable[..., Generator]:
     unwinding of a Java synchronized block.  Works for generator methods
     (bodies that ``yield`` concurrency syscalls) and for plain methods
     (bodies that execute atomically inside the lock).
+
+    The call's ``CallBegin``, ``Acquire`` and ``Release`` are built once
+    per attached component and method (:func:`_wrapper_calls`); only
+    ``CallEnd``, which carries the result, is built per call.
     """
     is_generator = inspect.isgeneratorfunction(method)
+    name = method.__name__
 
     @functools.wraps(method)
     def wrapper(self: MonitorComponent, *args: Any, **kwargs: Any) -> Generator:
-        yield CallBegin(self, method.__name__)
         try:
-            yield Acquire(self)
+            begin, acquire, release = _object_getattribute(self, "_vm_calls")[name]
+        except (AttributeError, KeyError):
+            begin, acquire, release = _wrapper_calls(self, name)
+        yield begin
+        try:
+            yield acquire
         except InterruptedError:
             # Interrupted while blocked acquiring: the kernel removed us
             # from the entry set, so there is no lock to release.  Record
             # the exceptional completion and let the interrupt propagate.
-            yield CallEnd(self, method.__name__, None, interrupted=True)
+            yield CallEnd(self, name, None, interrupted=True)
             raise
         try:
             if is_generator:
@@ -138,16 +171,16 @@ def synchronized(method: Callable[..., Any]) -> Callable[..., Generator]:
             # The call completes *exceptionally*: release the lock as the
             # unwinding synchronized block does, and mark the call end so
             # completion accounting can tell propagation from swallowing.
-            yield Release(self)
-            yield CallEnd(self, method.__name__, None, interrupted=True)
+            yield release
+            yield CallEnd(self, name, None, interrupted=True)
             raise
         except BaseException:
             # A Java synchronized block releases its lock as the exception
             # unwinds through it.
-            yield Release(self)
+            yield release
             raise
-        yield Release(self)
-        yield CallEnd(self, method.__name__, result)
+        yield release
+        yield CallEnd(self, name, result)
         return result
 
     wrapper._vm_synchronized = True  # type: ignore[attr-defined]
@@ -164,10 +197,15 @@ def unsynchronized(method: Callable[..., Any]) -> Callable[..., Generator]:
     expressed in a component under test.
     """
     is_generator = inspect.isgeneratorfunction(method)
+    name = method.__name__
 
     @functools.wraps(method)
     def wrapper(self: MonitorComponent, *args: Any, **kwargs: Any) -> Generator:
-        yield CallBegin(self, method.__name__)
+        try:
+            begin = _object_getattribute(self, "_vm_calls")[name][0]
+        except (AttributeError, KeyError):
+            begin = _wrapper_calls(self, name)[0]
+        yield begin
         try:
             if is_generator:
                 result = yield from method(self, *args, **kwargs)
@@ -176,9 +214,9 @@ def unsynchronized(method: Callable[..., Any]) -> Callable[..., Generator]:
         except GeneratorExit:
             raise
         except InterruptedError:
-            yield CallEnd(self, method.__name__, None, interrupted=True)
+            yield CallEnd(self, name, None, interrupted=True)
             raise
-        yield CallEnd(self, method.__name__, result)
+        yield CallEnd(self, name, result)
         return result
 
     wrapper._vm_synchronized = False  # type: ignore[attr-defined]

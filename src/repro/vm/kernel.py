@@ -337,6 +337,9 @@ class Kernel:
         #: thread picked at each step, in order (enables replay of a
         #: saved run via NameReplayScheduler; embedded in saved traces).
         self.schedule_log: List[str] = []
+        #: index the scheduler chose at each step, in order: the run's
+        #: decision sequence, which ReplayScheduler replays exactly.
+        self.choice_log: List[int] = []
         #: thread that ran the previous step (context-switch accounting).
         self._last_scheduled: Optional[str] = None
         self._seq = 0
@@ -1181,6 +1184,7 @@ class Kernel:
             thread.context_switches += 1
             self._last_scheduled = thread.name
         self.schedule_log.append(thread.name)
+        self.choice_log.append(index)
         syscall = self._resume(thread)
         self.time += 1
         self.steps += 1

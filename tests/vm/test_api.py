@@ -4,11 +4,15 @@ MonitorComponent attribute instrumentation."""
 import pytest
 
 from repro.vm import (
+    Acquire,
+    CallBegin,
+    CallEnd,
     EventKind,
     FifoScheduler,
     Kernel,
     MonitorComponent,
     NotifyAll,
+    Release,
     RoundRobinScheduler,
     Wait,
     Yield,
@@ -245,3 +249,156 @@ class TestRegistration:
         kernel.new_monitor("m")
         with pytest.raises(ValueError):
             kernel.new_monitor("m")
+
+
+class Steps(MonitorComponent):
+    """Methods whose bodies yield one syscall, then return or raise."""
+
+    @synchronized
+    def waits(self):
+        yield Wait()
+        return "done"
+
+    @synchronized
+    def raises(self):
+        yield Yield()
+        raise RuntimeError("bang")
+
+    @unsynchronized
+    def loose(self):
+        yield Yield()
+        return 7
+
+
+class SkipsInit(Steps):
+    def __init__(self):  # never calls MonitorComponent.__init__
+        pass
+
+
+def drive(call, throw_at=None, exc=None):
+    """Every syscall a wrapped call yields, and what it finally raised.
+    ``exc`` is thrown in at the first yield of type ``throw_at``."""
+    yielded = []
+    syscall = next(call)
+    try:
+        while True:
+            yielded.append(syscall)
+            if throw_at is not None and type(syscall) is throw_at:
+                throw_at = None
+                syscall = call.throw(exc)
+            else:
+                syscall = call.send(None)
+    except StopIteration:
+        return yielded, None
+    except BaseException as raised:  # noqa: BLE001 - what the call raised
+        return yielded, type(raised)
+
+
+def attached(component):
+    Kernel(scheduler=FifoScheduler()).register(component)
+    return component
+
+
+class TestWrapperSyscalls:
+    """The syscalls of ``@synchronized``/``@unsynchronized`` calls on every
+    path, attached (cached syscalls) or not (built per call)."""
+
+    COMPONENTS = {
+        "attached": lambda: attached(Steps()),
+        "unattached": Steps,
+        "skips-init-attached": lambda: attached(SkipsInit()),
+        "skips-init-unattached": SkipsInit,
+    }
+
+    @pytest.fixture(params=sorted(COMPONENTS))
+    def comp(self, request):
+        return self.COMPONENTS[request.param]()
+
+    def test_normal_call(self, comp):
+        assert drive(comp.waits()) == (
+            [
+                CallBegin(comp, "waits"),
+                Acquire(comp),
+                Wait(),
+                Release(comp),
+                CallEnd(comp, "waits", "done"),
+            ],
+            None,
+        )
+
+    def test_interrupted_acquire(self, comp):
+        assert drive(comp.waits(), Acquire, InterruptedError()) == (
+            [
+                CallBegin(comp, "waits"),
+                Acquire(comp),
+                CallEnd(comp, "waits", None, interrupted=True),
+            ],
+            InterruptedError,
+        )
+
+    def test_interrupted_body(self, comp):
+        assert drive(comp.waits(), Wait, InterruptedError()) == (
+            [
+                CallBegin(comp, "waits"),
+                Acquire(comp),
+                Wait(),
+                Release(comp),
+                CallEnd(comp, "waits", None, interrupted=True),
+            ],
+            InterruptedError,
+        )
+
+    def test_raising_body(self, comp):
+        assert drive(comp.raises()) == (
+            [CallBegin(comp, "raises"), Acquire(comp), Yield(), Release(comp)],
+            RuntimeError,
+        )
+
+    def test_abandoned_call_closes_silently(self, comp):
+        call = comp.waits()
+        next(call)
+        next(call)
+        call.close()  # GeneratorExit inside the lock: no further yield
+
+    def test_unsynchronized(self, comp):
+        assert drive(comp.loose()) == (
+            [CallBegin(comp, "loose"), Yield(), CallEnd(comp, "loose", 7)],
+            None,
+        )
+        assert drive(comp.loose(), Yield, InterruptedError()) == (
+            [
+                CallBegin(comp, "loose"),
+                Yield(),
+                CallEnd(comp, "loose", None, interrupted=True),
+            ],
+            InterruptedError,
+        )
+
+    def test_attached_component_builds_its_syscalls_once(self):
+        comp = attached(Steps())
+        first, _ = drive(comp.waits())
+        second, _ = drive(comp.waits())
+        for built_once in (0, 1, 3):  # CallBegin, Acquire, Release
+            assert second[built_once] is first[built_once]
+        assert second[4] == first[4] and second[4] is not first[4]
+        assert drive(comp.loose())[0][0] is comp._vm_calls["loose"][0]
+
+    def test_skipping_init_still_runs(self):
+        kernel = Kernel(scheduler=RoundRobinScheduler())
+        comp = kernel.register(SkipsInit())
+
+        def body():
+            value = yield from comp.loose()
+            return value
+
+        kernel.spawn(body, name="t")
+        result = kernel.run()
+        assert result.ok and result.thread_results["t"] == 7
+
+    def test_release_empties_the_cache(self):
+        kernel, cell, result = run_cell_program()
+        assert result.ok
+        assert sorted(cell._vm_calls) == ["get", "put"]
+        kernel.release()
+        assert cell._vm_calls == {}
+        assert cell.kernel is None
