@@ -1,22 +1,18 @@
 """Mutation study: which detector catches which Table-1 failure class?
 
-Applies every applicable mutation operator to every method of the
+Applies every mutation site of every operator on the methods of the
 producer-consumer and bounded-buffer monitors, replays a golden covering
 sequence against each mutant, and reports the kill matrix together with
-the failure classes the violations were diagnosed as.
+the failure classes the violations were diagnosed as.  ``dup_notify``
+is the control: it seeds nothing and should survive.
 
 Run:  python examples/mutation_study.py
 """
 
 from repro.components import BoundedBuffer, ProducerConsumer
+from repro.corpus import OPERATORS, mutant, mutation_sites
 from repro.report import render_table
-from repro.testing import (
-    TestSequence,
-    annotate_expectations,
-    applicable_operators,
-    mutate_component,
-    run_sequence,
-)
+from repro.testing import TestSequence, annotate_expectations, run_sequence
 
 
 def pc_covering():
@@ -56,34 +52,33 @@ def study(component_label, factory, cls, sequence, methods):
 
     rows = []
     killed = total = 0
-    for method in methods:
-        for operator in applicable_operators(cls, method):
-            mutant_cls = mutate_component(cls, method, operator)
-            if cls is BoundedBuffer:
-                outcome = run_sequence(lambda: mutant_cls(2), golden)
-            else:
-                outcome = run_sequence(mutant_cls, golden)
-            dead = not outcome.passed
-            total += 1
-            killed += dead
-            classes = sorted(
-                {c.code for c in outcome.report.classes_detected()}
+    for site in mutation_sites(cls):
+        if site.method not in methods:
+            continue
+        mutant_cls = mutant(cls, site.label)
+        if cls is BoundedBuffer:
+            outcome = run_sequence(lambda: mutant_cls(2), golden)
+        else:
+            outcome = run_sequence(mutant_cls, golden)
+        dead = not outcome.passed
+        total += 1
+        killed += dead
+        classes = sorted({c.code for c in outcome.report.classes_detected()})
+        rows.append(
+            (
+                site.method,
+                site.operator,
+                ", ".join(OPERATORS[site.operator].expected) or "-",
+                "KILLED" if dead else "survived",
+                str(len(outcome.violations)),
+                ", ".join(classes) or "-",
             )
-            rows.append(
-                (
-                    method,
-                    operator.name,
-                    operator.seeded_class.code,
-                    "KILLED" if dead else "survived",
-                    str(len(outcome.violations)),
-                    ", ".join(classes) or "-",
-                )
-            )
+        )
     print(
         render_table(
             ("method", "operator", "seeds", "verdict", "violations", "diagnosed as"),
             rows,
-            widths=(8, 20, 6, 8, 10, 22),
+            widths=(8, 18, 6, 8, 10, 22),
             title=f"{component_label}: mutation kill matrix "
             f"({killed}/{total} killed)",
         )

@@ -12,17 +12,9 @@ Run:  python examples/producer_consumer_testing.py
 
 from repro.analysis import build_all_cofgs, cofg_to_dot
 from repro.components import ProducerConsumer
+from repro.corpus import mutant
 from repro.report import render_figure3
-from repro.testing import (
-    RemoveNotify,
-    RemoveWaitLoop,
-    TestSequence,
-    WaitToYield,
-    WhileToIf,
-    annotate_expectations,
-    mutate_component,
-    run_sequence,
-)
+from repro.testing import TestSequence, annotate_expectations, run_sequence
 
 
 def covering_sequence() -> TestSequence:
@@ -70,17 +62,16 @@ def main():
 
     # -- step 5: kill the mutants ------------------------------------------
     mutants = [
-        ("send", RemoveNotify, "FF-T5: send never notifies"),
-        ("receive", RemoveWaitLoop, "FF-T3: receive never waits"),
-        ("receive", WhileToIf, "EF-T5: guard not re-checked"),
-        ("send", WaitToYield, "FF-T4: busy-wait holding the lock"),
+        ("drop_notify@send#0", "FF-T5: send never notifies"),
+        ("drop_wait@receive#0", "FF-T3: receive never waits"),
+        ("wait_if@receive#0", "EF-T5: guard not re-checked"),
+        ("wait_spin@send#0", "FF-T4: busy-wait holding the lock"),
     ]
     print("\nmutation study:")
-    for method, operator, description in mutants:
-        mutant = mutate_component(ProducerConsumer, method, operator)
-        result = run_sequence(mutant, golden)
+    for label, description in mutants:
+        result = run_sequence(mutant(ProducerConsumer, label), golden)
         verdict = "KILLED" if not result.passed else "SURVIVED"
-        print(f"  {operator.name:>22} on {method:7} ({description}): {verdict}")
+        print(f"  {label:>20} ({description}): {verdict}")
         for violation in result.violations[:2]:
             print(f"      {violation}")
         assert not result.passed

@@ -17,16 +17,10 @@ import tempfile
 from pathlib import Path
 
 from repro.components import BoundedBuffer
+from repro.corpus import mutant
 from repro.detect import analyze_starvation, detect_races_hb, profile_contention
 from repro.method import systematic_test
-from repro.testing import (
-    CallTemplate,
-    RegressionSuite,
-    RemoveNotify,
-    TestSequence,
-    mutate_component,
-    render_script,
-)
+from repro.testing import CallTemplate, RegressionSuite, TestSequence, render_script
 from repro.vm import load_schedule, load_trace, save_trace
 
 
@@ -74,7 +68,7 @@ def main():
     print(script_path.read_text())
 
     # -- 3. regression against a broken "new version" ------------------------
-    broken = mutate_component(BoundedBuffer, "get", RemoveNotify)
+    broken = mutant(BoundedBuffer, "drop_notify@get#0")
     regression = RegressionSuite.load(suite_path).run(lambda: broken(2))
     print("new version under the saved suite:")
     print(regression.describe())

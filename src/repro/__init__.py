@@ -14,8 +14,10 @@ Subpackages:
   wait-for deadlocks, starvation, completion times, lost notifies).
 * :mod:`repro.coverage` -- CoFG arc coverage measurement over VM traces.
 * :mod:`repro.testing` -- deterministic test harness (ConAn-style clocked
-  sequences), CoFG-driven sequence generation, schedule exploration,
-  component mutation.
+  sequences), CoFG-driven sequence generation, schedule exploration.
+* :mod:`repro.corpus` -- the mutation engine: AST operators seeding
+  Table-1 failure classes, single mutants for tests, and the labeled
+  variant corpus with its detection-rate sweeps.
 * :mod:`repro.components` -- example monitor components, correct and faulty.
 * :mod:`repro.report` -- emitters regenerating the paper's tables/figures.
 """

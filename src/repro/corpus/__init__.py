@@ -3,7 +3,9 @@
 The paper classifies concurrency failures over a handful of hand-written
 components; this package mechanizes that ground truth at corpus scale.
 :mod:`~repro.corpus.operators` rewrites correct components at the AST
-level to inject known Table-1 failure classes; :mod:`~repro.corpus.generate`
+level to inject known Table-1 failure classes (the package's one mutation
+engine: :func:`mutant` builds a single mutant class from site labels for
+tests and examples); :mod:`~repro.corpus.generate`
 turns operator applications into a labeled, digest-verified JSONL
 manifest of loadable variants; :mod:`~repro.corpus.sweep` fans the
 corpus through the campaign engine (one resumable campaign per
@@ -21,6 +23,8 @@ from .generate import (
     compile_variant,
     generate_corpus,
     load_corpus,
+    mutant,
+    mutation_sites,
     read_manifest,
     resolve_component_name,
     write_manifest,
@@ -60,6 +64,8 @@ __all__ = [
     "discover_sites",
     "generate_corpus",
     "load_corpus",
+    "mutant",
+    "mutation_sites",
     "read_manifest",
     "read_results",
     "resolve_component_name",

@@ -58,6 +58,8 @@ __all__ = [
     "compile_variant",
     "generate_corpus",
     "load_corpus",
+    "mutant",
+    "mutation_sites",
     "parse_site",
     "read_manifest",
     "resolve_component_name",
@@ -79,6 +81,11 @@ CORPUS_DRIVERS: Dict[str, str] = {
 #: protocol edits; structural operators pair poorly — e.g. two ``unsync``
 #: sites collapse into the same static finding)
 _PAIRABLE = ("wait_if", "notify_single", "drop_notify", "dup_notify")
+
+#: operators that seed tests and examples but never enter the corpus:
+#: sweeping them would change the ``corpus-sweep`` benchmark workload and
+#: its pinned digest, which is a benchmark change of its own
+_UNSWEPT = ("drop_wait", "wait_spin", "extra_wait")
 
 #: cross-method pairs kept per component (deterministic prefix)
 DEFAULT_PAIR_CAP = 20
@@ -231,6 +238,29 @@ def _exec_namespace(parent_cls: Type[Any]) -> Dict[str, Any]:
     return namespace
 
 
+def _compile_class(
+    parent_cls: Type[Any], source: str, class_name: str, variant_id: str
+) -> Type[Any]:
+    """Exec a variant's generated source and return its class."""
+    filename = f"<corpus:{variant_id}>"
+    namespace = _exec_namespace(parent_cls)
+    code = compile(source, filename, "exec")
+    exec(code, namespace)
+    # Source-introspecting analyses (CoFG, static checks) read methods via
+    # inspect.getsource; seed linecache so that works for exec'd classes.
+    linecache.cache[filename] = (
+        len(source),
+        None,
+        source.splitlines(True),
+        filename,
+    )
+    cls = namespace[class_name]
+    if not isinstance(cls, type):  # pragma: no cover - exec always binds a class
+        raise CorpusError(f"variant {variant_id!r} did not compile to a class")
+    cls.__corpus_variant__ = variant_id  # type: ignore[attr-defined]
+    return cls
+
+
 def compile_variant(parent_cls: Type[Any], record: VariantRecord) -> Type[Any]:
     """Recompile a manifest record into a loadable component class.
 
@@ -246,25 +276,31 @@ def compile_variant(parent_cls: Type[Any], record: VariantRecord) -> Type[Any]:
             f"(manifest {record.digest[:12]}..., recompiled {digest[:12]}...); "
             f"regenerate the manifest"
         )
-    filename = f"<corpus:{record.variant_id}>"
-    namespace = _exec_namespace(parent_cls)
-    code = compile(source, filename, "exec")
-    exec(code, namespace)
-    # Source-introspecting analyses (CoFG, static checks) read methods via
-    # inspect.getsource; seed linecache so that works for exec'd classes.
-    linecache.cache[filename] = (
-        len(source),
-        None,
-        source.splitlines(True),
-        filename,
+    return _compile_class(
+        parent_cls, source, record.class_name, record.variant_id
     )
-    cls = namespace[record.class_name]
-    if not isinstance(cls, type):  # pragma: no cover - exec always binds a class
-        raise CorpusError(
-            f"variant {record.variant_id!r} did not compile to a class"
-        )
-    cls.__corpus_variant__ = record.variant_id  # type: ignore[attr-defined]
-    return cls
+
+
+def mutant(parent_cls: Type[Any], *labels: str) -> Type[Any]:
+    """``parent_cls`` recompiled with each labeled site (``"wait_if@put#0"``)
+    applied in order.
+
+    The result is a fresh class, not a subclass of ``parent_cls``.  Its
+    source is registered in ``linecache`` like a corpus variant's, so CoFG
+    construction and coverage work on it.  Raises :class:`CorpusError`
+    for a malformed label and :class:`MutationError` for a site the
+    parent does not have.
+    """
+    source, _, _ = _build_source(parent_cls, labels)
+    parent = parent_cls.__name__
+    return _compile_class(
+        parent_cls, source, _class_name(parent, labels), _variant_id(parent, labels)
+    )
+
+
+def mutation_sites(parent_cls: Type[Any]) -> List[MutationSite]:
+    """Every mutation site of every operator on ``parent_cls``."""
+    return discover_sites(_component_ast(parent_cls))
 
 
 def _expected_for(labels: Iterable[str]) -> Tuple[str, ...]:
@@ -316,6 +352,8 @@ def _variants_for(
     add(())  # baseline control
     applicable: List[MutationSite] = []
     for site in sites:
+        if site.operator in _UNSWEPT:
+            continue
         try:
             add((site.label,))
             applicable.append(site)

@@ -29,12 +29,22 @@ operator                  edit                     expected class(es)
 ``sem_release_drop``      ``yield SemRelease`` →   FF-S3
                           return without
                           releasing
+``drop_wait``             delete a guarded wait    FF-T3 *(not swept)*
+                          loop
+``wait_spin``             ``yield Wait()`` of a    FF-T4 *(not swept)*
+                          guarded loop →
+                          ``yield Yield()``
+``extra_wait``            insert ``yield Wait()``  EF-T3 *(not swept)*
+                          before a synchronized
+                          method's last statement
 ========================  =======================  ====================
 
 ``unsync`` only applies to methods with no monitor syscalls (a wait or
 notify without the lock would crash, masking the intended interference
 failure); ``dup_notify`` deliberately expects *nothing* — an extra
 ``notify_all`` is benign, and these variants act as sweep controls.
+The last three operators seed tests and examples but are kept out of
+the generated corpus (see :mod:`repro.corpus.generate`).
 
 Operators work on the component's :class:`ast.ClassDef`; an *applied*
 mutation is rejected upstream when it does not change the unparsed
@@ -193,7 +203,7 @@ class MutationOperator:
     class_level: bool = False
 
 
-def _count_wait_if(func: ast.FunctionDef) -> int:
+def _count_wait_loops(func: ast.FunctionDef) -> int:
     return _count(func, _is_wait_loop)
 
 
@@ -345,6 +355,37 @@ def _apply_sem_release_drop(func: ast.FunctionDef, index: int) -> bool:
     )
 
 
+def _syscall_stmt(name: str) -> ast.stmt:
+    """``yield <name>()`` as a statement."""
+    call = ast.Call(func=ast.Name(id=name, ctx=ast.Load()), args=[], keywords=[])
+    return ast.Expr(value=ast.Yield(value=call))
+
+
+def _apply_drop_wait(func: ast.FunctionDef, index: int) -> bool:
+    return _rewrite_nth(func, _is_wait_loop, index, lambda stmt: [])
+
+
+def _apply_wait_spin(func: ast.FunctionDef, index: int) -> bool:
+    def spin(stmt: ast.stmt) -> List[ast.stmt]:
+        assert isinstance(stmt, ast.While)
+        stmt.body = [_syscall_stmt("Yield") for _ in stmt.body]
+        return [stmt]
+
+    return _rewrite_nth(func, _is_wait_loop, index, spin)
+
+
+def _count_extra_wait(func: ast.FunctionDef) -> int:
+    # a wait needs the lock: on an unsynchronized method it would crash
+    return 1 if _decorator_name(func) == "synchronized" else 0
+
+
+def _apply_extra_wait(func: ast.FunctionDef, index: int) -> bool:
+    if index != 0 or _count_extra_wait(func) == 0:
+        return False
+    func.body.insert(len(func.body) - 1, _syscall_stmt("Wait"))
+    return True
+
+
 def _zero(_func: ast.FunctionDef) -> int:
     return 0
 
@@ -361,7 +402,7 @@ OPERATORS: Dict[str, MutationOperator] = {
             "wait_if",
             ("EF-T5",),
             "weaken a guarded wait loop from 'while' to 'if'",
-            _count_wait_if,
+            _count_wait_loops,
             _apply_wait_if,
         ),
         MutationOperator(
@@ -428,6 +469,27 @@ OPERATORS: Dict[str, MutationOperator] = {
             _count_sem_release,
             _apply_sem_release_drop,
         ),
+        MutationOperator(
+            "drop_wait",
+            ("FF-T3",),
+            "delete a guarded wait loop",
+            _count_wait_loops,
+            _apply_drop_wait,
+        ),
+        MutationOperator(
+            "wait_spin",
+            ("FF-T4",),
+            "turn a guarded wait into a spinning yield",
+            _count_wait_loops,
+            _apply_wait_spin,
+        ),
+        MutationOperator(
+            "extra_wait",
+            ("EF-T3",),
+            "insert a wait before a synchronized method's last statement",
+            _count_extra_wait,
+            _apply_extra_wait,
+        ),
     )
 }
 
@@ -453,7 +515,9 @@ def apply_site(cls: ast.ClassDef, site: MutationSite) -> ast.ClassDef:
         raise MutationError(f"unknown mutation operator {site.operator!r}")
     mutated = copy.deepcopy(cls)
     if op.class_level:
-        applied = _apply_over_sync(mutated)
+        applied = (
+            site.method == "cls" and site.index == 0 and _apply_over_sync(mutated)
+        )
     else:
         applied = False
         for func in _methods(mutated):

@@ -25,11 +25,7 @@ from typing import Callable, List, Optional
 
 from repro.obs.live.frames import TelemetryFrame
 from repro.run.config import RunConfig
-from repro.run.executor import (  # noqa: F401 - re-exported for backcompat
-    RunExecutor,
-    RunTimeoutInterrupt,
-    timed_runner as _timed_runner,
-)
+from repro.run.executor import RunExecutor
 from repro.testing.explorer import ExplorationRun, RunSummary
 from repro.vm.kernel import RunStatus
 

@@ -9,8 +9,9 @@ Public API::
         annotate_expectations,                      # golden-run oracles
         explore_systematic, explore_random,         # schedule exploration
         explore_pct, RunSummary, wilson_interval,   # shared with repro.engine
-        mutate_component, ALL_OPERATORS,            # mutation engine
     )
+
+Mutants to test against come from :func:`repro.corpus.mutant`.
 """
 
 from .driver import SequenceOutcome, SequenceRunner, run_sequence
@@ -30,37 +31,17 @@ from .generator import (
     annotate_expectations,
     generate_covering_sequence,
 )
-from .mutation import (
-    ALL_OPERATORS,
-    DropSynchronized,
-    InsertSpuriousWait,
-    MutationOperator,
-    NotifyAllToNotify,
-    RemoveNotify,
-    RemoveWaitLoop,
-    WaitToYield,
-    WhileToIf,
-    applicable_operators,
-    mutate_component,
-)
 from .regression import RegressionSuite, SuiteReport
 from .script import ParsedScript, ScriptError, parse_script, render_script, run_script
 from .sequence import TestCall, TestSequence
 
 __all__ = [
-    "ALL_OPERATORS",
     "CallTemplate",
-    "DropSynchronized",
     "ExplorationResult",
     "ExplorationRun",
     "GenerationResult",
-    "InsertSpuriousWait",
-    "MutationOperator",
     "ParsedScript",
-    "NotifyAllToNotify",
     "RegressionSuite",
-    "RemoveNotify",
-    "RemoveWaitLoop",
     "RunSummary",
     "ScriptError",
     "SequenceOutcome",
@@ -68,17 +49,13 @@ __all__ = [
     "SuiteReport",
     "TestCall",
     "TestSequence",
-    "WaitToYield",
-    "WhileToIf",
     "annotate_expectations",
-    "applicable_operators",
     "explore_for_coverage",
     "explore_pct",
     "explore_random",
     "explore_systematic",
     "wilson_interval",
     "generate_covering_sequence",
-    "mutate_component",
     "parse_script",
     "render_script",
     "run_sequence",

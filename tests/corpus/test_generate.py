@@ -1,16 +1,22 @@
 """Tests for corpus generation, manifests, and variant loading."""
 
 import dataclasses
+import hashlib
+import inspect
 import json
 
 import pytest
 
 from repro.analysis import check_component
 from repro.corpus import (
+    CORPUS_DRIVERS,
     CorpusError,
+    MutationError,
     compile_variant,
     generate_corpus,
     load_corpus,
+    mutant,
+    mutation_sites,
     read_manifest,
     resolve_component_name,
     write_manifest,
@@ -51,6 +57,17 @@ class TestGenerate:
 
     def test_deterministic(self, corpus):
         assert generate_corpus(["bounded_buffer", "readers_writers"]) == corpus
+
+    def test_full_corpus_is_pinned(self, tmp_path):
+        """The corpus the ``corpus-sweep`` workload sweeps, byte for byte:
+        an operator leaking into it (or a changed rewrite) moves this."""
+        records = generate_corpus(list(CORPUS_DRIVERS))
+        path = tmp_path / "corpus.jsonl"
+        write_manifest(records, str(path))
+        assert len(records) == 94
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "85afebea6409b7cd423149e41b7e98601d8a9054c68231ba1efc1c951dc90bee"
+        )
 
     def test_pair_cap_respected(self):
         capped = generate_corpus(["bounded_buffer"], pair_cap=2)
@@ -164,3 +181,36 @@ class TestLoad:
             f.failure_class.code for f in check_component(loaded[record.variant_id])
         }
         assert "FF-T1" in codes
+
+
+class TestMutant:
+    def test_matches_the_corpus_variant(self, corpus):
+        record = next(r for r in corpus if r.operators == ("wait_if@put#0",))
+        parent = COMPONENTS.get(record.parent)
+        built = mutant(parent, *record.operators)
+        assert built.__name__ == record.class_name
+        assert built.__corpus_variant__ == record.variant_id
+        assert not issubclass(built, parent)  # recompiled, not subclassed
+        compiled = compile_variant(parent, record)
+        assert inspect.getsource(built.put) == inspect.getsource(compiled.put)
+
+    def test_labels_apply_in_order(self):
+        from repro.components import BoundedBuffer
+
+        built = mutant(BoundedBuffer, "drop_notify@put#0", "wait_spin@get#0")
+        assert "NotifyAll" not in inspect.getsource(built.put)
+        assert "yield Yield()" in inspect.getsource(built.get)
+
+    def test_bad_labels_rejected(self):
+        from repro.components import BoundedBuffer
+
+        with pytest.raises(CorpusError, match="malformed"):
+            mutant(BoundedBuffer, "wait_if")
+        with pytest.raises(MutationError, match="does not exist"):
+            mutant(BoundedBuffer, "over_sync@put#3")
+
+    def test_mutation_sites_lists_unswept_operators(self):
+        from repro.components import BoundedBuffer
+
+        labels = {s.label for s in mutation_sites(BoundedBuffer)}
+        assert {"wait_if@put#0", "drop_wait@put#0", "extra_wait@size#0"} <= labels

@@ -71,6 +71,9 @@ class TestDiscovery:
         assert OPERATORS["dup_notify"].expected == ()  # control
         assert set(OPERATORS["lock_shuffle"].expected) == {"FF-T2", "FF-T4"}
         assert OPERATORS["sem_release_drop"].expected == ("FF-S3",)
+        assert OPERATORS["drop_wait"].expected == ("FF-T3",)
+        assert OPERATORS["wait_spin"].expected == ("FF-T4",)
+        assert OPERATORS["extra_wait"].expected == ("EF-T3",)
 
     def test_expected_codes_resolve_to_taxonomy_classes(self):
         from repro.classify.taxonomy import FailureClass
@@ -158,6 +161,57 @@ class TestApplication:
         after = yields_of(method(mutated, "transfer")).count("Release")
         assert after == before - 1 == 1
 
+    def test_drop_wait_deletes_the_loop(self):
+        node = class_ast(BoundedBuffer)
+        mutated = apply_site(node, MutationSite("drop_wait", "get", 0))
+        get = method(mutated, "get")
+        assert not any(isinstance(n, ast.While) for n in ast.walk(get))
+        assert yields_of(get) == ["NotifyAll"]
+        assert yields_of(method(mutated, "put")) == ["NotifyAll", "Wait"]
+
+    def test_drop_wait_sole_statement_becomes_pass(self):
+        source = textwrap.dedent(
+            """\
+            class Gate(MonitorComponent):
+                @synchronized
+                def pass_through(self):
+                    while self.closed:
+                        yield Wait()
+            """
+        )
+        node = ast.parse(source).body[0]
+        mutated = apply_site(node, MutationSite("drop_wait", "pass_through", 0))
+        body = method(mutated, "pass_through").body
+        assert len(body) == 1 and isinstance(body[0], ast.Pass)
+
+    def test_wait_spin_turns_the_wait_into_a_yield(self):
+        mutated = apply_site(
+            class_ast(BoundedBuffer), MutationSite("wait_spin", "put", 0)
+        )
+        put = method(mutated, "put")
+        loop = next(n for n in ast.walk(put) if isinstance(n, ast.While))
+        assert yields_of(loop) == ["Yield"]
+        assert yields_of(put) == ["NotifyAll", "Yield"]
+        assert yields_of(method(mutated, "get")) == ["NotifyAll", "Wait"]
+
+    def test_extra_wait_inserts_before_the_last_statement(self):
+        mutated = apply_site(
+            class_ast(BoundedBuffer), MutationSite("extra_wait", "get", 0)
+        )
+        body = method(mutated, "get").body
+        assert yields_of(body[-2]) == ["Wait"]
+        assert isinstance(body[-1], ast.Return)
+        assert yields_of(method(mutated, "get")) == ["NotifyAll", "Wait", "Wait"]
+
+    def test_extra_wait_only_on_synchronized_methods(self):
+        labels = {s.label for s in discover_sites(class_ast(BoundedBuffer))}
+        assert {"extra_wait@put#0", "extra_wait@get#0", "extra_wait@size#0"} <= labels
+        assert "extra_wait@__init__#0" not in labels
+        with pytest.raises(MutationError, match="does not exist"):
+            apply_site(
+                class_ast(BoundedBuffer), MutationSite("extra_wait", "put", 1)
+            )
+
     def test_sem_release_drop_site_on_native_semaphore(self):
         from repro.components import NativeSemaphore
 
@@ -188,6 +242,15 @@ class TestErrors:
     def test_out_of_range_index(self):
         with pytest.raises(MutationError, match="does not exist"):
             apply_site(class_ast(BoundedBuffer), MutationSite("wait_if", "put", 5))
+
+    def test_class_level_site_must_be_cls_0(self):
+        node = class_ast(BoundedBuffer)
+        for site in (
+            MutationSite("over_sync", "put", 3),
+            MutationSite("over_sync", "cls", 1),
+        ):
+            with pytest.raises(MutationError, match="does not exist"):
+                apply_site(node, site)
 
     def test_missing_method(self):
         with pytest.raises(MutationError, match="does not exist"):

@@ -3,14 +3,9 @@
 import pytest
 
 from repro.engine.shards import Shard
-from repro.engine.worker import (
-    RunTimeoutInterrupt,
-    WorkerTask,
-    _timed_runner,
-    execute_shard,
-    worker_main,
-)
+from repro.engine.worker import WorkerTask, execute_shard, worker_main
 from repro.run import RunConfig
+from repro.run.executor import RunTimeoutInterrupt, timed_runner
 from repro.vm import Kernel, RandomScheduler, RunStatus, Tick
 
 
@@ -58,24 +53,24 @@ class TestTimedRunner:
         assert not issubclass(RunTimeoutInterrupt, Exception)
 
     def test_fast_run_unaffected(self):
-        runner = _timed_runner(10.0)
+        runner = timed_runner(10.0)
         result = runner(_quick_kernel())
         assert result.status is RunStatus.COMPLETED
 
     def test_wedged_run_times_out(self):
-        runner = _timed_runner(0.2)
+        runner = timed_runner(0.2)
         result = runner(spin_factory(RandomScheduler(seed=0)))
         assert result.status is RunStatus.TIMEOUT
         assert "spin" in result.stuck_threads
 
     def test_zero_timeout_disables(self):
-        runner = _timed_runner(0.0)
+        runner = timed_runner(0.0)
         assert runner(_quick_kernel()).status is RunStatus.COMPLETED
 
     def test_alarm_cleared_after_timeout(self):
         import signal
 
-        _timed_runner(0.2)(spin_factory(RandomScheduler(seed=0)))
+        timed_runner(0.2)(spin_factory(RandomScheduler(seed=0)))
         assert signal.getitimer(signal.ITIMER_REAL)[0] == 0.0
 
     def test_previous_handler_restored(self):
@@ -90,7 +85,7 @@ class TestTimedRunner:
 
         previous = signal.signal(signal.SIGALRM, ours)
         try:
-            _timed_runner(0.2)(spin_factory(RandomScheduler(seed=0)))
+            timed_runner(0.2)(spin_factory(RandomScheduler(seed=0)))
             assert signal.getsignal(signal.SIGALRM) is ours
             signal.raise_signal(signal.SIGALRM)
             assert sentinel  # our handler is back in place and live
@@ -102,7 +97,7 @@ class TestTimedRunner:
         import signal
 
         previous = signal.getsignal(signal.SIGALRM)
-        _timed_runner(10.0)(_quick_kernel())
+        timed_runner(10.0)(_quick_kernel())
         assert signal.getsignal(signal.SIGALRM) is previous
         assert signal.getitimer(signal.ITIMER_REAL)[0] == 0.0
 

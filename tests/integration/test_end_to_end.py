@@ -9,17 +9,9 @@ import pytest
 from repro.analysis import build_all_cofgs, check_component
 from repro.classify import FailureClass
 from repro.components import BoundedBuffer, ProducerConsumer
+from repro.corpus import mutant
 from repro.coverage import CoverageTracker
-from repro.testing import (
-    RemoveNotify,
-    RemoveWaitLoop,
-    TestSequence,
-    WaitToYield,
-    WhileToIf,
-    annotate_expectations,
-    mutate_component,
-    run_sequence,
-)
+from repro.testing import TestSequence, annotate_expectations, run_sequence
 from repro.vm import RunStatus
 
 
@@ -74,24 +66,21 @@ class TestMutationKillsWithCoveringSequence:
         return annotate_expectations(outcome)
 
     @pytest.mark.parametrize(
-        "method,operator",
+        "label",
         [
-            ("send", RemoveNotify),
-            ("receive", RemoveNotify),
-            ("receive", RemoveWaitLoop),
-            ("send", RemoveWaitLoop),
-            ("receive", WhileToIf),
-            ("send", WhileToIf),
-            ("receive", WaitToYield),
-            ("send", WaitToYield),
+            "drop_notify@send#0",
+            "drop_notify@receive#0",
+            "drop_wait@receive#0",
+            "drop_wait@send#0",
+            "wait_if@receive#0",
+            "wait_if@send#0",
+            "wait_spin@receive#0",
+            "wait_spin@send#0",
         ],
     )
-    def test_mutant_killed(self, golden, method, operator):
-        mutant = mutate_component(ProducerConsumer, method, operator)
-        outcome = run_sequence(mutant, golden)
-        assert not outcome.passed, (
-            f"{operator.name} on {method} survived the covering sequence"
-        )
+    def test_mutant_killed(self, golden, label):
+        outcome = run_sequence(mutant(ProducerConsumer, label), golden)
+        assert not outcome.passed, f"{label} survived the covering sequence"
 
     def test_correct_component_passes(self, golden):
         assert run_sequence(ProducerConsumer, golden).passed
@@ -126,8 +115,8 @@ class TestBoundedBufferMethod:
         golden = annotate_expectations(outcome)
         assert run_sequence(factory, golden).passed
 
-        mutant = mutate_component(BoundedBuffer, "put", RemoveNotify)
-        assert not run_sequence(lambda: mutant(2), golden).passed
+        mutated = mutant(BoundedBuffer, "drop_notify@put#0")
+        assert not run_sequence(lambda: mutated(2), golden).passed
 
 
 class TestStaticPlusDynamic:

@@ -1,23 +1,16 @@
-"""Tests for CoFG-driven sequence generation and the mutation engine."""
+"""Tests for CoFG-driven sequence generation and mutants built from site
+labels."""
 
 import pytest
 
-from repro.analysis import build_all_cofgs, build_cofg
+from repro.analysis import build_cofg
 from repro.classify import FailureClass
 from repro.components import BoundedBuffer, ProducerConsumer
+from repro.corpus import OPERATORS, mutant, mutation_sites
 from repro.testing import (
-    ALL_OPERATORS,
     CallTemplate,
-    DropSynchronized,
-    NotifyAllToNotify,
-    RemoveNotify,
-    RemoveWaitLoop,
-    WaitToYield,
-    WhileToIf,
     annotate_expectations,
-    applicable_operators,
     generate_covering_sequence,
-    mutate_component,
     run_sequence,
 )
 from repro.vm import RunStatus
@@ -109,49 +102,49 @@ class TestAnnotation:
         assert golden.calls[0].expect_never
 
 
-class TestMutationEngine:
-    def test_applicable_operators_for_receive(self):
-        names = {op.name for op in applicable_operators(ProducerConsumer, "receive")}
-        assert "while_to_if" in names
-        assert "remove_notify" in names
-        assert "drop_sync" not in names  # has a wait: dropping sync would crash
+def operators_on(cls, method_name):
+    return {s.operator for s in mutation_sites(cls) if s.method == method_name}
 
-    def test_drop_sync_applicable_without_wait(self):
-        names = {op.name for op in applicable_operators(BoundedBuffer, "size")}
-        assert "drop_sync" in names
+
+class TestMutationEngine:
+    def test_operators_for_receive(self):
+        names = operators_on(ProducerConsumer, "receive")
+        assert {"wait_if", "drop_notify", "drop_wait", "wait_spin"} <= names
+        assert "unsync" not in names  # has a wait: dropping sync would crash
+
+    def test_unsync_applicable_without_wait(self):
+        assert "unsync" in operators_on(BoundedBuffer, "size")
 
     def test_mutant_class_name(self):
-        mutant = mutate_component(ProducerConsumer, "send", RemoveNotify)
-        assert mutant.__name__ == "ProducerConsumer__remove_notify"
-        assert issubclass(mutant, ProducerConsumer)
+        mutated = mutant(ProducerConsumer, "drop_notify@send#0")
+        assert mutated.__name__ == "ProducerConsumer__drop_notify_send_0"
+        assert mutated.__corpus_variant__ == "ProducerConsumer~drop_notify@send#0"
 
     def test_mutant_cofg_buildable(self):
-        mutant = mutate_component(ProducerConsumer, "send", RemoveNotify)
-        cofg = build_cofg(mutant, "send")
+        mutated = mutant(ProducerConsumer, "drop_notify@send#0")
+        cofg = build_cofg(mutated, "send")
         # notifyAll nodes are gone from the mutated method
         assert not cofg.notify_nodes()
 
-    def test_while_to_if_changes_cofg(self):
-        mutant = mutate_component(ProducerConsumer, "receive", WhileToIf)
-        cofg = build_cofg(mutant, "receive")
+    def test_wait_if_changes_cofg(self):
+        mutated = mutant(ProducerConsumer, "wait_if@receive#0")
+        cofg = build_cofg(mutated, "receive")
         arcs = {(a.src.kind.value, a.dst.kind.value) for a in cofg.arcs}
         assert ("wait", "wait") not in arcs  # no loop anymore
 
-    def test_remove_wait_loop(self):
-        mutant = mutate_component(ProducerConsumer, "receive", RemoveWaitLoop)
-        cofg = build_cofg(mutant, "receive")
+    def test_drop_wait(self):
+        mutated = mutant(ProducerConsumer, "drop_wait@receive#0")
+        cofg = build_cofg(mutated, "receive")
         assert not cofg.wait_nodes()
 
-    def test_seeded_classes(self):
-        assert RemoveNotify.seeded_class is FailureClass.FF_T5
-        assert WhileToIf.seeded_class is FailureClass.EF_T5
-        assert WaitToYield.seeded_class is FailureClass.FF_T4
-        assert RemoveWaitLoop.seeded_class is FailureClass.FF_T3
-        assert DropSynchronized.seeded_class is FailureClass.FF_T1
-
-    def test_all_operators_have_distinct_names(self):
-        names = [op.name for op in ALL_OPERATORS]
-        assert len(names) == len(set(names))
+    def test_expected_classes(self):
+        assert OPERATORS["drop_notify"].expected == (FailureClass.FF_T5.code,)
+        assert OPERATORS["notify_single"].expected == (FailureClass.FF_T5.code,)
+        assert OPERATORS["wait_if"].expected == (FailureClass.EF_T5.code,)
+        assert OPERATORS["wait_spin"].expected == (FailureClass.FF_T4.code,)
+        assert OPERATORS["drop_wait"].expected == (FailureClass.FF_T3.code,)
+        assert OPERATORS["unsync"].expected == (FailureClass.FF_T1.code,)
+        assert OPERATORS["extra_wait"].expected == (FailureClass.EF_T3.code,)
 
 
 class TestMutantBehaviour:
@@ -171,22 +164,19 @@ class TestMutantBehaviour:
         outcome = run_sequence(ProducerConsumer, seq)
         return annotate_expectations(outcome)
 
-    def test_remove_notify_kills(self):
+    def test_drop_notify_kills(self):
         golden = self._golden()
-        mutant = mutate_component(ProducerConsumer, "send", RemoveNotify)
-        outcome = run_sequence(mutant, golden)
+        outcome = run_sequence(mutant(ProducerConsumer, "drop_notify@send#0"), golden)
         assert not outcome.passed
 
-    def test_remove_wait_loop_kills(self):
+    def test_drop_wait_kills(self):
         golden = self._golden()
-        mutant = mutate_component(ProducerConsumer, "receive", RemoveWaitLoop)
-        outcome = run_sequence(mutant, golden)
+        outcome = run_sequence(mutant(ProducerConsumer, "drop_wait@receive#0"), golden)
         assert not outcome.passed
 
-    def test_wait_to_yield_hits_step_limit(self):
+    def test_wait_spin_hits_step_limit(self):
         golden = self._golden()
-        mutant = mutate_component(ProducerConsumer, "receive", WaitToYield)
-        outcome = run_sequence(mutant, golden)
+        outcome = run_sequence(mutant(ProducerConsumer, "wait_spin@receive#0"), golden)
         assert outcome.result.status is RunStatus.STEP_LIMIT
         assert not outcome.passed
 

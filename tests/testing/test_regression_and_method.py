@@ -4,14 +4,9 @@ import pytest
 
 from repro.components import BoundedBuffer, ProducerConsumer
 from repro.components.faulty import NoNotifyProducerConsumer
+from repro.corpus import mutant
 from repro.method import systematic_test
-from repro.testing import (
-    CallTemplate,
-    RegressionSuite,
-    RemoveNotify,
-    TestSequence,
-    mutate_component,
-)
+from repro.testing import CallTemplate, RegressionSuite, TestSequence
 
 
 def pc_cover_sequence():
@@ -48,8 +43,7 @@ class TestRegressionSuite:
 
     def test_run_fails_on_mutant(self):
         suite = RegressionSuite.build(ProducerConsumer, [pc_cover_sequence()])
-        mutant = mutate_component(ProducerConsumer, "send", RemoveNotify)
-        report = suite.run(mutant)
+        report = suite.run(mutant(ProducerConsumer, "drop_notify@send#0"))
         assert not report.passed
         assert report.failures()
         assert "FAIL" in report.describe()
@@ -130,5 +124,5 @@ class TestSystematicTest:
 
     def test_suite_reusable_against_mutants(self):
         report = systematic_test(ProducerConsumer, sequences=[pc_cover_sequence()])
-        mutant = mutate_component(ProducerConsumer, "receive", RemoveNotify)
-        assert not report.suite.run(mutant).passed
+        mutated = mutant(ProducerConsumer, "drop_notify@receive#0")
+        assert not report.suite.run(mutated).passed
