@@ -24,13 +24,19 @@ from __future__ import annotations
 
 import ast
 import inspect
-import textwrap
+import linecache
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .model import CoFGNode, NodeKind
 
-__all__ = ["ScanResult", "scan_method", "method_source_ast", "SYSCALL_NODE_KINDS"]
+__all__ = [
+    "FunctionIndex",
+    "ScanResult",
+    "scan_method",
+    "method_source_ast",
+    "SYSCALL_NODE_KINDS",
+]
 
 #: syscall constructor name -> CoFG node kind
 SYSCALL_NODE_KINDS: Dict[str, NodeKind] = {
@@ -64,27 +70,73 @@ class ScanResult:
     last_line: int = 0
 
 
-def method_source_ast(method: Callable) -> Tuple[ast.FunctionDef, int]:
-    """Parse a method into an AST with *absolute* line numbers.
+class FunctionIndex:
+    """Function definitions of component source, parsed once per file.
 
-    Accepts either a plain function or a ``@synchronized``/``@unsynchronized``
-    wrapper (the original is recovered from ``_vm_source_method``).
+    Each source file is read from ``linecache`` (after ``checkcache``, as
+    ``inspect.findsource`` does) and parsed whole on first use; every
+    ``def`` in it is indexed by its first line — the first decorator's
+    line when it has decorators, which is the code object's
+    ``co_firstlineno``.  A method's node is then found by line, not by
+    name, and carries absolute line numbers as parsed.  An index lives as
+    long as the call that builds it.
     """
-    original = getattr(method, "_vm_source_method", method)
-    original = inspect.unwrap(original)
-    source = inspect.getsource(original)
-    first_line = original.__code__.co_firstlineno
-    dedented = textwrap.dedent(source)
-    tree = ast.parse(dedented)
-    func = tree.body[0]
-    if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        raise ValueError(f"cannot locate function definition for {method!r}")
-    # co_firstlineno (and getsource) start at the first decorator when one
-    # is present, while FunctionDef.lineno points at the ``def`` itself —
-    # align whichever anchor the source actually starts with.
-    anchor = func.decorator_list[0].lineno if func.decorator_list else func.lineno
-    ast.increment_lineno(func, first_line - anchor)
-    return func, first_line
+
+    def __init__(self) -> None:
+        self._files: Dict[str, Dict[int, ast.FunctionDef]] = {}
+
+    def function(self, method: Callable) -> ast.FunctionDef:
+        """The definition of ``method`` — a plain function or a
+        ``@synchronized``/``@unsynchronized`` wrapper (the original is
+        recovered from ``_vm_source_method``)."""
+        original = inspect.unwrap(getattr(method, "_vm_source_method", method))
+        code = original.__code__
+        defs = self._files.get(code.co_filename)
+        if defs is None:
+            defs = _index_file(code.co_filename, original.__globals__)
+            self._files[code.co_filename] = defs
+        func = defs.get(code.co_firstlineno)
+        if func is None:
+            raise ValueError(f"cannot locate function definition for {method!r}")
+        return func
+
+
+def _index_file(
+    filename: str, module_globals: Dict[str, object]
+) -> Dict[int, ast.FunctionDef]:
+    linecache.checkcache(filename)
+    lines = linecache.getlines(filename, module_globals)
+    if not lines:
+        raise OSError(f"could not get source code of {filename}")
+    tree = ast.parse("".join(lines), filename)
+    return {_first_line(func): func for func in _defs(tree.body)}
+
+
+def _defs(statements: Sequence[ast.AST]) -> Iterator[ast.FunctionDef]:
+    """Every ``def`` among ``statements`` and the statement bodies nested
+    in them.  A ``def`` is always a statement, so expressions are never
+    entered."""
+    for node in statements:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        for field in ("body", "orelse", "finalbody", "handlers", "cases"):
+            nested = getattr(node, field, None)
+            if isinstance(nested, list):
+                yield from _defs(nested)
+
+
+def _first_line(func: ast.FunctionDef) -> int:
+    """A ``def``'s first line: its first decorator's when it has any, as
+    in the code object's ``co_firstlineno``."""
+    return func.decorator_list[0].lineno if func.decorator_list else func.lineno
+
+
+def method_source_ast(method: Callable) -> Tuple[ast.FunctionDef, int]:
+    """Parse one method into an AST with *absolute* line numbers; returns
+    ``(definition, first line)``.  Raises ``OSError`` when the source is
+    unavailable."""
+    func = FunctionIndex().function(method)
+    return func, _first_line(func)
 
 
 def _syscall_kind(expr: ast.expr) -> Optional[Tuple[NodeKind, Optional[str]]]:
@@ -276,10 +328,10 @@ class _Scanner:
         return exits
 
 
-def scan_method(method: Callable) -> ScanResult:
-    """Scan one component method, returning its concurrency statements and
-    the guarded region (immediate-successor) relation."""
-    func, _ = method_source_ast(method)
+def scan_method(func: ast.FunctionDef) -> ScanResult:
+    """Scan one parsed component method (see :class:`FunctionIndex`),
+    returning its concurrency statements and the guarded region
+    (immediate-successor) relation."""
     scanner = _Scanner()
     frontier, falls = scanner.scan_statements(func.body, {("start", "")}, None)
     if falls:

@@ -39,11 +39,11 @@ lock to acquire or release — the FF-T1 situation).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.vm.api import MonitorComponent
 
-from .astscan import ScanResult, scan_method
+from .astscan import FunctionIndex, ScanResult, scan_method
 from .model import CoFG, CoFGArc, CoFGNode, NodeKind
 
 __all__ = [
@@ -114,6 +114,12 @@ def build_cofg(
     been declared with ``@synchronized`` or ``@unsynchronized``.
     """
     cls = component if isinstance(component, type) else type(component)
+    return _build_cofg(cls, method_name, FunctionIndex())
+
+
+def _build_cofg(
+    cls: Type[MonitorComponent], method_name: str, index: FunctionIndex
+) -> CoFG:
     method = getattr(cls, method_name, None)
     if method is None:
         raise AttributeError(f"{cls.__name__} has no method {method_name!r}")
@@ -123,7 +129,7 @@ def build_cofg(
             f"@unsynchronized; CoFGs are built for component methods only"
         )
     synchronized = bool(getattr(method, "_vm_synchronized", False))
-    scan = scan_method(method)
+    scan = scan_method(index.function(method))
     nodes_by_name = _node_map(scan)
     arcs: List[CoFGArc] = []
     for pred_name, succ_name in scan.edges:
@@ -170,6 +176,6 @@ def build_all_cofgs(
     component: Type[MonitorComponent] | MonitorComponent,
 ) -> Dict[str, CoFG]:
     """CoFGs for every declared method of a component."""
-    return {
-        name: build_cofg(component, name) for name in component_methods(component)
-    }
+    cls = component if isinstance(component, type) else type(component)
+    index = FunctionIndex()
+    return {name: _build_cofg(cls, name, index) for name in component_methods(cls)}

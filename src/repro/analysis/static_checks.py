@@ -29,7 +29,7 @@ from typing import List, Tuple, Type
 from repro.classify.taxonomy import FailureClass
 from repro.vm.api import MonitorComponent
 
-from .astscan import method_source_ast, scan_method
+from .astscan import FunctionIndex, scan_method
 from .builder import component_methods
 
 __all__ = [
@@ -56,13 +56,16 @@ class StaticFinding:
         )
 
 
-def shared_accesses(method) -> Tuple[List[str], List[str]]:
-    """(reads, writes) of ``self.<field>`` instance attributes in a method,
-    excluding underscore-prefixed internals."""
-    func, _ = method_source_ast(method)
+def _method_facts(
+    func: ast.FunctionDef,
+) -> Tuple[List[str], List[str], List[int]]:
+    """One walk of a parsed method: the reads and writes of
+    :func:`shared_accesses` and the handler lines of
+    :func:`interrupt_swallowing_handlers`."""
     self_name = func.args.args[0].arg if func.args.args else "self"
     reads: List[str] = []
     writes: List[str] = []
+    handlers: List[int] = []
     for node in ast.walk(func):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id != self_name or node.attr.startswith("_"):
@@ -71,6 +74,16 @@ def shared_accesses(method) -> Tuple[List[str], List[str]]:
                 writes.append(node.attr)
             else:
                 reads.append(node.attr)
+        elif isinstance(node, ast.ExceptHandler):
+            if _catches_interrupt(node) and _handler_swallows(node):
+                handlers.append(node.lineno)
+    return reads, writes, handlers
+
+
+def shared_accesses(func: ast.FunctionDef) -> Tuple[List[str], List[str]]:
+    """(reads, writes) of ``self.<field>`` instance attributes in a parsed
+    method, excluding underscore-prefixed internals."""
+    reads, writes, _ = _method_facts(func)
     return reads, writes
 
 
@@ -97,16 +110,10 @@ def _catches_interrupt(handler: ast.ExceptHandler) -> bool:
     return matches(handler.type)
 
 
-def interrupt_swallowing_handlers(method) -> List[int]:
-    """Line numbers of ``except`` handlers in ``method`` that catch
+def interrupt_swallowing_handlers(func: ast.FunctionDef) -> List[int]:
+    """Line numbers of ``except`` handlers in a parsed method that catch
     ``InterruptedError`` and can complete without re-raising it."""
-    func, _ = method_source_ast(method)
-    lines: List[int] = []
-    for node in ast.walk(func):
-        if isinstance(node, ast.ExceptHandler):
-            if _catches_interrupt(node) and _handler_swallows(node):
-                lines.append(node.lineno)
-    return lines
+    return _method_facts(func)[2]
 
 
 def check_component(
@@ -115,14 +122,14 @@ def check_component(
     """Run the FF-T1 / EF-T1 / EV-INT static checks on every declared
     method."""
     cls = component if isinstance(component, type) else type(component)
+    index = FunctionIndex()
     findings: List[StaticFinding] = []
     for name in component_methods(cls):
         method = getattr(cls, name)
+        func = index.function(method)
         synchronized = bool(getattr(method, "_vm_synchronized", False))
-        reads, writes = shared_accesses(method)
-        scan = scan_method(method)
-        has_sync_statements = bool(scan.nodes)
-        for line in interrupt_swallowing_handlers(method):
+        reads, writes, swallowed = _method_facts(func)
+        for line in swallowed:
             findings.append(
                 StaticFinding(
                     component=cls.__name__,
@@ -149,7 +156,8 @@ def check_component(
                     ),
                 )
             )
-        if synchronized and not (reads or writes) and not has_sync_statements:
+        # only EF-T1 reads the region scan, so only its candidates pay for it
+        if synchronized and not (reads or writes) and not scan_method(func).nodes:
             findings.append(
                 StaticFinding(
                     component=cls.__name__,

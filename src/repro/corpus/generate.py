@@ -47,8 +47,8 @@ from .operators import (
     OPERATORS,
     MutationError,
     MutationSite,
-    apply_site,
     discover_sites,
+    mutate_in_place,
 )
 
 __all__ = [
@@ -167,10 +167,16 @@ def resolve_component_name(name: str) -> str:
     )
 
 
-def _component_ast(cls: Type[Any]) -> ast.ClassDef:
-    source = textwrap.dedent(inspect.getsource(cls))
-    tree = ast.parse(source)
-    node = tree.body[0]
+def _parent_source(cls: Type[Any]) -> str:
+    """The class's source text.  Read it once per corpus call: every
+    variant parses it afresh with :func:`_class_ast`."""
+    return textwrap.dedent(inspect.getsource(cls))
+
+
+def _class_ast(cls: Type[Any], source: str) -> ast.ClassDef:
+    """A fresh tree of ``cls`` from its :func:`_parent_source` text —
+    never shared, since mutation edits it in place."""
+    node = ast.parse(source).body[0]
     if not isinstance(node, ast.ClassDef):
         raise CorpusError(f"cannot locate class definition for {cls!r}")
     return node
@@ -190,16 +196,15 @@ def _variant_id(parent: str, labels: Tuple[str, ...]) -> str:
 
 
 def _build_source(
-    parent_cls: Type[Any], labels: Tuple[str, ...]
+    parent_cls: Type[Any], parent_source: str, labels: Tuple[str, ...]
 ) -> Tuple[str, str, str]:
     """(source text, digest, pre-rename body) of the variant: the parent
     class with each labeled mutation applied in order, renamed for
     registration.  The pre-rename body supports no-op detection — it is
     comparable against the parent's own unparsed source."""
-    node = _component_ast(parent_cls)
+    node = _class_ast(parent_cls, parent_source)
     for label in labels:
-        node = apply_site(node, parse_site(label))
-    node = ast.fix_missing_locations(node)
+        mutate_in_place(node, parse_site(label))
     body = ast.unparse(node)
     node.name = _class_name(parent_cls.__name__, labels)
     source = ast.unparse(node) + "\n"
@@ -246,8 +251,8 @@ def _compile_class(
     namespace = _exec_namespace(parent_cls)
     code = compile(source, filename, "exec")
     exec(code, namespace)
-    # Source-introspecting analyses (CoFG, static checks) read methods via
-    # inspect.getsource; seed linecache so that works for exec'd classes.
+    # Source-introspecting analyses (CoFG, static checks) read methods'
+    # files from linecache; seed it so that works for exec'd classes.
     linecache.cache[filename] = (
         len(source),
         None,
@@ -269,7 +274,13 @@ def compile_variant(parent_cls: Type[Any], record: VariantRecord) -> Type[Any]:
     the manifest was generated, and the corpus labels can no longer be
     trusted.
     """
-    source, digest, _ = _build_source(parent_cls, record.operators)
+    return _compile_record(parent_cls, _parent_source(parent_cls), record)
+
+
+def _compile_record(
+    parent_cls: Type[Any], parent_source: str, record: VariantRecord
+) -> Type[Any]:
+    source, digest, _ = _build_source(parent_cls, parent_source, record.operators)
     if digest != record.digest:
         raise CorpusError(
             f"variant {record.variant_id!r}: source digest mismatch "
@@ -291,7 +302,7 @@ def mutant(parent_cls: Type[Any], *labels: str) -> Type[Any]:
     for a malformed label and :class:`MutationError` for a site the
     parent does not have.
     """
-    source, _, _ = _build_source(parent_cls, labels)
+    source, _, _ = _build_source(parent_cls, _parent_source(parent_cls), labels)
     parent = parent_cls.__name__
     return _compile_class(
         parent_cls, source, _class_name(parent, labels), _variant_id(parent, labels)
@@ -300,7 +311,7 @@ def mutant(parent_cls: Type[Any], *labels: str) -> Type[Any]:
 
 def mutation_sites(parent_cls: Type[Any]) -> List[MutationSite]:
     """Every mutation site of every operator on ``parent_cls``."""
-    return discover_sites(_component_ast(parent_cls))
+    return discover_sites(_class_ast(parent_cls, _parent_source(parent_cls)))
 
 
 def _expected_for(labels: Iterable[str]) -> Tuple[str, ...]:
@@ -321,20 +332,21 @@ def _variants_for(
             f"no sweep workload is defined for component {parent_name!r} "
             f"(corpus parents: {known})"
         )
-    parent_node = _component_ast(parent_cls)
-    parent_source = ast.unparse(parent_node)
+    parent_source = _parent_source(parent_cls)
+    parent_node = _class_ast(parent_cls, parent_source)
+    parent_body = ast.unparse(parent_node)
     sites = discover_sites(parent_node)
 
     records: List[VariantRecord] = []
     digests: Set[str] = set()
 
     def add(labels: Tuple[str, ...]) -> None:
-        source, digest, body = _build_source(parent_cls, labels)
+        source, digest, body = _build_source(parent_cls, parent_source, labels)
         if digest in digests:
             return
         # no-op safety: a "mutation" that reproduces the parent source
         # injects nothing and must not carry a failure label
-        if labels and body == parent_source:
+        if labels and body == parent_body:
             return
         digests.add(digest)
         records.append(
@@ -434,9 +446,12 @@ def load_corpus(
     each in ``COMPONENTS`` under its variant id."""
     load_builtins()
     loaded: Dict[str, Type[Any]] = {}
+    sources: Dict[str, str] = {}
     for record in records:
         parent_cls = COMPONENTS.get(record.parent)
-        cls = compile_variant(parent_cls, record)
+        if record.parent not in sources:
+            sources[record.parent] = _parent_source(parent_cls)
+        cls = _compile_record(parent_cls, sources[record.parent], record)
         loaded[record.variant_id] = cls
         if register:
             COMPONENTS.add(record.variant_id, cls, replace=True)

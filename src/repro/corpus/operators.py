@@ -65,6 +65,7 @@ __all__ = [
     "OPERATORS",
     "apply_site",
     "discover_sites",
+    "mutate_in_place",
 ]
 
 _NOTIFY_NAMES = ("Notify", "NotifyAll")
@@ -510,17 +511,23 @@ def discover_sites(cls: ast.ClassDef) -> List[MutationSite]:
 
 def apply_site(cls: ast.ClassDef, site: MutationSite) -> ast.ClassDef:
     """A deep copy of ``cls`` with ``site``'s mutation applied."""
+    mutated = copy.deepcopy(cls)
+    mutate_in_place(mutated, site)
+    return ast.fix_missing_locations(mutated)
+
+
+def mutate_in_place(cls: ast.ClassDef, site: MutationSite) -> None:
+    """Apply ``site``'s mutation to ``cls`` itself, for a caller that owns
+    the tree (it parsed it) and so needs no copy.  New nodes are left
+    without source locations: ``ast.unparse`` needs none."""
     op = OPERATORS.get(site.operator)
     if op is None:
         raise MutationError(f"unknown mutation operator {site.operator!r}")
-    mutated = copy.deepcopy(cls)
     if op.class_level:
-        applied = (
-            site.method == "cls" and site.index == 0 and _apply_over_sync(mutated)
-        )
+        applied = site.method == "cls" and site.index == 0 and _apply_over_sync(cls)
     else:
         applied = False
-        for func in _methods(mutated):
+        for func in _methods(cls):
             if func.name == site.method:
                 applied = op.mutate(func, site.index)
                 break
@@ -528,4 +535,3 @@ def apply_site(cls: ast.ClassDef, site: MutationSite) -> ast.ClassDef:
         raise MutationError(
             f"site {site.label} does not exist on class {cls.name!r}"
         )
-    return ast.fix_missing_locations(mutated)

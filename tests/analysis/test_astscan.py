@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import NodeKind, scan_method
+from repro.analysis import NodeKind, method_source_ast, scan_method
 from repro.vm import (
     MonitorComponent,
     Notify,
@@ -76,30 +76,34 @@ class Samples(MonitorComponent):
             yield NotifyAll()
 
 
+def scan_of(method):
+    return scan_method(method_source_ast(method)[0])
+
+
 def edges_of(method):
-    return set(scan_method(method).edges)
+    return set(scan_of(method).edges)
 
 
 class TestNodeDiscovery:
     def test_no_concurrency_statements(self):
-        scan = scan_method(Samples.no_concurrency)
+        scan = scan_of(Samples.no_concurrency)
         assert scan.nodes == []
         assert scan.edges == [("start", "end")]
 
     def test_guarded_wait_nodes(self):
-        scan = scan_method(Samples.guarded_wait)
+        scan = scan_of(Samples.guarded_wait)
         kinds = [n.kind for n in scan.nodes]
         assert kinds == [NodeKind.WAIT, NodeKind.NOTIFY_ALL]
 
     def test_wait_loop_condition_attached(self):
-        scan = scan_method(Samples.guarded_wait)
+        scan = scan_of(Samples.guarded_wait)
         wait = next(n for n in scan.nodes if n.kind is NodeKind.WAIT)
         assert wait.loop_condition == "self.n == 0"
 
     def test_lines_are_absolute(self):
         import inspect
 
-        scan = scan_method(Samples.guarded_wait)
+        scan = scan_of(Samples.guarded_wait)
         source_start = Samples.guarded_wait._vm_source_method.__code__.co_firstlineno
         for node in scan.nodes:
             assert node.line > source_start
@@ -107,7 +111,7 @@ class TestNodeDiscovery:
 
 class TestRegionRelation:
     def test_guarded_wait_edges(self):
-        scan = scan_method(Samples.guarded_wait)
+        scan = scan_of(Samples.guarded_wait)
         wait = next(n for n in scan.nodes if n.kind is NodeKind.WAIT).name
         notify = next(
             n for n in scan.nodes if n.kind is NodeKind.NOTIFY_ALL
@@ -121,7 +125,7 @@ class TestRegionRelation:
         }
 
     def test_guard_texts(self):
-        scan = scan_method(Samples.guarded_wait)
+        scan = scan_of(Samples.guarded_wait)
         wait = next(n for n in scan.nodes if n.kind is NodeKind.WAIT).name
         notify = next(
             n for n in scan.nodes if n.kind is NodeKind.NOTIFY_ALL
@@ -132,7 +136,7 @@ class TestRegionRelation:
         assert scan.guards[(wait, notify)] == "self.n == 0 is False"
 
     def test_if_else_both_branches(self):
-        scan = scan_method(Samples.if_branch_notify)
+        scan = scan_of(Samples.if_branch_notify)
         notify = next(n for n in scan.nodes if n.kind is NodeKind.NOTIFY).name
         notify_all = next(
             n for n in scan.nodes if n.kind is NodeKind.NOTIFY_ALL
@@ -145,7 +149,7 @@ class TestRegionRelation:
         assert (notify, notify_all) not in edges
 
     def test_early_return_edge(self):
-        scan = scan_method(Samples.early_return)
+        scan = scan_of(Samples.early_return)
         wait = next(n for n in scan.nodes if n.kind is NodeKind.WAIT).name
         edges = set(scan.edges)
         assert ("start", "end") in edges  # the return path
@@ -153,7 +157,7 @@ class TestRegionRelation:
         assert (wait, "end") in edges
 
     def test_while_true_with_break(self):
-        scan = scan_method(Samples.loop_with_break)
+        scan = scan_of(Samples.loop_with_break)
         wait = next(n for n in scan.nodes if n.kind is NodeKind.WAIT).name
         notify = next(
             n for n in scan.nodes if n.kind is NodeKind.NOTIFY_ALL
@@ -167,7 +171,7 @@ class TestRegionRelation:
         assert ("start", "end") not in edges
 
     def test_two_sequential_wait_loops(self):
-        scan = scan_method(Samples.two_waits)
+        scan = scan_of(Samples.two_waits)
         waits = [n.name for n in scan.nodes if n.kind is NodeKind.WAIT]
         assert len(waits) == 2
         w1, w2 = waits
@@ -176,7 +180,7 @@ class TestRegionRelation:
         assert (w1, w1) in edges and (w2, w2) in edges
 
     def test_for_loop_notify(self):
-        scan = scan_method(Samples.for_loop_notify)
+        scan = scan_of(Samples.for_loop_notify)
         notify = next(n for n in scan.nodes if n.kind is NodeKind.NOTIFY).name
         edges = set(scan.edges)
         assert ("start", notify) in edges
@@ -185,7 +189,7 @@ class TestRegionRelation:
         assert ("start", "end") in edges  # empty iterable path
 
     def test_try_finally(self):
-        scan = scan_method(Samples.try_finally)
+        scan = scan_of(Samples.try_finally)
         wait = next(n for n in scan.nodes if n.kind is NodeKind.WAIT).name
         notify = next(
             n for n in scan.nodes if n.kind is NodeKind.NOTIFY_ALL
@@ -197,5 +201,5 @@ class TestRegionRelation:
 
 class TestExtent:
     def test_first_last_lines(self):
-        scan = scan_method(Samples.guarded_wait)
+        scan = scan_of(Samples.guarded_wait)
         assert 0 < scan.first_line < scan.last_line

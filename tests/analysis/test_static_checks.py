@@ -1,21 +1,25 @@
 """Tests for the FF-T1 / EF-T1 static checks."""
 
-from repro.analysis import check_component, shared_accesses
+from repro.analysis import check_component, method_source_ast, shared_accesses
 from repro.classify import FailureClass
 from repro.components import BoundedBuffer, ProducerConsumer, Semaphore
 from repro.components.faulty import OverSynchronized, UnsyncCounter
 from repro.vm import MonitorComponent, NotifyAll, synchronized, unsynchronized
 
 
+def accesses(method):
+    return shared_accesses(method_source_ast(method)[0])
+
+
 class TestSharedAccesses:
     def test_producer_consumer_fields(self):
-        reads, writes = shared_accesses(ProducerConsumer.receive)
+        reads, writes = accesses(ProducerConsumer.receive)
         assert "cur_pos" in reads
         assert "cur_pos" in writes
         assert "contents" in reads
 
     def test_pure_method_has_none(self):
-        reads, writes = shared_accesses(OverSynchronized.scale)
+        reads, writes = accesses(OverSynchronized.scale)
         assert reads == [] and writes == []
 
     def test_underscore_fields_excluded(self):
@@ -25,7 +29,7 @@ class TestSharedAccesses:
                 self._x = 1
                 return self._x
 
-        reads, writes = shared_accesses(WithPrivate.touch)
+        reads, writes = accesses(WithPrivate.touch)
         assert reads == [] and writes == []
 
 

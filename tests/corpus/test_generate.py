@@ -69,6 +69,22 @@ class TestGenerate:
             "85afebea6409b7cd423149e41b7e98601d8a9054c68231ba1efc1c951dc90bee"
         )
 
+    def test_static_verdicts_are_pinned(self):
+        """``check_component`` on every variant the ``corpus-sweep``
+        workload sweeps, line for line: a changed source path or static
+        check moves this."""
+        records = generate_corpus(list(CORPUS_DRIVERS))
+        loaded = load_corpus(records, register=False)
+        lines = sorted(
+            str(finding)
+            for record in records
+            for finding in check_component(loaded[record.variant_id])
+        )
+        assert len(lines) == 11
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "5e273f1d6a44ff4fa274ffdf9e20db3bd0556a335ee8bace546fa03536a56a14"
+        )
+
     def test_pair_cap_respected(self):
         capped = generate_corpus(["bounded_buffer"], pair_cap=2)
         pairs = [r for r in capped if len(r.operators) == 2]
