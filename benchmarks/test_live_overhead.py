@@ -25,8 +25,9 @@ import time
 from conftest import write_result
 
 from repro.engine import CampaignSpec, ProgressTracker, run_campaign
-from repro.obs.live import LiveAggregator, TelemetryServer
+from repro.obs.live import LiveAggregator
 from repro.obs.live.frames import TelemetryFrame
+from repro.obs.live.server import TelemetryServer
 
 BUDGET = 400
 ROUNDS = 3

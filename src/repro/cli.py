@@ -608,12 +608,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     server = None
     dashboard = None
     if args.serve or args.dash:
-        from repro.obs.live import (
-            LiveAggregator,
-            LocalDashboard,
-            TelemetryServer,
-            parse_serve_address,
-        )
+        from repro.obs.live import LiveAggregator
+        from repro.obs.live.dash import LocalDashboard
+        from repro.obs.live.server import TelemetryServer, parse_serve_address
 
         telemetry = LiveAggregator(total_runs=args.budget)
         if args.serve:
@@ -648,7 +645,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_dash(args: argparse.Namespace) -> int:
-    from repro.obs.live import run_dashboard
+    from repro.obs.live.dash import run_dashboard
 
     try:
         return run_dashboard(

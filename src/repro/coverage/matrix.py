@@ -9,9 +9,7 @@ random schedules until every arc is covered?" and "which arcs are rare?".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.model import CoFG
 
@@ -25,12 +23,13 @@ class CoverageMatrix:
     """Hit counts of every arc for every run.
 
     Build incrementally with :meth:`add_run`; arcs are fixed at
-    construction from the supplied CoFGs.
+    construction from the supplied CoFGs.  Rows are lists of ints, one
+    per run, in ``arc_keys`` order.
     """
 
     cofgs: Dict[str, CoFG]
     arc_keys: List[Tuple[str, str, str]] = field(default_factory=list)
-    rows: List[np.ndarray] = field(default_factory=list)
+    rows: List[List[int]] = field(default_factory=list)
     labels: List[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -38,16 +37,23 @@ class CoverageMatrix:
             for method, cofg in self.cofgs.items():
                 for arc in cofg.arcs:
                     self.arc_keys.append((method, arc.src.name, arc.dst.name))
+        # the union of covered arc indices, kept by every append so the
+        # live coverage read never rebuilds the curve
+        self._covered: Set[int] = set()
+        for row in self.rows:
+            self._cover(row)
+
+    def _cover(self, row: List[int]) -> None:
+        self._covered.update(i for i, hits in enumerate(row) if hits)
 
     def add_run(self, tracker: CoverageTracker, label: str = "") -> None:
         """Append one run's hit counts (from a fed tracker)."""
-        row = np.zeros(len(self.arc_keys), dtype=np.int64)
-        for i, (method, src, dst) in enumerate(self.arc_keys):
-            coverage = tracker.methods.get(method)
-            if coverage is not None:
-                row[i] = coverage.hits.get((src, dst), 0)
-        self.rows.append(row)
-        self.labels.append(label or f"run{len(self.rows)}")
+        counts = {
+            (method, src, dst): hits
+            for method, coverage in tracker.methods.items()
+            for (src, dst), hits in coverage.hits.items()
+        }
+        self.add_counts(counts, label)
 
     def add_counts(
         self,
@@ -58,11 +64,9 @@ class CoverageMatrix:
         -> count`` mapping — the serializable form a campaign worker
         streams back, so matrices merge across process boundaries without
         shipping trackers or traces."""
-        row = np.zeros(len(self.arc_keys), dtype=np.int64)
-        for i, key in enumerate(self.arc_keys):
-            row[i] = counts.get(key, 0)
-        self.rows.append(row)
+        self.rows.append([counts.get(key, 0) for key in self.arc_keys])
         self.labels.append(label or f"run{len(self.rows)}")
+        self._cover(self.rows[-1])
 
     def merge(self, other: "CoverageMatrix") -> None:
         """Append every row of ``other`` (built over the same CoFGs) —
@@ -74,45 +78,49 @@ class CoverageMatrix:
             )
         self.rows.extend(other.rows)
         self.labels.extend(other.labels)
+        self._covered |= other._covered
 
     # -- queries -------------------------------------------------------------
 
-    def as_array(self) -> np.ndarray:
-        """(runs x arcs) hit-count matrix."""
-        if not self.rows:
-            return np.zeros((0, len(self.arc_keys)), dtype=np.int64)
-        return np.vstack(self.rows)
+    def as_array(self) -> List[List[int]]:
+        """(runs x arcs) hit counts: a copy of every row."""
+        return [row[:] for row in self.rows]
 
-    def cumulative_coverage(self) -> np.ndarray:
+    def cumulative_coverage(self) -> List[float]:
         """Fraction of arcs covered by the union of the first k runs,
         for k = 1..n (the saturation curve of the exploration study)."""
-        matrix = self.as_array()
-        if matrix.size == 0:
-            return np.zeros(0)
-        covered = (np.cumsum(matrix > 0, axis=0) > 0)
-        return covered.sum(axis=1) / matrix.shape[1]
+        if not self.arc_keys:
+            return []
+        covered: Set[int] = set()
+        curve = []
+        for row in self.rows:
+            covered.update(i for i, hits in enumerate(row) if hits)
+            curve.append(len(covered) / len(self.arc_keys))
+        return curve
 
     def coverage_fraction(self) -> float:
         """Fraction of arcs covered by the union of *all* runs so far
-        (the live number a campaign's progress line reports)."""
-        curve = self.cumulative_coverage()
-        return float(curve[-1]) if curve.size else 0.0
+        (the live number a campaign's progress line reports; O(1), it
+        reads the running union, not the curve)."""
+        return len(self._covered) / len(self.arc_keys) if self.arc_keys else 0.0
 
     def runs_to_full_coverage(self) -> Optional[int]:
         """Smallest k with full union coverage after k runs, or None."""
         curve = self.cumulative_coverage()
-        full = np.nonzero(curve >= 1.0)[0]
-        return int(full[0]) + 1 if full.size else None
+        return next((k for k, frac in enumerate(curve, 1) if frac >= 1.0), None)
 
-    def arc_hit_rates(self) -> np.ndarray:
+    def arc_hit_rates(self) -> List[float]:
         """Per-arc fraction of runs that covered the arc (rarity measure)."""
-        matrix = self.as_array()
-        if matrix.shape[0] == 0:
-            return np.zeros(len(self.arc_keys))
-        return (matrix > 0).mean(axis=0)
+        if not self.rows:
+            return [0.0] * len(self.arc_keys)
+        return [
+            sum(1 for hits in column if hits) / len(self.rows)
+            for column in zip(*self.rows)
+        ]
 
     def rarest_arcs(self, k: int = 3) -> List[Tuple[Tuple[str, str, str], float]]:
-        """The k arcs covered by the fewest runs, with their hit rates."""
+        """The k arcs covered by the fewest runs, with their hit rates
+        (ties in arc order)."""
         rates = self.arc_hit_rates()
-        order = np.argsort(rates)[:k]
-        return [(self.arc_keys[i], float(rates[i])) for i in order]
+        order = sorted(range(len(rates)), key=rates.__getitem__)[:k]
+        return [(self.arc_keys[i], rates[i]) for i in order]

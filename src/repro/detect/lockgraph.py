@@ -12,9 +12,7 @@ from a trace and reports its cycles as *potential* deadlocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.vm.events import Event, EventKind
 from repro.vm.trace import Trace
@@ -29,6 +27,7 @@ __all__ = [
     "OnlineLockGraphDetector",
     "build_lock_graph",
     "detect_lock_cycles",
+    "simple_cycles",
 ]
 
 # Event kinds bound to module names: function bodies read these, never
@@ -64,6 +63,10 @@ class LockOrderEdge:
     seq: int
 
 
+#: ``(outer, inner) -> first witness``, in the order first seen
+LockGraph = Dict[Tuple[str, str], LockOrderEdge]
+
+
 @dataclass(frozen=True)
 class PotentialDeadlock:
     """A cycle in the lock-order graph.
@@ -84,6 +87,29 @@ class PotentialDeadlock:
         )
 
 
+def simple_cycles(edges: Iterable[Tuple[str, str]]) -> Iterator[Tuple[str, ...]]:
+    """Every simple cycle of the digraph with edge pairs ``edges``, once,
+    self-loops aside: each starts at its least node, and a root's depth
+    first search (along edges in the order given) enters only nodes above
+    it.  The order never depends on the string hash seed.
+    """
+    successors: Dict[str, List[str]] = {}
+    for outer, inner in edges:
+        if outer != inner:
+            successors.setdefault(outer, []).append(inner)
+            successors.setdefault(inner, [])
+
+    def extend(path: List[str]) -> Iterator[Tuple[str, ...]]:
+        for node in successors[path[-1]]:
+            if node == path[0]:
+                yield tuple(path)
+            elif node > path[0] and node not in path:
+                yield from extend(path + [node])
+
+    for root in sorted(successors):
+        yield from extend([root])
+
+
 @register_detector("lockgraph")
 class OnlineLockGraphDetector(OnlineDetector):
     """Streaming lock-order-graph construction.
@@ -97,13 +123,11 @@ class OnlineLockGraphDetector(OnlineDetector):
     name = "lockgraph"
 
     def __init__(self) -> None:
-        self.graph = nx.DiGraph()
+        self.graph: LockGraph = {}
         self.edges: List[LockOrderEdge] = []
         self._held: Dict[str, List[str]] = {}
 
     def reset(self) -> None:
-        # cleared, not rebuilt: a DiGraph refers to itself through its
-        # cached degree views, so each discarded one is cyclic garbage
         self.graph.clear()
         self.edges.clear()
         self._held.clear()
@@ -122,8 +146,7 @@ class OnlineLockGraphDetector(OnlineDetector):
             for outer in set(stack):
                 if outer != monitor:
                     edge = LockOrderEdge(outer, monitor, event.thread, event.seq)
-                    if not self.graph.has_edge(outer, monitor):
-                        self.graph.add_edge(outer, monitor, witness=edge)
+                    self.graph.setdefault((outer, monitor), edge)
                     self.edges.append(edge)
         elif event.kind in _GRANT_KINDS:
             monitor = event.monitor or "?"
@@ -143,32 +166,26 @@ class OnlineLockGraphDetector(OnlineDetector):
         A cycle formed entirely by one thread's acquisitions is excluded:
         a single thread cannot deadlock with itself through reentrant
         locks.  Self-edges are never added, so a graph with fewer than
-        two edges has no cycle and skips the enumeration (``edges``
-        records every edge witnessed, so fewer than two of those settles
-        it without asking the graph).
+        two edges has no cycle and skips the enumeration.
         """
         results: List[PotentialDeadlock] = []
-        if len(self.edges) < 2 or self.graph.number_of_edges() < 2:
+        if len(self.graph) < 2:
             return results
-        for cycle in nx.simple_cycles(self.graph):
-            witnesses = []
-            ordered = list(cycle)
-            for i, lock in enumerate(ordered):
-                nxt = ordered[(i + 1) % len(ordered)]
-                witnesses.append(self.graph.edges[lock, nxt]["witness"])
-            threads = {w.thread for w in witnesses}
-            if len(threads) < 2:
-                continue
-            results.append(
-                PotentialDeadlock(locks=tuple(ordered), witnesses=tuple(witnesses))
+        for cycle in simple_cycles(self.graph):
+            witnesses = tuple(
+                self.graph[lock, cycle[(i + 1) % len(cycle)]]
+                for i, lock in enumerate(cycle)
             )
+            if len({w.thread for w in witnesses}) < 2:
+                continue
+            results.append(PotentialDeadlock(locks=cycle, witnesses=witnesses))
         return results
 
 
-def build_lock_graph(trace: Trace) -> Tuple[nx.DiGraph, List[LockOrderEdge]]:
+def build_lock_graph(trace: Trace) -> Tuple[LockGraph, List[LockOrderEdge]]:
     """The lock-order graph of a trace: edge ``A -> B`` when some thread
-    acquired ``B`` while holding ``A``.  Reentrant re-acquisitions of the
-    same monitor do not add edges."""
+    acquired ``B`` while holding ``A``, mapped to its first witness.
+    Reentrant re-acquisitions of the same monitor do not add edges."""
     detector = OnlineLockGraphDetector()
     replay(trace, detector)
     return detector.graph, detector.edges

@@ -12,26 +12,19 @@ trace-event export of single runs (:mod:`~repro.obs.live.chrome`).
 
 Same design rule as :mod:`repro.obs`: pull, never push — the engine only
 feeds a :class:`LiveAggregator` that a caller explicitly passed in, and a
-campaign without one pays nothing.
+campaign without one pays nothing, imports included: the HTTP endpoint
+and the dashboard load only when imported from their submodules.
 """
 
 from .aggregate import LiveAggregator, ShardRow, attach_campaign_info
 from .chrome import to_chrome_trace, write_chrome_trace
-from .dash import LocalDashboard, fetch_status, render_dashboard, run_dashboard
 from .frames import TelemetryFrame
-from .server import TelemetryServer, parse_serve_address
 
 __all__ = [
     "TelemetryFrame",
     "LiveAggregator",
     "ShardRow",
     "attach_campaign_info",
-    "TelemetryServer",
-    "parse_serve_address",
-    "render_dashboard",
-    "fetch_status",
-    "run_dashboard",
-    "LocalDashboard",
     "to_chrome_trace",
     "write_chrome_trace",
 ]

@@ -14,8 +14,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from .errors import StateSpaceLimitError
 from .net import Marking, PetriNet
 
@@ -71,10 +69,6 @@ class ReachabilityGraph:
         """
         return {t for (_, t, _) in self.edges}
 
-    def live_transitions(self) -> Set[str]:
-        """Transitions enabled in at least one reachable marking."""
-        return self.transitions_fired()
-
     def dead_transitions(self) -> Set[str]:
         """Transitions never enabled in any reachable marking."""
         return {t.name for t in self.net.transitions} - self.transitions_fired()
@@ -93,22 +87,27 @@ class ReachabilityGraph:
         marking (a *1-bounded* or *safe* net; Figure 1 is safe)."""
         return all(v <= 1 for v in self.max_tokens().values())
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """The reachability graph as a networkx multigraph (markings as
-        nodes, transition names as edge labels)."""
-        graph = nx.MultiDiGraph()
-        for marking in self.markings:
-            graph.add_node(marking, dead=self.net.is_dead(marking))
-        for source, transition, target in self.edges:
-            graph.add_edge(source, target, transition=transition)
-        return graph
-
     def strongly_connected(self) -> bool:
         """True when the whole state space is one strongly connected
         component — i.e. the system is *reversible* (can always return to
-        the initial marking)."""
-        graph = self.to_networkx()
-        return nx.number_strongly_connected_components(graph) == 1
+        the initial marking): every marking is reached from the initial
+        one along the edges and reaches it back."""
+        forward: Dict[Marking, List[Marking]] = {}
+        backward: Dict[Marking, List[Marking]] = {}
+        for source, _, target in self.edges:
+            forward.setdefault(source, []).append(target)
+            backward.setdefault(target, []).append(source)
+        for adjacency in (forward, backward):
+            seen = {self.initial}
+            queue = deque(seen)
+            while queue:
+                for nxt in adjacency.get(queue.popleft(), ()):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        queue.append(nxt)
+            if len(seen) != len(self.markings):
+                return False
+        return True
 
 
 def build_reachability_graph(

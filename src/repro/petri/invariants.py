@@ -7,18 +7,16 @@ conserved by every firing.  For the paper's Figure-1 model the invariant
 ``C + E == 1`` expresses "either the lock is free or exactly one thread is
 in the critical section" — the mutual-exclusion property itself.
 
-The kernel of an integer matrix is computed with exact fraction-free
-Gaussian elimination (numpy is used only for the dense matrix container),
-so invariants are exact integer vectors, never floating-point approximations.
+The kernel of an integer matrix is computed with exact Gaussian
+elimination over Fractions, so invariants are exact integer vectors,
+never floating-point approximations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Tuple
-
-import numpy as np
 
 from .net import Marking, PetriNet
 
@@ -48,16 +46,17 @@ class PlaceInvariant:
         return " + ".join(terms) if terms else "0"
 
 
-def _integer_kernel(matrix: np.ndarray) -> List[np.ndarray]:
+def _integer_kernel(matrix: List[List[int]]) -> List[List[int]]:
     """Basis of the integer (rational) left-null space of ``matrix``.
 
-    Performs exact elimination over Fractions on ``matrix.T`` columns; each
-    basis vector is scaled to coprime integers with a positive leading entry.
+    Performs exact elimination over Fractions on the columns of
+    ``matrix``; each basis vector is scaled to coprime integers with a
+    positive leading entry.
     """
     from fractions import Fraction
 
     # We want y with y^T C = 0  <=>  C^T y = 0, i.e. kernel of C^T.
-    a = [[Fraction(int(v)) for v in row] for row in matrix.T.tolist()]
+    a = [[Fraction(v) for v in column] for column in zip(*matrix)]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivot_cols: List[int] = []
@@ -78,26 +77,18 @@ def _integer_kernel(matrix: np.ndarray) -> List[np.ndarray]:
         if r == rows:
             break
     free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis: List[np.ndarray] = []
+    basis: List[List[int]] = []
     for free in free_cols:
         vec = [Fraction(0)] * cols
         vec[free] = Fraction(1)
         for row_index, pivot_col in enumerate(pivot_cols):
             vec[pivot_col] = -a[row_index][free]
-        denominators = [f.denominator for f in vec]
-        scale = 1
-        for d in denominators:
-            scale = scale * d // gcd(scale, d)
+        scale = lcm(*(f.denominator for f in vec))
         ints = [int(f * scale) for f in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        leading = next((v for v in ints if v != 0), 1)
-        if leading < 0:
-            ints = [-v for v in ints]
-        basis.append(np.array(ints, dtype=np.int64))
+        g = gcd(*ints)  # vec[free] == 1, so never 0
+        if next(v for v in ints if v) < 0:
+            g = -g
+        basis.append([v // g for v in ints])
     return basis
 
 
@@ -105,13 +96,10 @@ def place_invariants(net: PetriNet) -> List[PlaceInvariant]:
     """All basis place invariants of ``net`` (may include negative weights
     for nets whose kernel has no all-nonnegative basis)."""
     matrix, place_names, _ = net.incidence_matrix()
-    invariants = []
-    for vector in _integer_kernel(matrix):
-        weights = tuple(
-            (place, int(w)) for place, w in zip(place_names, vector) if w != 0
-        )
-        invariants.append(PlaceInvariant(weights))
-    return invariants
+    return [
+        PlaceInvariant(tuple((p, w) for p, w in zip(place_names, vector) if w))
+        for vector in _integer_kernel(matrix)
+    ]
 
 
 def invariant_holds(

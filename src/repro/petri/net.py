@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import (
     DuplicateNodeError,
     InvalidMarkingError,
@@ -310,9 +308,9 @@ class PetriNet:
 
     # -- linear algebra -------------------------------------------------------
 
-    def incidence_matrix(self) -> Tuple[np.ndarray, List[str], List[str]]:
-        """The incidence matrix ``C`` with ``C[i, j] = post(t_j, p_i) -
-        pre(t_j, p_i)``.
+    def incidence_matrix(self) -> Tuple[List[List[int]], List[str], List[str]]:
+        """The incidence matrix ``C`` with ``C[i][j] = post(t_j, p_i) -
+        pre(t_j, p_i)``, as a list of integer rows.
 
         Returns ``(C, place_names, transition_names)`` where rows of ``C``
         follow ``place_names`` and columns follow ``transition_names``.
@@ -321,12 +319,12 @@ class PetriNet:
         place_names = list(self._places)
         transition_names = list(self._transitions)
         p_index = {p: i for i, p in enumerate(place_names)}
-        matrix = np.zeros((len(place_names), len(transition_names)), dtype=np.int64)
+        matrix = [[0] * len(transition_names) for _ in place_names]
         for j, transition in enumerate(transition_names):
             for place, weight in self._inputs[transition].items():
-                matrix[p_index[place], j] -= weight
+                matrix[p_index[place]][j] -= weight
             for place, weight in self._outputs[transition].items():
-                matrix[p_index[place], j] += weight
+                matrix[p_index[place]][j] += weight
         return matrix, place_names, transition_names
 
     def __repr__(self) -> str:

@@ -146,7 +146,7 @@ class TestCoverageMatrix:
     def test_shape(self):
         matrix = self._matrix_with_runs([[("p", "send", "x")]])
         array = matrix.as_array()
-        assert array.shape == (1, 10)
+        assert [len(row) for row in array] == [10]
 
     def test_cumulative_coverage_monotone(self):
         matrix = self._matrix_with_runs(
@@ -179,5 +179,6 @@ class TestCoverageMatrix:
     def test_empty_matrix(self):
         cofgs = build_all_cofgs(ProducerConsumer)
         matrix = CoverageMatrix(cofgs)
-        assert matrix.as_array().shape == (0, 10)
-        assert matrix.cumulative_coverage().size == 0
+        assert matrix.as_array() == []
+        assert len(matrix.arc_keys) == 10
+        assert matrix.cumulative_coverage() == []

@@ -5,6 +5,7 @@ import pytest
 from repro.petri import (
     Marking,
     NetBuilder,
+    ReachabilityGraph,
     StateSpaceLimitError,
     build_reachability_graph,
     check_boundedness,
@@ -94,11 +95,20 @@ class TestReachability:
         succs = graph.successors(m0)
         assert ("t1", Marking({"b": 1})) in succs
 
-    def test_to_networkx(self):
+    def test_graph_size(self):
         net, m0 = chain_net()
-        graph = build_reachability_graph(net, m0).to_networkx()
-        assert graph.number_of_nodes() == 3
-        assert graph.number_of_edges() == 2
+        graph = build_reachability_graph(net, m0)
+        assert len(graph) == 3
+        assert len(graph.edges) == 2
+
+    def test_unreached_marking_breaks_strong_connectivity(self):
+        net, m0 = cyclic_net()
+        graph = build_reachability_graph(net, m0)
+        stray = ReachabilityGraph(
+            net, m0, graph.markings + [Marking({"b": 2})], graph.edges, []
+        )
+        assert graph.strongly_connected()
+        assert not stray.strongly_connected()
 
 
 class TestFiringSequenceSearch:
