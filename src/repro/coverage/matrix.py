@@ -100,8 +100,7 @@ class CoverageMatrix:
 
     def coverage_fraction(self) -> float:
         """Fraction of arcs covered by the union of *all* runs so far
-        (the live number a campaign's progress line reports; O(1), it
-        reads the running union, not the curve)."""
+        (the live number a campaign's progress line reports)."""
         return len(self._covered) / len(self.arc_keys) if self.arc_keys else 0.0
 
     def runs_to_full_coverage(self) -> Optional[int]:

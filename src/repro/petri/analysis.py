@@ -89,9 +89,8 @@ class ReachabilityGraph:
 
     def strongly_connected(self) -> bool:
         """True when the whole state space is one strongly connected
-        component — i.e. the system is *reversible* (can always return to
-        the initial marking): every marking is reached from the initial
-        one along the edges and reaches it back."""
+        component — i.e. the system is *reversible*: every marking is
+        reached from the initial marking and can return to it."""
         forward: Dict[Marking, List[Marking]] = {}
         backward: Dict[Marking, List[Marking]] = {}
         for source, _, target in self.edges:
