@@ -27,7 +27,7 @@ import json
 import multiprocessing
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
@@ -100,7 +100,7 @@ class CampaignSpec:
     #: kernel trace retention ("full" | "none"); "none" requires detect
     trace_mode: str = "full"
     #: attach an instrumentation sink to every run (per-run
-    #: MetricsSnapshot rides inside each RunSummary and the journal)
+    #: metrics record rides inside each RunSummary and the journal)
     metrics: bool = False
     run_timeout: float = 10.0
     max_retries: int = 2
@@ -469,7 +469,8 @@ class _Aggregator:
     the result, sets the goal flags, and hands every merged run — with
     its duplicate verdict — to the campaign state's one fold
     (:meth:`ProgressTracker.note_run`), then to the live view when one
-    is attached.
+    is attached.  The result keeps each unique summary without its
+    metrics record, which that fold consumes.
     """
 
     def __init__(
@@ -502,7 +503,10 @@ class _Aggregator:
         duplicate = key in self._seen
         if not duplicate:
             self._seen.add(key)
-            self.result.summaries.append(summary)
+            # the result keeps no metrics record: note_run folds it below
+            self.result.summaries.append(
+                summary if summary.metrics is None else replace(summary, metrics=None)
+            )
             if not summary.ok:
                 self._failed = True
             if summary.status == _DEADLOCK or (

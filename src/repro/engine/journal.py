@@ -5,7 +5,9 @@ schedule-space-defining spec field), then one line per *completed* shard
 carrying its run summaries.  Partial shards are never journaled — a
 shard is the atomic unit of progress — so a campaign killed mid-flight
 loses at most the shards in progress, and ``--resume`` replays nothing
-that was journaled.
+that was journaled.  Version 2 stores a metered run's metrics as the
+compact record of :mod:`repro.obs.sink`; the format is documented in
+``docs/formats.md`` ("Campaign journals").
 
 Robustness decisions:
 
@@ -32,7 +34,7 @@ from repro.testing.explorer import RunSummary
 __all__ = ["CampaignJournal", "JournalState", "JournalError"]
 
 _FORMAT = "repro-campaign"
-_VERSION = 1
+_VERSION = 2
 
 
 class JournalError(ValueError):
@@ -138,7 +140,8 @@ class CampaignJournal:
             raise JournalError(f"{self.path} is not a campaign journal")
         if header.get("version") != _VERSION:
             raise JournalError(
-                f"unsupported journal version {header.get('version')!r}"
+                f"unsupported journal version {header.get('version')!r} "
+                f"(this release reads version {_VERSION})"
             )
         state = JournalState(str(header.get("fingerprint", "")))
         for line in lines[1:]:

@@ -27,6 +27,7 @@ from typing import IO, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import Counter as MetricsCounter
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.sink import fold_record
 from repro.testing.explorer import RunSummary
 
 __all__ = ["ProgressTracker", "ShardRow", "format_duration", "state_view"]
@@ -145,7 +146,7 @@ class ProgressTracker:
                 self.signatures.setdefault(summary.signature)
             self.classes.update(summary.detected_classes)
             if summary.metrics:
-                self.metrics.merge_rows(summary.metrics.get("metrics", ()))
+                fold_record(self.metrics, summary.metrics)
             if self.coverage is not None:
                 label = (
                     f"seed{summary.seed}"

@@ -3,14 +3,14 @@
 The observability layer's core data structure is the
 :class:`MetricsRegistry` — a named collection of metric families, each
 holding one numeric series per label set.  Registries follow the same
-merge discipline as :class:`~repro.coverage.matrix.CoverageMatrix`: a
-campaign worker builds one per run, projects it to a plain-dict
-:class:`MetricsSnapshot` that crosses the process boundary inside a
-``RunSummary``, and the orchestrator folds every snapshot into a single
-campaign-level registry.  Merging is associative and order-independent
-for counters and histograms (addition) and uses an explicit aggregation
-mode for gauges (max by default: a gauge merged across runs reports the
-peak, e.g. the deepest wait queue any schedule produced).
+merge discipline as :class:`~repro.coverage.matrix.CoverageMatrix`: the
+orchestrator folds every run's compact metrics record (see
+:mod:`repro.obs.sink`) into a single campaign-level registry, and
+registries merge with each other.  Merging is associative and
+order-independent for counters and histograms (addition) and uses an
+explicit aggregation mode for gauges (max by default: a gauge merged
+across runs reports the peak, e.g. the deepest wait queue any schedule
+produced).
 
 Everything is JSON- and pickle-safe by construction: label sets are
 sorted tuples of string pairs, values are ints/floats, and the snapshot
@@ -32,7 +32,6 @@ __all__ = [
     "MetricsSnapshot",
     "DEFAULT_BUCKETS",
     "metric_row",
-    "series_rows",
 ]
 
 #: A label set, normalized: sorted ``(key, value)`` string pairs.
@@ -60,19 +59,8 @@ def metric_row(
 ) -> Dict[str, Any]:
     """One metric in snapshot form: ``name``, ``type``, ``help``, then
     ``extra`` (a gauge's ``agg``, a histogram's ``buckets``), then its
-    ``series`` rows.  Every ``to_dict`` builds its payload here, and
-    producers that write snapshot rows directly (the instrumentation
-    sink) build theirs here too."""
+    ``series`` rows.  Every ``to_dict`` builds its payload here."""
     return {"name": name, "type": kind, "help": help, **extra, "series": series}
-
-
-def series_rows(label: str, values: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Snapshot-form rows of a one-label counter or gauge series: one
-    ``{"labels": {label: key}, "value": value}`` per entry, in label
-    order (the order ``to_dict`` sorts string-keyed series into)."""
-    return [
-        {"labels": {label: key}, "value": values[key]} for key in sorted(values)
-    ]
 
 
 class Metric:
@@ -93,11 +81,6 @@ class Metric:
         raise NotImplementedError
 
     def merge(self, other: "Metric") -> None:
-        raise NotImplementedError
-
-    def merge_payload(self, payload: Dict[str, Any]) -> None:
-        """Fold one :meth:`to_dict` payload of the same metric in: the
-        same result as ``merge`` of the metric the payload describes."""
         raise NotImplementedError
 
     def to_dict(self) -> Dict[str, Any]:
@@ -160,13 +143,6 @@ class Counter(Metric):
         for key, value in other._series.items():
             self._series[key] = self._series.get(key, 0) + value
 
-    def merge_payload(self, payload: Dict[str, Any]) -> None:
-        self._require_kind(payload.get("type"))
-        series = self._series
-        for row in payload.get("series", ()):
-            key = _labelset(row.get("labels"))
-            series[key] = series.get(key, 0) + row["value"]
-
     def to_dict(self) -> Dict[str, Any]:
         return metric_row(
             self.kind,
@@ -228,17 +204,6 @@ class Gauge(Metric):
                 self._series[key] = self._combine(self._series[key], value)
             else:
                 self._series[key] = value
-
-    def merge_payload(self, payload: Dict[str, Any]) -> None:
-        self._require_kind(payload.get("type"))
-        series = self._series
-        for row in payload.get("series", ()):
-            key = _labelset(row.get("labels"))
-            value = row["value"]
-            if key in series:
-                series[key] = self._combine(series[key], value)
-            else:
-                series[key] = value
 
     def to_dict(self) -> Dict[str, Any]:
         return metric_row(
@@ -328,24 +293,6 @@ class Histogram(Metric):
                 mine.sum += theirs.sum
                 mine.count += theirs.count
 
-    def merge_payload(self, payload: Dict[str, Any]) -> None:
-        self._require_kind(payload.get("type"))
-        self._require_buckets(tuple(sorted(payload.get("buckets", DEFAULT_BUCKETS))))
-        series = self._series
-        for row in payload.get("series", ()):
-            key = _labelset(row.get("labels"))
-            counts = [int(c) for c in row["counts"]]
-            total = float(row.get("sum", 0.0))
-            count = int(row.get("count", 0))
-            mine = series.get(key)
-            if mine is None:
-                series[key] = _HistSeries(counts=counts, sum=total, count=count)
-            else:
-                for i, c in enumerate(counts):
-                    mine.counts[i] += c
-                mine.sum += total
-                mine.count += count
-
     def _require_buckets(self, buckets: Tuple[float, ...]) -> None:
         if buckets != self.buckets:
             raise ValueError(
@@ -434,26 +381,6 @@ class MetricsRegistry:
             else:
                 mine.merge(metric)
 
-    def merge_snapshot(self, snapshot: "MetricsSnapshot") -> None:
-        """Fold a snapshot in, with the result of
-        ``merge(snapshot.to_registry())`` but in one pass: each row goes
-        straight into the existing series, and a :class:`Metric` is built
-        only for a name this registry has not seen.  Raises
-        ``ValueError`` on a metric-kind or histogram-bucket mismatch."""
-        self.merge_rows(snapshot.metrics)
-
-    def merge_rows(self, rows: Iterable[Dict[str, Any]]) -> None:
-        """:meth:`merge_snapshot` of a snapshot's ``metrics`` rows as they
-        are, e.g. the ``"metrics"`` list of a ``RunSummary.metrics`` dict,
-        without building the :class:`MetricsSnapshot` first."""
-        for payload in rows:
-            name = str(payload["name"])
-            mine = self._metrics.get(name)
-            if mine is None:
-                self._metrics[name] = _metric_from_dict(payload)
-            else:
-                mine.merge_payload(payload)
-
     def snapshot(self) -> "MetricsSnapshot":
         return MetricsSnapshot(
             metrics=tuple(metric.to_dict() for metric in self.metrics())
@@ -500,9 +427,8 @@ def _metric_from_dict(payload: Dict[str, Any]) -> Metric:
 class MetricsSnapshot:
     """The plain-data projection of a registry.
 
-    This is the form that rides inside a ``RunSummary`` across the
-    worker/orchestrator process boundary and inside campaign journal
-    lines: a tuple of per-metric dicts, nothing but JSON scalars inside.
+    This is the self-describing form the exporters and metrics JSONL
+    write: a tuple of per-metric dicts, nothing but JSON scalars inside.
     """
 
     metrics: Tuple[Dict[str, Any], ...] = ()

@@ -1,4 +1,4 @@
-"""The instrumentation sink: kernel event bus -> per-run metric rows.
+"""The instrumentation sink: kernel event bus -> per-run metrics record.
 
 :class:`InstrumentationSink` routes a kernel's monitor-protocol events to
 its handlers (a kind-filtered routing table, like the streaming detector
@@ -28,33 +28,29 @@ inherited ``Enum.__hash__`` is Python code and would cost more per event
 than the lookup it feeds).  Event counting and the
 per-thread counters cost nothing because the kernel maintains them
 natively (``events_emitted`` / ``thread_stats``).  Ext-I
-(``benchmarks/test_obs_overhead.py``) keeps this honest.  After the run,
-:meth:`InstrumentationSink.snapshot` writes the series straight into the
-snapshot form a ``RunSummary`` carries; no registry is built per run.
+(``benchmarks/test_obs_overhead.py``) keeps this honest.
+
+After the run, :meth:`InstrumentationSink.snapshot` writes the series
+into one compact record of the fixed :data:`RECORD_SCHEMA` (the
+``RunSummary.metrics`` a campaign ships and journals), and
+:func:`fold_record` folds a record into a registry in one pass; no
+registry is built per run.
 """
 
 from __future__ import annotations
 
-import bisect
 import time
-from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.vm.events import Event, EventKind
 
-from .metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    MetricsSnapshot,
-    metric_row,
-    series_rows,
-)
+from .metrics import DEFAULT_BUCKETS, MetricsRegistry
 from .spans import SpanTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vm.kernel import Kernel
 
-__all__ = ["InstrumentationSink"]
+__all__ = ["InstrumentationSink", "RECORD_SCHEMA", "fold_record"]
 
 # Event kinds bound to module names: function bodies read these, never
 # ``EventKind.X`` (a Python-level enum class lookup before 3.12).
@@ -66,16 +62,71 @@ _MONITOR_NOTIFIED = EventKind.MONITOR_NOTIFIED
 _NOTIFY = EventKind.NOTIFY
 _NOTIFY_ALL = EventKind.NOTIFY_ALL
 
-_by_name = itemgetter("name")
+_PEAK = {"agg": "max"}
 
+#: The per-run metrics record's fixed schema: name -> (kind, help, label
+#: key, registry options).  An unlabelled series is ``name: value``, a
+#: labelled one ``name: {label_value: value}``, and ``run_wall_seconds``
+#: is ``[status, seconds]``; gauges merge across runs by their peak.
+RECORD_SCHEMA: Dict[str, Tuple[str, str, Optional[str], Dict[str, Any]]] = {
+    "run_wall_seconds": (
+        "histogram",
+        "wall-clock duration per run by status",
+        "status",
+        {"buckets": DEFAULT_BUCKETS},
+    ),
+    "vm_blocked_ticks_total": (
+        "counter", "virtual time threads spent blocked in entry sets", "thread", {}
+    ),
+    "vm_context_switches_total": (
+        "counter",
+        "times a thread was scheduled after a different thread",
+        "thread",
+        {},
+    ),
+    "vm_entry_queue_depth_peak": (
+        "gauge", "peak entry-set depth per monitor", "monitor", _PEAK
+    ),
+    "vm_events_per_second": (
+        "gauge",
+        "wall-clock event rate of the run (merged: peak across runs)",
+        None,
+        _PEAK,
+    ),
+    "vm_events_total": ("counter", "events emitted by the kernel", None, {}),
+    "vm_monitor_acquisitions_total": (
+        "counter", "outermost monitor acquisitions", "monitor", {}
+    ),
+    "vm_monitor_contended_ticks_total": (
+        "counter",
+        "virtual time threads blocked waiting for each monitor",
+        "monitor",
+        {},
+    ),
+    "vm_monitor_hold_ticks_total": (
+        "counter",
+        "virtual time monitors were held (outermost holds)",
+        "monitor",
+        {},
+    ),
+    "vm_notify_lost_total": (
+        "counter", "notify/notifyAll calls that woke nobody", "monitor", {}
+    ),
+    "vm_steps_total": ("counter", "kernel scheduling steps", None, {}),
+    "vm_wait_queue_depth_peak": (
+        "gauge", "peak wait-set depth per monitor", "monitor", _PEAK
+    ),
+    "vm_waiting_ticks_total": (
+        "counter", "virtual time threads spent in wait sets (pre-wake)", "thread", {}
+    ),
+}
 
-def _counter(name: str, help: str, series: List[Dict[str, Any]]) -> Dict[str, Any]:
-    return metric_row("counter", name, help, series)
-
-
-def _peak(name: str, help: str, series: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """A gauge merged across runs by its maximum."""
-    return metric_row("gauge", name, help, series, agg="max")
+#: record name -> the ``Kernel.thread_stats`` counter it reports
+_PER_THREAD = (
+    ("vm_context_switches_total", "context_switches"),
+    ("vm_blocked_ticks_total", "blocked_ticks"),
+    ("vm_waiting_ticks_total", "waiting_ticks"),
+)
 
 
 class InstrumentationSink:
@@ -86,22 +137,23 @@ class InstrumentationSink:
         sink = InstrumentationSink()
         sink.install(kernel)          # before kernel.run()
         result = kernel.run()
-        snapshot = sink.snapshot()    # finalize + pull native counters
+        record = sink.snapshot()      # finalize + pull native counters
         registry = sink.collect()     # the same series as a registry
 
     The first read after a run closes still-open monitor holds (a
     deadlocked run holds its locks at quiescence), reads the kernel's
     native per-thread counters and fixes the wall-clock event rate;
     later reads of the same run return the same series.
-    :meth:`snapshot` writes the rows in snapshot form directly — no
-    :class:`MetricsRegistry` per run — and :meth:`collect` folds those
-    rows into a fresh registry.
+    :meth:`snapshot` writes the run's record directly — no
+    :class:`MetricsRegistry` per run — and :meth:`collect` folds it into
+    a fresh registry.
 
     Args:
         tracer: optional :class:`SpanTracer`; when given, every completed
             outermost monitor hold is recorded as a ``monitor-hold`` span
             (name + per-monitor label), giving hold-time histograms in
-            both clocks for free.
+            both clocks for free.  Span metrics reach :meth:`collect`
+            only, never the record.
     """
 
     def __init__(self, tracer: Optional[SpanTracer] = None) -> None:
@@ -114,7 +166,7 @@ class InstrumentationSink:
         self._finished = False
         self._events_per_second: Optional[float] = None
         #: the run's (wall seconds, status), from :meth:`observe_run`
-        self._run_wall: Optional[Tuple[float, str]] = None
+        self._run_wall: Optional[Tuple[str, float]] = None
         # live derivation state, all plain dicts for speed
         self._entry_depth: Dict[str, int] = {}
         self._entry_peak: Dict[str, int] = {}
@@ -194,7 +246,7 @@ class InstrumentationSink:
         """Record the run's wall-clock duration and end status (the
         ``run_wall_seconds`` histogram); a timing runner calls this once
         the run returns."""
-        self._run_wall = (seconds, status)
+        self._run_wall = (status, seconds)
 
     # -- the hot path (standalone form for feeding a sink without a
     # kernel; install() wires the handlers kind-filtered instead) ----------
@@ -321,123 +373,78 @@ class InstrumentationSink:
         for thread, monitor in list(self._open_holds):
             self._close_hold(thread, monitor, now)
 
-    def _rows(self) -> List[Dict[str, Any]]:
-        """The run's series in snapshot form, sorted by metric name: the
-        rows a registry holding them would ``snapshot()`` to."""
+    def snapshot(self) -> Dict[str, Any]:
+        """The run's metrics record (:data:`RECORD_SCHEMA`), written
+        straight from the sink's state: what the executor ships as
+        ``RunSummary.metrics`` and :func:`fold_record` folds.  A monitor
+        present with value 0 stays present; the per-thread series list
+        only nonzero threads."""
         self._finish()
-        rows = [
-            _counter(
-                "vm_events_total",
-                "events emitted by the kernel",
-                [{"labels": {}, "value": self.events_seen}],
-            ),
-            _counter(
-                "vm_monitor_acquisitions_total",
-                "outermost monitor acquisitions",
-                series_rows("monitor", self._acquisitions),
-            ),
-            _counter(
-                "vm_monitor_hold_ticks_total",
-                "virtual time monitors were held (outermost holds)",
-                series_rows("monitor", self._hold_ticks),
-            ),
-            _counter(
-                "vm_monitor_contended_ticks_total",
-                "virtual time threads blocked waiting for each monitor",
-                series_rows("monitor", self._contended_ticks),
-            ),
-            _counter(
-                "vm_notify_lost_total",
-                "notify/notifyAll calls that woke nobody",
-                series_rows("monitor", self._lost_notifies),
-            ),
-            _peak(
-                "vm_entry_queue_depth_peak",
-                "peak entry-set depth per monitor",
-                series_rows("monitor", self._entry_peak),
-            ),
-            _peak(
-                "vm_wait_queue_depth_peak",
-                "peak wait-set depth per monitor",
-                series_rows("monitor", self._wait_peak),
-            ),
-        ]
+        record: Dict[str, Any] = {
+            "vm_events_total": self.events_seen,
+            "vm_monitor_acquisitions_total": dict(self._acquisitions),
+            "vm_monitor_hold_ticks_total": dict(self._hold_ticks),
+            "vm_monitor_contended_ticks_total": dict(self._contended_ticks),
+            "vm_notify_lost_total": dict(self._lost_notifies),
+            "vm_entry_queue_depth_peak": dict(self._entry_peak),
+            "vm_wait_queue_depth_peak": dict(self._wait_peak),
+        }
         if self._events_per_second is not None:
-            rows.append(
-                _peak(
-                    "vm_events_per_second",
-                    "wall-clock event rate of the run (merged: peak across runs)",
-                    [{"labels": {}, "value": self._events_per_second}],
-                )
-            )
+            record["vm_events_per_second"] = self._events_per_second
         kernel = self._kernel
         if kernel is not None:
-            stats = kernel.thread_stats()
-
-            def per_thread(counter: str) -> List[Dict[str, Any]]:
-                """The threads' nonzero ``counter`` values as series rows."""
-                return series_rows(
-                    "thread",
-                    {name: s[counter] for name, s in stats.items() if s[counter]},
-                )
-
-            rows += [
-                _counter(
-                    "vm_steps_total",
-                    "kernel scheduling steps",
-                    [{"labels": {}, "value": kernel.steps}],
-                ),
-                _counter(
-                    "vm_context_switches_total",
-                    "times a thread was scheduled after a different thread",
-                    per_thread("context_switches"),
-                ),
-                _counter(
-                    "vm_blocked_ticks_total",
-                    "virtual time threads spent blocked in entry sets",
-                    per_thread("blocked_ticks"),
-                ),
-                _counter(
-                    "vm_waiting_ticks_total",
-                    "virtual time threads spent in wait sets (pre-wake)",
-                    per_thread("waiting_ticks"),
-                ),
-            ]
+            record["vm_steps_total"] = kernel.steps
+            stats = kernel.thread_stats().items()
+            for name, counter in _PER_THREAD:
+                record[name] = {
+                    thread: s[counter] for thread, s in stats if s[counter]
+                }
         if self._run_wall is not None:
-            seconds, status = self._run_wall
-            counts = [0] * (len(DEFAULT_BUCKETS) + 1)
-            counts[bisect.bisect_left(DEFAULT_BUCKETS, seconds)] += 1
-            rows.append(
-                metric_row(
-                    "histogram",
-                    "run_wall_seconds",
-                    "wall-clock duration per run by status",
-                    [
-                        {
-                            "labels": {"status": status},
-                            "counts": counts,
-                            "sum": 0.0 + seconds,
-                            "count": 1,
-                        }
-                    ],
-                    buckets=list(DEFAULT_BUCKETS),
-                )
-            )
-        rows.sort(key=_by_name)
-        return rows
-
-    def snapshot(self) -> MetricsSnapshot:
-        """The run's metrics in the picklable snapshot form, written
-        directly from the sink's state (the executor ships its
-        ``to_dict()`` as ``RunSummary.metrics``)."""
-        if self.tracer is not None:
-            return self.collect().snapshot()
-        return MetricsSnapshot(metrics=tuple(self._rows()))
+            record["run_wall_seconds"] = list(self._run_wall)
+        return record
 
     def collect(self) -> MetricsRegistry:
-        """The run's series (and the tracer's span metrics) as a fresh
-        :class:`MetricsRegistry`, for callers that merge registries."""
-        registry = MetricsSnapshot(metrics=tuple(self._rows())).to_registry()
+        """The run's record folded into a fresh :class:`MetricsRegistry`,
+        plus the tracer's span metrics, for callers that merge
+        registries."""
+        registry = MetricsRegistry()
+        fold_record(registry, self.snapshot())
         if self.tracer is not None:
             registry.merge(self.tracer.registry)
         return registry
+
+
+def fold_record(registry: MetricsRegistry, record: Dict[str, Any]) -> None:
+    """Fold one run's metrics record into ``registry`` in one pass: add
+    the counters, keep the peak of each gauge, observe the histogram.
+
+    Raises ``ValueError`` for a name outside :data:`RECORD_SCHEMA` (on
+    ``--resume`` the record comes from a file) and for a name
+    ``registry`` already holds as another kind of metric.
+    """
+    for name, value in record.items():
+        try:
+            kind, help_text, label, options = RECORD_SCHEMA[name]
+        except KeyError:
+            raise ValueError(f"unknown metric {name!r} in a metrics record") from None
+        metric = registry.get(name)
+        if metric is None or metric.kind != kind:
+            # get-or-create; raises ValueError when ``name`` is another kind
+            metric = getattr(registry, kind)(name, help_text, **options)
+        if kind == "histogram":
+            status, seconds = value
+            metric.observe(seconds, **{label: status})
+            continue
+        series = metric._series  # one pass, straight into the series
+        pairs = (
+            (((), value),)
+            if label is None
+            else ((((label, key),), v) for key, v in value.items())
+        )
+        if kind == "counter":
+            for key, v in pairs:
+                series[key] = series.get(key, 0) + v
+        else:  # a peak gauge
+            for key, v in pairs:
+                if key not in series or v > series[key]:
+                    series[key] = v

@@ -323,9 +323,7 @@ class RunExecutor:
             if self._pipeline is not None
             else None
         )
-        metrics = (
-            self._sink.snapshot().to_dict() if self._sink is not None else None
-        )
+        metrics = self._sink.snapshot() if self._sink is not None else None
         return run.summary(arc_hits=arc_hits, detection=detection, metrics=metrics)
 
     def explore(

@@ -143,9 +143,10 @@ class RunSummary:
     #: :meth:`repro.detect.DetectionSummary.to_dict`); None unless the
     #: producer ran a detector pipeline.
     detection: Optional[Dict[str, Any]] = None
-    #: per-run metrics snapshot as a plain dict (see
-    #: :meth:`repro.obs.MetricsSnapshot.to_dict`); None unless the
-    #: producer ran with instrumentation attached.
+    #: per-run metrics record (see :data:`repro.obs.sink.RECORD_SCHEMA`);
+    #: None unless the producer ran with instrumentation attached, and
+    #: None again in a campaign result once the record is folded into
+    #: the campaign registry (the journal and pool frames still carry it).
     metrics: Optional[Dict[str, Any]] = None
 
     @property

@@ -123,6 +123,28 @@ class TestCorruption:
         with pytest.raises(JournalError, match="not a campaign journal"):
             CampaignJournal(path).load()
 
+    def test_resume_over_version_1_journal_rejected(self, tmp_path):
+        """Version 1 shard lines carried metrics in the self-describing
+        snapshot form; resuming over one names the version it found."""
+        from repro.engine import CampaignSpec, run_campaign
+
+        path = tmp_path / "c.jsonl"
+        spec = CampaignSpec(
+            factory="pc-bug", budget=20, shard_size=10, workers=0, metrics=True,
+            journal_path=str(path),
+        )
+        snapshot = {"metrics": [{"name": "vm_steps_total", "type": "counter",
+                                 "help": "", "series": [{"labels": {}, "value": 9}]}]}
+        lines = [
+            {"format": "repro-campaign", "version": 1,
+             "fingerprint": spec.fingerprint()},
+            {"shard": "s0000", "n": 1, "exhausted": False,
+             "summaries": [summary(0, metrics=snapshot).to_dict()]},
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(JournalError, match="unsupported journal version 1\\b"):
+            run_campaign(spec, resume=True)
+
     def test_future_version_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(

@@ -3,7 +3,6 @@
 import io
 
 from repro.engine.progress import ProgressTracker, format_duration
-from repro.obs.metrics import MetricsRegistry
 from repro.testing.explorer import RunSummary
 
 
@@ -19,13 +18,11 @@ def stuck_run(index, threads=("c0",)):
 
 def contended_run(index, monitor, ticks):
     """A clean run whose metrics report ``ticks`` contended on ``monitor``."""
-    registry = MetricsRegistry()
-    registry.counter("vm_monitor_contended_ticks_total").inc(ticks, monitor=monitor)
     return RunSummary(
         index=index,
         status="completed",
         decisions=(index,),
-        metrics=registry.snapshot().to_dict(),
+        metrics={"vm_monitor_contended_ticks_total": {monitor: ticks}},
     )
 
 

@@ -17,13 +17,6 @@ def summary(**kwargs):
     return RunSummary(**defaults)
 
 
-def metrics_dict(**counters):
-    registry = MetricsRegistry()
-    for name, value in counters.items():
-        registry.counter(name).inc(value)
-    return registry.snapshot().to_dict()
-
-
 def feed(agg, s, duplicate, shard_id="", frame=None):
     """Merge one run as the campaign does: fold it into the bound state,
     then hand it to the live view."""
@@ -68,7 +61,7 @@ class TestNoteRun:
 
     def test_metrics_merged_from_unique_runs_only(self):
         agg = LiveAggregator()
-        s = summary(metrics=metrics_dict(vm_steps_total=5))
+        s = summary(metrics={"vm_steps_total": 5})
         feed(agg, s, False)
         feed(agg, s, True)
         metric = agg.metrics.get("vm_steps_total")
@@ -76,14 +69,14 @@ class TestNoteRun:
 
     def test_note_run_counts_nothing_itself(self):
         agg = LiveAggregator()
-        agg.note_run(summary(metrics=metrics_dict(vm_steps_total=5)), False)
+        agg.note_run(summary(metrics={"vm_steps_total": 5}), False)
         assert (agg.runs, agg.executed, agg.failures) == (0, 0, 0)
         assert agg.metrics.get("vm_steps_total") is None
 
     def test_standalone_view_shares_its_trackers_registry(self):
         agg = LiveAggregator()
         assert agg.metrics is agg.progress.metrics
-        feed(agg, summary(metrics=metrics_dict(vm_steps_total=2)), False)
+        feed(agg, summary(metrics={"vm_steps_total": 2}), False)
         assert agg.progress.metrics.get("vm_steps_total").get() == 2
         assert agg.registry().get("vm_steps_total").get() == 2
 
@@ -184,9 +177,8 @@ class TestStatusDocument:
 
     def test_top_contended_surfaced_from_metrics(self):
         agg = LiveAggregator()
-        registry = MetricsRegistry()
-        registry.counter("vm_monitor_contended_ticks_total").inc(7, monitor="m")
-        feed(agg, summary(metrics=registry.snapshot().to_dict()), False)
+        record = {"vm_monitor_contended_ticks_total": {"m": 7}}
+        feed(agg, summary(metrics=record), False)
         assert agg.status()["top_contended"] == {"monitor": "m", "ticks": 7}
 
 
@@ -208,7 +200,7 @@ class TestRegistryView:
 
     def test_per_run_metrics_folded_in(self):
         agg = LiveAggregator()
-        feed(agg, summary(metrics=metrics_dict(vm_steps_total=3)), False)
+        feed(agg, summary(metrics={"vm_steps_total": 3}), False)
         assert agg.registry().get("vm_steps_total").get() == 3
 
 

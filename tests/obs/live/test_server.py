@@ -10,7 +10,6 @@ import pytest
 
 from repro.obs.live.aggregate import LiveAggregator
 from repro.obs.live.server import TelemetryServer, parse_serve_address
-from repro.obs.metrics import MetricsRegistry
 from repro.testing.explorer import RunSummary
 
 
@@ -74,9 +73,7 @@ class TestRoutes:
 
     def test_metrics_serves_prometheus_text(self, served):
         aggregator, server = served
-        registry = MetricsRegistry()
-        registry.counter("vm_steps_total").inc(4)
-        run = summary(metrics=registry.snapshot().to_dict())
+        run = summary(metrics={"vm_steps_total": 4})
         aggregator.progress.note_run(run, False)
         aggregator.note_run(run, False)
         status, headers, body = get(server.url + "/metrics")

@@ -1,12 +1,16 @@
 """InstrumentationSink against real workloads: derived series, deadlock
-hold accounting, and installing one sink per kernel."""
+hold accounting, installing one sink per kernel, and folding the per-run
+metrics record."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.engine.workloads import resolve_factory
-from repro.obs.metrics import Counter, Gauge
-from repro.obs.sink import InstrumentationSink
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.sink import RECORD_SCHEMA, InstrumentationSink, fold_record
 from repro.obs.spans import SpanTracer
+from repro.vm.events import Event, EventKind
 from repro.vm.kernel import RunStatus
 from repro.vm.scheduler import RandomScheduler
 
@@ -17,6 +21,13 @@ def _run(workload: str, seed: int, tracer=None):
     sink.install(kernel)
     result = kernel.run()
     return sink, kernel, result
+
+
+def _folded(*records) -> MetricsRegistry:
+    registry = MetricsRegistry()
+    for record in records:
+        fold_record(registry, record)
+    return registry
 
 
 def _series_sum(registry, name: str) -> float:
@@ -128,7 +139,9 @@ class TestTracerIntegration:
 class TestInstalledSink:
     def test_snapshot_after_run(self):
         sink, _, _ = _run("pc-bug", 0)
-        assert not sink.snapshot().empty
+        record = sink.snapshot()
+        assert record["vm_events_total"] == sink.events_seen > 0
+        assert sink.snapshot() == record
 
     def test_trace_spans_opt_in(self):
         sink, _, _ = _run("pc-bug", 0, tracer=SpanTracer())
@@ -136,13 +149,11 @@ class TestInstalledSink:
         assert _run("pc-bug", 0)[0].tracer is None
 
     def test_snapshots_merge_across_runs(self):
-        from repro.obs.metrics import MetricsRegistry
-
         merged = MetricsRegistry()
         total_events = 0
         for seed in range(2):
             sink, _, _ = _run("pc-bug", seed)
-            merged.merge_snapshot(sink.snapshot())
+            fold_record(merged, sink.snapshot())
             total_events += sink.events_seen
         assert merged.counter("vm_events_total").total == total_events
 
@@ -179,7 +190,7 @@ class TestTraceModeNone:
             return json.dumps(
                 [
                     m
-                    for m in summary.metrics["metrics"]
+                    for m in _folded(summary.metrics).to_dict()["metrics"]
                     if "second" not in m["name"]
                 ],
                 sort_keys=True,
@@ -194,5 +205,62 @@ class TestTraceModeNone:
 
     def test_span_histograms_survive_trace_mode_none(self):
         for summary in self._explore("none"):
-            names = {m["name"] for m in summary.metrics["metrics"]}
-            assert "vm_events_total" in names
+            assert "vm_events_total" in summary.metrics
+
+
+def _record_value(name):
+    """Values of one record entry.  Histogram seconds are multiples of
+    1/8, so their sums are exact in any order."""
+    kind, _help, label, _options = RECORD_SCHEMA[name]
+    if kind == "histogram":
+        seconds = st.integers(0, 80).map(lambda n: n / 8)
+        return st.tuples(st.sampled_from(["completed", "stuck"]), seconds).map(list)
+    if label is None:
+        return st.integers(0, 50)
+    return st.dictionaries(st.sampled_from(["a", "b", "c"]), st.integers(0, 50))
+
+
+RECORDS = st.lists(
+    st.fixed_dictionaries(
+        {}, optional={name: _record_value(name) for name in RECORD_SCHEMA}
+    ),
+    max_size=6,
+)
+
+
+class TestRecordFold:
+    @settings(max_examples=80, deadline=None)
+    @given(RECORDS, st.data())
+    def test_any_order_or_partition_folds_to_the_same_registry(self, records, data):
+        reference = _folded(*records).to_dict()
+        shuffled = data.draw(st.permutations(records))
+        assert _folded(*shuffled).to_dict() == reference
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=3)))
+        merged = MetricsRegistry()
+        for start, end in zip([0] + cuts, cuts + [len(records)]):
+            merged.merge(_folded(*shuffled[start:end]))
+        assert merged.to_dict() == reference
+
+    def test_kind_mismatch_raises(self):
+        registry = MetricsRegistry()
+        registry.gauge("vm_steps_total").set(5)
+        mismatch = "'vm_steps_total' already registered as gauge, not counter"
+        with pytest.raises(ValueError, match=mismatch):
+            fold_record(registry, {"vm_steps_total": 1})
+        assert registry.gauge("vm_steps_total").get() == 5
+
+    def test_zero_valued_monitor_stays_present(self):
+        sink = InstrumentationSink()
+        # a hold acquired and released at the same virtual time: 0 ticks
+        sink.on_event(Event(0, 5, "t", EventKind.MONITOR_ACQUIRE, monitor="m"))
+        sink.on_event(Event(1, 5, "t", EventKind.MONITOR_RELEASE, monitor="m"))
+        record = sink.snapshot()
+        assert record["vm_monitor_hold_ticks_total"] == {"m": 0}
+        hold = _folded(record).to_dict()["metrics"]
+        assert {"labels": {"monitor": "m"}, "value": 0} in next(
+            m["series"] for m in hold if m["name"] == "vm_monitor_hold_ticks_total"
+        )
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(ValueError, match="unknown metric 'vm_bogus_total'"):
+            fold_record(MetricsRegistry(), {"vm_bogus_total": 1})

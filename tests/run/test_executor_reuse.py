@@ -5,9 +5,9 @@ them in place between runs, and releases each finished run's kernel.
 None of that may show in a run's summary: every program of the
 batch==online suite, under random and systematic exploration, with all
 detectors and the metrics sink on, must summarize exactly as it does
-through a new executor per run.  The sink's snapshot-form rows are
-checked against the registry-built series they replace, and a campaign's
-runs must leave no cyclic garbage behind.
+through a new executor per run.  The registry the sink's per-run record
+folds into is checked against series built through a registry directly,
+and a campaign's runs must leave no cyclic garbage behind.
 """
 
 import gc
@@ -17,7 +17,7 @@ import re
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sink import InstrumentationSink
+from repro.obs.sink import InstrumentationSink, fold_record
 from repro.run import RunConfig
 from repro.run.executor import RunExecutor
 from repro.run.registry import DETECTORS, load_builtins
@@ -114,9 +114,17 @@ def explore(factory, config, on_run):
         )
 
 
-def shape_only(metrics):
-    """``metrics`` as JSON in its own key order, with the values of the
-    wall-clock families blanked."""
+def folded(record):
+    """The registry a run's metrics record folds into."""
+    registry = MetricsRegistry()
+    fold_record(registry, record)
+    return registry
+
+
+def shape_only(registry):
+    """``registry.to_dict()`` as JSON in its own key order, with the
+    values of the wall-clock families blanked."""
+    metrics = registry.to_dict()
     rows = []
     for row in metrics["metrics"]:
         if row["name"] in WALL_CLOCK_SERIES:
@@ -132,7 +140,7 @@ def shape_only(metrics):
 
 def comparable(summary):
     payload = summary.to_dict()
-    payload["metrics"] = shape_only(payload["metrics"])
+    payload["metrics"] = shape_only(folded(payload["metrics"]))
     return json.dumps(payload)
 
 
@@ -150,7 +158,7 @@ def test_reused_executor_matches_fresh_executors(config):
 
 def reference_registry(sink, status):
     """The series a finished run's sink held when it built them through a
-    MetricsRegistry (kept here as the reference for its rows); ``status``
+    MetricsRegistry (kept here as the reference for its record); ``status``
     is the run's, for the executor runner's ``run_wall_seconds``."""
     registry = MetricsRegistry()
     registry.histogram(
@@ -216,9 +224,9 @@ def reference_registry(sink, status):
 @pytest.mark.parametrize(
     "name", ["pc-bug", "deadlock-pair", "mixed-deadlock", "rw+NativeReadWriteLock"]
 )
-def test_sink_rows_match_the_registry_reference(name):
-    """Each run's direct rows, with a second sink installed on the same
-    kernel as the reference: same names, key order and values."""
+def test_sink_record_matches_the_registry_reference(name):
+    """Each run's record, folded, against a second sink installed on the
+    same kernel as the reference: same names, key order and values."""
     executor = RunExecutor(
         RunConfig(workload=WORKLOAD_OF[name], detect=all_detectors(), metrics=True)
     )
@@ -233,9 +241,9 @@ def test_sink_rows_match_the_registry_reference(name):
     checked = []
 
     def on_run(run):
-        rows = executor.summarize(run).metrics
+        record = executor.summarize(run).metrics
         expected = reference_registry(reference, run.result.status.value)
-        assert shape_only(rows) == shape_only(expected.snapshot().to_dict())
+        assert shape_only(folded(record)) == shape_only(expected)
         checked.append(run)
 
     explore_random(factory, seeds=range(8), on_run=on_run, runner=executor.runner)
