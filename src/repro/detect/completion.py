@@ -41,6 +41,8 @@ _CALL_BEGIN = EventKind.CALL_BEGIN
 _CALL_END = EventKind.CALL_END
 _CLOCK_TICK = EventKind.CLOCK_TICK
 
+_KINDS = frozenset({_CALL_BEGIN, _CALL_END, _CLOCK_TICK})
+
 _UNSET = object()
 
 #: Public sentinel for "no return-value expectation".
@@ -119,16 +121,11 @@ class OnlineCompletionChecker(OnlineDetector):
 
     name = "completion"
 
-    kinds = frozenset(
-        {
-            EventKind.CALL_BEGIN,
-            EventKind.CALL_END,
-            EventKind.CLOCK_TICK,
-        }
-    )
-
     def __init__(self, expectations: Sequence[Expectation] = ()) -> None:
         self.expectations = list(expectations)
+        #: with nothing to check the pipeline routes this checker nothing
+        #: (:meth:`finish` is ``[]`` whatever it is fed)
+        self.kinds = _KINDS if self.expectations else frozenset()
         self._order: List[CallRecord] = []
         self._open_stacks: Dict[str, List[int]] = {}
         self._ticks: List[Tuple[int, Optional[int]]] = []

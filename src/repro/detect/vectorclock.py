@@ -1,12 +1,11 @@
-"""Happens-before (vector-clock) data-race detection.
+"""Happens-before data-race detection with per-field epochs.
 
 A precision upgrade over the lockset algorithm (:mod:`repro.detect.eraser`):
 lockset reports any inconsistently-locked shared access, which flags
 benign patterns that are ordered by other synchronization (e.g. hand-offs
 through a monitor the field itself is not guarded by).  Happens-before
-analysis in the FastTrack/DJIT+ tradition reports exactly the access
-pairs with *no ordering at all* — at least one write, neither access
-happens-before the other.
+analysis reports exactly the access pairs with *no ordering at all* — at
+least one write, neither access happens-before the other.
 
 Happens-before edges recovered from a VM trace:
 
@@ -17,6 +16,28 @@ Happens-before edges recovered from a VM trace:
 * thread start: spawn order gives no edge (threads are roots), matching
   the component-testing assumption of concurrent client threads.
 
+Thread and monitor clocks are full vector clocks: a thread joins the
+monitor's clock at acquire and the notifier's at its wakeup, and joins
+its own into the monitor's at release and wait.  A notify stores one
+copy of the notifier's clock, shared by every thread it woke.  Fields
+keep epochs, as in FastTrack (Flanagan & Freund, PLDI 2009): the last
+write as ``(thread, the thread's own clock entry, seq)`` and the reads
+since that write as ``thread -> (own clock entry, seq)``, never a copy
+of a clock.
+
+The epochs are exact.  Every event this detector handles ticks its own
+thread after any snapshot or export it makes, and no event both joins
+and exports.  So a thread's clock while its own entry is ``c`` is one
+state: the one every snapshot taken at ``c`` saw.  A clock holding
+entry ``c' >= c`` for thread ``w`` got it, through joins, from a
+snapshot of ``w`` at ``c'``, which is at least ``w``'s state at ``c``.
+Therefore the write ``c@w`` happens before the current access exactly
+when ``c <= current[w]``, which is what comparing the whole clock copied
+at the write would say.  The same races come out, in the same order,
+with the same ``max_reports`` cut, as from a detector that copies the
+clock at every access (``tests/detect/hb_reference.py`` keeps that one
+as the reference).
+
 The Ext-F bench compares lockset and happens-before verdicts on the
 faulty components and on a benign-handoff component that lockset
 overreports.
@@ -24,7 +45,7 @@ overreports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.vm.events import Event, EventKind
@@ -114,20 +135,22 @@ class HbRace:
         )
 
 
-@dataclass
-class _Epoch:
-    """Last access bookkeeping for one field."""
+class _FieldEpochs:
+    """Last access bookkeeping for one field, as epochs."""
 
-    last_write_vc: Optional[VectorClock] = None
-    last_write_thread: Optional[str] = None
-    last_write_seq: int = -1
-    # reads since the last write: thread -> (vc, seq)
-    reads: Dict[str, Tuple[VectorClock, int]] = field(default_factory=dict)
+    __slots__ = ("write", "reads")
+
+    def __init__(self) -> None:
+        #: the last write: (thread, its own clock entry, seq), or None
+        self.write: Optional[Tuple[str, int, int]] = None
+        #: reads since the last write: thread -> (its own clock entry, seq)
+        self.reads: Dict[str, Tuple[int, int]] = {}
 
 
 @register_detector("hb")
 class OnlineHbDetector(OnlineDetector):
-    """Streaming vector-clock race detection (FastTrack-style)."""
+    """Streaming happens-before race detection: vector clocks per thread
+    and monitor, epochs per field (see the module docstring)."""
 
     name = "hb"
 
@@ -149,7 +172,7 @@ class OnlineHbDetector(OnlineDetector):
         self._thread_vc: Dict[str, VectorClock] = {}
         self._monitor_vc: Dict[str, VectorClock] = {}
         self._notify_vc: Dict[Tuple[str, str], VectorClock] = {}  # (monitor, woken)
-        self._fields: Dict[Tuple[str, str], _Epoch] = {}
+        self._fields: Dict[Tuple[str, str], _FieldEpochs] = {}
         self.races: List[HbRace] = []
 
     def reset(self) -> None:
@@ -167,63 +190,47 @@ class OnlineHbDetector(OnlineDetector):
         vc = self._thread_vc.get(thread)
         if vc is None:
             vc = self._thread_vc[thread] = VectorClock({thread: 1})
+        clocks = vc._clocks
         kind = event.kind
 
-        if kind is _MONITOR_ACQUIRE:
-            released = self._monitor_vc.get(event.monitor)
-            if released is not None:
-                vc.join(released)
-            vc.tick(thread)
-        elif kind in _RELEASES:
-            # wait releases the lock exactly like a release does
-            released = self._monitor_vc.get(event.monitor)
-            if released is None:
-                released = self._monitor_vc[event.monitor] = VectorClock()
-            released.join(vc)
-            vc.tick(thread)
-        elif kind in _NOTIFIES:
-            for woken in event.detail.get("woken", []):
-                self._notify_vc[(event.monitor, woken)] = vc.copy()
-            vc.tick(thread)
-        elif kind is _MONITOR_NOTIFIED:
-            sent = self._notify_vc.pop((event.monitor, thread), None)
-            if sent is not None:
-                vc.join(sent)
-            vc.tick(thread)
-        elif kind in _ACCESSES:
+        if kind in _ACCESSES:
             key = (event.component or "?", event.detail.get("field", "?"))
-            epoch = self._fields.get(key)
-            if epoch is None:
-                epoch = self._fields[key] = _Epoch()
+            slot = self._fields.get(key)
+            if slot is None:
+                slot = self._fields[key] = _FieldEpochs()
             is_write = kind is _WRITE
-            # conflict with the last write
+            races = self.races
+            # conflict with the last write: c@w happens before this
+            # access exactly when c <= this thread's entry for w
+            write = slot.write
             if (
-                epoch.last_write_vc is not None
-                and epoch.last_write_thread != thread
-                and not epoch.last_write_vc.happens_before(vc)
-                and len(self.races) < self.max_reports
+                write is not None
+                and write[0] != thread
+                and write[1] > clocks.get(write[0], 0)
+                and len(races) < self.max_reports
             ):
-                self.races.append(
+                races.append(
                     HbRace(
                         component=key[0],
                         field=key[1],
-                        first_thread=epoch.last_write_thread or "?",
-                        first_seq=epoch.last_write_seq,
+                        first_thread=write[0] or "?",
+                        first_seq=write[2],
                         first_is_write=True,
                         second_thread=thread,
                         second_seq=event.seq,
                         second_is_write=is_write,
                     )
                 )
+            own = clocks[thread]
             if is_write:
                 # a write also conflicts with unordered prior reads
-                for reader, (read_vc, read_seq) in epoch.reads.items():
+                for reader, (read_clock, read_seq) in slot.reads.items():
                     if (
                         reader != thread
-                        and not read_vc.happens_before(vc)
-                        and len(self.races) < self.max_reports
+                        and read_clock > clocks.get(reader, 0)
+                        and len(races) < self.max_reports
                     ):
-                        self.races.append(
+                        races.append(
                             HbRace(
                                 component=key[0],
                                 field=key[1],
@@ -235,13 +242,36 @@ class OnlineHbDetector(OnlineDetector):
                                 second_is_write=True,
                             )
                         )
-                epoch.last_write_vc = vc.copy()
-                epoch.last_write_thread = thread
-                epoch.last_write_seq = event.seq
-                epoch.reads.clear()
+                slot.write = (thread, own, event.seq)
+                slot.reads.clear()
             else:
-                epoch.reads[thread] = (vc.copy(), event.seq)
-            vc.tick(thread)
+                slot.reads[thread] = (own, event.seq)
+            clocks[thread] = own + 1
+        elif kind is _MONITOR_ACQUIRE:
+            released = self._monitor_vc.get(event.monitor)
+            if released is not None:
+                vc.join(released)
+            clocks[thread] += 1
+        elif kind in _RELEASES:
+            # wait releases the lock exactly like a release does
+            released = self._monitor_vc.get(event.monitor)
+            if released is None:
+                released = self._monitor_vc[event.monitor] = VectorClock()
+            released.join(vc)
+            clocks[thread] += 1
+        elif kind in _NOTIFIES:
+            woken = event.detail.get("woken")
+            if woken:
+                # one snapshot, shared: a notified join only reads it
+                sent = vc.copy()
+                for waiter in woken:
+                    self._notify_vc[(event.monitor, waiter)] = sent
+            clocks[thread] += 1
+        elif kind is _MONITOR_NOTIFIED:
+            sent = self._notify_vc.pop((event.monitor, thread), None)
+            if sent is not None:
+                vc.join(sent)
+            clocks[thread] += 1
 
     def finish(self) -> List[HbRace]:
         return list(self.races)

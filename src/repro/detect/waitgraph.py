@@ -169,6 +169,22 @@ def _cycle_of(state: WaitForState) -> List[str]:
     return find_cycle(edges, starts=sorted(edges))
 
 
+def _cycle_possible(state: WaitForState) -> bool:
+    """False only when :func:`_cycle_of` must return []: with no
+    semaphore or rw request outstanding every edge is a monitor edge,
+    from a blocked thread to its target's owner, so a cycle needs some
+    blocked thread whose target another blocked thread owns."""
+    if state.request_kind:
+        return True
+    blocked_on = state.blocked_on
+    owner = state.owner
+    for thread, target in blocked_on.items():
+        holder = owner.get(target)
+        if holder != thread and holder in blocked_on:
+            return True
+    return False
+
+
 @register_detector("waitgraph")
 class OnlineWaitGraphDetector(OnlineDetector):
     """Streaming wait-for-graph maintenance with live cycle detection.
@@ -328,7 +344,7 @@ class OnlineWaitGraphDetector(OnlineDetector):
             state.waiting_on.pop(thread, None)
         # A cycle can only appear when a blocked-on edge is added or an
         # ownership edge is redirected.
-        if not self.live_cycle and kind in _CYCLE_KINDS:
+        if not self.live_cycle and kind in _CYCLE_KINDS and _cycle_possible(state):
             self.live_cycle = _cycle_of(state)
 
     def abort_reason(self) -> Optional[str]:
@@ -338,7 +354,7 @@ class OnlineWaitGraphDetector(OnlineDetector):
 
     def finish(self) -> List[str]:
         """The blocked-on cycle present in the *final* state ([] if none)."""
-        return _cycle_of(self.state)
+        return _cycle_of(self.state) if _cycle_possible(self.state) else []
 
 
 def reconstruct_final_state(trace: Trace) -> WaitForState:
