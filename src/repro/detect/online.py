@@ -73,8 +73,9 @@ class OnlineDetector:
 
     :attr:`kinds` lists the event kinds whose arrival changes the
     detector's state (bookkeeping-only kinds included); a pipeline
-    delivers only those kinds, and polls :meth:`abort_reason` only after
-    them.  ``None`` means every kind.
+    delivers only those kinds.  ``None`` means every kind.  A pipeline
+    polls :meth:`abort_reason` only after :attr:`abort_kinds`, the kinds
+    that can change it (by default :attr:`kinds`).
     """
 
     #: Stable key identifying the detector's findings in pipeline output.
@@ -82,6 +83,10 @@ class OnlineDetector:
 
     #: Event kinds the fold reads; ``None`` routes every kind here.
     kinds: Optional[FrozenSet[EventKind]] = None
+
+    #: Event kinds after which :meth:`abort_reason` can change; ``None``
+    #: means :attr:`kinds`.
+    abort_kinds: Optional[FrozenSet[EventKind]] = None
 
     def on_event(self, event: Event) -> None:
         raise NotImplementedError
@@ -221,10 +226,10 @@ class DetectorPipeline:
     construction, maps each kind to the handlers whose fold reads it —
     the symptom tracker first, then the detectors in report order, then
     the abort poll of each detector that overrides
-    :meth:`~OnlineDetector.abort_reason` (polled only after its own
-    kinds, the only events that can change it).  :meth:`attach` installs
-    that table into a kernel in one call; :meth:`on_event` walks the same
-    table for replay and batch callers.  A
+    :meth:`~OnlineDetector.abort_reason` (polled only after its
+    :attr:`~OnlineDetector.abort_kinds`, the only events that can change
+    it).  :meth:`attach` installs that table into a kernel in one call;
+    :meth:`on_event` walks the same table for replay and batch callers.  A
     :class:`~repro.run.executor.RunExecutor` installs the table itself,
     merged with its sink's, and only binds each run's kernel
     (:meth:`bind`).
@@ -269,18 +274,23 @@ class DetectorPipeline:
         self,
     ) -> List[Tuple[Callable[[Event], None], Tuple[EventKind, ...]]]:
         """Symptoms, the detectors in report order, then the abort polls
-        of the detectors that can abort, each with its kinds."""
+        of the detectors that can abort, each with its kinds (a poll's
+        are its detector's ``abort_kinds``)."""
         every = tuple(EventKind)
 
         def kinds_of(target: Any) -> Tuple[EventKind, ...]:
             kinds = getattr(target, "kinds", None)
             return every if kinds is None else tuple(kinds)
 
+        def abort_kinds_of(detector: OnlineDetector) -> Tuple[EventKind, ...]:
+            kinds = getattr(detector, "abort_kinds", None)
+            return kinds_of(detector) if kinds is None else tuple(kinds)
+
         targets = [(self.symptoms.on_event, kinds_of(self.symptoms))]
         targets += [(d.on_event, kinds_of(d)) for d in self.detectors]
         if self.early_stop:
             targets += [
-                (self._abort_poll(d), kinds_of(d))
+                (self._abort_poll(d), abort_kinds_of(d))
                 for d in self.detectors
                 if getattr(type(d), "abort_reason", OnlineDetector.abort_reason)
                 is not OnlineDetector.abort_reason

@@ -201,8 +201,10 @@ class OnlineWaitGraphDetector(OnlineDetector):
 
     name = "waitgraph"
 
-    #: ``live_cycle`` (the abort reason) is only ever set on some of
-    #: these, so an abort poll after them stops the run on that event
+    #: ``live_cycle`` (the abort reason) is only ever set after one of
+    #: these, so a poll after them stops the run on the event it forms
+    abort_kinds = _CYCLE_KINDS
+
     kinds = frozenset(
         {
             EventKind.MONITOR_REQUEST,

@@ -140,8 +140,6 @@ _YIELD = EventKind.YIELD
 
 _RANDOM_POLICY = SelectionPolicy.RANDOM
 
-_object_getattribute = object.__getattribute__
-
 
 def _is_blocked(thread: SimThread) -> bool:
     return thread.state is _BLOCKED
@@ -161,13 +159,8 @@ _set_detail = Event.detail.__set__
 
 
 def _vm_name_of(ref: Any) -> Any:
-    """``ref._vm_name``, or None.  Read with ``object.__getattribute__``
-    to skip a component's instrumentation hook, which never records
-    ``_``-prefixed names anyway."""
-    try:
-        return _object_getattribute(ref, "_vm_name")
-    except AttributeError:
-        return None
+    """``ref._vm_name``, or None."""
+    return getattr(ref, "_vm_name", None)
 
 
 def current_kernel() -> Optional["Kernel"]:
@@ -277,7 +270,8 @@ class Kernel:
             post-hoc analysis path); ``"none"`` retains nothing — events
             are still delivered to subscribed sinks, so a streaming
             detector pipeline sees the whole execution while memory stays
-            at O(detector state) instead of O(events).
+            at O(detector state) instead of O(events).  Validated on every
+            assignment, not only here.
         sinks: event subscribers called synchronously with every emitted
             event, in subscription order (see :meth:`subscribe`).
     """
@@ -299,10 +293,8 @@ class Kernel:
         trace_mode: str = "full",
         sinks: Optional[Sequence[Callable[[Event], None]]] = None,
     ) -> None:
-        if trace_mode not in self.TRACE_MODES:
-            raise ValueError(
-                f"trace_mode must be one of {self.TRACE_MODES}, got {trace_mode!r}"
-            )
+        self.trace = Trace()
+        self.trace_mode = trace_mode
         self.scheduler = scheduler or FifoScheduler()
         self.lock_policy = lock_policy
         self.notify_policy = notify_policy
@@ -313,7 +305,6 @@ class Kernel:
         self.spurious_wakeup_rate = spurious_wakeup_rate
         self.lost_notify_rate = lost_notify_rate
         self.record_accesses = record_accesses
-        self.trace_mode = trace_mode
         self._sinks: List[Callable[[Event], None]] = list(sinks or [])
         #: kind-filtered subscribers: EventKind -> callbacks.  Empty for
         #: most kernels; emit pays one truth test when unused.
@@ -330,7 +321,6 @@ class Kernel:
         #: draw, but consuming no kernel RNG.
         self.fault_injector: Optional[Any] = None
 
-        self.trace = Trace()
         self.time = 0
         self.clock_time = 0
         self.steps = 0
@@ -357,6 +347,24 @@ class Kernel:
         #: one empty scan; every scan recomputes it exactly.
         self._next_deadline: float = math.inf
         self._ran = False
+
+    @property
+    def trace_mode(self) -> str:
+        """``"full"`` or ``"none"`` (see the class docstring)."""
+        return self._trace_mode
+
+    @trace_mode.setter
+    def trace_mode(self, mode: str) -> None:
+        if mode not in self.TRACE_MODES:
+            raise ValueError(
+                f"trace_mode must be one of {self.TRACE_MODES}, got {mode!r}"
+            )
+        self._trace_mode = mode
+        #: what :meth:`emit` hands each event to for retention: the
+        #: trace's own list append, or None when nothing is retained
+        self._record: Optional[Callable[[Event], None]] = (
+            self.trace.recorder() if mode == "full" else None
+        )
 
     @property
     def rng(self) -> random.Random:
@@ -636,8 +644,9 @@ class Kernel:
         _set_method(event, method)
         _set_detail(event, detail)
         self._seq += 1
-        if self.trace_mode == "full":
-            self.trace.append(event)
+        record = self._record
+        if record is not None:
+            record(event)
         for sink in self._sinks:
             sink(event)
         if self._kind_sinks:
@@ -648,9 +657,9 @@ class Kernel:
     def record_access(self, component: Any, fieldname: str, is_write: bool) -> None:
         """Record a shared-field access by the currently executing thread.
 
-        Called from instrumented component ``__setattr__``/``__getattribute__``
-        hooks; a no-op outside VM execution (e.g. during ``__init__``) and
-        when access recording is disabled.
+        Called from a component's ``__setattr__`` (writes) and its field
+        descriptors (reads); a no-op outside VM execution (e.g. during
+        ``__init__``) and when access recording is disabled.
         """
         if not self.record_accesses or not _CURRENT:
             return
@@ -1189,8 +1198,12 @@ class Kernel:
         self.time += 1
         self.steps += 1
         if syscall is not None:
+            handler = _SYSCALL_HANDLERS.get(type(syscall))
             try:
-                self._dispatch(thread, syscall)
+                if handler is not None:
+                    handler(self, thread, syscall)
+                else:  # a syscall subclass, or not a syscall at all
+                    self._dispatch(thread, syscall)
             except (IllegalMonitorStateError, UnknownSyscallError) as exc:
                 # Deliver at the faulting yield point, Java-style: the
                 # thread sees the exception raised from its wait()/notify().

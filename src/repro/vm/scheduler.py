@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Decision",
@@ -116,19 +116,31 @@ class RandomScheduler(Scheduler):
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self.seed = seed
-        #: seeded on the first pick after construction or reset (the same
-        #: draws as seeding eagerly: nothing draws in between), so a run,
-        #: which resets its scheduler first, seeds it once
-        self._rng: Optional[random.Random] = None
+        #: the bit source of a ``random.Random(seed)``, seeded on the
+        #: first pick after construction or reset (the same draws as
+        #: seeding eagerly: nothing draws in between), so a run, which
+        #: resets its scheduler first, seeds it once
+        self._getrandbits: Optional[Callable[[int], int]] = None
 
     def reset(self) -> None:
-        self._rng = None
+        self._getrandbits = None
 
     def pick(self, kind: str, options: Sequence[str]) -> int:
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = random.Random(self.seed)
-        return rng.randrange(len(options))
+        """``random.Random(seed).randrange(len(options))``, one call per
+        pick: the draws ``randrange`` makes through
+        ``Random._randbelow_with_getrandbits`` (the same on 3.10-3.13),
+        minus its argument checks and two Python calls."""
+        getrandbits = self._getrandbits
+        if getrandbits is None:
+            getrandbits = self._getrandbits = random.Random(self.seed).getrandbits
+        n = len(options)
+        if not n:
+            raise ValueError("empty range for randrange()")
+        bits = n.bit_length()
+        drawn = getrandbits(bits)
+        while drawn >= n:
+            drawn = getrandbits(bits)
+        return drawn
 
 
 class ReplayScheduler(Scheduler):

@@ -16,7 +16,17 @@ artifact:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .events import Event, EventKind
 
@@ -68,22 +78,30 @@ class AccessRecord:
 class Trace:
     """An append-only event log with query helpers.
 
-    Projections (``events``, ``by_kind``) are cached between appends, so
-    detectors that wrap a streaming pass in a batch API do not pay an
-    O(n) copy per call; :meth:`iter_kind` avoids materializing entirely.
+    Projections (``events``, ``by_kind``) are cached, each with the log
+    length it was built at: the log only grows, so a cache is current
+    exactly while that length is.  Appending therefore costs one list
+    append, and detectors that wrap a streaming pass in a batch API do
+    not pay an O(n) copy per call; :meth:`iter_kind` avoids materializing
+    entirely.
     """
 
     def __init__(self, events: Optional[Sequence[Event]] = None) -> None:
         self._events: List[Event] = list(events or [])
-        self._events_cache: Optional[Tuple[Event, ...]] = None
-        self._kind_index: Optional[Dict[EventKind, List[Event]]] = None
+        self._events_cache: Tuple[Event, ...] = ()
+        #: (log length, kind -> events) of the last ``by_kind`` index
+        self._kind_index: Tuple[int, Dict[EventKind, List[Event]]] = (0, {})
 
     # -- building -------------------------------------------------------------
 
     def append(self, event: Event) -> None:
         self._events.append(event)
-        self._events_cache = None
-        self._kind_index = None
+
+    def recorder(self) -> Callable[[Event], None]:
+        """The log's own list append, for a caller that appends every
+        event of a run (the kernel binds it once, so recording an event
+        runs no Python code)."""
+        return self._events.append
 
     # -- raw access -----------------------------------------------------------
 
@@ -98,7 +116,7 @@ class Trace:
 
     @property
     def events(self) -> Tuple[Event, ...]:
-        if self._events_cache is None:
+        if len(self._events_cache) != len(self._events):
             self._events_cache = tuple(self._events)
         return self._events_cache
 
@@ -110,14 +128,15 @@ class Trace:
         return (e for e in self._events if e.kind in wanted)
 
     def by_kind(self, *kinds: EventKind) -> List[Event]:
-        if self._kind_index is None:
-            index: Dict[EventKind, List[Event]] = {}
+        if len(kinds) != 1:
+            return list(self.iter_kind(*kinds))
+        indexed, index = self._kind_index
+        if indexed != len(self._events):
+            index = {}
             for e in self._events:
                 index.setdefault(e.kind, []).append(e)
-            self._kind_index = index
-        if len(kinds) == 1:
-            return list(self._kind_index.get(kinds[0], ()))
-        return list(self.iter_kind(*kinds))
+            self._kind_index = (len(self._events), index)
+        return list(index.get(kinds[0], ()))
 
     def by_thread(self, thread: str) -> List[Event]:
         return [e for e in self._events if e.thread == thread]

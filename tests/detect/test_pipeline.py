@@ -328,3 +328,32 @@ def test_aborted_runs_pinned(name):
         result = kernel.run()
         assert (result.status.value, result.steps, result.abort_reason) == expected
         assert pipeline.aborted == expected[2]
+
+
+class TestAbortPollRouting:
+    def test_waitgraph_polled_only_where_a_cycle_can_form(self):
+        """The wait-for detector's abort reason can only change after a
+        kind in ``_CYCLE_KINDS``; the pipeline polls it after exactly
+        those events, not after every kind the detector folds."""
+        from repro.detect.online import default_detectors
+        from repro.detect.waitgraph import _CYCLE_KINDS, OnlineWaitGraphDetector
+
+        class Counting(OnlineWaitGraphDetector):
+            polls = 0
+
+            def abort_reason(self):
+                self.polls += 1
+                return super().abort_reason()
+
+        counting = Counting()
+        detectors = [
+            counting if d.name == "waitgraph" else d for d in default_detectors()
+        ]
+        assert counting in detectors
+        kernel, pipeline = _attached(WORKLOADS["pc-bug"], 0, *detectors)
+        result = kernel.run()
+        assert pipeline.aborted is None
+        cycle_events = sum(1 for e in result.trace if e.kind in _CYCLE_KINDS)
+        folded = sum(1 for e in result.trace if e.kind in Counting.kinds)
+        assert counting.polls == cycle_events
+        assert 0 < cycle_events < folded

@@ -39,6 +39,22 @@ class TestTimedDetector:
 
 
 class TestProfileWorkload:
+    def test_detecting_profile_keeps_no_trace(self):
+        """The profiler switches each kernel to ``trace_mode="none"``
+        after building it; its detectors still see every event."""
+        kernels = []
+
+        def factory(scheduler):
+            kernels.append(resolve_factory("pc-bug")(scheduler))
+            return kernels[-1]
+
+        report = profile_workload(factory, runs=3, detect=True)
+        assert len(kernels) == 3
+        for kernel in kernels:
+            assert kernel.trace_mode == "none"
+            assert len(kernel.trace) == 0 and kernel.events_emitted > 0
+        assert all(events > 0 for _, events in report.detector_wall.values())
+
     def test_profile_pc_bug(self):
         report = profile_workload(
             resolve_factory("pc-bug"), workload="pc-bug", runs=4

@@ -269,6 +269,10 @@ class Steps(MonitorComponent):
         yield Yield()
         return 7
 
+    @unsynchronized
+    def settles(self):
+        yield Yield()
+
 
 class SkipsInit(Steps):
     def __init__(self):  # never calls MonitorComponent.__init__
@@ -380,8 +384,14 @@ class TestWrapperSyscalls:
         second, _ = drive(comp.waits())
         for built_once in (0, 1, 3):  # CallBegin, Acquire, Release
             assert second[built_once] is first[built_once]
+        # a CallEnd carrying a result is built per call
         assert second[4] == first[4] and second[4] is not first[4]
         assert drive(comp.loose())[0][0] is comp._vm_calls["loose"][0]
+        # a None-result CallEnd is the cached one
+        settled, _ = drive(comp.settles())
+        assert settled[-1] == CallEnd(comp, "settles", None)
+        assert settled[-1] is drive(comp.settles())[0][-1]
+        assert settled[-1] is comp._vm_calls["settles"][3]
 
     def test_skipping_init_still_runs(self):
         kernel = Kernel(scheduler=RoundRobinScheduler())

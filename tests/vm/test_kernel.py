@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.workloads import WORKLOADS
 from repro.vm import (
     Acquire,
     EventKind,
@@ -966,3 +967,28 @@ class TestRunBookkeeping:
         assert result.status is RunStatus.DEADLOCK
         assert sorted(result.deadlock_cycle) == ["a", "b"]
         assert len(calls) == 1
+
+
+class TestTraceMode:
+    def test_unknown_mode_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            Kernel(trace_mode="ful")
+
+    def test_unknown_mode_rejected_on_assignment(self):
+        kernel = make_kernel()
+        with pytest.raises(ValueError):
+            kernel.trace_mode = "ful"
+        assert kernel.trace_mode == "full"
+
+    def test_mode_assigned_after_construction_applies(self):
+        kernel = WORKLOADS["pc-ok"](FifoScheduler())
+        kernel.trace_mode = "none"
+        result = kernel.run()
+        assert kernel.trace_mode == "none"
+        assert len(result.trace) == 0 and kernel.events_emitted > 0
+
+        kernel = WORKLOADS["pc-ok"](FifoScheduler())
+        kernel.trace_mode = "none"
+        kernel.trace_mode = "full"
+        result = kernel.run()
+        assert len(result.trace) == kernel.events_emitted > 0

@@ -1,7 +1,12 @@
 """Tests for the Trace views and the scheduler implementations."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.engine.workloads import WORKLOADS
 from repro.vm import (
     Acquire,
     Decision,
@@ -157,6 +162,25 @@ class TestSchedulers:
             s2.pick("run", options) for _ in range(20)
         ]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(-(2**70), 2**70),
+        counts=st.lists(st.integers(1, 16), max_size=60),
+    )
+    @example(seed=0, counts=[1, 1, 5, 1, 16])
+    def test_random_pick_is_randrange(self, seed, counts):
+        """A pick draws exactly what ``randrange(n)`` on a
+        ``random.Random(seed)`` draws, a pick among one option included."""
+        scheduler = RandomScheduler(seed)
+        reference = random.Random(seed)
+        assert [scheduler.pick("run", ["t"] * n) for n in counts] == [
+            reference.randrange(n) for n in counts
+        ]
+
+    def test_random_pick_among_nothing_raises(self):
+        with pytest.raises(ValueError):
+            RandomScheduler(0).pick("run", [])
+
     def test_random_reset_restarts_stream(self):
         scheduler = RandomScheduler(9)
         first = [scheduler.pick("run", list("abcd")) for _ in range(10)]
@@ -210,3 +234,33 @@ class TestSchedulers:
         trace1 = [(e.thread, e.kind.value) for e in result1.trace]
         trace2 = [(e.thread, e.kind.value) for e in result2.trace]
         assert trace1 == trace2
+
+
+class TestTraceDuringRun:
+    def test_sink_reads_exactly_the_events_so_far(self):
+        """A sink reading the trace mid-run sees every event emitted so
+        far, the current one included, through both cached views, also
+        when several events were appended since its last read."""
+        kernel = WORKLOADS["pc-bug"](RandomScheduler(3))
+        seen = []
+        mismatches = []
+
+        def sink(event):
+            seen.append(event)
+            if event.seq % 3:
+                return
+            trace = kernel.trace
+            if trace.events != tuple(seen):
+                mismatches.append(("events", event.seq))
+            for kind in (event.kind, EventKind.READ, EventKind.CALL_END):
+                if trace.by_kind(kind) != [e for e in seen if e.kind is kind]:
+                    mismatches.append((kind, event.seq))
+
+        kernel.subscribe(sink)
+        result = kernel.run()
+        assert mismatches == []
+        assert len(seen) > 30
+        assert result.trace.events == tuple(seen)
+        assert result.trace.by_kind(EventKind.READ) == [
+            e for e in seen if e.kind is EventKind.READ
+        ]
