@@ -422,6 +422,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     metrics_registry = None
     if want_metrics:
         from repro.obs import MetricsRegistry
+        from repro.obs.sink import fold_record
 
         metrics_registry = MetricsRegistry()
 
@@ -470,7 +471,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             print()
             print(executor.pipeline.report(result).describe())
         if executor.sink is not None:
-            metrics_registry.merge(executor.sink.collect())
+            fold_record(metrics_registry, executor.sink.snapshot())
             _finish_metrics()
         if args.save_trace:
             from repro.vm.serialize import save_trace
@@ -480,13 +481,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         if args.chrome_trace:
             from repro.obs.live import write_chrome_trace
 
-            spans = ()
-            if executor.sink is not None and executor.sink.tracer is not None:
-                spans = list(executor.sink.tracer.finished)
             write_chrome_trace(
                 result.trace,
                 args.chrome_trace,
-                spans=spans,
                 meta={
                     "factory": args.factory,
                     "status": result.status.value,
@@ -516,7 +513,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
     def on_detect(run) -> None:
         if executor.sink is not None:
-            metrics_registry.merge(executor.sink.collect())
+            fold_record(metrics_registry, executor.sink.snapshot())
         if executor.pipeline is None:
             return
         for code in executor.pipeline.summary(run.result).classes:

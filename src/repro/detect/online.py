@@ -286,14 +286,20 @@ class DetectorPipeline:
             kinds = getattr(detector, "abort_kinds", None)
             return kinds_of(detector) if kinds is None else tuple(kinds)
 
+        def can_abort(detector: OnlineDetector) -> bool:
+            # read through the instance, so a wrapper that takes its inner
+            # detector's bound ``abort_reason`` is polled as that detector
+            poll = getattr(detector, "abort_reason", None)
+            function = getattr(poll, "__func__", None)
+            return function not in (None, OnlineDetector.abort_reason)
+
         targets = [(self.symptoms.on_event, kinds_of(self.symptoms))]
         targets += [(d.on_event, kinds_of(d)) for d in self.detectors]
         if self.early_stop:
             targets += [
                 (self._abort_poll(d), abort_kinds_of(d))
                 for d in self.detectors
-                if getattr(type(d), "abort_reason", OnlineDetector.abort_reason)
-                is not OnlineDetector.abort_reason
+                if can_abort(d)
             ]
         return targets
 

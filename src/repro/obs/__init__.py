@@ -1,9 +1,11 @@
 """repro.obs — metrics, spans, and live telemetry.
 
-The observability layer of the reproduction: a mergeable metrics
-registry (:mod:`.metrics`), dual-clock span tracing (:mod:`.spans`), the
-kernel-event instrumentation sink (:mod:`.sink`), JSONL/Prometheus
-exporters (:mod:`.export`), and the workload profiler (:mod:`.profile`).
+The observability layer of the reproduction: a metrics registry
+(:mod:`.metrics`), dual-clock span tracing (:mod:`.spans`), the
+kernel-event instrumentation sink (:mod:`.sink`), whose per-run record
+:func:`~repro.obs.sink.fold_record` folds into a registry — the one way
+a run's metrics reach one — JSONL/Prometheus exporters
+(:mod:`.export`), and the workload profiler (:mod:`.profile`).
 Streaming campaign telemetry — frames, the live aggregator, the embedded
 HTTP endpoint, the terminal dashboard, and the Perfetto trace export —
 lives in the :mod:`.live` subpackage (imported on demand, not here, so
@@ -27,7 +29,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    MetricsSnapshot,
 )
 from .profile import ProfileReport, TimedDetector, profile_workload
 from .sink import InstrumentationSink
@@ -38,7 +39,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsSnapshot",
     "DEFAULT_BUCKETS",
     "Span",
     "SpanTracer",

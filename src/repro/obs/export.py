@@ -6,9 +6,9 @@ Two output formats, two jobs:
   the lossless archival form.  Like the campaign journal it opens with a
   header line (``{"format": "repro-metrics", "version": 1, ...}``)
   followed by one JSON object per metric family — exactly the
-  ``Metric.to_dict`` payloads, so a loaded file reconstructs a registry
-  that merges with live ones.  Loading tolerates a torn final line (the
-  writer may have been killed mid-write).
+  ``Metric.to_dict`` payloads, so a loaded file reconstructs the registry
+  that was written.  Loading tolerates a torn final line (the writer may
+  have been killed mid-write).
 
 * **Prometheus text exposition** (``to_prometheus`` / a ``.prom`` file
   via ``write_prometheus``) is for dashboards: the standard
@@ -23,7 +23,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, metric_from_dict
 
 __all__ = [
     "FORMAT_NAME",
@@ -69,7 +69,9 @@ def load_metrics_jsonl(
     """Read a metrics JSONL file back into a fresh registry.
 
     Returns ``(registry, header)``.  Raises ``ValueError`` on a missing
-    or foreign header; a torn (half-written) final line is dropped.
+    or foreign header and on a line that describes no valid metric (its
+    message names the file and line); a torn (half-written) final line
+    is dropped.
     """
     path = Path(path)
     raw_lines = path.read_text(encoding="utf-8").splitlines()
@@ -85,19 +87,20 @@ def load_metrics_jsonl(
         raise ValueError(
             f"{path}: unsupported {FORMAT_NAME} version {header.get('version')!r}"
         )
-    payloads: List[Dict[str, Any]] = []
+    registry = MetricsRegistry()
     for index, line in enumerate(raw_lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            payloads.append(json.loads(line))
+            payload = json.loads(line)
         except json.JSONDecodeError as exc:
             if index == len(raw_lines):  # torn tail: writer died mid-line
                 break
             raise ValueError(f"{path}:{index}: corrupt metrics line: {exc}") from exc
-    from .metrics import MetricsSnapshot
-
-    registry = MetricsSnapshot(metrics=tuple(payloads)).to_registry()
+        try:
+            registry.add(metric_from_dict(payload))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{index}: invalid metric: {exc}") from exc
     return registry, header
 
 

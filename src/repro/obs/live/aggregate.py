@@ -100,7 +100,6 @@ class LiveAggregator:
                 if frame is not None:
                     row.runs = max(row.runs, frame.runs)
                     row.timeouts = max(row.timeouts, frame.timeouts)
-                    row.attempts = max(row.attempts, frame.attempt)
                 else:
                     row.runs += 1
                     if summary.status == RunStatus.TIMEOUT.value:
@@ -206,8 +205,7 @@ def campaign_registry(
     """The campaign-level registry over a campaign state, freshly built:
     the one builder behind the live ``/metrics`` and
     :meth:`~repro.engine.campaign.CampaignResult.build_metrics`."""
-    registry = MetricsRegistry()
-    registry.merge(progress.metrics)
+    registry = MetricsRegistry.from_dict(progress.metrics.to_dict())
     runs = registry.counter(
         "campaign_runs_total", "unique schedules merged, by run status"
     )

@@ -1,21 +1,18 @@
-"""Mergeable metrics: counters, gauges, and histograms with label series.
+"""Metrics: counters, gauges, and histograms with label series.
 
 The observability layer's core data structure is the
 :class:`MetricsRegistry` — a named collection of metric families, each
-holding one numeric series per label set.  Registries follow the same
-merge discipline as :class:`~repro.coverage.matrix.CoverageMatrix`: the
-orchestrator folds every run's compact metrics record (see
-:mod:`repro.obs.sink`) into a single campaign-level registry, and
-registries merge with each other.  Merging is associative and
-order-independent for counters and histograms (addition) and uses an
-explicit aggregation mode for gauges (max by default: a gauge merged
-across runs reports the peak, e.g. the deepest wait queue any schedule
-produced).
+holding one numeric series per label set.  Runs never build one: a
+campaign, ``repro explore`` and ``repro profile`` each fold every run's
+compact metrics record into a single registry with
+:func:`repro.obs.sink.fold_record`, which adds counters and histograms
+and keeps each gauge's peak.
 
 Everything is JSON- and pickle-safe by construction: label sets are
-sorted tuples of string pairs, values are ints/floats, and the snapshot
-form round-trips through :func:`MetricsSnapshot.to_dict` /
-:func:`MetricsSnapshot.from_dict` losslessly.
+sorted tuples of string pairs, values are ints/floats, and a registry
+round-trips through :meth:`MetricsRegistry.to_dict` /
+:meth:`MetricsRegistry.from_dict` losslessly (the metrics JSONL file is
+the same document, one metric per line).
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsSnapshot",
     "DEFAULT_BUCKETS",
     "metric_row",
 ]
@@ -80,19 +76,8 @@ class Metric:
     def series(self) -> Dict[LabelSet, Any]:
         raise NotImplementedError
 
-    def merge(self, other: "Metric") -> None:
-        raise NotImplementedError
-
     def to_dict(self) -> Dict[str, Any]:
         raise NotImplementedError
-
-    def _require_kind(self, kind: Any) -> None:
-        """Raise unless a metric of ``kind`` may merge into this one."""
-        if kind != self.kind:
-            raise ValueError(
-                f"metric {self.name!r} already registered as {self.kind}, "
-                f"not {kind}"
-            )
 
 
 class Counter(Metric):
@@ -137,12 +122,6 @@ class Counter(Metric):
         rows.sort(key=lambda r: (-r[1], r[0]))
         return rows[:n]
 
-    def merge(self, other: "Metric") -> None:
-        self._require_kind(other.kind)
-        assert isinstance(other, Counter)
-        for key, value in other._series.items():
-            self._series[key] = self._series.get(key, 0) + value
-
     def to_dict(self) -> Dict[str, Any]:
         return metric_row(
             self.kind,
@@ -158,12 +137,14 @@ class Counter(Metric):
 class Gauge(Metric):
     """A point-in-time value per label set.
 
-    ``agg`` decides how two gauges merge across runs/workers: ``"max"``
-    (default — peaks survive), ``"min"``, ``"sum"``, or ``"last"``.
+    ``agg`` names what a series reports, and travels with the metric's
+    document: ``"max"`` (default) for a peak across runs, which is how
+    :func:`~repro.obs.sink.fold_record` folds every gauge, or ``"last"``
+    for a reading set once (campaign throughput and identity).
     """
 
     kind = "gauge"
-    _AGGS = ("max", "min", "sum", "last")
+    _AGGS = ("max", "last")
 
     def __init__(self, name: str, help: str = "", agg: str = "max") -> None:
         super().__init__(name, help)
@@ -175,35 +156,11 @@ class Gauge(Metric):
     def set(self, value: float, **labels: Any) -> None:
         self._series[_labelset(labels)] = value
 
-    def set_max(self, value: float, **labels: Any) -> None:
-        """Keep the running maximum (the cheap way to track a peak)."""
-        key = _labelset(labels)
-        if value > self._series.get(key, float("-inf")):
-            self._series[key] = value
-
     def get(self, **labels: Any) -> Optional[float]:
         return self._series.get(_labelset(labels))
 
     def series(self) -> Dict[LabelSet, float]:
         return dict(self._series)
-
-    def _combine(self, mine: float, theirs: float) -> float:
-        if self.agg == "max":
-            return max(mine, theirs)
-        if self.agg == "min":
-            return min(mine, theirs)
-        if self.agg == "sum":
-            return mine + theirs
-        return theirs  # "last"
-
-    def merge(self, other: "Metric") -> None:
-        self._require_kind(other.kind)
-        assert isinstance(other, Gauge)
-        for key, value in other._series.items():
-            if key in self._series:
-                self._series[key] = self._combine(self._series[key], value)
-            else:
-                self._series[key] = value
 
     def to_dict(self) -> Dict[str, Any]:
         return metric_row(
@@ -268,36 +225,8 @@ class Histogram(Metric):
         series = self._series.get(_labelset(labels))
         return series.sum if series else 0.0
 
-    def mean(self, **labels: Any) -> float:
-        series = self._series.get(_labelset(labels))
-        if not series or not series.count:
-            return 0.0
-        return series.sum / series.count
-
     def series(self) -> Dict[LabelSet, _HistSeries]:
         return dict(self._series)
-
-    def merge(self, other: "Metric") -> None:
-        self._require_kind(other.kind)
-        assert isinstance(other, Histogram)
-        self._require_buckets(other.buckets)
-        for key, theirs in other._series.items():
-            mine = self._series.get(key)
-            if mine is None:
-                self._series[key] = _HistSeries(
-                    counts=list(theirs.counts), sum=theirs.sum, count=theirs.count
-                )
-            else:
-                for i, c in enumerate(theirs.counts):
-                    mine.counts[i] += c
-                mine.sum += theirs.sum
-                mine.count += theirs.count
-
-    def _require_buckets(self, buckets: Tuple[float, ...]) -> None:
-        if buckets != self.buckets:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: bucket bounds differ"
-            )
 
     def to_dict(self) -> Dict[str, Any]:
         return metric_row(
@@ -318,7 +247,7 @@ class Histogram(Metric):
 
 
 class MetricsRegistry:
-    """A named collection of metrics with campaign-merge semantics.
+    """A named collection of metrics.
 
     ``counter``/``gauge``/``histogram`` are get-or-create (idempotent for
     matching declarations), so instrumentation sites can declare their
@@ -369,32 +298,31 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._register(Histogram(name, help, buckets=buckets))  # type: ignore[return-value]
 
-    # -- merge / snapshot --------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold every metric of ``other`` into this registry (add counters
-        and histograms, aggregate gauges by their declared mode)."""
-        for metric in other.metrics():
-            mine = self._metrics.get(metric.name)
-            if mine is None:
-                self._metrics[metric.name] = _metric_from_dict(metric.to_dict())
-            else:
-                mine.merge(metric)
-
-    def snapshot(self) -> "MetricsSnapshot":
-        return MetricsSnapshot(
-            metrics=tuple(metric.to_dict() for metric in self.metrics())
-        )
+    # -- the document ------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        return self.snapshot().to_dict()
+        """The plain-data document: ``{"metrics": [...]}``, one
+        :func:`metric_row` per metric in name order."""
+        return {"metrics": [metric.to_dict() for metric in self.metrics()]}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "MetricsRegistry":
-        return MetricsSnapshot.from_dict(payload).to_registry()
+        """The registry a :meth:`to_dict` document describes."""
+        registry = cls()
+        for row in payload.get("metrics", ()):
+            registry.add(metric_from_dict(row))
+        return registry
+
+    def add(self, metric: Metric) -> None:
+        """Hold ``metric`` under its name, replacing any metric there."""
+        self._metrics[metric.name] = metric
 
 
-def _metric_from_dict(payload: Dict[str, Any]) -> Metric:
+def metric_from_dict(payload: Dict[str, Any]) -> Metric:
+    """The metric one :func:`metric_row` describes.  Raises
+    ``ValueError`` for an unknown type or ``agg``, and for a histogram
+    series whose ``counts`` do not hold one entry per bucket bound plus
+    the ``+Inf`` bucket."""
     kind = payload.get("type")
     name = str(payload.get("name", ""))
     help_text = str(payload.get("help", ""))
@@ -412,7 +340,14 @@ def _metric_from_dict(payload: Dict[str, Any]) -> Metric:
         histogram = Histogram(
             name, help_text, buckets=payload.get("buckets", DEFAULT_BUCKETS)
         )
+        width = len(histogram.buckets) + 1
         for row in payload.get("series", ()):
+            if len(row["counts"]) != width:
+                raise ValueError(
+                    f"histogram {name!r}: a series holds {len(row['counts'])} "
+                    f"counts for {len(histogram.buckets)} bucket bounds "
+                    f"(expected {width})"
+                )
             key = _labelset(row.get("labels"))
             histogram._series[key] = _HistSeries(
                 counts=[int(c) for c in row["counts"]],
@@ -421,35 +356,3 @@ def _metric_from_dict(payload: Dict[str, Any]) -> Metric:
             )
         return histogram
     raise ValueError(f"unknown metric type {kind!r} for {name!r}")
-
-
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    """The plain-data projection of a registry.
-
-    This is the self-describing form the exporters and metrics JSONL
-    write: a tuple of per-metric dicts, nothing but JSON scalars inside.
-    """
-
-    metrics: Tuple[Dict[str, Any], ...] = ()
-
-    @property
-    def empty(self) -> bool:
-        return not self.metrics
-
-    def to_registry(self) -> MetricsRegistry:
-        registry = MetricsRegistry()
-        for payload in self.metrics:
-            registry._metrics[str(payload["name"])] = _metric_from_dict(payload)
-        return registry
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"metrics": [dict(m) for m in self.metrics]}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "MetricsSnapshot":
-        return cls(metrics=tuple(payload.get("metrics", ())))
-
-    @classmethod
-    def from_registry(cls, registry: MetricsRegistry) -> "MetricsSnapshot":
-        return registry.snapshot()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.detect.online import DetectorPipeline, OnlineDetector, default_detectors
 from repro.report.text import render_table
@@ -28,7 +28,7 @@ from repro.vm.events import Event
 from repro.vm.scheduler import RandomScheduler
 
 from .metrics import Counter, Gauge, MetricsRegistry
-from .sink import InstrumentationSink
+from .sink import InstrumentationSink, fold_record
 from .spans import SpanTracer
 
 __all__ = ["TimedDetector", "ProfileReport", "profile_workload"]
@@ -39,14 +39,21 @@ class TimedDetector(OnlineDetector):
 
     Delegates the whole :class:`OnlineDetector` protocol; accumulates
     ``wall_seconds`` / ``events`` so the profiler can attribute detector
-    cost per analysis.  Timing uses ``perf_counter`` around each call —
-    meaningful for *relative* breakdowns, which is all the profiler
-    reports.
+    cost per analysis.  The wrapper takes the inner detector's
+    ``kinds``, ``abort_kinds`` and ``abort_reason``, so a pipeline routes
+    it exactly the events, and polls it exactly as often, as the bare
+    detector.  Timing uses ``perf_counter`` around each call — meaningful
+    for *relative* breakdowns, which is all the profiler reports.
     """
 
     def __init__(self, inner: OnlineDetector) -> None:
         self.inner = inner
         self.name = inner.name
+        self.kinds = inner.kinds
+        self.abort_kinds = inner.abort_kinds
+        # an instance attribute, so the pipeline polls the wrapper only
+        # when the inner detector overrides ``abort_reason``
+        self.abort_reason = inner.abort_reason  # type: ignore[method-assign]
         self.wall_seconds = 0.0
         self.events = 0
 
@@ -58,9 +65,6 @@ class TimedDetector(OnlineDetector):
 
     def finish(self) -> Any:
         return self.inner.finish()
-
-    def abort_reason(self) -> Optional[str]:
-        return self.inner.abort_reason()
 
 
 @dataclass
@@ -172,17 +176,19 @@ def profile_workload(
     runs: int = 20,
     seed_start: int = 0,
     detect: bool = True,
-    trace_spans: bool = True,
 ) -> ProfileReport:
     """Profile ``factory`` under ``runs`` random schedules.
 
     Each run gets a fresh kernel (``factory(RandomScheduler(seed))``),
-    a fresh :class:`InstrumentationSink`, and — when ``detect`` — a
-    detector pipeline of :class:`TimedDetector`-wrapped analyses running
-    with ``trace_mode="none"`` so profiling cost reflects streaming
-    campaigns, not trace storage.
+    a fresh :class:`InstrumentationSink` sharing one :class:`SpanTracer`
+    (its monitor-hold spans), and — when ``detect`` — a detector pipeline
+    of :class:`TimedDetector`-wrapped analyses running with
+    ``trace_mode="none"`` so profiling cost reflects streaming campaigns,
+    not trace storage.  Every run's metrics record is folded into the
+    tracer's registry, which the report carries.
     """
-    registry = MetricsRegistry()
+    tracer = SpanTracer()
+    registry = tracer.registry
     statuses: Dict[str, int] = {}
     detector_wall: Dict[str, Tuple[float, int]] = {}
     run_hist = registry.histogram(
@@ -192,7 +198,6 @@ def profile_workload(
     for offset in range(runs):
         seed = seed_start + offset
         kernel = factory(RandomScheduler(seed))
-        tracer = SpanTracer() if trace_spans else None
         sink = InstrumentationSink(tracer=tracer)
         sink.install(kernel)
         timed: List[TimedDetector] = []
@@ -204,7 +209,7 @@ def profile_workload(
         result = kernel.run()
         run_hist.observe(time.perf_counter() - run_started)
         statuses[result.status.value] = statuses.get(result.status.value, 0) + 1
-        registry.merge(sink.collect())
+        fold_record(registry, sink.snapshot())
         for detector in timed:
             wall, events = detector_wall.get(detector.name, (0.0, 0))
             detector_wall[detector.name] = (

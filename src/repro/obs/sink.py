@@ -138,22 +138,21 @@ class InstrumentationSink:
         sink.install(kernel)          # before kernel.run()
         result = kernel.run()
         record = sink.snapshot()      # finalize + pull native counters
-        registry = sink.collect()     # the same series as a registry
+        fold_record(registry, record) # into the caller's registry
 
     The first read after a run closes still-open monitor holds (a
     deadlocked run holds its locks at quiescence), reads the kernel's
     native per-thread counters and fixes the wall-clock event rate;
     later reads of the same run return the same series.
     :meth:`snapshot` writes the run's record directly — no
-    :class:`MetricsRegistry` per run — and :meth:`collect` folds it into
-    a fresh registry.
+    :class:`MetricsRegistry` per run.
 
     Args:
         tracer: optional :class:`SpanTracer`; when given, every completed
             outermost monitor hold is recorded as a ``monitor-hold`` span
             (name + per-monitor label), giving hold-time histograms in
-            both clocks for free.  Span metrics reach :meth:`collect`
-            only, never the record.
+            both clocks for free.  Span metrics land in the tracer's own
+            registry, never the record.
     """
 
     def __init__(self, tracer: Optional[SpanTracer] = None) -> None:
@@ -213,7 +212,7 @@ class InstrumentationSink:
 
         The handler closures bind the state dicts (and the tracer) as
         locals, so the dicts are cleared *in place* and :attr:`routes`
-        stays valid; only a tracer forces a handler (and routes) rebuild.
+        stays valid.  The tracer, if any, keeps its spans.
         """
         self.events_seen = 0
         self._kernel = None
@@ -234,12 +233,6 @@ class InstrumentationSink:
             self._lost_notifies,
         ):
             state.clear()
-        if self.tracer is not None:
-            self.tracer = SpanTracer()
-            self._close_hold, self._handlers = self._build_handlers()
-            self.routes = {
-                kind: (handler,) for kind, handler in self._handlers.items()
-            }
         return self
 
     def observe_run(self, seconds: float, status: str) -> None:
@@ -402,16 +395,6 @@ class InstrumentationSink:
         if self._run_wall is not None:
             record["run_wall_seconds"] = list(self._run_wall)
         return record
-
-    def collect(self) -> MetricsRegistry:
-        """The run's record folded into a fresh :class:`MetricsRegistry`,
-        plus the tracer's span metrics, for callers that merge
-        registries."""
-        registry = MetricsRegistry()
-        fold_record(registry, self.snapshot())
-        if self.tracer is not None:
-            registry.merge(self.tracer.registry)
-        return registry
 
 
 def fold_record(registry: MetricsRegistry, record: Dict[str, Any]) -> None:

@@ -29,7 +29,7 @@ def spec(**kwargs):
 
 
 def metrics_json(registry):
-    return json.dumps(registry.snapshot().to_dict(), sort_keys=True)
+    return json.dumps(registry.to_dict(), sort_keys=True)
 
 
 def assert_parity(live, result):

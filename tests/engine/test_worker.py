@@ -181,7 +181,6 @@ class TestWorkerMain:
         # the run summary plus shard-local counters
         first = queue.messages[0][2]
         assert isinstance(first, dict)
-        assert first["kind"] == "run"
         assert first["runs"] == 1
         assert queue.messages[1][2]["runs"] == 2
         assert isinstance(first["summary"], dict)

@@ -83,10 +83,10 @@ class TestNoteRun:
     def test_frame_counters_update_shard_row(self):
         agg = LiveAggregator()
         s = summary(status="timeout")
-        frame = TelemetryFrame.for_run("sh-0", s, runs=4, timeouts=2, attempt=2)
+        frame = TelemetryFrame.for_run("sh-0", s, runs=4, timeouts=2)
         agg.note_run(s, False, shard_id="sh-0", frame=frame)
         row = agg.shards["sh-0"]
-        assert (row.runs, row.timeouts, row.attempts) == (4, 2, 2)
+        assert (row.runs, row.timeouts, row.attempts) == (4, 2, 1)
         assert row.state == "running"
 
     def test_frameless_run_increments_shard_row(self):

@@ -1,13 +1,6 @@
-"""Telemetry frames: constructors, wire round trip, default elision."""
+"""Telemetry frames: the run constructor, wire round trip, default elision."""
 
-import pytest
-
-from repro.obs.live.frames import (
-    FRAME_RUN,
-    FRAME_SHARD_DONE,
-    FRAME_SHARD_FAILED,
-    TelemetryFrame,
-)
+from repro.obs.live.frames import TelemetryFrame
 from repro.testing.explorer import RunSummary
 
 
@@ -21,32 +14,10 @@ class TestConstructors:
     def test_run_frame_carries_summary_and_counters(self):
         s = summary(status="deadlock", stuck_threads=("a", "b"))
         frame = TelemetryFrame.for_run("sh-0", s, runs=7, timeouts=2)
-        assert frame.kind == FRAME_RUN
         assert frame.shard == "sh-0"
         assert frame.runs == 7
         assert frame.timeouts == 2
         assert frame.summary is s
-
-    def test_run_frame_lifts_detected_classes(self):
-        s = summary(detection={"classes": ["DD.AB", "LD"]})
-        frame = TelemetryFrame.for_run("sh-0", s, runs=1)
-        assert frame.classes == ("DD.AB", "LD")
-
-    def test_shard_done_frame(self):
-        frame = TelemetryFrame.for_shard_done("sh-1", runs=25, exhausted=True)
-        assert frame.kind == FRAME_SHARD_DONE
-        assert frame.exhausted
-        assert frame.summary is None
-
-    def test_shard_failed_frame(self):
-        frame = TelemetryFrame.for_shard_failed("sh-2", "boom", attempt=3)
-        assert frame.kind == FRAME_SHARD_FAILED
-        assert frame.error == "boom"
-        assert frame.attempt == 3
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown frame kind"):
-            TelemetryFrame(kind="bogus", shard="sh")
 
 
 class TestWireFormat:
@@ -58,21 +29,14 @@ class TestWireFormat:
             detection={"classes": ["NoN"]},
             metrics={"metrics": []},
         )
-        frame = TelemetryFrame.for_run("sh-0", s, runs=3, timeouts=1, attempt=2)
+        frame = TelemetryFrame.for_run("sh-0", s, runs=3, timeouts=1)
         back = TelemetryFrame.from_dict(frame.to_dict())
         assert back == frame
         assert back.summary == s
 
-    def test_round_trip_shard_frames(self):
-        for frame in (
-            TelemetryFrame.for_shard_done("sh", runs=5, exhausted=True),
-            TelemetryFrame.for_shard_failed("sh", "worker died"),
-        ):
-            assert TelemetryFrame.from_dict(frame.to_dict()) == frame
-
     def test_to_dict_elides_defaults(self):
-        frame = TelemetryFrame(kind=FRAME_RUN, shard="sh")
-        assert frame.to_dict() == {"kind": "run", "shard": "sh"}
+        frame = TelemetryFrame(shard="sh")
+        assert frame.to_dict() == {"shard": "sh"}
 
     def test_embedded_summary_dict_matches_legacy_payload(self):
         # The frame's summary dict is byte-identical to the old

@@ -41,12 +41,45 @@ class TestJsonl:
         _, header = load_metrics_jsonl(path)
         assert header["format"] == FORMAT_NAME
 
-    def test_loaded_registry_merges_with_live(self, tmp_path):
+    @pytest.mark.parametrize("counts", [[3], [3, 0, 0, 0, 0]])
+    def test_histogram_counts_must_fill_every_bucket(self, tmp_path, counts):
+        # buckets [1, 2, 5] need 4 counts: one per bound, plus +Inf
         path = write_metrics_jsonl(_populated(), tmp_path / "m.jsonl")
-        loaded, _ = load_metrics_jsonl(path)
-        live = _populated()
-        live.merge(loaded)
-        assert live.counter("runs_total").get(status="completed") == 6
+        bad = {"name": "short", "type": "histogram", "help": "",
+               "buckets": [1, 2, 5],
+               "series": [{"labels": {}, "counts": counts, "sum": 1, "count": 3}]}
+        with path.open("a") as handle:
+            handle.write(json.dumps(bad) + "\n")
+        line = len(path.read_text().splitlines())
+        with pytest.raises(
+            ValueError, match=rf"m\.jsonl:{line}: invalid metric: histogram 'short'"
+        ):
+            load_metrics_jsonl(path)
+
+    def test_foreign_gauge_agg_names_the_line(self, tmp_path):
+        path = write_metrics_jsonl(_populated(), tmp_path / "m.jsonl")
+        lines = path.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if '"agg"' in line)
+        lines[index] = lines[index].replace('"agg": "max"', '"agg": "sum"')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"m\.jsonl:{index + 1}: invalid metric: agg"):
+            load_metrics_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            {"name": "c", "type": "counter", "series": [{"labels": {}}]},
+            ["not", "a", "metric"],
+            {"name": "c", "type": "counter", "series": [{"labels": 3, "value": 1}]},
+        ],
+    )
+    def test_malformed_line_names_the_line(self, tmp_path, line):
+        path = write_metrics_jsonl(_populated(), tmp_path / "m.jsonl")
+        with path.open("a") as handle:
+            handle.write(json.dumps(line) + "\n")
+        count = len(path.read_text().splitlines())
+        with pytest.raises(ValueError, match=rf"m\.jsonl:{count}: invalid metric"):
+            load_metrics_jsonl(path)
 
     def test_torn_tail_dropped(self, tmp_path):
         path = write_metrics_jsonl(_populated(), tmp_path / "m.jsonl")

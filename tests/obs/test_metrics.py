@@ -1,4 +1,4 @@
-"""Metrics registry: families, label series, merge, snapshot round trip."""
+"""Metrics registry: families, label series, document round trip."""
 
 import json
 import os
@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    MetricsSnapshot,
 )
 
 
@@ -45,41 +44,26 @@ class TestCounter:
         c.inc(1, monitor="c")
         assert c.top(2, label="monitor") == [("b", 9), ("a", 5)]
 
-    def test_merge_adds(self):
-        a, b = Counter("x"), Counter("x")
-        a.inc(2, k="v")
-        b.inc(3, k="v")
-        b.inc(7, k="w")
-        a.merge(b)
-        assert a.get(k="v") == 5
-        assert a.get(k="w") == 7
-
 
 class TestGauge:
-    def test_set_and_set_max(self):
+    def test_set(self):
         g = Gauge("depth")
         g.set(3)
-        g.set_max(1)
         assert g.get() == 3
-        g.set_max(9)
-        assert g.get() == 9
+        g.set(1)
+        assert g.get() == 1
 
     def test_missing_series_is_none(self):
         assert Gauge("depth").get(monitor="m") is None
 
-    @pytest.mark.parametrize(
-        "agg,expected", [("max", 9), ("min", 3), ("sum", 12), ("last", 9)]
-    )
-    def test_merge_agg_modes(self, agg, expected):
-        a, b = Gauge("g", agg=agg), Gauge("g", agg=agg)
-        a.set(3)
-        b.set(9)
-        a.merge(b)
-        assert a.get() == expected
+    @pytest.mark.parametrize("agg", ["max", "last"])
+    def test_agg_travels_with_the_document(self, agg):
+        assert Gauge("g", agg=agg).to_dict()["agg"] == agg
 
-    def test_bad_agg_rejected(self):
+    @pytest.mark.parametrize("agg", ["median", "min", "sum"])
+    def test_bad_agg_rejected(self, agg):
         with pytest.raises(ValueError, match="agg"):
-            Gauge("g", agg="median")
+            Gauge("g", agg=agg)
 
 
 class TestHistogram:
@@ -90,7 +74,6 @@ class TestHistogram:
         h.observe(500)
         assert h.count() == 3
         assert h.total() == 505.5
-        assert h.mean() == pytest.approx(505.5 / 3)
 
     def test_bucket_assignment(self):
         h = Histogram("d", buckets=(1, 10))
@@ -99,19 +82,6 @@ class TestHistogram:
         h.observe(11)  # +Inf
         (series,) = h.series().values()
         assert series.counts == [1, 1, 1]
-
-    def test_merge(self):
-        a, b = Histogram("d", buckets=(1, 10)), Histogram("d", buckets=(1, 10))
-        a.observe(0.5)
-        b.observe(5)
-        a.merge(b)
-        assert a.count() == 2
-
-    def test_merge_bucket_mismatch_rejected(self):
-        a = Histogram("d", buckets=(1, 10))
-        b = Histogram("d", buckets=(1, 100))
-        with pytest.raises(ValueError, match="bucket"):
-            a.merge(b)
 
     def test_needs_buckets(self):
         with pytest.raises(ValueError, match="bucket"):
@@ -130,43 +100,12 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             r.gauge("a")
 
-    def test_merge_combines_all_kinds(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(1)
-        b.counter("c").inc(2)
-        b.gauge("g").set(5)
-        b.histogram("h").observe(3)
-        a.merge(b)
-        assert a.counter("c").total == 3
-        assert a.gauge("g").get() == 5
-        assert a.histogram("h").count() == 1
 
-    def test_merge_deep_copies_missing_metrics(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.counter("c").inc(1)
-        a.merge(b)
-        b.counter("c").inc(10)
-        assert a.counter("c").total == 1  # not aliased to b's counter
-
-    def test_merge_is_order_independent_for_counters(self):
-        parts = []
-        for amount in (1, 2, 3):
-            r = MetricsRegistry()
-            r.counter("c").inc(amount, w=str(amount))
-            parts.append(r)
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        for p in parts:
-            forward.merge(p)
-        for p in reversed(parts):
-            backward.merge(p)
-        assert forward.to_dict() == backward.to_dict()
-
-
-class TestSnapshot:
+class TestDocument:
     def _populated(self) -> MetricsRegistry:
         r = MetricsRegistry()
         r.counter("c", "help c").inc(2, k="v")
-        r.gauge("g", "help g", agg="sum").set(1.5)
+        r.gauge("g", "help g", agg="last").set(1.5)
         r.histogram("h", "help h", buckets=(1, 10)).observe(4)
         return r
 
@@ -174,45 +113,29 @@ class TestSnapshot:
         r = self._populated()
         restored = MetricsRegistry.from_dict(r.to_dict())
         assert restored.to_dict() == r.to_dict()
-        assert restored.gauge("g").agg == "sum"
+        assert restored.gauge("g").agg == "last"
         assert restored.histogram("h").buckets == (1, 10)
 
-    def test_snapshot_is_picklable_and_plain(self):
-        snap = self._populated().snapshot()
-        clone = pickle.loads(pickle.dumps(snap))
-        assert clone == snap
-        assert MetricsSnapshot.from_dict(snap.to_dict()) == snap
+    def test_document_is_picklable_and_plain(self):
+        document = self._populated().to_dict()
+        assert pickle.loads(pickle.dumps(document)) == document
+        assert json.loads(json.dumps(document)) == document
 
-    def test_empty_flag(self):
-        assert MetricsSnapshot().empty
-        assert not self._populated().snapshot().empty
+    def test_round_trip_copies(self):
+        r = self._populated()
+        restored = MetricsRegistry.from_dict(r.to_dict())
+        r.counter("c").inc(10, k="v")
+        assert restored.counter("c").get(k="v") == 2  # not aliased to r's
 
-def _counter_then_gauge():
-    """A registry whose ``x`` is a counter (1) and one whose ``x`` is a
-    gauge (5): merging the second into the first must not yield 6."""
-    mine, theirs = MetricsRegistry(), MetricsRegistry()
-    mine.counter("x").inc(1)
-    theirs.gauge("x").set(5)
-    return mine, theirs
-
-
-MISMATCH = "'x' already registered as counter, not gauge"
+    def test_histogram_counts_must_fill_every_bucket(self):
+        document = self._populated().to_dict()
+        (histogram,) = [m for m in document["metrics"] if m["name"] == "h"]
+        histogram["series"][0]["counts"] = [1]  # buckets (1, 10) need 3
+        with pytest.raises(ValueError, match="1 counts for 2 bucket bounds"):
+            MetricsRegistry.from_dict(document)
 
 
 class TestKindMismatchOnMerge:
-    def test_merge_raises(self):
-        mine, theirs = _counter_then_gauge()
-        with pytest.raises(ValueError, match=MISMATCH):
-            mine.merge(theirs)
-
-    @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram"])
-    def test_metric_merge_raises_for_every_kind(self, kind):
-        mine = getattr(MetricsRegistry(), kind)("x")
-        other = MetricsRegistry()
-        other_kind = "gauge" if kind == "counter" else "counter"
-        theirs = getattr(other, other_kind)("x")
-        with pytest.raises(ValueError, match="already registered"):
-            mine.merge(theirs)
 
     def test_journal_round_trip_raises(self):
         """A metrics record read back from a journal line (as ``--resume``
@@ -242,15 +165,13 @@ class TestKindMismatchOnMerge:
         code = (
             "from repro.obs.metrics import MetricsRegistry\n"
             "from repro.obs.sink import fold_record\n"
-            "mine, theirs = MetricsRegistry(), MetricsRegistry()\n"
-            "mine.counter('vm_steps_total').inc(1)\n"
+            "theirs = MetricsRegistry()\n"
             "theirs.gauge('vm_steps_total').set(5)\n"
-            "for merge in (mine.merge, lambda r: fold_record(r, {'vm_steps_total': 1})):\n"
-            "    try:\n"
-            "        merge(theirs)\n"
-            "    except ValueError:\n"
-            "        continue\n"
-            "    raise SystemExit(f'merged: {mine.to_dict()}')\n"
+            "try:\n"
+            "    fold_record(theirs, {'vm_steps_total': 1})\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(f'folded: {theirs.to_dict()}')\n"
         )
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ, PYTHONPATH=src)

@@ -1,9 +1,10 @@
 """Workload profiler: timed detectors and the aggregated report."""
 
-from repro.detect.online import OnlineDetector
+from repro.detect.online import DetectorPipeline, OnlineDetector, default_detectors
 from repro.engine.workloads import resolve_factory
 from repro.obs.profile import TimedDetector, profile_workload
 from repro.vm.events import Event, EventKind
+from repro.vm.scheduler import RandomScheduler
 
 
 class _CountingDetector(OnlineDetector):
@@ -37,11 +38,20 @@ class TestTimedDetector:
         assert timed.finish() == 2 and inner.finished
         assert timed.abort_reason() is None
 
+    def test_routed_and_polled_as_the_bare_detectors(self):
+        """A pipeline of wrapped detectors routes every kind to as many
+        handlers, abort polls included, as the bare pipeline."""
+        bare = DetectorPipeline(default_detectors())
+        timed = DetectorPipeline([TimedDetector(d) for d in default_detectors()])
+        widths = {kind: len(handlers) for kind, handlers in bare.routes.items()}
+        assert {kind: len(h) for kind, h in timed.routes.items()} == widths
+
 
 class TestProfileWorkload:
     def test_detecting_profile_keeps_no_trace(self):
         """The profiler switches each kernel to ``trace_mode="none"``
-        after building it; its detectors still see every event."""
+        after building it; its detectors still see the events routed to
+        them (none, for the completion checker without expectations)."""
         kernels = []
 
         def factory(scheduler):
@@ -53,7 +63,29 @@ class TestProfileWorkload:
         for kernel in kernels:
             assert kernel.trace_mode == "none"
             assert len(kernel.trace) == 0 and kernel.events_emitted > 0
-        assert all(events > 0 for _, events in report.detector_wall.values())
+        events = {name: n for name, (_, n) in report.detector_wall.items()}
+        assert events.pop("completion") == 0
+        assert all(n > 0 for n in events.values())
+
+    def test_each_detector_is_metered_over_its_routed_events(self):
+        """A detector's metered ``events`` equal what a bare pipeline
+        routes it on the same seeds."""
+        runs = 6
+        report = profile_workload(resolve_factory("pc-bug"), runs=runs)
+        routed = {}
+        for seed in range(runs):
+            kernel = resolve_factory("pc-bug")(RandomScheduler(seed))
+            pipeline = DetectorPipeline(default_detectors()).attach(kernel)
+            kernel.run()
+            for detector in pipeline.detectors:
+                routed[detector.name] = routed.get(detector.name, 0) + sum(
+                    detector.on_event in pipeline.routes.get(event.kind, ())
+                    for event in kernel.trace.events
+                )
+        metered = {name: n for name, (_, n) in report.detector_wall.items()}
+        assert metered == routed
+        assert metered["completion"] == 0
+        assert all(n > 0 for name, n in metered.items() if name != "completion")
 
     def test_profile_pc_bug(self):
         report = profile_workload(

@@ -5,12 +5,21 @@ import time
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.sink import fold_record
 from repro.run import RunConfig, RunConfigError
 from repro.run.executor import RunExecutor
 
 #: metric series whose values depend on wall-clock time, not schedule
 #: content — excluded from reuse-vs-fresh parity comparisons.
 WALL_CLOCK_SERIES = {"vm_events_per_second", "run_wall_seconds"}
+
+
+def collected(sink):
+    """The sink's run record folded into a fresh registry."""
+    registry = MetricsRegistry()
+    fold_record(registry, sink.snapshot())
+    return registry
 
 
 def config(**kwargs):
@@ -71,14 +80,16 @@ class TestParityWithFreshAssembly:
             fresh = RunExecutor(config(metrics=True))
             fresh.execute(config().make_scheduler(seed=seed))
             reused.execute(config().make_scheduler(seed=seed))
+            fresh_registry = collected(fresh.sink)
             fresh_series = {
-                name: fresh.sink.collect().get(name).to_dict()
-                for name in fresh.sink.collect().names()
+                name: fresh_registry.get(name).to_dict()
+                for name in fresh_registry.names()
                 if name not in WALL_CLOCK_SERIES
             }
+            reused_registry = collected(reused.sink)
             reused_series = {
-                name: reused.sink.collect().get(name).to_dict()
-                for name in reused.sink.collect().names()
+                name: reused_registry.get(name).to_dict()
+                for name in reused_registry.names()
                 if name not in WALL_CLOCK_SERIES
             }
             assert reused_series == fresh_series, f"seed {seed}"

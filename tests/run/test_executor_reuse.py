@@ -174,7 +174,7 @@ def reference_registry(sink, status):
     registry.gauge(
         "vm_events_per_second",
         "wall-clock event rate of the run (merged: peak across runs)",
-    ).set_max(1.0)
+    ).set(1.0)
     registry.counter("vm_steps_total", "kernel scheduling steps").inc(kernel.steps)
     switches = registry.counter(
         "vm_context_switches_total",
@@ -217,7 +217,7 @@ def reference_registry(sink, status):
     ):
         gauge = registry.gauge(metric, help_text)
         for monitor, peak in values.items():
-            gauge.set_max(peak, monitor=monitor)
+            gauge.set(peak, monitor=monitor)
     return registry
 
 
