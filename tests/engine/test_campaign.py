@@ -344,6 +344,17 @@ class TestCampaignMetrics:
         }
         assert sum(statuses.values()) == result.n_runs
 
+    def test_build_metrics_leaves_result_metrics_untouched(self):
+        spec = CampaignSpec(factory="pc-bug", budget=10, workers=0, metrics=True)
+        result = run_campaign(spec)
+        before = result.metrics.to_dict()
+        first = result.build_metrics()
+        first.counter("vm_events_total").inc(1000)
+        assert result.metrics.to_dict() == before
+        assert "campaign_runs_total" not in result.metrics
+        second = result.build_metrics().counter("vm_events_total").total
+        assert second == result.metrics.counter("vm_events_total").total
+
     def test_metrics_off_leaves_result_bare(self):
         result = run_campaign(CampaignSpec(factory="pc-ok", budget=5, workers=0))
         assert result.metrics is None

@@ -34,6 +34,12 @@ class TestWireFormat:
         assert back == frame
         assert back.summary == s
 
+    def test_round_trip_frame_without_summary(self):
+        frame = TelemetryFrame(shard="sh", runs=5)
+        back = TelemetryFrame.from_dict(frame.to_dict())
+        assert back == frame
+        assert back.summary is None
+
     def test_to_dict_elides_defaults(self):
         frame = TelemetryFrame(shard="sh")
         assert frame.to_dict() == {"shard": "sh"}

@@ -100,6 +100,14 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             r.gauge("a")
 
+    def test_add_replaces_the_named_metric(self):
+        r = MetricsRegistry()
+        r.counter("a").inc(3)
+        replacement = Gauge("a")
+        r.add(replacement)
+        assert r.get("a") is replacement
+        assert len(r) == 1
+
 
 class TestDocument:
     def _populated(self) -> MetricsRegistry:
@@ -132,6 +140,11 @@ class TestDocument:
         (histogram,) = [m for m in document["metrics"] if m["name"] == "h"]
         histogram["series"][0]["counts"] = [1]  # buckets (1, 10) need 3
         with pytest.raises(ValueError, match="1 counts for 2 bucket bounds"):
+            MetricsRegistry.from_dict(document)
+
+    def test_unknown_metric_type_rejected(self):
+        document = {"metrics": [{"name": "s", "type": "summary", "series": []}]}
+        with pytest.raises(ValueError, match="unknown metric type 'summary' for 's'"):
             MetricsRegistry.from_dict(document)
 
 

@@ -241,6 +241,18 @@ class TestRecordFold:
         shuffled = data.draw(st.permutations(records))
         assert _folded(*shuffled).to_dict() == reference
 
+    @settings(max_examples=80, deadline=None)
+    @given(RECORDS, st.data())
+    def test_fold_resumes_from_a_document_copy(self, records, data):
+        """Folding a prefix, copying the registry through its document
+        and folding the rest gives the registry of folding all records."""
+        reference = _folded(*records).to_dict()
+        cut = data.draw(st.integers(0, len(records)))
+        resumed = MetricsRegistry.from_dict(_folded(*records[:cut]).to_dict())
+        for record in records[cut:]:
+            fold_record(resumed, record)
+        assert resumed.to_dict() == reference
+
     def test_kind_mismatch_raises(self):
         registry = MetricsRegistry()
         registry.gauge("vm_steps_total").set(5)
