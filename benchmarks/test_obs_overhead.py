@@ -8,14 +8,17 @@ the emit loop and never enter sink code.
 
 Shared CI boxes show +-20% run-to-run noise on a 200 ms run, which
 drowns a single-digit overhead, so the headline number is measured
-deterministically: capture one run's event stream, then time exactly the
-marginal work the sink adds — the kernel-side kind filter plus the
-handlers — in a tight loop over the captured events.  That cost divided
-by the run's own CPU time is the overhead ratio.  A loose end-to-end
-wall gate rides along to catch gross regressions (accidental O(n) work
-per event) that a stream replay could mask.
+deterministically: capture one run's ``emit`` calls, then replay them
+through :meth:`Kernel.emit` on a kernel with the sink's routes installed
+and on one with none.  The difference is exactly the marginal work the
+sink adds, the kernel-side kind filter plus the handlers, and that cost
+divided by the run's own CPU time is the overhead ratio.  A loose
+end-to-end wall gate rides along to catch gross regressions (accidental
+O(n) work per event) that a stream replay could mask.
 """
 
+import gc
+import statistics
 import time
 
 from conftest import write_result
@@ -26,9 +29,9 @@ from repro.vm import Kernel, RandomScheduler
 
 N_ITEMS = 1000
 ROUNDS = 5
-# The sink pass is ~100x cheaper than a full run, so sample it harder:
-# its best-of-N must dodge the multi-second CPU-throttle bursts shared
-# boxes exhibit, or a burst inflates the overhead ratio.
+# A replay takes tens of milliseconds and the sink adds a few of them,
+# so take many pairs: their median must survive the multi-second
+# CPU-throttle bursts shared boxes exhibit.
 PASS_ROUNDS = 20
 
 
@@ -52,7 +55,8 @@ def _build_kernel(seed: int = 1) -> Kernel:
 
 
 def _baseline_run_seconds() -> tuple[float, list]:
-    """Best-of-N CPU seconds for an unobserved run, plus its events."""
+    """Best-of-N CPU seconds for an unobserved run, plus its ``emit``
+    calls as (thread, kind, monitor, component, method, detail)."""
     events = []
     kernel = _build_kernel()
     kernel.subscribe(events.append)
@@ -65,41 +69,64 @@ def _baseline_run_seconds() -> tuple[float, list]:
         elapsed = time.process_time() - started
         assert result.ok
         best = elapsed if best is None else min(best, elapsed)
-    return best, events
+    calls = [
+        (e.thread, e.kind, e.monitor, e.component, e.method, e.detail)
+        for e in events
+    ]
+    return best, calls
 
 
-def _sink_pass_seconds(events, tracer_factory=None) -> float:
-    """Best-of-N CPU seconds for the sink's marginal per-event work over
-    a captured stream: the kernel's kind-filter dispatch + handlers."""
-    best = None
+def _replay_seconds(calls, sink=None) -> float:
+    """CPU seconds to replay ``calls`` through ``Kernel.emit`` on a fresh
+    kernel, with ``sink`` installed on it when given.
+
+    The collector is off while the replay runs, as under ``timeit``: a
+    collection of the previous replays' kernels would otherwise land in
+    one replay or the other at random.  The sink's own allocations are
+    freed as they go, so this hides none of its cost.
+    """
+    kernel = Kernel(scheduler=RandomScheduler(seed=1))
+    if sink is not None:
+        sink.install(kernel)
+    emit = kernel.emit
+    gc.collect()
+    gc.disable()
+    try:
+        started = time.process_time()
+        for thread, kind, monitor, component, method, detail in calls:
+            emit(thread, kind, monitor, component, method, **detail)
+        return time.process_time() - started
+    finally:
+        gc.enable()
+
+
+def _sink_pass_seconds(calls, tracer_factory=None) -> float:
+    """The sink's marginal CPU seconds over a captured run: the median,
+    over back-to-back pairs, of a replay with the sink installed minus a
+    replay without one.  Both halves of a pair see the same stretch of
+    the box, and the median drops the pairs a burst split."""
+    differences = []
     for _ in range(PASS_ROUNDS):
         sink = InstrumentationSink(
             tracer=tracer_factory() if tracer_factory else None
         )
-        kind_sinks = {kind: (handler,) for kind, handler in sink._handlers.items()}
-        get = kind_sinks.get
-        empty = ()
-        started = time.process_time()
-        for event in events:
-            for handler in get(event.kind, empty):
-                handler(event)
-        elapsed = time.process_time() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best
+        differences.append(_replay_seconds(calls, sink) - _replay_seconds(calls))
+    return statistics.median(differences)
 
 
 def test_sink_overhead(results_dir):
-    base, events = _baseline_run_seconds()
-    sink_pass = _sink_pass_seconds(events)
-    span_pass = _sink_pass_seconds(events, tracer_factory=SpanTracer)
+    base, calls = _baseline_run_seconds()
+    sink_pass = _sink_pass_seconds(calls)
+    span_pass = _sink_pass_seconds(calls, tracer_factory=SpanTracer)
     sink_overhead = sink_pass / base
     span_overhead = span_pass / base
 
-    per_event_ns = sink_pass / len(events) * 1e9
+    per_event_ns = sink_pass / len(calls) * 1e9
     text = (
         "Ext-I: instrumentation overhead "
-        f"(producer-consumer, {N_ITEMS} items, best of {ROUNDS}, CPU time)\n"
-        f"  trace events per run:   {len(events)}\n"
+        f"(producer-consumer, {N_ITEMS} items, CPU time; run best of {ROUNDS},\n"
+        f"   sink the median of {PASS_ROUNDS} paired emit replays)\n"
+        f"  trace events per run:   {len(calls)}\n"
         f"  baseline run:           {base * 1000:8.2f} ms\n"
         f"  sink marginal work:     {sink_pass * 1000:8.2f} ms  "
         f"({sink_overhead:+.1%}, {per_event_ns:.0f} ns/event)\n"

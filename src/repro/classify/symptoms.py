@@ -301,26 +301,28 @@ class SymptomTracker:
 
     def on_event(self, event: Event) -> None:
         kind = event.kind
+        thread = event.thread
         if kind is _CALL_BEGIN:
-            self._open_calls.setdefault(event.thread, []).append(
+            self._open_calls.setdefault(thread, []).append(
                 (event.component or "?", event.method or "?")
             )
         elif kind is _CALL_END:
-            stack = self._open_calls.get(event.thread)
+            stack = self._open_calls.get(thread)
             if stack:
                 component, _ = stack.pop()
-                released = self._released.get(event.thread)
+                released = self._released.get(thread)
                 if released:
                     released.discard(component)
             self._close_env_markers(event)
         elif kind is _MONITOR_WAIT:
-            self._waits.setdefault(event.monitor, set()).add(event.thread)
+            monitor = event.monitor
+            self._waits.setdefault(monitor, set()).add(thread)
             # Entering a wait means the guard was (re-)checked and found
             # false — a prior suspect wake was handled correctly.
-            self._suspect_wakes.pop(event.thread, None)
-            self._wait_marks[event.thread] = (
-                event.monitor,
-                self._others_notifies(event.monitor, event.thread),
+            self._suspect_wakes.pop(thread, None)
+            self._wait_marks[thread] = (
+                monitor,
+                self._others_notifies(monitor, thread),
             )
         elif kind is _MONITOR_NOTIFIED:
             self._on_wake(event)
@@ -330,76 +332,61 @@ class SymptomTracker:
             # runnable target merely gets its flag set, which a component
             # that never waits again is allowed to ignore.
             if event.detail.get("thread_state") in ("waiting", "blocked"):
-                self._interrupt_pending.setdefault(event.thread)
+                self._interrupt_pending.setdefault(thread)
             # An interrupted primitive acquirer or barrier party resumes
             # immediately with InterruptedError — no longer stuck.
-            self._prim_blocked.pop(event.thread, None)
-            self._barrier_wait.pop(event.thread, None)
+            self._prim_blocked.pop(thread, None)
+            self._barrier_wait.pop(thread, None)
         elif kind is _MONITOR_RELEASE:
             # The full (non-reentrant) release of a monitor whose component
             # still has an open call on this thread: the critical section
             # is no longer protected.  Normal method exits look the same
             # (the wrapper releases just before CALL_END) but perform no
             # further component access, so they never flag.
-            if not event.detail.get("reentrant") and not event.detail.get(
-                "abandoned"
-            ):
-                if event.monitor and self._in_open_call(
-                    event.thread, event.monitor
-                ):
-                    self._released.setdefault(event.thread, set()).add(
-                        event.monitor
-                    )
+            detail = event.detail
+            if not detail.get("reentrant") and not detail.get("abandoned"):
+                monitor = event.monitor
+                if monitor and self._in_open_call(thread, monitor):
+                    self._released.setdefault(thread, set()).add(monitor)
         elif kind is _MONITOR_ACQUIRE:
-            if event.monitor:
-                released = self._released.get(event.thread)
+            monitor = event.monitor
+            if monitor:
+                released = self._released.get(thread)
                 if released:
-                    released.discard(event.monitor)
+                    released.discard(monitor)
         elif kind in _ACCESSES:
-            if event.component and event.component in self._released.get(
-                event.thread, ()
-            ):
+            component = event.component
+            if component and component in self._released.get(thread, ()):
                 self._premature.setdefault(
-                    (
-                        event.thread,
-                        event.component,
-                        event.method or "?",
-                    )
+                    (thread, component, event.method or "?")
                 )
         elif kind in _NOTIFIES:
-            self._notify_counts[event.monitor] = (
-                self._notify_counts.get(event.monitor, 0) + 1
-            )
-            by_key = (event.monitor, event.thread)
+            monitor = event.monitor
+            self._notify_counts[monitor] = self._notify_counts.get(monitor, 0) + 1
+            by_key = (monitor, thread)
             self._notifies_by[by_key] = self._notifies_by.get(by_key, 0) + 1
             if not event.detail.get("woken"):
                 self._lost.append(
-                    (
-                        event.thread,
-                        kind.value,
-                        event.monitor,
-                        event.component,
-                        event.method,
-                    )
+                    (thread, kind.value, monitor, event.component, event.method)
                 )
         elif kind is _SEM_REQUEST:
-            self._prim_blocked[event.thread] = ("semaphore", event.monitor or "?")
+            self._prim_blocked[thread] = ("semaphore", event.monitor or "?")
         elif kind is _RW_REQUEST:
-            self._prim_blocked[event.thread] = (
+            self._prim_blocked[thread] = (
                 event.detail.get("mode", "read"),
                 event.monitor or "?",
             )
         elif kind in _PRIMITIVE_GRANTS:
-            self._prim_blocked.pop(event.thread, None)
+            self._prim_blocked.pop(thread, None)
         elif kind is _WAIT_TIMEOUT:
             if event.detail.get("primitive") == "semaphore":
                 # A failed timed tryAcquire resumed with False.
-                self._prim_blocked.pop(event.thread, None)
+                self._prim_blocked.pop(thread, None)
         elif kind is _BARRIER_AWAIT:
             if not event.detail.get("broken"):
-                self._barrier_wait[event.thread] = event.monitor or "?"
+                self._barrier_wait[thread] = event.monitor or "?"
         elif kind is _BARRIER_RESUME:
-            self._barrier_wait.pop(event.thread, None)
+            self._barrier_wait.pop(thread, None)
         elif kind is _BARRIER_BROKEN:
             for waiter in event.detail.get("waiters", ()):
                 self._barrier_wait.pop(waiter, None)
@@ -412,18 +399,19 @@ class SymptomTracker:
 
     def _on_wake(self, event: Event) -> None:
         """MONITOR_NOTIFIED: arm environment-deviation markers by reason."""
+        thread = event.thread
         reason = event.detail.get("reason")
         if reason == "interrupt":
-            self._interrupt_pending.setdefault(event.thread)
-            self._wait_marks.pop(event.thread, None)
+            self._interrupt_pending.setdefault(thread)
+            self._wait_marks.pop(thread, None)
             return
         if reason in ("spurious", "timeout"):
-            mark = self._wait_marks.pop(event.thread, None)
+            mark = self._wait_marks.pop(thread, None)
             if mark is not None:
                 monitor, others_then = mark
-                self._suspect_wakes[event.thread] = (reason, monitor, others_then)
+                self._suspect_wakes[thread] = (reason, monitor, others_then)
             return
-        self._wait_marks.pop(event.thread, None)
+        self._wait_marks.pop(thread, None)
 
     def _close_env_markers(self, event: Event) -> None:
         """CALL_END: judge any armed environment markers for this thread.

@@ -138,14 +138,15 @@ class OnlineCompletionChecker(OnlineDetector):
     def on_event(self, event: Event) -> None:
         kind = event.kind
         if kind is _CALL_BEGIN:
+            thread = event.thread
             record = CallRecord(
-                thread=event.thread,
+                thread=thread,
                 component=event.component or "?",
                 method=event.method or "?",
                 begin_seq=event.seq,
                 begin_time=event.time,
             )
-            self._open_stacks.setdefault(event.thread, []).append(len(self._order))
+            self._open_stacks.setdefault(thread, []).append(len(self._order))
             self._order.append(record)
         elif kind is _CALL_END:
             stack = self._open_stacks.get(event.thread, [])

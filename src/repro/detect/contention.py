@@ -196,39 +196,46 @@ class OnlineContentionProfiler(OnlineDetector):
         self._pending_wait.clear()
 
     def _profile(self, monitor: str) -> MonitorProfile:
-        if monitor not in self.report.monitors:
-            self.report.monitors[monitor] = MonitorProfile(monitor)
-        return self.report.monitors[monitor]
+        monitors = self.report.monitors
+        profile = monitors.get(monitor)
+        if profile is None:
+            profile = monitors[monitor] = MonitorProfile(monitor)
+        return profile
 
     def on_event(self, event: Event) -> None:
         monitor = event.monitor
         if monitor is None:
             return
+        kind = event.kind
+        time = event.time
         key = (event.thread, monitor)
         p = self._profile(monitor)
-        if event.kind is _MONITOR_REQUEST:
-            self._pending_request[key] = event.time
-        elif event.kind is _MONITOR_ACQUIRE:
+        if kind is _MONITOR_REQUEST:
+            self._pending_request[key] = time
+        elif kind is _MONITOR_ACQUIRE:
             p.acquisitions += 1
-            if key in self._pending_wait:
-                waited = event.time - self._pending_wait.pop(key)
+            waited_since = self._pending_wait.pop(key, None)
+            if waited_since is not None:
+                waited = time - waited_since
                 p.total_wait_time += waited
                 p.max_wait_time = max(p.max_wait_time, waited)
                 self._pending_request.pop(key, None)
-            elif key in self._pending_request:
-                blocked = event.time - self._pending_request.pop(key)
-                if blocked > 0:
-                    p.contended_acquisitions += 1
-                    p.total_blocked_time += blocked
-                    p.max_blocked_time = max(p.max_blocked_time, blocked)
-        elif event.kind is _MONITOR_WAIT:
+            else:
+                requested = self._pending_request.pop(key, None)
+                if requested is not None:
+                    blocked = time - requested
+                    if blocked > 0:
+                        p.contended_acquisitions += 1
+                        p.total_blocked_time += blocked
+                        p.max_blocked_time = max(p.max_blocked_time, blocked)
+        elif kind is _MONITOR_WAIT:
             p.waits += 1
-            self._pending_wait[key] = event.time
-        elif event.kind is _NOTIFY:
+            self._pending_wait[key] = time
+        elif kind is _NOTIFY:
             p.notifies += 1
             if not event.detail.get("woken"):
                 p.lost_notifies += 1
-        elif event.kind is _NOTIFY_ALL:
+        elif kind is _NOTIFY_ALL:
             p.notify_alls += 1
             if not event.detail.get("woken"):
                 p.lost_notifies += 1

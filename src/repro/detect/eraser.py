@@ -243,20 +243,23 @@ class OnlineLocksetDetector(OnlineDetector):
                 )
         elif kind is _MONITOR_ACQUIRE:
             stack = self._held.setdefault(thread, [])
+            monitor = event.monitor or "?"
             for _ in range(event.detail.get("count", 1)):
-                stack.append(event.monitor or "?")
+                stack.append(monitor)
             self._locksets.pop(thread, None)
         elif kind is _MONITOR_RELEASE:
             stack = self._held.setdefault(thread, [])
-            if event.monitor in stack:
+            monitor = event.monitor
+            if monitor in stack:
                 stack.reverse()
-                stack.remove(event.monitor)
+                stack.remove(monitor)
                 stack.reverse()
             self._locksets.pop(thread, None)
         elif kind is _MONITOR_WAIT:
             # wait releases the lock entirely
             stack = self._held.get(thread, ())
-            self._held[thread] = [m for m in stack if m != event.monitor]
+            monitor = event.monitor
+            self._held[thread] = [m for m in stack if m != monitor]
             self._locksets.pop(thread, None)
 
     def finish(self) -> List[RaceReport]:

@@ -137,28 +137,31 @@ class OnlineLockGraphDetector(OnlineDetector):
     )
 
     def on_event(self, event: Event) -> None:
-        stack = self._held.setdefault(event.thread, [])
-        if event.kind in _REQUEST_KINDS:
+        thread = event.thread
+        monitor = event.monitor
+        kind = event.kind
+        stack = self._held.setdefault(thread, [])
+        if kind in _REQUEST_KINDS:
             # The ordering edge is established at *request* time: a thread
             # blocked on `inner` while holding `outer` is the hazard even
             # if the grant never happens (as in an actual deadlock run).
-            monitor = event.monitor or "?"
+            monitor = monitor or "?"
             for outer in set(stack):
                 if outer != monitor:
-                    edge = LockOrderEdge(outer, monitor, event.thread, event.seq)
+                    edge = LockOrderEdge(outer, monitor, thread, event.seq)
                     self.graph.setdefault((outer, monitor), edge)
                     self.edges.append(edge)
-        elif event.kind in _GRANT_KINDS:
-            monitor = event.monitor or "?"
+        elif kind in _GRANT_KINDS:
+            monitor = monitor or "?"
             for _ in range(event.detail.get("count", 1)):
                 stack.append(monitor)
-        elif event.kind in _RELEASE_KINDS:
-            if event.monitor in stack:
+        elif kind in _RELEASE_KINDS:
+            if monitor in stack:
                 stack.reverse()
-                stack.remove(event.monitor)
+                stack.remove(monitor)
                 stack.reverse()
-        elif event.kind is _MONITOR_WAIT:
-            self._held[event.thread] = [m for m in stack if m != event.monitor]
+        elif kind is _MONITOR_WAIT:
+            self._held[thread] = [m for m in stack if m != monitor]
 
     def finish(self) -> List[PotentialDeadlock]:
         """All simple cycles of the graph as potential deadlocks.

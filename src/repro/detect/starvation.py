@@ -141,46 +141,48 @@ class OnlineStarvationDetector(OnlineDetector):
     def on_event(self, event: Event) -> None:
         monitor = event.monitor
         thread = event.thread
-        if event.kind is _MONITOR_REQUEST:
+        kind = event.kind
+        if kind is _MONITOR_REQUEST:
             self._entry_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
-        elif event.kind is _MONITOR_ACQUIRE:
+        elif kind is _MONITOR_ACQUIRE:
             queued = self._entry_sets.setdefault(monitor, {})
             arrived = queued.pop(thread, event.seq)
             for bystander, bystander_arrived in queued.items():
                 if bystander_arrived < arrived:
                     key = (bystander, monitor)
                     self._lock_bypasses[key] = self._lock_bypasses.get(key, 0) + 1
-        elif event.kind is _MONITOR_WAIT:
+        elif kind is _MONITOR_WAIT:
             self._wait_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
-        elif event.kind is _MONITOR_NOTIFIED:
+        elif kind is _MONITOR_NOTIFIED:
+            seq = event.seq
             waiters = self._wait_sets.setdefault(monitor, {})
-            arrived = waiters.pop(thread, event.seq)
+            arrived = waiters.pop(thread, seq)
             for bystander, bystander_arrived in waiters.items():
                 if bystander_arrived < arrived:
                     key = (bystander, monitor)
                     self._notify_bypasses[key] = self._notify_bypasses.get(key, 0) + 1
             # the woken thread re-enters the entry set
-            self._entry_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
-        elif event.kind in _PRIMITIVE_REQUESTS:
+            self._entry_sets.setdefault(monitor, {}).setdefault(thread, seq)
+        elif kind in _PRIMITIVE_REQUESTS:
             # Semaphore and rw-lock queues starve exactly like entry sets:
             # same arrival bookkeeping, different report kind.
             self._entry_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
-            if event.kind is _RW_REQUEST:
+            if kind is _RW_REQUEST:
                 self._prim_kind[monitor] = "rwlock"
                 self._rw_mode[(thread, monitor)] = event.detail.get("mode", "read")
             else:
                 self._prim_kind[monitor] = "semaphore"
-        elif event.kind in _PRIMITIVE_GRANTS:
+        elif kind in _PRIMITIVE_GRANTS:
             queued = self._entry_sets.setdefault(monitor, {})
             arrived = queued.pop(thread, event.seq)
             for bystander, bystander_arrived in queued.items():
                 if bystander_arrived < arrived:
                     key = (bystander, monitor)
                     self._lock_bypasses[key] = self._lock_bypasses.get(key, 0) + 1
-        elif event.kind is _WAIT_TIMEOUT:
+        elif kind is _WAIT_TIMEOUT:
             if event.detail.get("primitive") == "semaphore":
                 self._entry_sets.setdefault(monitor, {}).pop(thread, None)
-        elif event.kind is _INTERRUPT:
+        elif kind is _INTERRUPT:
             # An interrupted primitive acquirer leaves its queue for good;
             # monitor entry sets are left to the monitor protocol events
             # (a post-wait reacquirer stays queued with the interrupt
@@ -188,7 +190,7 @@ class OnlineStarvationDetector(OnlineDetector):
             for mon, queued in self._entry_sets.items():
                 if mon in self._prim_kind:
                     queued.pop(thread, None)
-        elif event.kind in _THREAD_EXITS:
+        elif kind in _THREAD_EXITS:
             for queued in self._entry_sets.values():
                 queued.pop(thread, None)
             for waiters in self._wait_sets.values():

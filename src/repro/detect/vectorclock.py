@@ -194,6 +194,7 @@ class OnlineHbDetector(OnlineDetector):
         kind = event.kind
 
         if kind in _ACCESSES:
+            seq = event.seq
             key = (event.component or "?", event.detail.get("field", "?"))
             slot = self._fields.get(key)
             if slot is None:
@@ -217,7 +218,7 @@ class OnlineHbDetector(OnlineDetector):
                         first_seq=write[2],
                         first_is_write=True,
                         second_thread=thread,
-                        second_seq=event.seq,
+                        second_seq=seq,
                         second_is_write=is_write,
                     )
                 )
@@ -238,14 +239,14 @@ class OnlineHbDetector(OnlineDetector):
                                 first_seq=read_seq,
                                 first_is_write=False,
                                 second_thread=thread,
-                                second_seq=event.seq,
+                                second_seq=seq,
                                 second_is_write=True,
                             )
                         )
-                slot.write = (thread, own, event.seq)
+                slot.write = (thread, own, seq)
                 slot.reads.clear()
             else:
-                slot.reads[thread] = (own, event.seq)
+                slot.reads[thread] = (own, seq)
             clocks[thread] = own + 1
         elif kind is _MONITOR_ACQUIRE:
             released = self._monitor_vc.get(event.monitor)
@@ -254,9 +255,10 @@ class OnlineHbDetector(OnlineDetector):
             clocks[thread] += 1
         elif kind in _RELEASES:
             # wait releases the lock exactly like a release does
-            released = self._monitor_vc.get(event.monitor)
+            monitor = event.monitor
+            released = self._monitor_vc.get(monitor)
             if released is None:
-                released = self._monitor_vc[event.monitor] = VectorClock()
+                released = self._monitor_vc[monitor] = VectorClock()
             released.join(vc)
             clocks[thread] += 1
         elif kind in _NOTIFIES:
@@ -264,8 +266,9 @@ class OnlineHbDetector(OnlineDetector):
             if woken:
                 # one snapshot, shared: a notified join only reads it
                 sent = vc.copy()
+                monitor = event.monitor
                 for waiter in woken:
-                    self._notify_vc[(event.monitor, waiter)] = sent
+                    self._notify_vc[(monitor, waiter)] = sent
             clocks[thread] += 1
         elif kind is _MONITOR_NOTIFIED:
             sent = self._notify_vc.pop((event.monitor, thread), None)

@@ -253,14 +253,17 @@ class OnlineWaitGraphDetector(OnlineDetector):
         elif kind is _MONITOR_ACQUIRE:
             state.blocked_on.pop(thread, None)
             state.owner[monitor] = thread
-            self._hold_count[(thread, monitor)] = self._hold_count.get(
-                (thread, monitor), 0
-            ) + event.detail.get("count", 1)
+            key = (thread, monitor)
+            hold_count = self._hold_count
+            hold_count[key] = hold_count.get(key, 0) + event.detail.get("count", 1)
         elif kind is _MONITOR_RELEASE:
             key = (thread, monitor)
-            self._hold_count[key] = self._hold_count.get(key, 1) - 1
-            if self._hold_count[key] <= 0:
-                self._hold_count.pop(key, None)
+            hold_count = self._hold_count
+            left = hold_count.get(key, 1) - 1
+            if left > 0:
+                hold_count[key] = left
+            else:
+                hold_count.pop(key, None)
                 if state.owner.get(monitor) == thread:
                     del state.owner[monitor]
         elif kind is _MONITOR_WAIT:
@@ -277,17 +280,19 @@ class OnlineWaitGraphDetector(OnlineDetector):
             state.sem_req_n[thread] = event.detail.get("n", 1)
         elif kind is _SEM_ACQUIRE:
             state._clear_request(thread)
+            detail = event.detail
             held = state.sem_held.setdefault(monitor, {})
-            held[thread] = held.get(thread, 0) + event.detail.get("n", 1)
-            state.sem_available[monitor] = event.detail.get("available", 0)
+            held[thread] = held.get(thread, 0) + detail.get("n", 1)
+            state.sem_available[monitor] = detail.get("available", 0)
         elif kind is _SEM_RELEASE:
+            detail = event.detail
             held = state.sem_held.setdefault(monitor, {})
-            left = held.get(thread, 0) - event.detail.get("n", 1)
+            left = held.get(thread, 0) - detail.get("n", 1)
             if left > 0:
                 held[thread] = left
             else:
                 held.pop(thread, None)
-            state.sem_available[monitor] = event.detail.get("available", 0)
+            state.sem_available[monitor] = detail.get("available", 0)
         elif kind is _RW_REQUEST:
             # The writer's reentrant write request and a holder's read
             # request (reentrant read, or the never-blocking downgrade)
@@ -316,9 +321,10 @@ class OnlineWaitGraphDetector(OnlineDetector):
                 held[thread] = left
             else:
                 held.pop(thread, None)
+            detail = event.detail
             if (
-                event.detail.get("mode") == "write"
-                and not event.detail.get("reentrant")
+                detail.get("mode") == "write"
+                and not detail.get("reentrant")
                 and state.rw_writer.get(monitor) == thread
             ):
                 del state.rw_writer[monitor]

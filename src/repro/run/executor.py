@@ -25,6 +25,7 @@ next run of the same shard.
 
 from __future__ import annotations
 
+import _signal
 import importlib
 import random
 import signal
@@ -99,8 +100,11 @@ def timed_runner(timeout: float) -> KernelRunner:
             kernel.request_abort("timeout")
             raise RunTimeoutInterrupt()
 
+        # ``_signal.signal`` is the C function ``signal.signal`` wraps.  The
+        # wrapper's enum conversions make arming and restoring cost about
+        # 6 µs per run instead of 0.5 µs.
         try:
-            previous = signal.signal(signal.SIGALRM, _on_alarm)
+            previous = _signal.signal(_signal.SIGALRM, _on_alarm)
         except ValueError:  # not the main thread (inline mode under test)
             return kernel.run()
         try:
@@ -112,7 +116,7 @@ def timed_runner(timeout: float) -> KernelRunner:
             pass
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
+            _signal.signal(_signal.SIGALRM, previous)
         live = [t.name for t in kernel.threads.values() if t.is_live()]
         return RunResult(
             status=RunStatus.TIMEOUT,

@@ -11,8 +11,9 @@ and the failure classification.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from collections import _tuplegetter  # type: ignore[attr-defined]
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["EventKind", "Event", "TRANSITION_OF_EVENT", "WakeReason"]
 
@@ -131,14 +132,38 @@ TRANSITION_OF_EVENT: Dict[EventKind, str] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+@dataclass(frozen=True)
+class _EventFields:
+    """The field list of :class:`Event` as a dataclass.
+
+    ``Event`` carries this class's field metadata, so
+    ``dataclasses.fields``, ``replace`` and ``asdict`` accept events.
+    """
+
+    seq: int
+    time: int
+    thread: str
+    kind: EventKind
+    monitor: Optional[str] = None
+    component: Optional[str] = None
+    method: Optional[str] = None
+    detail: Dict[str, Any] = field(default_factory=dict)
+
+
+_FIELD_NAMES = tuple(_EventFields.__dataclass_fields__)
+
+
+class Event(tuple):
     """One observable action in a VM execution.
 
     Events are immutable because every sink and detector of a run shares
-    the same object.  They are slotted, so each costs no per-instance
-    ``__dict__``; :meth:`Kernel.emit <repro.vm.kernel.Kernel.emit>` fills
-    the slots directly instead of calling the generated ``__init__``.
+    the same object.  An event is a tuple of its eight fields, read
+    through namedtuple's C field descriptors, so
+    :meth:`Kernel.emit <repro.vm.kernel.Kernel.emit>` builds one with a
+    single ``tuple.__new__`` call.  Otherwise it behaves as a frozen
+    dataclass: assigning a field raises ``FrozenInstanceError``, it has
+    no ``__dict__``, and it equals only another ``Event``, never a plain
+    tuple.
 
     Attributes:
         seq: global sequence number (unique, dense from 0).
@@ -154,14 +179,57 @@ class Event:
             times for clock events, woken threads for NOTIFY_ALL, ...).
     """
 
-    seq: int
-    time: int
-    thread: str
-    kind: EventKind
-    monitor: Optional[str] = None
-    component: Optional[str] = None
-    method: Optional[str] = None
-    detail: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ()
+    __dataclass_fields__ = _EventFields.__dataclass_fields__
+    __match_args__ = _FIELD_NAMES
+
+    seq: int = _tuplegetter(0, "global sequence number")
+    time: int = _tuplegetter(1, "kernel virtual time")
+    thread: str = _tuplegetter(2, "name of the acting thread")
+    kind: EventKind = _tuplegetter(3, "the event kind")
+    monitor: Optional[str] = _tuplegetter(4, "monitor involved, if any")
+    component: Optional[str] = _tuplegetter(5, "component name, if any")
+    method: Optional[str] = _tuplegetter(6, "component method, if any")
+    detail: Dict[str, Any] = _tuplegetter(7, "kind-specific payload")
+
+    def __new__(
+        cls,
+        seq: int,
+        time: int,
+        thread: str,
+        kind: EventKind,
+        monitor: Optional[str] = None,
+        component: Optional[str] = None,
+        method: Optional[str] = None,
+        detail: Optional[Dict[str, Any]] = None,
+    ) -> "Event":
+        if detail is None:
+            detail = {}
+        return tuple.__new__(
+            cls, (seq, time, thread, kind, monitor, component, method, detail)
+        )
+
+    def __getnewargs__(self) -> Tuple[Any, ...]:
+        # pickle and copy rebuild an event through __new__
+        return tuple(self)
+
+    def __eq__(self, other: object) -> bool:
+        # False, not NotImplemented: the reflected tuple.__eq__ would
+        # otherwise compare an event equal to the plain tuple of its fields
+        return type(other) is Event and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(_FIELD_NAMES, self))
+        return f"{type(self).__qualname__}({fields})"
 
     @property
     def transition(self) -> Optional[str]:

@@ -145,17 +145,9 @@ def _is_blocked(thread: SimThread) -> bool:
     return thread.state is _BLOCKED
 
 
-# Kernel.emit builds each Event by filling its slots: the generated frozen
-# __init__ would pay one object.__setattr__ call per field.
-_new_object = object.__new__
-_set_seq = Event.seq.__set__
-_set_time = Event.time.__set__
-_set_thread = Event.thread.__set__
-_set_kind = Event.kind.__set__
-_set_monitor = Event.monitor.__set__
-_set_component = Event.component.__set__
-_set_method = Event.method.__set__
-_set_detail = Event.detail.__set__
+# Kernel.emit builds each Event as one tuple: Event.__new__ would add a
+# Python-level call per event.
+_new_tuple = tuple.__new__
 
 
 def _vm_name_of(ref: Any) -> Any:
@@ -634,15 +626,10 @@ class Kernel:
         method: Optional[str] = None,
         **detail: Any,
     ) -> Event:
-        event = _new_object(Event)
-        _set_seq(event, self._seq)
-        _set_time(event, self.time)
-        _set_thread(event, thread)
-        _set_kind(event, kind)
-        _set_monitor(event, monitor)
-        _set_component(event, component)
-        _set_method(event, method)
-        _set_detail(event, detail)
+        event = _new_tuple(
+            Event,
+            (self._seq, self.time, thread, kind, monitor, component, method, detail),
+        )
         self._seq += 1
         record = self._record
         if record is not None:
