@@ -1,15 +1,19 @@
 """Bench Ext-C: VM and detector throughput.
 
 Measures the substrate's raw speed — syscall-steps per second of the
-kernel on a long producer-consumer run — and the relative cost of each
+kernel on a long producer-consumer run, and on the ledger's prims-long
+program with threads parked beside it — and the relative cost of each
 dynamic analysis over the resulting trace (lockset, lock graph, wait-for
 graph, starvation, call records).  This is the ablation for the "one
 event trace feeds every analysis" design: detectors are post-hoc trace
 passes, so their cost does not perturb the execution under test.
 """
 
+import time
+
 import pytest
 from conftest import write_result
+from ledger.programs import prims_long
 
 from repro.components import BoundedBuffer, ProducerConsumer
 from repro.detect import (
@@ -18,7 +22,13 @@ from repro.detect import (
     detect_races,
     find_deadlock_cycle,
 )
-from repro.vm import FifoScheduler, Kernel, RandomScheduler
+from repro.vm import (
+    BarrierAwait,
+    FifoScheduler,
+    Kernel,
+    RandomScheduler,
+    ReplayScheduler,
+)
 
 
 def pc_run(n_items: int, seed: int = 1):
@@ -147,3 +157,64 @@ def test_throughput_without_access_recording(benchmark):
     from repro.vm import EventKind
 
     assert not result.trace.by_kind(EventKind.READ, EventKind.WRITE)
+
+
+#: threads parked beside prims-long in the parked-thread row
+PARKED = (0, 16, 64)
+PARKED_HEADER = "Ext-C: parked threads"
+
+
+def prims_long_parked(n_parked: int) -> Kernel:
+    """The ledger's prims-long program plus ``n_parked`` threads parked
+    on a barrier that never trips.  The parked threads run first, one
+    step each; the program then runs the schedule it runs alone."""
+    # prims-long spawns four threads, so index 4 is the next parked one
+    scheduler = ReplayScheduler([4] * n_parked, fallback=RandomScheduler(seed=0))
+    kernel = prims_long(scheduler)
+    barrier = kernel.new_barrier("never", parties=n_parked + 1)
+
+    def parked():
+        yield BarrierAwait(barrier)
+
+    for _ in range(n_parked):
+        kernel.spawn(parked, name="parked")
+    return kernel
+
+
+def best_cpu_rate(n_parked: int, repeats: int = 5) -> float:
+    """Steps per CPU second of the best of ``repeats`` runs."""
+    best = 0.0
+    steps_alone = prims_long(RandomScheduler(seed=0)).run().steps
+    for _ in range(repeats):
+        kernel = prims_long_parked(n_parked)
+        started = time.process_time()
+        result = kernel.run()
+        elapsed = time.process_time() - started
+        assert {"c1", "c2"} <= set(result.thread_results)
+        assert len(result.stuck_threads) == n_parked
+        assert result.steps == steps_alone + n_parked
+        best = max(best, result.steps / elapsed)
+    return best
+
+
+def test_parked_threads_keep_the_step_rate(results_dir):
+    """The kernel keeps its ready lists between steps and rescans the
+    threads only when one parks, wakes, starts or ends, so 64 threads
+    parked on a barrier keep at least 75% of the step rate (a rescan on
+    every step kept 65-68%)."""
+    rates = {n: best_cpu_rate(n) for n in PARKED}
+    ratio = rates[64] / rates[0]
+    text = "\n".join(
+        [
+            f"{PARKED_HEADER} (prims-long, seed 0, plus N threads parked on a "
+            "barrier that never trips; best of 5 CPU times)",
+            *(f"  N={n:<3d} steps/sec: {rate:,.0f}" for n, rate in rates.items()),
+            f"  N=64 / N=0: {ratio:.2f}",
+        ]
+    )
+    path = results_dir / "extC_throughput.txt"
+    kept = path.read_text().split(PARKED_HEADER)[0].strip() if path.exists() else ""
+    write_result(results_dir, "extC_throughput.txt", f"{kept}\n\n{text}".strip())
+    print()
+    print(text)
+    assert ratio >= 0.75

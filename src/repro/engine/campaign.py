@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _MODES = ("random", "pct", "systematic")
+#: the modes whose runs are named by a seed
+_SEEDED_MODES = ("random", "pct")
 # read on every merged run (an enum member's ``.value`` is a property read)
 _DEADLOCK = RunStatus.DEADLOCK.value
 _GOALS = ("budget", "first-failure", "first-deadlock", "coverage")
@@ -360,13 +362,19 @@ class CampaignResult:
         return None
 
     def replay_artifacts(self) -> List[ReplayArtifact]:
-        """One replay recipe per distinct failure signature (the first
-        summary observed with that signature)."""
-        artifacts: Dict[Tuple[str, Tuple[str, ...]], ReplayArtifact] = {}
-        for s in self.failures():
-            if s.signature in artifacts:
-                continue
-            artifacts[s.signature] = ReplayArtifact(
+        """One replay recipe per distinct failure signature.  A random or
+        PCT campaign replays each signature's lowest seed, in seed order,
+        so a pooled campaign reports the seeds an inline one does,
+        whatever order its runs arrive in; a systematic campaign replays
+        the first summary merged with each signature."""
+        failures = self.failures()
+        if self.spec.mode in _SEEDED_MODES:
+            failures.sort(key=lambda s: s.seed)
+        firsts: Dict[Tuple[str, Tuple[str, ...]], RunSummary] = {}
+        for s in failures:
+            firsts.setdefault(s.signature, s)
+        return [
+            ReplayArtifact(
                 signature=s.signature,
                 seed=s.seed,
                 decisions=s.decisions,
@@ -380,7 +388,8 @@ class CampaignResult:
                     self.spec.faults.name if self.spec.faults is not None else None
                 ),
             )
-        return list(artifacts.values())
+            for s in firsts.values()
+        ]
 
     def coverage_fraction(self) -> Optional[float]:
         if self.coverage is None:
@@ -464,13 +473,20 @@ class CampaignResult:
         return "\n".join(lines)
 
 
+def _without_metrics(summary: RunSummary) -> RunSummary:
+    """``summary`` as the result keeps it: without its metrics record,
+    which :meth:`ProgressTracker.note_run` folds instead."""
+    return summary if summary.metrics is None else replace(summary, metrics=None)
+
+
 class _Aggregator:
     """The campaign's single dedup point: drops repeated schedules from
     the result, sets the goal flags, and hands every merged run — with
     its duplicate verdict — to the campaign state's one fold
     (:meth:`ProgressTracker.note_run`), then to the live view when one
     is attached.  The result keeps each unique summary without its
-    metrics record, which that fold consumes.
+    metrics record, which that fold consumes; in a random or PCT
+    campaign, a failing schedule's summary is that of its lowest seed.
     """
 
     def __init__(
@@ -484,6 +500,10 @@ class _Aggregator:
         self.live = live
         self.result = CampaignResult(spec=spec, progress=progress)
         self._seen: set = set()
+        #: failing schedule key -> the index of its summary in the
+        #: result; filled in a random or PCT campaign only
+        self._failing: Dict[Any, int] = {}
+        self._seeded = spec.mode in _SEEDED_MODES
         # goal flags, set as unique summaries merge (never rescanned)
         self._failed = False
         self._deadlocked = False
@@ -501,14 +521,20 @@ class _Aggregator:
     ) -> None:
         key = summary.schedule_key
         duplicate = key in self._seen
-        if not duplicate:
+        summaries = self.result.summaries
+        if duplicate:
+            # a failing schedule keeps its lowest seed, the one an inline
+            # run merges first and a pool may merge last
+            index = self._failing.get(key)
+            if index is not None and summary.seed < summaries[index].seed:
+                summaries[index] = _without_metrics(summary)
+        else:
             self._seen.add(key)
-            # the result keeps no metrics record: note_run folds it below
-            self.result.summaries.append(
-                summary if summary.metrics is None else replace(summary, metrics=None)
-            )
             if not summary.ok:
                 self._failed = True
+                if self._seeded:
+                    self._failing[key] = len(summaries)
+            summaries.append(_without_metrics(summary))
             if summary.status == _DEADLOCK or (
                 summary.detection or {}
             ).get("deadlock_cycle"):
@@ -533,7 +559,7 @@ class _Aggregator:
 
 def _plan(spec: CampaignSpec):
     """Plan the shard list; returns (shards, planner_summaries, exhausted)."""
-    if spec.mode in ("random", "pct"):
+    if spec.mode in _SEEDED_MODES:
         shards = plan_seed_shards(
             spec.mode, spec.budget, spec.shard_size, spec.seed_start
         )

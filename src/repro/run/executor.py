@@ -66,16 +66,30 @@ __all__ = ["RunExecutor", "RunTimeoutInterrupt", "timed_runner"]
 
 
 class RunTimeoutInterrupt(BaseException):
-    """Raised by the SIGALRM handler to abort a wedged run.
+    """Raised by the SIGALRM handler to abort a run whose thread body
+    stopped yielding.
 
     BaseException so the kernel's per-thread ``except Exception`` cannot
     swallow it and mislabel the timeout as a thread crash.
     """
 
 
+#: seconds a timed-out run gets to reach a step boundary before the
+#: alarm raises into it
+_TIMEOUT_GRACE = 0.05
+
+
 def timed_runner(timeout: float) -> KernelRunner:
     """A kernel runner that aborts after ``timeout`` wall-clock seconds,
     returning a TIMEOUT result instead of hanging the shard.
+
+    The first alarm only requests an abort, which the run loop honours
+    at its next step boundary; raising from the handler instead could
+    land in a finalizer or a ``gc.callbacks`` hook, where the exception
+    is swallowed.  A grace alarm ``_TIMEOUT_GRACE`` seconds later
+    raises :class:`RunTimeoutInterrupt` into a run that has still not
+    returned (a thread body that never yields), re-arming itself first
+    in case that raise is swallowed too.
 
     Falls back to plain ``Kernel.run`` where SIGALRM is unavailable
     (non-POSIX, or a non-main thread) — the campaign orchestrator's shard
@@ -93,11 +107,11 @@ def timed_runner(timeout: float) -> KernelRunner:
 
         def _on_alarm(signum: int, frame: Any) -> None:
             nonlocal fired
-            fired = True
-            # A handler that runs inside a finalizer or a ``gc.callbacks``
-            # hook has its exception swallowed (reported as unraisable);
-            # the abort request still stops the run loop.
-            kernel.request_abort("timeout")
+            signal.setitimer(signal.ITIMER_REAL, _TIMEOUT_GRACE)
+            if not fired:
+                fired = True
+                kernel.request_abort("timeout")
+                return
             raise RunTimeoutInterrupt()
 
         # ``_signal.signal`` is the C function ``signal.signal`` wraps.  The

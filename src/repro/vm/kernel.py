@@ -326,12 +326,17 @@ class Kernel:
         self._last_scheduled: Optional[str] = None
         self._seq = 0
         self.threads: Dict[str, SimThread] = {}
+        #: (runnable threads, their names) in spawn order, kept between
+        #: steps; None once a thread enters or leaves the runnable set
+        self._ready: Optional[Tuple[List[SimThread], List[str]]] = None
         #: every primitive — monitors, semaphores, rw-locks, barriers — in
         #: one name space (the ``monitor`` field of their events).
         self.primitives: Dict[str, Primitive] = {}
         #: the monitors among them.
         self.monitors: Dict[str, MonitorObject] = {}
         self.components: Dict[str, Any] = {}
+        #: id of a registered component -> the name its events carry
+        self._component_names: Dict[int, str] = {}
         self._clock_waiters: List[SimThread] = []
         #: deadline index: never later than the earliest armed deadline
         #: of a timed park, so :meth:`step` scans for expiries only once
@@ -396,6 +401,7 @@ class Kernel:
         attach = getattr(component, "_vm_attach", None)
         if attach is not None:
             attach(self, unique)
+        self._component_names[id(component)] = self._component_name(component)
         return component
 
     def _add(self, primitive: Any) -> Any:
@@ -458,6 +464,7 @@ class Kernel:
             )
         thread = SimThread(name=unique, body=generator)
         self.threads[unique] = thread
+        self._ready = None
         return thread
 
     # -- monitor-name resolution -------------------------------------------------
@@ -658,7 +665,8 @@ class Kernel:
             thread.name,
             _WRITE if is_write else _READ,
             None,
-            self._component_name(component),
+            self._component_names.get(id(component))
+            or self._component_name(component),
             frames[-1][1] if frames else None,
             field=fieldname,
         )
@@ -686,6 +694,7 @@ class Kernel:
             thread.waits_entered += 1
         thread.state = state
         thread.deadline = deadline
+        self._ready = None
         if deadline is not None and deadline < self._next_deadline:
             self._next_deadline = deadline
 
@@ -705,6 +714,7 @@ class Kernel:
             thread.waiting_since = thread.waiting_on = None
         thread.deadline = None
         thread.state = _RUNNABLE
+        self._ready = None
         return parked
 
     def primitive_of(self, thread: SimThread) -> Optional[Primitive]:
@@ -727,7 +737,7 @@ class Kernel:
     # -- syscall handlers --------------------------------------------------------------
     #
     # A handler leaves ``thread.send_value`` alone unless the syscall
-    # returns something: :meth:`_resume` has already reset it to None.
+    # returns something: :meth:`step` has already reset it to None.
 
     def _sys_acquire(self, thread: SimThread, call: Acquire) -> None:
         name = self._monitor_name(call.monitor, thread)
@@ -861,6 +871,8 @@ class Kernel:
             else:
                 still_waiting.append(t)
         self._clock_waiters = still_waiting
+        if resumed:
+            self._ready = None
         self.emit(
             by,
             _CLOCK_TICK,
@@ -878,37 +890,42 @@ class Kernel:
             return
         thread.await_target = call.target
         thread.state = _CLOCK_WAIT
+        self._ready = None
         self._clock_waiters.append(thread)
         self.emit(thread.name, _CLOCK_AWAIT, target=call.target)
 
     def _sys_call_begin(self, thread: SimThread, call: CallBegin) -> None:
-        comp = self._component_name(call.component)
+        ref = call.component
+        comp = self._component_names.get(id(ref)) or self._component_name(ref)
         thread.call_stack.append((comp, call.method))
-        self.emit(
-            thread.name, _CALL_BEGIN, component=comp, method=call.method
-        )
+        self.emit(thread.name, _CALL_BEGIN, None, comp, call.method)
 
     def _sys_call_end(self, thread: SimThread, call: CallEnd) -> None:
-        comp = self._component_name(call.component)
-        if thread.call_stack and thread.call_stack[-1] == (comp, call.method):
-            thread.call_stack.pop()
-        self.emit(
-            thread.name,
-            _CALL_END,
-            component=comp,
-            method=call.method,
-            result=call.result,
-            **({"interrupted": True} if call.interrupted else {}),
-        )
+        ref = call.component
+        comp = self._component_names.get(id(ref)) or self._component_name(ref)
+        stack = thread.call_stack
+        if stack and stack[-1] == (comp, call.method):
+            stack.pop()
+        if call.interrupted:
+            self.emit(
+                thread.name, _CALL_END, None, comp, call.method,
+                result=call.result, interrupted=True,
+            )
+        else:
+            self.emit(
+                thread.name, _CALL_END, None, comp, call.method, result=call.result
+            )
 
     def _sys_access(
         self, thread: SimThread, call: Read | Write, kind: EventKind = EventKind.READ
     ) -> None:
+        ref = call.component
         self.emit(
             thread.name,
             kind,
-            component=self._component_name(call.component),
-            method=thread.current_frame()[1],
+            None,
+            self._component_names.get(id(ref)) or self._component_name(ref),
+            thread.current_frame()[1],
             field=call.field,
         )
 
@@ -1060,52 +1077,26 @@ class Kernel:
 
     # -- the run loop ----------------------------------------------------------------------
 
-    def _resume(self, thread: SimThread) -> Optional[Syscall]:
-        """Resume a thread's generator; return its next syscall or None when
-        it terminated/crashed."""
-        if thread.state is _NEW:
-            thread.state = _RUNNABLE
-            thread.started_at = self.time
-            self.emit(thread.name, _THREAD_START)
-        _CURRENT.append((self, thread))
-        try:
-            if thread.throw_exc is not None:
-                exc = thread.throw_exc
-                thread.throw_exc = None
-                syscall = thread.body.throw(exc)
-            else:
-                value = thread.send_value
-                thread.send_value = None
-                syscall = thread.body.send(value)
-            return syscall
-        except StopIteration as stop:
+    def _thread_stopped(self, thread: SimThread, stop: Exception) -> None:
+        """End ``thread``, whose body stopped with ``stop``, and release
+        the monitors it still holds.  Returning (``StopIteration``) ends
+        it; so does propagating an ``InterruptedError``, the *correct*
+        response to interruption (Java's cancellation contract), marked
+        interrupted; anything else crashes it."""
+        self._ready = None
+        thread.ended_at = self.time
+        if isinstance(stop, StopIteration):
             thread.state = _TERMINATED
             thread.result = stop.value
-            thread.ended_at = self.time
             self.emit(thread.name, _THREAD_END, result=stop.value)
-            self._release_abandoned_locks(thread)
-            return None
-        except InterruptedError:
-            # Propagating the interrupt out of the thread body is the
-            # *correct* response to interruption (Java's cancellation
-            # contract): the thread terminates cleanly, marked interrupted.
+        elif isinstance(stop, InterruptedError):
             thread.state = _TERMINATED
-            thread.result = None
-            thread.ended_at = self.time
-            self.emit(
-                thread.name, _THREAD_END, result=None, interrupted=True
-            )
-            self._release_abandoned_locks(thread)
-            return None
-        except Exception as exc:  # noqa: BLE001 - thread bodies may raise anything
+            self.emit(thread.name, _THREAD_END, result=None, interrupted=True)
+        else:
             thread.state = _CRASHED
-            thread.exception = exc
-            thread.ended_at = self.time
-            self.emit(thread.name, _THREAD_CRASH, error=repr(exc))
-            self._release_abandoned_locks(thread)
-            return None
-        finally:
-            _CURRENT.pop()
+            thread.exception = stop
+            self.emit(thread.name, _THREAD_CRASH, error=repr(stop))
+        self._release_abandoned_locks(thread)
 
     def _release_abandoned_locks(self, thread: SimThread) -> None:
         """Release any monitors a dead thread still holds (as Java does when
@@ -1146,14 +1137,19 @@ class Kernel:
             self._maybe_spurious_wakeup()
         if self.time >= self._next_deadline:
             self._expire_deadlines()
-        # one pass builds both lists (two comprehensions cost twice as much)
-        runnable: List[SimThread] = []
-        names: List[str] = []
-        for t in self.threads.values():
-            state = t.state
-            if state is _RUNNABLE or state is _NEW:
-                runnable.append(t)
-                names.append(t.name)
+        ready = self._ready
+        if ready is None:
+            # one pass builds both lists; kept until the runnable set
+            # changes, and never mutated: a scheduler may hold them
+            runnable: List[SimThread] = []
+            names: List[str] = []
+            for t in self.threads.values():
+                state = t.state
+                if state is _RUNNABLE or state is _NEW:
+                    runnable.append(t)
+                    names.append(t.name)
+            ready = self._ready = (runnable, names)
+        runnable, names = ready
         if not runnable:
             if self.auto_tick and self._clock_waiters:
                 target = min(t.await_target or 0 for t in self._clock_waiters)
@@ -1181,7 +1177,25 @@ class Kernel:
             self._last_scheduled = thread.name
         self.schedule_log.append(thread.name)
         self.choice_log.append(index)
-        syscall = self._resume(thread)
+        if thread.state is _NEW:
+            thread.state = _RUNNABLE
+            thread.started_at = self.time
+            self.emit(thread.name, _THREAD_START)
+        _CURRENT.append((self, thread))
+        try:
+            exc = thread.throw_exc
+            if exc is None:
+                value = thread.send_value
+                thread.send_value = None
+                syscall = thread.body.send(value)
+            else:
+                thread.throw_exc = None
+                syscall = thread.body.throw(exc)
+        except Exception as stop:  # noqa: BLE001 - thread bodies may raise anything
+            self._thread_stopped(thread, stop)
+            syscall = None
+        finally:
+            _CURRENT.pop()
         self.time += 1
         self.steps += 1
         if syscall is not None:

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import random
 
 import pytest
 
@@ -175,6 +176,15 @@ class TestPooledCampaign:
             inline.distinct_failure_signatures()
         )
 
+    def test_pool_prints_the_inline_replay_commands(self):
+        def commands(workers):
+            spec = CampaignSpec(factory="pc-bug", budget=200, workers=workers)
+            return [a.command() for a in run_campaign(spec).replay_artifacts()]
+
+        inline = commands(0)
+        assert len(inline) >= 2
+        assert commands(2) == inline
+
     def test_crashing_worker_requeues_then_fails_shard(self):
         spec = CampaignSpec(
             factory=f"{__name__}:crash_factory",
@@ -314,6 +324,43 @@ class TestGoalFlags:
         resumed = run_campaign(spec, resume=True)
         assert resumed.goal_reached == "first-failure"
         assert resumed.n_executed == first.n_executed
+
+
+class TestReplaySeeds:
+    """A random or PCT campaign keeps each failing schedule's lowest
+    seed and replays each failure signature's lowest seed, in seed
+    order, whatever order a pool merges the runs in."""
+
+    @pytest.mark.parametrize("mode", ["random", "pct"])
+    @pytest.mark.parametrize("workload", ["pc-no-notify", "deadlock-pair"])
+    def test_shuffled_merges_replay_the_lowest_seeds(self, workload, mode):
+        from repro.engine.campaign import _Aggregator
+        from repro.engine.progress import ProgressTracker
+        from repro.engine.shards import Shard
+        from repro.engine.worker import WorkerTask, execute_shard
+
+        # Every run of 150 seeds, repeated schedules included: pc-no-notify
+        # fails in many ways, deadlock-pair one way along repeated schedules.
+        spec = CampaignSpec(factory=workload, mode=mode)
+        shard = Shard(shard_id="all", mode=mode, seeds=tuple(range(150)), max_runs=150)
+        runs = execute_shard(WorkerTask(shard=shard, config=spec.run_config())).summaries
+        lowest = {}
+        for s in runs:
+            if not s.ok:
+                lowest[s.signature] = min(s.seed, lowest.get(s.signature, s.seed))
+        expected = sorted(lowest.items(), key=lambda item: item[1])
+        assert expected
+        kept = set()
+        for order in range(5):
+            shuffled = list(runs)
+            random.Random(order).shuffle(shuffled)
+            aggregator = _Aggregator(spec, ProgressTracker())
+            for summary in shuffled:
+                aggregator.merge(summary)
+            result = aggregator.result
+            assert [(a.signature, a.seed) for a in result.replay_artifacts()] == expected
+            kept.add(tuple(sorted(s.seed for s in result.failures())))
+        assert len(kept) == 1
 
 
 class TestCampaignMetrics:

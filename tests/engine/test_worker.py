@@ -1,5 +1,7 @@
 """Tests for the shard worker: timed runs, streaming, coverage hits."""
 
+import time
+
 import pytest
 
 from repro.engine.shards import Shard
@@ -62,6 +64,24 @@ class TestTimedRunner:
         result = runner(spin_factory(RandomScheduler(seed=0)))
         assert result.status is RunStatus.TIMEOUT
         assert "spin" in result.stuck_threads
+
+    def test_body_that_never_yields_times_out(self):
+        # The first alarm only requests an abort, which a body looping
+        # without a yield never reaches; the grace alarm raises into it.
+        kernel = Kernel(scheduler=RandomScheduler(seed=0))
+
+        def busy():
+            yield Tick()
+            give_up = time.monotonic() + 30.0
+            while time.monotonic() < give_up:
+                pass
+
+        kernel.spawn(busy, name="busy")
+        started = time.monotonic()
+        result = timed_runner(0.2)(kernel)
+        assert result.status is RunStatus.TIMEOUT
+        assert "busy" in result.stuck_threads
+        assert time.monotonic() - started < 10.0
 
     def test_zero_timeout_disables(self):
         runner = timed_runner(0.0)
