@@ -1,20 +1,25 @@
 """Bench Ext-I: instrumentation-sink overhead.
 
 The observability pitch of ``repro.obs`` is "zero when off, cheap when
-on": an uninstalled sink leaves the kernel's emit loop iterating an
-empty subscriber list, and an installed sink subscribes kind-filtered
-handlers — the majority (non-monitor) events cost one dict lookup inside
-the emit loop and never enter sink code.
+on".  Each monitor keeps its own metrics counters (acquisitions, hold
+and contended ticks, queue-depth peaks, lost notifies) and the kernel
+keeps its event, step and per-thread counters, so the sink reads them
+once per run: without a span tracer its routing table is empty and an
+installed sink adds nothing to the kernel's emit loop.  What the
+counters themselves cost every run, metered or not, is kernel work:
+Ext-C and the ledger's prims-long price it.  With a tracer, the sink
+routes the acquire, release and wait events to span handlers.
 
 Shared CI boxes show +-20% run-to-run noise on a 200 ms run, which
 drowns a single-digit overhead, so the headline number is measured
 deterministically: capture one run's ``emit`` calls, then replay them
-through :meth:`Kernel.emit` on a kernel with the sink's routes installed
-and on one with none.  The difference is exactly the marginal work the
-sink adds, the kernel-side kind filter plus the handlers, and that cost
-divided by the run's own CPU time is the overhead ratio.  A loose
-end-to-end wall gate rides along to catch gross regressions (accidental
-O(n) work per event) that a stream replay could mask.
+through :meth:`Kernel.emit` on a kernel with the sink installed and on
+one with none.  The difference is exactly the marginal work the sink
+adds to the emit loop (the kernel-side kind filter plus any handlers),
+and that cost divided by the run's own CPU time is the overhead ratio.
+A loose end-to-end wall gate rides along to catch gross regressions
+(accidental O(n) work per event or per run) that a stream replay could
+mask.
 """
 
 import gc

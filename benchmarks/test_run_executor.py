@@ -2,12 +2,13 @@
 
 Before the run layer, every run of a campaign shard rebuilt its whole
 observation stack: a fresh ``DetectorPipeline`` (seven detector objects
-plus a symptom tracker) and a fresh ``InstrumentationSink`` (nine state
-dicts and seven handler closures) attached to each kernel — the shape
-:func:`rebuilding` keeps here as the baseline.  ``RunExecutor`` builds
-each piece, and one routing table for both, once per shard; per run it
-releases the previous kernel, resets the pieces in place, binds them to
-the new kernel and installs the table.
+plus a symptom tracker) and a fresh ``InstrumentationSink`` attached to
+each kernel — the shape :func:`rebuilding` keeps here as the baseline.
+``RunExecutor`` builds each piece, and the pipeline's routing table,
+once per shard; per run it releases the previous kernel, resets the
+pieces in place, binds them to the new kernel and installs the table.
+(The sink now reads the monitors' own counters and routes no events, so
+most of what the baseline rebuilds is the pipeline.)
 
 Shared CI boxes show +-20% run-to-run noise on end-to-end wall time,
 which can drown the saving on long runs, so the headline number is the

@@ -9,6 +9,7 @@ event trace feeds every analysis" design: detectors are post-hoc trace
 passes, so their cost does not perturb the execution under test.
 """
 
+import math
 import time
 
 import pytest
@@ -107,14 +108,24 @@ class TestDetectorOverhead:
         assert len(records) == 2000
 
 
-def test_throughput_summary(benchmark, results_dir):
-    """Write the events/sec figure for EXPERIMENTS.md."""
-    result = benchmark.pedantic(pc_run, args=(2000,), rounds=3, iterations=1)
-    mean = benchmark.stats.stats.mean
-    steps_per_sec = result.steps / mean
-    events_per_sec = len(result.trace) / mean
+#: runs of the Ext-C headline; the best CPU time is reported
+SUMMARY_ROUNDS = 5
+
+
+def test_throughput_summary(results_dir):
+    """Write the steps/sec figure for EXPERIMENTS.md: the best CPU time
+    of SUMMARY_ROUNDS runs, which a kernel step-cost change moves and
+    host noise mostly does not (a mean wall time drowns it)."""
+    best = math.inf
+    for _ in range(SUMMARY_ROUNDS):
+        started = time.process_time()
+        result = pc_run(2000)
+        best = min(best, time.process_time() - started)
+    steps_per_sec = result.steps / best
+    events_per_sec = len(result.trace) / best
     text = (
-        "Ext-C: VM throughput (producer-consumer, 2000 items)\n"
+        "Ext-C: VM throughput (producer-consumer, 2000 items; "
+        f"best of {SUMMARY_ROUNDS} CPU times)\n"
         f"  kernel steps: {result.steps}\n"
         f"  trace events: {len(result.trace)}\n"
         f"  steps/sec:  {steps_per_sec:,.0f}\n"

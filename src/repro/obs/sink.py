@@ -1,34 +1,31 @@
-"""The instrumentation sink: kernel event bus -> per-run metrics record.
+"""The instrumentation sink: a run's native counters -> per-run metrics record.
 
-:class:`InstrumentationSink` routes a kernel's monitor-protocol events to
-its handlers (a kind-filtered routing table, like the streaming detector
-pipeline's) and derives the core scheduler/monitor series while the run
-executes:
+:class:`InstrumentationSink` reads the counters the kernel keeps while
+the run executes, and writes them into one record per run:
 
 * ``vm_events_total`` / ``vm_steps_total`` and the wall-clock
-  ``vm_events_per_second`` gauge;
+  ``vm_events_per_second`` gauge, from the kernel's event and step
+  counters;
 * ``vm_context_switches_total`` / ``vm_blocked_ticks_total`` /
-  ``vm_waiting_ticks_total`` per thread — read directly from the
-  kernel's native counters (:meth:`repro.vm.kernel.Kernel.thread_stats`),
-  not re-derived from events;
+  ``vm_waiting_ticks_total`` per thread, from
+  :meth:`repro.vm.kernel.Kernel.thread_stats`;
 * ``vm_monitor_hold_ticks_total`` / ``vm_monitor_contended_ticks_total``
-  / ``vm_monitor_acquisitions_total`` / ``vm_notify_lost_total`` per
-  monitor;
-* ``vm_entry_queue_depth_peak`` / ``vm_wait_queue_depth_peak`` per
-  monitor (gauges, merged by max across runs).
+  / ``vm_monitor_acquisitions_total`` / ``vm_notify_lost_total`` and the
+  ``vm_entry_queue_depth_peak`` / ``vm_wait_queue_depth_peak`` gauges
+  per monitor, from the counters each
+  :class:`~repro.vm.monitor.MonitorObject` updates where its owner,
+  entry set and wait set change.
 
-Cost model: when no sink is installed the kernel's emit loop iterates an
-empty list — observability off is free.  When installed, the handlers
-are routed kind-filtered (``Kernel.install_routes``), so
-the (majority) event kinds that carry no monitor state cost one dict
-lookup inside the emit loop and never enter sink code; the
-monitor-protocol minority runs a short handler.  That lookup stays in C
-because :class:`~repro.vm.events.EventKind` hashes by identity (the
-inherited ``Enum.__hash__`` is Python code and would cost more per event
-than the lookup it feeds).  Event counting and the
-per-thread counters cost nothing because the kernel maintains them
-natively (``events_emitted`` / ``thread_stats``).  Ext-I
-(``benchmarks/test_obs_overhead.py``) keeps this honest.
+Cost model: the monitor counters are a few integer updates inside the
+kernel's monitor syscalls, paid by every run whether a sink is
+installed or not (Ext-C and the ledger's prims-long price them).
+Without a :class:`SpanTracer` the sink routes no events at all:
+:attr:`InstrumentationSink.routes` is empty, so installing it leaves the
+kernel's emit loop as it was, and observability costs one record per
+run.  Ext-I (``benchmarks/test_obs_overhead.py``) keeps this honest.
+With a tracer, the sink routes the acquire, release and wait events to
+span handlers that rebuild each outermost hold from the events
+themselves.
 
 After the run, :meth:`InstrumentationSink.snapshot` writes the series
 into one compact record of the fixed :data:`RECORD_SCHEMA` (the
@@ -52,15 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["InstrumentationSink", "RECORD_SCHEMA", "fold_record"]
 
-# Event kinds bound to module names: function bodies read these, never
-# ``EventKind.X`` (a Python-level enum class lookup before 3.12).
-_MONITOR_REQUEST = EventKind.MONITOR_REQUEST
 _MONITOR_ACQUIRE = EventKind.MONITOR_ACQUIRE
-_MONITOR_WAIT = EventKind.MONITOR_WAIT
 _MONITOR_RELEASE = EventKind.MONITOR_RELEASE
-_MONITOR_NOTIFIED = EventKind.MONITOR_NOTIFIED
-_NOTIFY = EventKind.NOTIFY
-_NOTIFY_ALL = EventKind.NOTIFY_ALL
+_MONITOR_WAIT = EventKind.MONITOR_WAIT
 
 _PEAK = {"agg": "max"}
 
@@ -121,6 +112,15 @@ RECORD_SCHEMA: Dict[str, Tuple[str, str, Optional[str], Dict[str, Any]]] = {
     ),
 }
 
+#: record name -> the :class:`~repro.vm.monitor.MonitorObject` counter
+#: it reports, for the series that list only nonzero monitors
+_PER_MONITOR = (
+    ("vm_monitor_contended_ticks_total", "contended_ticks"),
+    ("vm_notify_lost_total", "lost_notifies"),
+    ("vm_entry_queue_depth_peak", "entry_peak"),
+    ("vm_wait_queue_depth_peak", "wait_peak"),
+)
+
 #: record name -> the ``Kernel.thread_stats`` counter it reports
 _PER_THREAD = (
     ("vm_context_switches_total", "context_switches"),
@@ -130,29 +130,30 @@ _PER_THREAD = (
 
 
 class InstrumentationSink:
-    """Streams kernel events into per-run metric series.
+    """Writes a run's native counters into its metrics record.
 
     Usage::
 
         sink = InstrumentationSink()
         sink.install(kernel)          # before kernel.run()
         result = kernel.run()
-        record = sink.snapshot()      # finalize + pull native counters
+        record = sink.snapshot()      # read the kernel's counters
         fold_record(registry, record) # into the caller's registry
 
-    The first read after a run closes still-open monitor holds (a
-    deadlocked run holds its locks at quiescence), reads the kernel's
-    native per-thread counters and fixes the wall-clock event rate;
-    later reads of the same run return the same series.
-    :meth:`snapshot` writes the run's record directly — no
-    :class:`MetricsRegistry` per run.
+    The first read after a run fixes the event count and the wall-clock
+    event rate; later reads of the same run return the same series.  A
+    monitor hold still open at quiescence (a deadlocked run holds its
+    locks) counts up to the end of virtual time.  :meth:`snapshot`
+    writes the run's record directly — no :class:`MetricsRegistry` per
+    run.
 
     Args:
         tracer: optional :class:`SpanTracer`; when given, every completed
             outermost monitor hold is recorded as a ``monitor-hold`` span
             (name + per-monitor label), giving hold-time histograms in
-            both clocks for free.  Span metrics land in the tracer's own
-            registry, never the record.
+            both clocks.  The span handlers get the only events the sink
+            routes.  Span metrics land in the tracer's own registry,
+            never the record.
     """
 
     def __init__(self, tracer: Optional[SpanTracer] = None) -> None:
@@ -166,42 +167,32 @@ class InstrumentationSink:
         self._events_per_second: Optional[float] = None
         #: the run's (wall seconds, status), from :meth:`observe_run`
         self._run_wall: Optional[Tuple[str, float]] = None
-        # live derivation state, all plain dicts for speed
-        self._entry_depth: Dict[str, int] = {}
-        self._entry_peak: Dict[str, int] = {}
-        self._wait_depth: Dict[str, int] = {}
-        self._wait_peak: Dict[str, int] = {}
+        #: (thread, monitor) -> virtual start of each open outermost hold
+        #: the span handlers rebuild from the events
         self._open_holds: Dict[Tuple[str, str], int] = {}
-        self._hold_ticks: Dict[str, int] = {}
-        self._contended_ticks: Dict[str, int] = {}
-        self._acquisitions: Dict[str, int] = {}
-        self._lost_notifies: Dict[str, int] = {}
-        self._close_hold, self._handlers = self._build_handlers()
-        #: kind -> handlers: the routing table :meth:`install` gives a kernel
+        self._handlers: Dict[EventKind, Callable[[Event], None]] = (
+            self._span_handlers() if tracer is not None else {}
+        )
+        #: kind -> handlers: the routing table :meth:`install` gives a
+        #: kernel, empty without a tracer
         self.routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {
             kind: (handler,) for kind, handler in self._handlers.items()
         }
 
     def install(self, kernel: "Kernel") -> "InstrumentationSink":
-        """Route the kernel's monitor-protocol events to this sink
-        (:attr:`routes`) and :meth:`bind` it; returns self.
-
-        Each monitor-protocol handler is routed kind-filtered, so the
-        (majority) events without a handler never reach sink code — their
-        whole cost is the kernel-side filter lookup.  Event counting rides
-        the kernel's native seq counter instead of a Python-side
-        increment.
-        """
-        kernel.install_routes(self.routes)
+        """Route the kernel's hold events to the span handlers, if there
+        is a tracer (:attr:`routes`), and :meth:`bind`; returns self."""
+        if self.routes:
+            kernel.install_routes(self.routes)
         self.bind(kernel)
         if self.tracer is not None:
             self.tracer.attach(kernel)
         return self
 
     def bind(self, kernel: "Kernel") -> "InstrumentationSink":
-        """Start a run on ``kernel``, whose routes deliver to this sink:
-        its native counters and clock are read after the run, and the
-        wall-clock rate counts from now; returns self."""
+        """Start a run on ``kernel``: its native counters and clock are
+        read after the run, and the wall-clock rate counts from now;
+        returns self."""
         self._kernel = kernel
         self._wall_start = time.perf_counter()
         self._seq_start = kernel.events_emitted
@@ -210,9 +201,8 @@ class InstrumentationSink:
     def reset(self) -> "InstrumentationSink":
         """Return to the just-constructed state for the next run.
 
-        The handler closures bind the state dicts (and the tracer) as
-        locals, so the dicts are cleared *in place* and :attr:`routes`
-        stays valid.  The tracer, if any, keeps its spans.
+        The open-hold map is cleared in place, so :attr:`routes` stays
+        valid.  The tracer, if any, keeps its spans.
         """
         self.events_seen = 0
         self._kernel = None
@@ -221,18 +211,7 @@ class InstrumentationSink:
         self._finished = False
         self._events_per_second = None
         self._run_wall = None
-        for state in (
-            self._entry_depth,
-            self._entry_peak,
-            self._wait_depth,
-            self._wait_peak,
-            self._open_holds,
-            self._hold_ticks,
-            self._contended_ticks,
-            self._acquisitions,
-            self._lost_notifies,
-        ):
-            state.clear()
+        self._open_holds.clear()
         return self
 
     def observe_run(self, seconds: float, status: str) -> None:
@@ -241,116 +220,46 @@ class InstrumentationSink:
         the run returns."""
         self._run_wall = (status, seconds)
 
-    # -- the hot path (standalone form for feeding a sink without a
-    # kernel; install() wires the handlers kind-filtered instead) ----------
+    # -- monitor-hold spans ------------------------------------------------
 
-    def on_event(self, event: Event) -> None:
-        self.events_seen += 1
-        handler = self._handlers.get(event.kind)
-        if handler is not None:
-            handler(event)
-
-    # -- monitor-protocol handlers ----------------------------------------
-
-    def _build_handlers(
-        self,
-    ) -> Tuple[
-        Callable[[str, str, int], None], Dict[EventKind, Callable[[Event], None]]
-    ]:
-        # Closures over the state dicts: these run once per monitor event,
-        # and binding the dicts as locals drops the repeated ``self._x``
-        # attribute lookups from the hot path.
-        entry_depth = self._entry_depth
-        entry_peak = self._entry_peak
-        wait_depth = self._wait_depth
-        wait_peak = self._wait_peak
+    def _span_handlers(self) -> Dict[EventKind, Callable[[Event], None]]:
+        # The spans come from the events alone, never from kernel state:
+        # a replay of captured events feeds them through a bare kernel.
         open_holds = self._open_holds
-        hold_ticks = self._hold_ticks
-        contended_ticks = self._contended_ticks
-        acquisitions = self._acquisitions
-        lost_notifies = self._lost_notifies
-        tracer = self.tracer
-
-        def on_request(event: Event) -> None:
-            monitor = event.monitor
-            depth = entry_depth.get(monitor, 0) + 1
-            entry_depth[monitor] = depth
-            if depth > entry_peak.get(monitor, 0):
-                entry_peak[monitor] = depth
 
         def on_acquire(event: Event) -> None:
-            monitor = event.monitor
-            depth = entry_depth.get(monitor, 0)
-            if depth > 0:
-                entry_depth[monitor] = depth - 1
             detail = event.detail
-            if detail:  # an uncontended first acquire carries no detail
-                if detail.get("reentrant"):
-                    return  # deeper hold of an already-open outermost hold
-                blocked_for = detail.get("blocked_for", 0)
-                if blocked_for:
-                    contended_ticks[monitor] = (
-                        contended_ticks.get(monitor, 0) + blocked_for
-                    )
-            acquisitions[monitor] = acquisitions.get(monitor, 0) + 1
-            open_holds[(event.thread, monitor)] = event.time
-
-        def close_hold(thread: str, monitor: str, now: int) -> None:
-            start = open_holds.pop((thread, monitor), None)
-            if start is None:
-                return
-            hold_ticks[monitor] = hold_ticks.get(monitor, 0) + (now - start)
-            if tracer is not None:
-                span = tracer.start("monitor-hold", monitor=monitor)
-                span.vm_start = start
-                tracer.end(span)
+            if not (detail and detail.get("reentrant")):
+                open_holds[(event.thread, event.monitor)] = event.time
 
         def on_release(event: Event) -> None:
             detail = event.detail
             if not (detail and detail.get("reentrant")):
-                close_hold(event.thread, event.monitor, event.time)
+                self._close_hold(event.thread, event.monitor, event.time)
 
         def on_wait(event: Event) -> None:
             # wait() releases the lock fully: the outermost hold ends here.
-            monitor = event.monitor
-            close_hold(event.thread, monitor, event.time)
-            depth = wait_depth.get(monitor, 0) + 1
-            wait_depth[monitor] = depth
-            if depth > wait_peak.get(monitor, 0):
-                wait_peak[monitor] = depth
+            self._close_hold(event.thread, event.monitor, event.time)
 
-        def on_notified(event: Event) -> None:
-            # The waiter leaves the wait set and re-enters the entry set
-            # (Figure-1 T5: D -> B) without a fresh MONITOR_REQUEST.
-            monitor = event.monitor
-            depth = wait_depth.get(monitor, 0)
-            if depth > 0:
-                wait_depth[monitor] = depth - 1
-            entry = entry_depth.get(monitor, 0) + 1
-            entry_depth[monitor] = entry
-            if entry > entry_peak.get(monitor, 0):
-                entry_peak[monitor] = entry
-
-        def on_notify(event: Event) -> None:
-            if not event.detail.get("woken"):
-                monitor = event.monitor
-                lost_notifies[monitor] = lost_notifies.get(monitor, 0) + 1
-
-        return close_hold, {
-            _MONITOR_REQUEST: on_request,
+        return {
             _MONITOR_ACQUIRE: on_acquire,
             _MONITOR_RELEASE: on_release,
             _MONITOR_WAIT: on_wait,
-            _MONITOR_NOTIFIED: on_notified,
-            _NOTIFY: on_notify,
-            _NOTIFY_ALL: on_notify,
         }
+
+    def _close_hold(self, thread: str, monitor: str, now: int) -> None:
+        start = self._open_holds.pop((thread, monitor), None)
+        if start is None or self.tracer is None:
+            return
+        span = self.tracer.start("monitor-hold", monitor=monitor)
+        span.vm_start = start
+        self.tracer.end(span)
 
     # -- finalization ------------------------------------------------------
 
     def _finish(self) -> None:
         """Fix the run's end state once: the event count, the wall-clock
-        rate, and the monitor holds still open at quiescence."""
+        rate, and the hold spans still open at quiescence."""
         if self._finished:
             return
         self._finished = True
@@ -361,30 +270,37 @@ class InstrumentationSink:
             elapsed = max(time.perf_counter() - self._wall_start, 1e-9)
             self._events_per_second = self.events_seen / elapsed
         now = kernel.time if kernel is not None else 0
-        # A deadlocked/stuck run still holds monitors at quiescence: count
-        # the hold up to the end of virtual time.
         for thread, monitor in list(self._open_holds):
             self._close_hold(thread, monitor, now)
 
     def snapshot(self) -> Dict[str, Any]:
-        """The run's metrics record (:data:`RECORD_SCHEMA`), written
-        straight from the sink's state: what the executor ships as
-        ``RunSummary.metrics`` and :func:`fold_record` folds.  A monitor
-        present with value 0 stays present; the per-thread series list
-        only nonzero threads."""
+        """The run's metrics record (:data:`RECORD_SCHEMA`), read from
+        the kernel's native counters: what the executor ships as
+        ``RunSummary.metrics`` and :func:`fold_record` folds.  Hold ticks
+        list every monitor acquired at least once, even at 0; the other
+        per-monitor and per-thread series list only nonzero entries."""
         self._finish()
+        kernel = self._kernel
+        now = kernel.time if kernel is not None else 0
+        monitors = list(kernel.monitors.values()) if kernel is not None else []
+        acquired = [m for m in monitors if m.acquisitions]
         record: Dict[str, Any] = {
             "vm_events_total": self.events_seen,
-            "vm_monitor_acquisitions_total": dict(self._acquisitions),
-            "vm_monitor_hold_ticks_total": dict(self._hold_ticks),
-            "vm_monitor_contended_ticks_total": dict(self._contended_ticks),
-            "vm_notify_lost_total": dict(self._lost_notifies),
-            "vm_entry_queue_depth_peak": dict(self._entry_peak),
-            "vm_wait_queue_depth_peak": dict(self._wait_peak),
+            "vm_monitor_acquisitions_total": {
+                m.name: m.acquisitions for m in acquired
+            },
+            "vm_monitor_hold_ticks_total": {
+                m.name: m.hold_ticks
+                + (now - m.hold_since if m.owner is not None else 0)
+                for m in acquired
+            },
         }
+        for name, counter in _PER_MONITOR:
+            record[name] = {
+                m.name: getattr(m, counter) for m in monitors if getattr(m, counter)
+            }
         if self._events_per_second is not None:
             record["vm_events_per_second"] = self._events_per_second
-        kernel = self._kernel
         if kernel is not None:
             record["vm_steps_total"] = kernel.steps
             stats = kernel.thread_stats().items()

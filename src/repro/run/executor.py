@@ -3,10 +3,10 @@
 Rebuilding the observation stack for every single run — a fresh
 :class:`~repro.detect.online.DetectorPipeline` (seven detector objects
 plus a symptom tracker) and a fresh
-:class:`~repro.obs.sink.InstrumentationSink` (nine state dicts and seven
-handler closures) per kernel, each subscribing its handlers one by one —
-is pure allocation overhead on the hot path of a campaign shard of a
-thousand short runs (benchmarked as Ext-J).
+:class:`~repro.obs.sink.InstrumentationSink` per kernel, each
+subscribing its handlers one by one — is pure allocation overhead on the
+hot path of a campaign shard of a thousand short runs (benchmarked as
+Ext-J).
 
 :class:`RunExecutor` builds each piece **once**, with one kind-routing
 table that every kernel adopts, and resets the pieces in place between
@@ -198,16 +198,16 @@ class RunExecutor:
 
     The executor *is* a ``ProgramFactory``: calling it with a scheduler
     returns a ready kernel routed to the (reused) detector pipeline and
-    the (reused) instrumentation sink, per the config.  Runs within one
-    executor are strictly sequential — the pipeline and sink are reset
-    at kernel-build time, and :meth:`summarize` reads the assembly of
-    the most recently finished run (the same one-slot contract the old
-    per-run wrapper factories had).
+    bound to the (reused) instrumentation sink, per the config.  Runs
+    within one executor are strictly sequential — the pipeline and sink
+    are reset at kernel-build time, and :meth:`summarize` reads the
+    assembly of the most recently finished run (the same one-slot
+    contract the old per-run wrapper factories had).
 
     Everything but the kernel is built once, here: the pipeline, the
     sink, the fault injector, and the one kind-routing table (the
-    pipeline's routes, then the sink's) that every kernel adopts without
-    copying.  Building the next kernel releases the previous one
+    pipeline's routes) that every kernel adopts without copying.
+    Building the next kernel releases the previous one
     (:meth:`~repro.vm.kernel.Kernel.release`), so a finished run is freed
     by reference counting; :meth:`release` frees the last one.
     """
@@ -225,14 +225,11 @@ class RunExecutor:
         self._injector: Optional[FaultInjector] = (
             FaultInjector(config.faults) if config.faults is not None else None
         )
-        #: kind -> handlers of the pipeline, then of the sink
-        self._routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {}
-        for table in (
-            self._pipeline.routes if self._pipeline is not None else {},
-            self._sink.routes if self._sink is not None else {},
-        ):
-            for kind, handlers in table.items():
-                self._routes[kind] = self._routes.get(kind, ()) + handlers
+        #: kind -> handlers of the pipeline; the sink (which has no
+        #: tracer here) reads native counters and routes no events
+        self._routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = (
+            self._pipeline.routes if self._pipeline is not None else {}
+        )
         #: the most recent run's kernel, released when the next is built
         self._kernel: Optional[Kernel] = None
         self._extract = _coverage_extractor(config.coverage)

@@ -730,8 +730,7 @@ class Kernel:
         depth = thread.hold_depth(monitor.name)
         for _ in range(depth):
             thread.pop_hold(monitor.name)
-        monitor.owner = None
-        monitor.entry_count = 0
+        monitor.free(self.time)
         return depth
 
     # -- syscall handlers --------------------------------------------------------------
@@ -743,19 +742,27 @@ class Kernel:
         name = self._monitor_name(call.monitor, thread)
         monitor = self.monitors[name]
         self.emit(thread.name, _MONITOR_REQUEST, monitor=name)
+        # The requester counts in the entry-set peak until it holds the
+        # lock, on each of the three paths below.
         if monitor.owner == thread.name:
             # Reentrant acquire: no contention, immediately deeper hold.
+            if len(monitor.entry_set) >= monitor.entry_peak:
+                monitor.entry_peak = len(monitor.entry_set) + 1
             monitor.entry_count += 1
             thread.push_hold(name)
             self.emit(thread.name, _MONITOR_ACQUIRE, monitor=name, reentrant=True)
             return
         if monitor.owner is None and not monitor.entry_set:
-            monitor.acquire_by(thread.name)
+            if not monitor.entry_peak:
+                monitor.entry_peak = 1
+            monitor.acquire_by(thread.name, 1, self.time)
             thread.push_hold(name)
             self.emit(thread.name, _MONITOR_ACQUIRE, monitor=name)
             return
         # Contended (or the policy must arbitrate among queued threads).
-        monitor.entry_set.add(thread.name)
+        requesting = monitor.entry_set.add(thread.name)
+        if requesting > monitor.entry_peak:
+            monitor.entry_peak = requesting
         self.park(thread, name)
         monitor.grant(self)
 
@@ -769,7 +776,7 @@ class Kernel:
         monitor.entry_count -= 1
         thread.pop_hold(name)
         if monitor.entry_count == 0:
-            monitor.owner = None
+            monitor.free(self.time)
             self.emit(thread.name, _MONITOR_RELEASE, monitor=name)
             monitor.grant(self)
         else:
@@ -795,7 +802,9 @@ class Kernel:
             return
         depth = self._release_fully(thread, monitor)
         thread.saved_entry_count = depth
-        monitor.wait_set.add(thread.name)
+        waiting = monitor.wait_set.add(thread.name)
+        if waiting > monitor.wait_peak:
+            monitor.wait_peak = waiting
         # Java's wait(0) waits forever; only positive timeouts are timed.
         self.park(
             thread, name, _WAITING, deadline=self.time + timeout if timeout else None
@@ -843,6 +852,8 @@ class Kernel:
                         self.notify_policy, self.rng_for(self.notify_policy)
                     )
                 )
+        if not woken:
+            monitor.lost_notifies += 1
         comp, meth = thread.current_frame()
         self.emit(
             thread.name,
@@ -1107,8 +1118,7 @@ class Kernel:
             thread.pop_hold(name)
             monitor.entry_count -= 1
             if monitor.entry_count <= 0:
-                monitor.owner = None
-                monitor.entry_count = 0
+                monitor.free(self.time)
                 self.emit(thread.name, _MONITOR_RELEASE, monitor=name, abandoned=True)
                 monitor.grant(self)
 

@@ -100,6 +100,15 @@ class MonitorObject:
             reacquisition).
         entry_set: threads blocked trying to acquire, in arrival order.
         wait_set: threads suspended by ``wait``, in arrival order.
+
+    The metrics counters below are updated where the state above
+    changes, and are left out of equality, ``repr`` and
+    :meth:`snapshot`: ``acquisitions`` (outermost holds), ``hold_ticks``
+    (virtual time of the closed holds; ``hold_since`` stamps the open
+    one), ``contended_ticks`` (time acquirers spent blocked),
+    ``entry_peak`` (the most threads requesting the lock at once, the
+    requester counted until it holds it), ``wait_peak`` and
+    ``lost_notifies`` (notifies that woke nobody).
     """
 
     KIND: ClassVar[str] = "monitor"
@@ -109,6 +118,13 @@ class MonitorObject:
     entry_count: int = 0
     entry_set: "WaitQueue" = field(default_factory=lambda: _new_queue())
     wait_set: "WaitQueue" = field(default_factory=lambda: _new_queue())
+    acquisitions: int = field(default=0, compare=False, repr=False)
+    hold_ticks: int = field(default=0, compare=False, repr=False)
+    hold_since: int = field(default=0, compare=False, repr=False)
+    contended_ticks: int = field(default=0, compare=False, repr=False)
+    entry_peak: int = field(default=0, compare=False, repr=False)
+    wait_peak: int = field(default=0, compare=False, repr=False)
+    lost_notifies: int = field(default=0, compare=False, repr=False)
 
     def is_free(self) -> bool:
         return self.owner is None
@@ -116,11 +132,21 @@ class MonitorObject:
     def is_owned_by(self, thread: str) -> bool:
         return self.owner == thread
 
-    def acquire_by(self, thread: str, count: int = 1) -> None:
-        """Grant the free lock to ``thread`` with hold depth ``count``."""
+    def acquire_by(self, thread: str, count: int = 1, now: int = 0) -> None:
+        """Grant the free lock to ``thread`` with hold depth ``count``,
+        opening an outermost hold at virtual time ``now``."""
         assert self.owner is None, f"monitor {self.name} already owned"
         self.owner = thread
         self.entry_count = count
+        self.acquisitions += 1
+        self.hold_since = now
+
+    def free(self, now: int) -> None:
+        """Release every hold on the lock, closing the outermost hold at
+        virtual time ``now``."""
+        self.owner = None
+        self.entry_count = 0
+        self.hold_ticks += now - self.hold_since
 
     def add_blocked(self, thread: str) -> None:
         self.entry_set.add(thread)
@@ -177,15 +203,17 @@ class MonitorObject:
                 )
         else:
             depth = 1
-        self.acquire_by(chosen, depth)
+        self.acquire_by(chosen, depth, kernel.time)
         for _ in range(depth):
             thread.push_hold(self.name)
+        blocked_for = kernel.unpark(thread)
+        self.contended_ticks += blocked_for
         kernel.emit(
             chosen,
             _MONITOR_ACQUIRE,
             monitor=self.name,
             count=depth,
-            blocked_for=kernel.unpark(thread),
+            blocked_for=blocked_for,
         )
 
     def wake(self, kernel: "Kernel", waiter: str, by: str, reason: WakeReason) -> None:
@@ -199,7 +227,9 @@ class MonitorObject:
         thread.reacquiring = True
         if reason is _INTERRUPT:
             thread.pending_interrupt = True
-        self.entry_set.add(waiter)
+        queued = self.entry_set.add(waiter)
+        if queued > self.entry_peak:
+            self.entry_peak = queued
         kernel.park(thread, self.name)
         kernel.emit(
             waiter,

@@ -65,9 +65,11 @@ class WaitQueue:
 
     # -- queue discipline ------------------------------------------------
 
-    def add(self, thread: str) -> None:
-        """Enqueue ``thread`` at the arrival end."""
-        self._items.append(thread)
+    def add(self, thread: str) -> int:
+        """Enqueue ``thread`` at the arrival end; returns the new length."""
+        items = self._items
+        items.append(thread)
+        return len(items)
 
     def remove(self, thread: str) -> None:
         """Remove the first queued occurrence of ``thread``."""

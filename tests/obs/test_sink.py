@@ -10,9 +10,11 @@ from repro.engine.workloads import resolve_factory
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.sink import RECORD_SCHEMA, InstrumentationSink, fold_record
 from repro.obs.spans import SpanTracer
-from repro.vm.events import Event, EventKind
-from repro.vm.kernel import RunStatus
-from repro.vm.scheduler import RandomScheduler
+from repro.vm.kernel import Kernel, RunStatus
+from repro.vm.scheduler import RandomScheduler, RoundRobinScheduler
+from repro.vm.syscalls import Acquire, Release, Yield
+from repro.vm.thread import ThreadState
+from tests.obs.sink_reference import EventDerivedMonitorSeries
 
 
 def _run(workload: str, seed: int, tracer=None):
@@ -103,19 +105,104 @@ class TestDeadlockAccounting:
         seed = self._deadlock_seed()
         sink, kernel, result = _run("deadlock-pair", seed=seed)
         assert result.status is RunStatus.DEADLOCK
-        # both threads still hold their first lock at quiescence
-        assert len(sink._open_holds) == 2
-        registry = _collected(sink)
-        assert not sink._open_holds
-        holds = registry.get("vm_monitor_hold_ticks_total")
-        assert isinstance(holds, Counter)
-        assert len(holds.series()) == 2  # both monitors held to the end
-        assert all(ticks > 0 for ticks in holds.series().values())
+        # both threads still hold their first lock at quiescence, and
+        # each hold counts up to the end of virtual time
+        assert sorted(m.name for m in kernel.monitors.values() if m.owner) == [
+            "A",
+            "B",
+        ]
+        holds = sink.snapshot()["vm_monitor_hold_ticks_total"]
+        assert holds["A"] > 0 and holds["B"] > 0
 
     def test_record_is_idempotent(self):
         sink, _, _ = _run("deadlock-pair", seed=1)
         first = _collected(sink).to_dict()
         assert _collected(sink).to_dict() == first
+
+
+class TestInterruptedAcquirer:
+    @staticmethod
+    def program():
+        """Holder ``h`` owns ``m`` while ``v`` blocks on it; ``l`` asks
+        for ``m`` a few steps later."""
+        kernel = Kernel(scheduler=RoundRobinScheduler())
+        kernel.new_monitor("m")
+
+        def holder():
+            yield Acquire("m")
+            for _ in range(6):
+                yield Yield()
+            yield Release("m")
+
+        def victim():
+            try:
+                yield Acquire("m")
+            except InterruptedError:
+                return "interrupted"
+            yield Release("m")
+
+        def later():
+            for _ in range(4):
+                yield Yield()
+            yield Acquire("m")
+            yield Release("m")
+
+        kernel.spawn(holder, name="h")
+        kernel.spawn(later, name="l")
+        kernel.spawn(victim, name="v")
+        return kernel
+
+    def test_entry_peak_after_an_interrupted_blocked_acquirer(self):
+        """``v`` is interrupted while blocked on ``m``: it leaves the entry
+        set without acquiring, so the later acquirer ``l`` finds the entry
+        set empty.  The entry set never holds more than one thread."""
+        kernel = self.program()
+        sink = InstrumentationSink().install(kernel)
+        while kernel.threads["v"].state is not ThreadState.BLOCKED:
+            assert kernel.step()
+        kernel.interrupt("v")
+        result = kernel.run()
+        assert result.status is RunStatus.COMPLETED
+        assert result.thread_results["v"] == "interrupted"
+        record = sink.snapshot()
+        assert record["vm_entry_queue_depth_peak"] == {"m": 1}
+        assert record["vm_monitor_acquisitions_total"] == {"m": 2}
+
+
+class TestZeroTickHold:
+    def test_hold_open_at_the_step_limit_is_listed_at_zero(self):
+        """A run stopped by its step limit on the step that acquired a
+        lock holds it for 0 ticks; hold ticks still list the monitor."""
+        kernel = Kernel(scheduler=RoundRobinScheduler(), max_steps=1)
+        kernel.new_monitor("m")
+
+        def holder():
+            yield Acquire("m")
+            yield Release("m")
+
+        kernel.spawn(holder, name="t")
+        sink = InstrumentationSink().install(kernel)
+        assert kernel.run().status is RunStatus.STEP_LIMIT
+        record = sink.snapshot()
+        assert record["vm_monitor_acquisitions_total"] == {"m": 1}
+        assert record["vm_monitor_hold_ticks_total"] == {"m": 0}
+
+
+class TestEventReference:
+    def test_interrupted_acquirer_leaves_the_reference_entry_set(self):
+        """The event-derived reference (which the executor tests compare
+        every record against) agrees with the monitor's own counters
+        after an interrupted blocked acquirer."""
+        kernel = TestInterruptedAcquirer.program()
+        sink = InstrumentationSink().install(kernel)
+        while kernel.threads["v"].state is not ThreadState.BLOCKED:
+            assert kernel.step()
+        kernel.interrupt("v")
+        result = kernel.run()
+        reference = EventDerivedMonitorSeries().replay(result.trace, kernel.time)
+        record = sink.snapshot()
+        for name, series in reference.record_series().items():
+            assert record[name] == series, name
 
 
 class TestLostNotifies:
@@ -147,6 +234,18 @@ class TestInstalledSink:
         record = sink.snapshot()
         assert record["vm_events_total"] == sink.events_seen > 0
         assert sink.snapshot() == record
+
+    def test_routes_events_only_to_span_handlers(self):
+        """Without a tracer the sink routes no events; with one, only the
+        hold events reach its span handlers."""
+        from repro.vm.events import EventKind
+
+        assert InstrumentationSink().routes == {}
+        assert set(InstrumentationSink(tracer=SpanTracer()).routes) == {
+            EventKind.MONITOR_ACQUIRE,
+            EventKind.MONITOR_RELEASE,
+            EventKind.MONITOR_WAIT,
+        }
 
     def test_trace_spans_opt_in(self):
         sink, _, _ = _run("pc-bug", 0, tracer=SpanTracer())
@@ -262,12 +361,7 @@ class TestRecordFold:
         assert registry.gauge("vm_steps_total").get() == 5
 
     def test_zero_valued_monitor_stays_present(self):
-        sink = InstrumentationSink()
-        # a hold acquired and released at the same virtual time: 0 ticks
-        sink.on_event(Event(0, 5, "t", EventKind.MONITOR_ACQUIRE, monitor="m"))
-        sink.on_event(Event(1, 5, "t", EventKind.MONITOR_RELEASE, monitor="m"))
-        record = sink.snapshot()
-        assert record["vm_monitor_hold_ticks_total"] == {"m": 0}
+        record = {"vm_monitor_hold_ticks_total": {"m": 0}}
         hold = _folded(record).to_dict()["metrics"]
         assert {"labels": {"monitor": "m"}, "value": 0} in next(
             m["series"] for m in hold if m["name"] == "vm_monitor_hold_ticks_total"

@@ -6,8 +6,9 @@ None of that may show in a run's summary: every program of the
 batch==online suite, under random and systematic exploration, with all
 detectors and the metrics sink on, must summarize exactly as it does
 through a new executor per run.  The registry the sink's per-run record
-folds into is checked against series built through a registry directly,
-and a campaign's runs must leave no cyclic garbage behind.
+folds into is checked against series built through a registry directly
+from the kernel's counters and an event-derived reference, and a
+campaign's runs must leave no cyclic garbage behind.
 """
 
 import gc
@@ -17,12 +18,13 @@ import re
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sink import InstrumentationSink, fold_record
+from repro.obs.sink import fold_record
 from repro.run import RunConfig
 from repro.run.executor import RunExecutor
 from repro.run.registry import DETECTORS, load_builtins
 from repro.testing.explorer import explore_random, explore_systematic
 from tests.detect.test_online_equivalence import FACTORIES
+from tests.obs.sink_reference import EventDerivedMonitorSeries
 
 #: metric families whose values are wall-clock readings, not schedule
 #: content: compared by shape only
@@ -156,20 +158,17 @@ def test_reused_executor_matches_fresh_executors(config):
         assert comparable(mine) == comparable(theirs), f"run {index}"
 
 
-def reference_registry(sink, status):
-    """The series a finished run's sink held when it built them through a
-    MetricsRegistry (kept here as the reference for its record); ``status``
-    is the run's, for the executor runner's ``run_wall_seconds``."""
+def reference_registry(kernel, result):
+    """The series of a finished run built through a MetricsRegistry (the
+    reference for its record): the kernel's native event, step and
+    per-thread counters, and the per-monitor series the event-derived
+    reference replays from the run's trace."""
     registry = MetricsRegistry()
     registry.histogram(
         "run_wall_seconds", "wall-clock duration per run by status"
-    ).observe(0.0, status=status)
-    kernel = sink._kernel
-    events_seen = kernel.events_emitted - sink._seq_start
-    for thread, monitor in list(sink._open_holds):
-        sink._close_hold(thread, monitor, kernel.time)
+    ).observe(0.0, status=result.status.value)
     registry.counter("vm_events_total", "events emitted by the kernel").inc(
-        events_seen
+        kernel.events_emitted
     )
     registry.gauge(
         "vm_events_per_second",
@@ -195,54 +194,59 @@ def reference_registry(sink, status):
             blocked.inc(stats["blocked_ticks"], thread=name)
         if stats["waiting_ticks"]:
             waiting.inc(stats["waiting_ticks"], thread=name)
-    for metric, help_text, values in (
-        ("vm_monitor_acquisitions_total", "outermost monitor acquisitions",
-         sink._acquisitions),
+    series = (
+        EventDerivedMonitorSeries().replay(result.trace, kernel.time).record_series()
+    )
+    for metric, help_text in (
+        ("vm_monitor_acquisitions_total", "outermost monitor acquisitions"),
         ("vm_monitor_hold_ticks_total",
-         "virtual time monitors were held (outermost holds)", sink._hold_ticks),
+         "virtual time monitors were held (outermost holds)"),
         ("vm_monitor_contended_ticks_total",
-         "virtual time threads blocked waiting for each monitor",
-         sink._contended_ticks),
-        ("vm_notify_lost_total", "notify/notifyAll calls that woke nobody",
-         sink._lost_notifies),
+         "virtual time threads blocked waiting for each monitor"),
+        ("vm_notify_lost_total", "notify/notifyAll calls that woke nobody"),
     ):
         counter = registry.counter(metric, help_text)
-        for monitor, count in values.items():
+        for monitor, count in series[metric].items():
             counter.inc(count, monitor=monitor)
-    for metric, help_text, values in (
-        ("vm_entry_queue_depth_peak", "peak entry-set depth per monitor",
-         sink._entry_peak),
-        ("vm_wait_queue_depth_peak", "peak wait-set depth per monitor",
-         sink._wait_peak),
+    for metric, help_text in (
+        ("vm_entry_queue_depth_peak", "peak entry-set depth per monitor"),
+        ("vm_wait_queue_depth_peak", "peak wait-set depth per monitor"),
     ):
         gauge = registry.gauge(metric, help_text)
-        for monitor, peak in values.items():
+        for monitor, peak in series[metric].items():
             gauge.set(peak, monitor=monitor)
     return registry
 
 
 @pytest.mark.parametrize(
-    "name", ["pc-bug", "deadlock-pair", "mixed-deadlock", "rw+NativeReadWriteLock"]
+    "name",
+    [
+        *(
+            pytest.param(f"{name}-random", id=name)
+            for name in (
+                "pc-bug", "deadlock-pair", "mixed-deadlock", "rw+NativeReadWriteLock"
+            )
+        ),
+        "pc+InterruptSwallowingProducerConsumer/interrupt-consumer",
+        "pc+TimeoutReturnProducerConsumer/expire-first-wait",
+        "pc+SpuriousUnguardedProducerConsumer/spurious-first-wait",
+    ],
 )
 def test_sink_record_matches_the_registry_reference(name):
-    """Each run's record, folded, against a second sink installed on the
-    same kernel as the reference: same names, key order and values."""
-    executor = RunExecutor(
-        RunConfig(workload=WORKLOAD_OF[name], detect=all_detectors(), metrics=True)
-    )
-    reference = InstrumentationSink()
+    """Each run's record, folded, against the registry reference built
+    from the same kernel and trace: same names, key order and values."""
+    executor = RunExecutor(CONFIGS[name])
+    kernels = []
 
     def factory(scheduler):
-        kernel = executor(scheduler)
-        reference.reset().install(kernel)
-        return kernel
+        kernels.append(executor(scheduler))
+        return kernels[-1]
 
-    factory.runner = executor.runner
     checked = []
 
     def on_run(run):
         record = executor.summarize(run).metrics
-        expected = reference_registry(reference, run.result.status.value)
+        expected = reference_registry(kernels[-1], run.result)
         assert shape_only(folded(record)) == shape_only(expected)
         checked.append(run)
 
