@@ -49,10 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["InstrumentationSink", "RECORD_SCHEMA", "fold_record"]
 
-_MONITOR_ACQUIRE = EventKind.MONITOR_ACQUIRE
-_MONITOR_RELEASE = EventKind.MONITOR_RELEASE
-_MONITOR_WAIT = EventKind.MONITOR_WAIT
-
 _PEAK = {"agg": "max"}
 
 #: The per-run metrics record's fixed schema: name -> (kind, help, label
@@ -228,13 +224,11 @@ class InstrumentationSink:
         open_holds = self._open_holds
 
         def on_acquire(event: Event) -> None:
-            detail = event.detail
-            if not (detail and detail.get("reentrant")):
+            if not event.detail.get("reentrant"):
                 open_holds[(event.thread, event.monitor)] = event.time
 
         def on_release(event: Event) -> None:
-            detail = event.detail
-            if not (detail and detail.get("reentrant")):
+            if not event.detail.get("reentrant"):
                 self._close_hold(event.thread, event.monitor, event.time)
 
         def on_wait(event: Event) -> None:
@@ -242,9 +236,9 @@ class InstrumentationSink:
             self._close_hold(event.thread, event.monitor, event.time)
 
         return {
-            _MONITOR_ACQUIRE: on_acquire,
-            _MONITOR_RELEASE: on_release,
-            _MONITOR_WAIT: on_wait,
+            EventKind.MONITOR_ACQUIRE: on_acquire,
+            EventKind.MONITOR_RELEASE: on_release,
+            EventKind.MONITOR_WAIT: on_wait,
         }
 
     def _close_hold(self, thread: str, monitor: str, now: int) -> None:
