@@ -49,6 +49,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["InstrumentationSink", "RECORD_SCHEMA", "fold_record"]
 
+# Event kinds bound to module names: function bodies read these, never
+# ``EventKind.X`` (a Python-level enum class lookup before 3.12).
+_MONITOR_ACQUIRE = EventKind.MONITOR_ACQUIRE
+_MONITOR_RELEASE = EventKind.MONITOR_RELEASE
+_MONITOR_WAIT = EventKind.MONITOR_WAIT
+
 _PEAK = {"agg": "max"}
 
 #: The per-run metrics record's fixed schema: name -> (kind, help, label
@@ -236,9 +242,9 @@ class InstrumentationSink:
             self._close_hold(event.thread, event.monitor, event.time)
 
         return {
-            EventKind.MONITOR_ACQUIRE: on_acquire,
-            EventKind.MONITOR_RELEASE: on_release,
-            EventKind.MONITOR_WAIT: on_wait,
+            _MONITOR_ACQUIRE: on_acquire,
+            _MONITOR_RELEASE: on_release,
+            _MONITOR_WAIT: on_wait,
         }
 
     def _close_hold(self, thread: str, monitor: str, now: int) -> None:
