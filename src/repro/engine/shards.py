@@ -117,7 +117,8 @@ def plan_systematic_shards(
 
     The expansion executes at most ``min(budget, n_shards)`` runs in the
     calling process; small trees may exhaust during planning, in which
-    case no shards are needed at all.
+    case no shards are needed at all.  The rest of ``budget`` is dealt
+    exactly, and only to shards that get at least one run.
     """
     if n_shards <= 0:
         raise ValueError(f"n_shards must be positive, got {n_shards}")
@@ -140,23 +141,20 @@ def plan_systematic_shards(
             shards=[], planner_summaries=planner_summaries, exhausted=True
         )
 
-    groups: List[List[Tuple[int, ...]]] = [
-        [] for _ in range(min(n_shards, len(frontier)))
-    ]
-    # The frontier is in stack order (last pops first); deal from the top
-    # so each shard starts near where the sequential DFS would have.
-    for i, prefix in enumerate(reversed(frontier)):
-        groups[i % len(groups)].append(prefix)
-    remaining = max(0, budget - expansion.n_executed)
-    per_shard = max(1, -(-remaining // len(groups)))  # ceil division
+    remaining = budget - expansion.n_executed
+    n_groups = min(n_shards, len(frontier), remaining)
+    # The frontier is in stack order (last pops first); deal it round-robin
+    # from the top so each shard starts near where the sequential DFS would.
+    dealt = frontier[::-1]
+    per_shard, extra = divmod(remaining, max(1, n_groups))
     shards = [
         Shard(
             shard_id=f"dfs-{i:04d}",
             mode="systematic",
-            prefixes=tuple(group),
-            max_runs=per_shard,
+            prefixes=tuple(dealt[i::n_groups]),
+            max_runs=per_shard + (i < extra),
         )
-        for i, group in enumerate(groups)
+        for i in range(n_groups)
     ]
     return SystematicPlan(
         shards=shards, planner_summaries=planner_summaries, exhausted=False

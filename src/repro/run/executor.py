@@ -137,7 +137,8 @@ def timed_runner(timeout: float) -> KernelRunner:
             trace=kernel.trace,
             steps=kernel.steps,
             stuck_threads=live,
-            schedule_log=list(kernel.schedule_log),
+            choice_log=kernel.choice_log,
+            ready_log=kernel.ready_log,
         )
 
     return run

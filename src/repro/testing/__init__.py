@@ -19,7 +19,6 @@ from .explorer import (
     ExplorationResult,
     ExplorationRun,
     RunSummary,
-    explore_for_coverage,
     explore_pct,
     explore_random,
     explore_systematic,
@@ -50,7 +49,6 @@ __all__ = [
     "TestCall",
     "TestSequence",
     "annotate_expectations",
-    "explore_for_coverage",
     "explore_pct",
     "explore_random",
     "explore_systematic",

@@ -4,18 +4,24 @@ The VM funnels every nondeterministic choice through ``Scheduler.pick``,
 so exploring schedules is exploring a decision tree:
 
 * :func:`explore_systematic` — stateless depth-first enumeration: replay a
-  decision prefix, let FIFO fill the suffix, record every decision made,
-  then branch on untried alternatives (deepest first).  Exhaustive up to
+  decision prefix, let FIFO fill the suffix, then branch on the untried
+  alternatives of every decision past the prefix.  Exhaustive up to
   ``max_depth`` decisions, bounded by ``max_runs``.
 * :func:`explore_random` — Stoller-style randomized scheduling, one run
   per seed (the reproducible stand-in for rerunning on a real JVM).
 * :func:`explore_pct` — one PCT trial per seed (random priorities plus
   ``d-1`` demotion points; see :mod:`repro.vm.pct`).
 
-All three return :class:`ExplorationResult`, which aggregates statuses,
-failure signatures, and optionally CoFG coverage saturation — the data of
-the Ext-B study (how many schedules until all arcs are covered / the
-seeded bug is exposed?).
+No explorer wraps its scheduler: a run's decisions are the kernel's
+``choice_log``, and the systematic walker reads each decision's option
+count from the kernel's record too
+(:meth:`~repro.vm.kernel.Kernel.option_counts`), so a child prefix is
+``choice_log[:i] + [alternative]``.
+
+All three return :class:`ExplorationResult`, which aggregates statuses
+and failure signatures — the data of the Ext-B study (how many
+schedules until the seeded bug is exposed?).  Coverage saturation is the
+campaign's ``goal="coverage"`` (:mod:`repro.engine`).
 
 Two hooks exist for callers that process runs as a *stream* rather than
 an in-memory list (the parallel campaign engine, :mod:`repro.engine`):
@@ -44,7 +50,6 @@ from repro.vm.pct import PCTScheduler
 from repro.vm.scheduler import (
     FifoScheduler,
     RandomScheduler,
-    RecordingScheduler,
     ReplayScheduler,
     Scheduler,
 )
@@ -374,8 +379,9 @@ def explore_systematic(
     """Systematic enumeration of the schedule tree.
 
     Every run replays an untried decision prefix and fills the suffix with
-    FIFO; each decision recorded past the prefix spawns sibling prefixes
-    for its untried alternatives, so the full tree is enumerated without
+    FIFO; each decision the kernel records past the prefix spawns sibling
+    prefixes for its untried alternatives (up to the option count the
+    kernel records for it), so the full tree is enumerated without
     duplicates (up to ``max_runs``; branch points past ``max_depth`` are
     not expanded).
 
@@ -399,16 +405,14 @@ def explore_systematic(
     )
     while stack and result.n_executed < max_runs:
         prefix = stack.pop()
-        recorder = RecordingScheduler(
-            ReplayScheduler(prefix, fallback=FifoScheduler())
-        )
-        kernel = factory(recorder)
+        kernel = factory(ReplayScheduler(prefix, fallback=FifoScheduler()))
         run_result = runner(kernel)
-        decisions = recorder.log
+        decisions = kernel.choice_log
+        counts = kernel.option_counts()
         run = ExplorationRun(
             index=result.n_executed,
             prefix=tuple(prefix),
-            decisions=tuple(kernel.choice_log),
+            decisions=tuple(decisions),
             result=run_result,
         )
         del kernel, run_result
@@ -424,9 +428,8 @@ def explore_systematic(
         positions = range(len(prefix), min(len(decisions), max_depth))
         ordered = reversed(positions) if branch == "shallow" else positions
         for i in ordered:
-            decision = decisions[i]
-            for alternative in range(decision.chosen + 1, len(decision.options)):
-                stack.append([d.chosen for d in decisions[:i]] + [alternative])
+            for alternative in range(decisions[i] + 1, counts[i]):
+                stack.append(decisions[:i] + [alternative])
     result.exhausted = not stack
     result.pending = [tuple(p) for p in stack]
     return result
@@ -505,35 +508,3 @@ def explore_pct(
         keep_runs,
         runner,
     )
-
-
-def explore_for_coverage(
-    factory: ProgramFactory,
-    cofgs: dict,
-    max_runs: int = 200,
-    seed_start: int = 0,
-):
-    """Run random schedules until the union CoFG arc coverage is complete
-    (or ``max_runs`` is reached).
-
-    Returns ``(matrix, runs_used)`` where ``matrix`` is a
-    :class:`repro.coverage.matrix.CoverageMatrix` holding one row per
-    executed schedule — the saturation curve of the Ext-B study, as a
-    reusable primitive.  This is the undirected baseline the paper's
-    *directed* covering sequences beat: the matrix records exactly how
-    many repetitions the rare (loop) arcs cost.
-    """
-    from repro.coverage.matrix import CoverageMatrix
-    from repro.coverage.tracker import CoverageTracker
-
-    matrix = CoverageMatrix(cofgs)
-    for offset in range(max_runs):
-        seed = seed_start + offset
-        kernel = factory(RandomScheduler(seed))
-        result = kernel.run()
-        tracker = CoverageTracker(cofgs)
-        tracker.feed(result.trace)
-        matrix.add_run(tracker, label=f"seed{seed}")
-        if matrix.runs_to_full_coverage() is not None:
-            break
-    return matrix, len(matrix.rows)

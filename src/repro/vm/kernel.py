@@ -13,6 +13,11 @@ clock (ConAn's ``await``/``tick``/``time``) is separate and only advances
 on explicit :class:`~repro.vm.syscalls.Tick` syscalls (or automatically at
 quiescence when ``auto_tick=True``).
 
+A run's one per-step record is :attr:`Kernel.choice_log`, the chosen
+index; the ready names are logged only when rebuilt
+(:attr:`Kernel.ready_log`), and each step's thread and option count are
+derived from the two when read.
+
 Termination taxonomy of :meth:`Kernel.run` (see :class:`RunStatus`):
 
 * ``COMPLETED`` — every thread terminated.
@@ -165,6 +170,18 @@ def current_thread() -> Optional[SimThread]:
     return _CURRENT[-1][1] if _CURRENT else None
 
 
+def _offered(
+    choice_log: List[int], ready_log: List[Tuple[int, List[str]]]
+) -> List[List[str]]:
+    """The ready names list each step chose among: the last ``ready_log``
+    entry logged at or before the step."""
+    offered: List[List[str]] = []
+    for k, (start, names) in enumerate(ready_log, 1):
+        end = ready_log[k][0] if k < len(ready_log) else len(choice_log)
+        offered += [names] * (end - start)
+    return offered
+
+
 class RunStatus(enum.Enum):
     COMPLETED = "completed"
     DEADLOCK = "deadlock"
@@ -190,6 +207,7 @@ class RunResult:
         crashed: names of threads that raised, with their exceptions.
         abort_reason: why the run was ended early via
             :meth:`Kernel.request_abort`, or None for a natural ending.
+        choice_log, ready_log: the kernel's lists of the same names.
     """
 
     status: RunStatus
@@ -200,8 +218,15 @@ class RunResult:
     deadlock_cycle: List[str] = field(default_factory=list)
     stuck_threads: List[str] = field(default_factory=list)
     crashed: Dict[str, BaseException] = field(default_factory=dict)
-    schedule_log: List[str] = field(default_factory=list)
+    choice_log: List[int] = field(default_factory=list)
+    ready_log: List[Tuple[int, List[str]]] = field(default_factory=list)
     abort_reason: Optional[str] = None
+
+    @property
+    def schedule_log(self) -> List[str]:
+        """Thread picked at each step, in order."""
+        offered = _offered(self.choice_log, self.ready_log)
+        return list(map(list.__getitem__, offered, self.choice_log))
 
     @property
     def ok(self) -> bool:
@@ -316,12 +341,12 @@ class Kernel:
         self.time = 0
         self.clock_time = 0
         self.steps = 0
-        #: thread picked at each step, in order (enables replay of a
-        #: saved run via NameReplayScheduler; embedded in saved traces).
-        self.schedule_log: List[str] = []
         #: index the scheduler chose at each step, in order: the run's
         #: decision sequence, which ReplayScheduler replays exactly.
         self.choice_log: List[int] = []
+        #: ``(position, names)`` per ready-list rebuild: the options of
+        #: each decision from ``position`` in ``choice_log`` on
+        self.ready_log: List[Tuple[int, List[str]]] = []
         #: thread that ran the previous step (context-switch accounting).
         self._last_scheduled: Optional[str] = None
         self._seq = 0
@@ -600,6 +625,14 @@ class Kernel:
             detach = getattr(component, "_vm_detach", None)
             if detach is not None:
                 detach(self)
+
+    #: thread picked at each step, in order (replayable with
+    #: NameReplayScheduler; embedded in saved traces)
+    schedule_log = RunResult.schedule_log
+
+    def option_counts(self) -> List[int]:
+        """How many threads each step chose among, in order."""
+        return list(map(len, _offered(self.choice_log, self.ready_log)))
 
     @property
     def events_emitted(self) -> int:
@@ -1159,6 +1192,7 @@ class Kernel:
                     runnable.append(t)
                     names.append(t.name)
             ready = self._ready = (runnable, names)
+            self.ready_log.append((len(self.choice_log), names))
         runnable, names = ready
         if not runnable:
             if self.auto_tick and self._clock_waiters:
@@ -1185,7 +1219,6 @@ class Kernel:
         if thread.name != self._last_scheduled:
             thread.context_switches += 1
             self._last_scheduled = thread.name
-        self.schedule_log.append(thread.name)
         self.choice_log.append(index)
         if thread.state is _NEW:
             thread.state = _RUNNABLE
@@ -1271,7 +1304,8 @@ class Kernel:
                 for t in self.threads.values()
                 if t.state is _CRASHED and t.exception is not None
             },
-            schedule_log=list(self.schedule_log),
+            choice_log=self.choice_log,
+            ready_log=self.ready_log,
             abort_reason=self.abort_reason,
         )
         return result

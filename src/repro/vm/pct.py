@@ -72,9 +72,6 @@ class PCTScheduler(Scheduler):
         return self._priorities[thread]
 
     def pick(self, kind: str, options: Sequence[str]) -> int:
-        if kind != "run":
-            # wait-set / entry-set choices stay uniform random
-            return self._rng.randrange(len(options))
         best_index = max(
             range(len(options)), key=lambda i: self._priority(options[i])
         )

@@ -1,18 +1,15 @@
 """Schedulers: the kernel's source of nondeterministic decisions.
 
-Every nondeterministic choice the JVM would make is funnelled through one
-:class:`Scheduler` method, :meth:`Scheduler.pick`, with a *decision kind*
-and the list of candidates.  This single funnel is what makes systematic
-schedule exploration possible: the explorer (``repro.testing.explorer``)
-substitutes a scheduler that replays a decision prefix and then diverges.
-
-Decision kinds:
-
-* ``"run"``     — which runnable thread executes next;
-* ``"grant"``   — which entry-set thread receives a released lock
-  (only consulted when the monitor's policy is ``SCHEDULER``-driven;
-  usually the monitor policy decides);
-* ``"wake"``    — which waiter a ``notify`` selects (likewise).
+Every thread-interleaving choice is funnelled through one call,
+``Scheduler.pick("run", names)``: which runnable thread executes next.
+(Lock grants and notify wake-ups follow the monitor's
+:class:`~repro.vm.monitor.SelectionPolicy` instead.)  This single funnel
+is what makes systematic schedule exploration possible: the kernel
+records every pick (``Kernel.choice_log``), and the explorer
+(``repro.testing.explorer``) replays a decision prefix with
+:class:`ReplayScheduler` and branches on that record.
+:class:`RecordingScheduler` is the reference the record is tested
+against.
 """
 
 from __future__ import annotations
@@ -94,7 +91,7 @@ class RoundRobinScheduler(Scheduler):
         self._last = None
 
     def pick(self, kind: str, options: Sequence[str]) -> int:
-        if kind != "run" or len(options) == 1:
+        if len(options) == 1:
             return 0
         ordered = sorted(range(len(options)), key=lambda i: options[i])
         if self._last is None:
@@ -185,11 +182,11 @@ class ReplayScheduler(Scheduler):
 
 
 class NameReplayScheduler(Scheduler):
-    """Replay a schedule recorded as *thread names* (the kernel's
+    """Replay a schedule recorded as *thread names* (the kernel's derived
     ``schedule_log``, as embedded in saved traces by
     :mod:`repro.vm.serialize`).
 
-    At each "run" decision the next recorded name is looked up among the
+    At each decision the next recorded name is looked up among the
     candidates; when the name is absent (program changed) or the log runs
     out, falls back to FIFO (or raises when ``strict``)."""
 
@@ -202,8 +199,6 @@ class NameReplayScheduler(Scheduler):
         self._cursor = 0
 
     def pick(self, kind: str, options: Sequence[str]) -> int:
-        if kind != "run":
-            return 0
         if self._cursor < len(self.names):
             wanted = self.names[self._cursor]
             self._cursor += 1
@@ -224,8 +219,8 @@ class NameReplayScheduler(Scheduler):
 
 @dataclass
 class RecordingScheduler(Scheduler):
-    """Wraps another scheduler and records every decision it makes, so a
-    run can be replayed exactly with :class:`ReplayScheduler`."""
+    """Wraps another scheduler and records every decision it makes, with
+    its options: the reference for the kernel's own record."""
 
     inner: Scheduler
     log: List[Decision] = field(default_factory=list)

@@ -9,11 +9,11 @@ that produced them::
     trace = load_trace("run.jsonl")
     races = detect_races(trace)
 
-The kernel records the thread it picked at every step in
-``kernel.schedule_log``; :func:`dumps_trace` embeds that log in the file
-header, and :func:`load_schedule` recovers it for deterministic replay of
-a stored run via :class:`~repro.vm.scheduler.NameReplayScheduler` —
-replay from an artifact, not a live object.
+``kernel.schedule_log`` names the thread picked at every step, derived
+from the kernel's decision record; :func:`dumps_trace` embeds it in the
+file header, and :func:`load_schedule` recovers it for deterministic
+replay of a stored run via :class:`~repro.vm.scheduler.NameReplayScheduler`
+— replay from an artifact, not a live object.
 """
 
 from __future__ import annotations

@@ -24,6 +24,22 @@ def crash_factory(scheduler):
     os._exit(3)
 
 
+def producer_only(scheduler):
+    """A producer-consumer run with no consumer: it can never cover the
+    ``receive`` arcs."""
+    from repro.components import ProducerConsumer
+    from repro.vm import Kernel
+
+    kernel = Kernel(scheduler=scheduler)
+    pc = kernel.register(ProducerConsumer())
+
+    def producer():
+        yield from pc.send("x")
+
+    kernel.spawn(producer, name="p")
+    return kernel
+
+
 class TestSpecValidation:
     def test_unknown_mode(self):
         with pytest.raises(CampaignError, match="mode"):
@@ -75,6 +91,13 @@ class TestFingerprint:
             journal_path="/tmp/x.jsonl",
         )
         assert base.fingerprint() == tweaked.fingerprint()
+
+
+def _planned_runs(spec):
+    from repro.engine.campaign import _plan
+
+    shards, _, _ = _plan(spec)
+    return [shard.max_runs for shard in shards]
 
 
 class TestInlineCampaign:
@@ -150,6 +173,59 @@ class TestInlineCampaign:
         assert result.coverage is not None
         assert 0.0 < result.coverage_fraction() <= 1.0
         assert "coverage" in result.describe()
+
+    def test_coverage_goal_stops_at_full_coverage(self):
+        spec = CampaignSpec(
+            factory="pc-ok",
+            budget=200,
+            workers=0,
+            shard_size=10,
+            goal="coverage",
+            coverage="repro.components:ProducerConsumer",
+        )
+        result = run_campaign(spec)
+        assert result.goal_reached == "coverage"
+        assert result.coverage_fraction() == 1.0
+        full_at = result.coverage.runs_to_full_coverage()
+        assert full_at is not None
+        # the goal is checked between shards, so the shard that reached
+        # full coverage runs to its end
+        assert full_at <= result.n_executed < full_at + spec.shard_size
+
+    def test_unreachable_coverage_goal_runs_the_whole_budget(self):
+        spec = CampaignSpec(
+            factory=f"{__name__}:producer_only",
+            budget=12,
+            workers=0,
+            shard_size=5,
+            goal="coverage",
+            coverage="repro.components:ProducerConsumer",
+        )
+        result = run_campaign(spec)
+        assert result.goal_reached is None
+        assert result.n_executed == 12
+        assert result.coverage.runs_to_full_coverage() is None
+        assert 0.0 < result.coverage_fraction() < 1.0
+
+    @pytest.mark.parametrize(
+        "budget,shard_size",
+        [(1, 25), (10, 1), (57, 10), (103, 25), (37, 10), (50, 3), (24, 5)],
+    )
+    @pytest.mark.parametrize("factory", ["pc-ok", "deadlock-pair"])
+    def test_systematic_campaign_runs_exactly_its_budget(
+        self, factory, budget, shard_size
+    ):
+        spec = CampaignSpec(
+            factory=factory,
+            mode="systematic",
+            budget=budget,
+            workers=0,
+            shard_size=shard_size,
+        )
+        result = run_campaign(spec)
+        assert not result.exhausted
+        assert result.n_executed == budget
+        assert all(shard_runs > 0 for shard_runs in _planned_runs(spec))
 
     def test_describe_is_complete(self):
         spec = CampaignSpec(factory="pc-bug", budget=30, workers=0)

@@ -1,15 +1,28 @@
-"""The kernel's recorded choices against a recording scheduler.
+"""The kernel's schedule record against a recording scheduler.
 
-Random and PCT exploration take a run's decisions from
-``Kernel.choice_log`` instead of wrapping the scheduler in a
-:class:`RecordingScheduler`.  For every program of the batch==online
-suite, under the random, PCT, systematic and replay schedulers, and for
-the three fault-plan templates, the kernel must record exactly the
-indices a recording scheduler logs, and the explorers' ``schedule_key``
-must equal the key of the recorded decisions.
+A run's only per-step record is ``Kernel.choice_log``; the ready names
+list is logged in ``Kernel.ready_log`` only when it is rebuilt, and each
+step's thread (``schedule_log``) and option count
+(``Kernel.option_counts``) are derived from the two.  The explorers
+branch on that record and never wrap their scheduler in a
+:class:`RecordingScheduler`, which stays as the reference here:
+
+* over the ready-set program sweep (every registered workload, the
+  fault-plan templates, clock waits, auto-tick and spurious wakeups),
+  under the random, PCT and replay-prefix schedulers and on arbitrary
+  prefixes, every step's derived name, option count and options equal
+  the recorder's;
+* for every program of the batch==online suite, random, PCT,
+  systematic and replay runs record exactly the indices the recorder
+  logs, and the explorers' ``schedule_key`` is the key of those
+  indices.
 """
 
+from bisect import bisect_right
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.run import RunConfig
 from repro.run.executor import RunExecutor
@@ -26,8 +39,10 @@ from repro.vm.scheduler import (
     RandomScheduler,
     RecordingScheduler,
     ReplayScheduler,
+    Scheduler,
 )
 from tests.detect.test_online_equivalence import FACTORIES
+from tests.vm.test_ready_set import FAULT_PLANS, PROGRAMS, SCHEDULERS, _scheduler
 
 SEEDS = range(4)
 #: systematic runs per program
@@ -39,13 +54,6 @@ SEEDED = {
         explore_pct,
         lambda seed: PCTScheduler(seed=seed, depth=3, expected_steps=200),
     ),
-}
-
-#: fault-plan template -> the component it is aimed at
-FAULT_PLANS = {
-    "interrupt-consumer": "InterruptSwallowingProducerConsumer",
-    "expire-first-wait": "TimeoutReturnProducerConsumer",
-    "spurious-first-wait": "SpuriousUnguardedProducerConsumer",
 }
 
 
@@ -65,6 +73,67 @@ def key_of(decisions):
     return summary.schedule_key
 
 
+def offered(kernel):
+    """The names list each step chose among, looked up in the kernel's
+    ``ready_log``: the last entry logged at or before the step."""
+    starts = [start for start, _ in kernel.ready_log]
+    return [
+        kernel.ready_log[bisect_right(starts, step) - 1][1]
+        for step in range(len(kernel.choice_log))
+    ]
+
+
+def check_record(program, scheduler):
+    """Run ``program`` under a recorder of ``scheduler`` and compare the
+    kernel's record with the recorder's at every step."""
+    recorder = RecordingScheduler(scheduler)
+    kernel = program(recorder)
+    result = kernel.run()
+    log = recorder.log
+    assert len(log) == result.steps > 0
+    assert kernel.choice_log == [d.chosen for d in log]
+    names = [d.options[d.chosen] for d in log]
+    assert kernel.schedule_log == result.schedule_log == names
+    assert kernel.option_counts() == [len(d.options) for d in log]
+    assert [tuple(options) for options in offered(kernel)] == [
+        d.options for d in log
+    ]
+
+
+class PrefixScheduler(Scheduler):
+    """Takes ``prefix[i] % len(options)`` at step ``i``, then FIFO: any
+    list of integers is a valid decision prefix."""
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+        self._step = 0
+
+    def reset(self):
+        self._step = 0
+
+    def pick(self, kind, options):
+        step = self._step
+        self._step += 1
+        return self.prefix[step] % len(options) if step < len(self.prefix) else 0
+
+
+@pytest.mark.parametrize("kind", SCHEDULERS)
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_record_matches_the_recorder_at_every_step(name, kind):
+    program = PROGRAMS[name]
+    for seed in (0, 1):
+        check_record(program, _scheduler(kind, program, seed, 7 * seed + 3))
+
+
+@given(
+    name=st.sampled_from(sorted(PROGRAMS)),
+    prefix=st.lists(st.integers(min_value=0, max_value=7), max_size=120),
+)
+@settings(max_examples=150, deadline=None)
+def test_record_matches_the_recorder_on_any_prefix(name, prefix):
+    check_record(PROGRAMS[name], PrefixScheduler(prefix))
+
+
 @pytest.mark.parametrize("mode", sorted(SEEDED))
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_seeded_choices_match_the_recorder(name, mode):
@@ -82,22 +151,14 @@ def test_seeded_choices_match_the_recorder(name, mode):
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_systematic_choices_match_the_recorder(name):
     factory = FACTORIES[name]
-    recorders = []
-
-    def capturing(scheduler):
-        recorders.append(scheduler)
-        return factory(scheduler)
-
-    result = explore_systematic(capturing, max_runs=RUNS)
-    assert len(result.runs) == len(recorders) > 0
-    for run, recorder in zip(result.runs, recorders):
-        logged = [d.chosen for d in recorder.log]
-        assert list(run.decisions) == logged
-        assert run.summary().schedule_key == key_of(logged)
-        kernel_choices, relogged = recorded(
+    result = explore_systematic(factory, max_runs=RUNS)
+    assert result.runs
+    for run in result.runs:
+        kernel_choices, logged = recorded(
             factory, ReplayScheduler(run.prefix, fallback=FifoScheduler())
         )
-        assert kernel_choices == relogged == logged
+        assert list(run.decisions) == kernel_choices == logged
+        assert run.summary().schedule_key == key_of(logged)
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))

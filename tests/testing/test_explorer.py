@@ -128,57 +128,6 @@ class TestRandomExploration:
         assert sys_first is not None and rnd_first is not None
 
 
-class TestCoverageExploration:
-    def test_explores_until_full_coverage(self):
-        from repro.analysis import build_all_cofgs
-        from repro.components import ProducerConsumer
-        from repro.testing import explore_for_coverage
-
-        def factory(scheduler):
-            kernel = Kernel(scheduler=scheduler)
-            pc = kernel.register(ProducerConsumer())
-
-            def consumer():
-                yield from pc.receive()
-
-            def producer(payload):
-                yield from pc.send(payload)
-
-            for i in range(3):
-                kernel.spawn(consumer, name=f"c{i}")
-            kernel.spawn(producer, "ab", name="p1")
-            kernel.spawn(producer, "c", name="p2")
-            return kernel
-
-        cofgs = build_all_cofgs(ProducerConsumer)
-        matrix, runs_used = explore_for_coverage(factory, cofgs, max_runs=100)
-        assert matrix.runs_to_full_coverage() == runs_used
-        assert 1 <= runs_used <= 100
-
-    def test_respects_budget(self):
-        from repro.analysis import build_all_cofgs
-        from repro.components import ProducerConsumer
-        from repro.testing import explore_for_coverage
-
-        def trivial_factory(scheduler):
-            kernel = Kernel(scheduler=scheduler)
-            pc = kernel.register(ProducerConsumer())
-
-            def producer():
-                yield from pc.send("x")
-
-            kernel.spawn(producer, name="p")
-            return kernel
-
-        cofgs = build_all_cofgs(ProducerConsumer)
-        # a producer-only workload can never cover the receive arcs
-        matrix, runs_used = explore_for_coverage(
-            trivial_factory, cofgs, max_runs=5
-        )
-        assert runs_used == 5
-        assert matrix.runs_to_full_coverage() is None
-
-
 class TestFailureStatistics:
     def test_failure_rate(self):
         result = explore_random(racing_pair_factory, seeds=range(40))

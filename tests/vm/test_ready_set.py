@@ -47,7 +47,6 @@ from repro.vm.scheduler import RandomScheduler, ReplayScheduler, Scheduler
 from repro.vm.thread import ThreadState
 from tests.detect.test_online_equivalence import faulted
 from tests.integration.test_refactor_byte_identity import PROGRAMS as FAULT_PROGRAMS
-from tests.testing.test_choice_parity import FAULT_PLANS
 
 #: workload template -> the components it is run over
 TEMPLATE_COMPONENTS = {
@@ -57,6 +56,13 @@ TEMPLATE_COMPONENTS = {
     "sem": (Semaphore, NativeSemaphore),
     "barrier-meet": (CyclicBarrier, NativeBarrier, LeakyBarrier),
     "pair": (OrderedPair, DeadlockPair),
+}
+
+#: fault-plan template -> the component it is aimed at
+FAULT_PLANS = {
+    "interrupt-consumer": "InterruptSwallowingProducerConsumer",
+    "expire-first-wait": "TimeoutReturnProducerConsumer",
+    "spurious-first-wait": "SpuriousUnguardedProducerConsumer",
 }
 
 

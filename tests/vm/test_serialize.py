@@ -160,7 +160,3 @@ class TestNameReplay:
         scheduler = NameReplayScheduler(["zzz"])
         assert scheduler.pick("run", ["a", "b"]) == 0
         assert scheduler.pick("run", ["a", "b"]) == 0  # exhausted -> fifo
-
-    def test_non_run_decisions_default(self):
-        scheduler = NameReplayScheduler(["a"])
-        assert scheduler.pick("wake", ["x", "y"]) == 0
