@@ -170,14 +170,13 @@ def current_thread() -> Optional[SimThread]:
     return _CURRENT[-1][1] if _CURRENT else None
 
 
-def _offered(
-    choice_log: List[int], ready_log: List[Tuple[int, List[str]]]
-) -> List[List[str]]:
-    """The ready names list each step chose among: the last ``ready_log``
-    entry logged at or before the step."""
+def _offered(choice_log: List[int], ready_log: List[Any]) -> List[List[str]]:
+    """The ready names list each step chose among, from ``ready_log``'s
+    flattened ``position, names`` pairs."""
+    starts = ready_log[0::2]
+    ends = starts[1:] + [len(choice_log)]
     offered: List[List[str]] = []
-    for k, (start, names) in enumerate(ready_log, 1):
-        end = ready_log[k][0] if k < len(ready_log) else len(choice_log)
+    for start, end, names in zip(starts, ends, ready_log[1::2]):
         offered += [names] * (end - start)
     return offered
 
@@ -219,7 +218,7 @@ class RunResult:
     stuck_threads: List[str] = field(default_factory=list)
     crashed: Dict[str, BaseException] = field(default_factory=dict)
     choice_log: List[int] = field(default_factory=list)
-    ready_log: List[Tuple[int, List[str]]] = field(default_factory=list)
+    ready_log: List[Any] = field(default_factory=list)
     abort_reason: Optional[str] = None
 
     @property
@@ -344,9 +343,11 @@ class Kernel:
         #: index the scheduler chose at each step, in order: the run's
         #: decision sequence, which ReplayScheduler replays exactly.
         self.choice_log: List[int] = []
-        #: ``(position, names)`` per ready-list rebuild: the options of
-        #: each decision from ``position`` in ``choice_log`` on
-        self.ready_log: List[Tuple[int, List[str]]] = []
+        #: ``position, names`` per ready-list rebuild, flattened: the
+        #: options of each decision from ``position`` in ``choice_log`` on
+        self.ready_log: List[Any] = []
+        #: ready names tuple -> the one list the run keeps for it
+        self._names_seen: Dict[Tuple[str, ...], List[str]] = {}
         #: thread that ran the previous step (context-switch accounting).
         self._last_scheduled: Optional[str] = None
         self._seq = 0
@@ -1191,8 +1192,11 @@ class Kernel:
                 if state is _RUNNABLE or state is _NEW:
                     runnable.append(t)
                     names.append(t.name)
+            # one list per distinct ready set: the log holds no more
+            # objects for the collector to walk than the run has sets
+            names = self._names_seen.setdefault(tuple(names), names)
             ready = self._ready = (runnable, names)
-            self.ready_log.append((len(self.choice_log), names))
+            self.ready_log += (len(self.choice_log), names)
         runnable, names = ready
         if not runnable:
             if self.auto_tick and self._clock_waiters:

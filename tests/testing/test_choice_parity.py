@@ -75,10 +75,11 @@ def key_of(decisions):
 
 def offered(kernel):
     """The names list each step chose among, looked up in the kernel's
-    ``ready_log``: the last entry logged at or before the step."""
-    starts = [start for start, _ in kernel.ready_log]
+    ``ready_log`` (flattened ``position, names`` pairs): the last pair
+    logged at or before the step."""
+    starts, lists = kernel.ready_log[0::2], kernel.ready_log[1::2]
     return [
-        kernel.ready_log[bisect_right(starts, step) - 1][1]
+        lists[bisect_right(starts, step) - 1]
         for step in range(len(kernel.choice_log))
     ]
 
