@@ -12,11 +12,8 @@ so exploring schedules is exploring a decision tree:
 * :func:`explore_pct` — one PCT trial per seed (random priorities plus
   ``d-1`` demotion points; see :mod:`repro.vm.pct`).
 
-No explorer wraps its scheduler: a run's decisions are the kernel's
-``choice_log``, and the systematic walker reads each decision's option
-count from the kernel's record too
-(:meth:`~repro.vm.kernel.Kernel.option_counts`), so a child prefix is
-``choice_log[:i] + [alternative]``.
+No explorer wraps its scheduler: decisions and their option counts come
+from the kernel's record (``choice_log``, ``option_counts()``).
 
 All three return :class:`ExplorationResult`, which aggregates statuses
 and failure signatures — the data of the Ext-B study (how many
@@ -379,9 +376,8 @@ def explore_systematic(
     """Systematic enumeration of the schedule tree.
 
     Every run replays an untried decision prefix and fills the suffix with
-    FIFO; each decision the kernel records past the prefix spawns sibling
-    prefixes for its untried alternatives (up to the option count the
-    kernel records for it), so the full tree is enumerated without
+    FIFO; each decision recorded past the prefix spawns sibling prefixes
+    for its untried alternatives, so the full tree is enumerated without
     duplicates (up to ``max_runs``; branch points past ``max_depth`` are
     not expanded).
 
