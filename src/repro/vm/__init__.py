@@ -61,11 +61,9 @@ from .pct import PCTScheduler
 from .primitives import BarrierObject, RwLockObject, SemaphoreObject
 from .scheduler import (
     ChoiceExhaustedError,
-    Decision,
     FifoScheduler,
     NameReplayScheduler,
     RandomScheduler,
-    RecordingScheduler,
     ReplayScheduler,
     RoundRobinScheduler,
     Scheduler,
@@ -117,7 +115,6 @@ __all__ = [
     "CallRecord",
     "ChoiceExhaustedError",
     "DeadlockError",
-    "Decision",
     "Event",
     "EventKind",
     "FifoScheduler",
@@ -133,7 +130,6 @@ __all__ = [
     "PCTScheduler",
     "RandomScheduler",
     "Read",
-    "RecordingScheduler",
     "Release",
     "ReplayScheduler",
     "RoundRobinScheduler",

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from repro.engine.workloads import WORKLOADS
 from repro.vm import (
     Acquire,
-    Decision,
     Event,
     EventKind,
     FifoScheduler,
     Kernel,
     RandomScheduler,
-    RecordingScheduler,
     Release,
     ReplayScheduler,
     RoundRobinScheduler,
@@ -24,7 +22,7 @@ from repro.vm import (
     Notify,
     Yield,
 )
-from repro.vm.scheduler import ChoiceExhaustedError
+from repro.vm.scheduler import ChoiceExhaustedError, Decision, RecordingScheduler
 
 
 def event(seq, time, thread, kind, **detail):
