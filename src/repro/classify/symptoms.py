@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.vm.events import Event, EventKind
 from repro.vm.kernel import RunResult, RunStatus
@@ -64,12 +64,10 @@ _CALL_END = EventKind.CALL_END
 _READ = EventKind.READ
 _WRITE = EventKind.WRITE
 
-_ACCESSES = frozenset({_READ, _WRITE})
 # Final thread-state values bound once: ``ThreadState.X.value`` is a
 # Python-level property read.
 _BLOCKED_VALUE = ThreadState.BLOCKED.value
 _WAITING_VALUE = ThreadState.WAITING.value
-_NOTIFIES = frozenset({_NOTIFY, _NOTIFY_ALL})
 _PRIMITIVE_GRANTS = frozenset({_SEM_ACQUIRE, _RW_ACQUIRE, _RW_DOWNGRADE})
 
 
@@ -218,16 +216,17 @@ def classify_symptoms(
 class SymptomTracker:
     """Streaming VM-level symptom extraction.
 
-    Consumes the event stream as it is emitted and keeps only O(threads +
-    monitors) state — the open-call stack per thread, which threads ever
-    waited on which monitor, and the notifies that woke nobody.  Combined
+    Folds the event stream in batches (a pipeline hands it each batch a
+    kernel buffers) and keeps only O(threads + monitors) state — the
+    open-call stack per thread, which threads ever waited on which
+    monitor, and the notifies that woke nobody.  Combined
     with the :class:`~repro.vm.kernel.RunResult` (which carries final
     thread states but, under ``trace_mode="none"``, no trace), the tracker
     reproduces exactly what :func:`symptoms_from_run` reads off a full
     trace; that function is now a replay wrapper around this class.
     """
 
-    #: the event kinds :meth:`on_event` reads (see
+    #: the event kinds :meth:`fold` reads (see
     #: :attr:`repro.detect.online.OnlineDetector.kinds`)
     kinds = frozenset(
         {
@@ -294,102 +293,127 @@ class SymptomTracker:
         for state in vars(self).values():
             state.clear()
 
-    def _in_open_call(self, thread: str, component: Optional[str]) -> bool:
-        return any(
-            comp == component for comp, _ in self._open_calls.get(thread, ())
-        )
-
     def on_event(self, event: Event) -> None:
-        kind = event.kind
-        thread = event.thread
-        if kind is _CALL_BEGIN:
-            self._open_calls.setdefault(thread, []).append(
-                (event.component or "?", event.method or "?")
-            )
-        elif kind is _CALL_END:
-            stack = self._open_calls.get(thread)
-            if stack:
-                component, _ = stack.pop()
-                released = self._released.get(thread)
-                if released:
-                    released.discard(component)
-            self._close_env_markers(event)
-        elif kind is _MONITOR_WAIT:
-            monitor = event.monitor
-            self._waits.setdefault(monitor, set()).add(thread)
-            # Entering a wait means the guard was (re-)checked and found
-            # false — a prior suspect wake was handled correctly.
-            self._suspect_wakes.pop(thread, None)
-            self._wait_marks[thread] = (
-                monitor,
-                self._others_notifies(monitor, thread),
-            )
-        elif kind is _MONITOR_NOTIFIED:
-            self._on_wake(event)
-        elif kind is _INTERRUPT:
-            # Delivery is certain only for a waiting/blocked target (the
-            # kernel injects InterruptedError at the resumption point); a
-            # runnable target merely gets its flag set, which a component
-            # that never waits again is allowed to ignore.
-            if event.detail.get("thread_state") in ("waiting", "blocked"):
-                self._interrupt_pending.setdefault(thread)
-            # An interrupted primitive acquirer or barrier party resumes
-            # immediately with InterruptedError — no longer stuck.
-            self._prim_blocked.pop(thread, None)
-            self._barrier_wait.pop(thread, None)
-        elif kind is _MONITOR_RELEASE:
-            # The full (non-reentrant) release of a monitor whose component
-            # still has an open call on this thread: the critical section
-            # is no longer protected.  Normal method exits look the same
-            # (the wrapper releases just before CALL_END) but perform no
-            # further component access, so they never flag.
-            detail = event.detail
-            if not detail.get("reentrant") and not detail.get("abandoned"):
+        """Consume one event: a batch of one."""
+        self.fold((event,))
+
+    def fold(self, events: Iterable[Event]) -> None:
+        """Consume a batch of events in order, skipping kinds outside
+        :attr:`kinds`."""
+        kinds = self.kinds
+        open_calls = self._open_calls
+        released_by = self._released
+        premature = self._premature
+        waits = self._waits
+        suspect_wakes = self._suspect_wakes
+        interrupt_pending = self._interrupt_pending
+        wait_marks = self._wait_marks
+        notify_counts = self._notify_counts
+        notifies_by = self._notifies_by
+        prim_blocked = self._prim_blocked
+        barrier_wait = self._barrier_wait
+        for event in events:
+            kind = event.kind
+            if kind not in kinds:
+                continue
+            thread = event.thread
+            if kind is _READ or kind is _WRITE:
+                component = event.component
+                if component and component in released_by.get(thread, ()):
+                    premature.setdefault((thread, component, event.method or "?"))
+            elif kind is _CALL_BEGIN:
+                stack = open_calls.get(thread)
+                if stack is None:
+                    stack = open_calls[thread] = []
+                stack.append((event.component or "?", event.method or "?"))
+            elif kind is _CALL_END:
+                stack = open_calls.get(thread)
+                if stack:
+                    component, _ = stack.pop()
+                    released = released_by.get(thread)
+                    if released:
+                        released.discard(component)
+                if thread in interrupt_pending or thread in suspect_wakes:
+                    self._close_env_markers(event)
+            elif kind is _MONITOR_ACQUIRE:
                 monitor = event.monitor
-                if monitor and self._in_open_call(thread, monitor):
-                    self._released.setdefault(thread, set()).add(monitor)
-        elif kind is _MONITOR_ACQUIRE:
-            monitor = event.monitor
-            if monitor:
-                released = self._released.get(thread)
-                if released:
-                    released.discard(monitor)
-        elif kind in _ACCESSES:
-            component = event.component
-            if component and component in self._released.get(thread, ()):
-                self._premature.setdefault(
-                    (thread, component, event.method or "?")
+                if monitor:
+                    released = released_by.get(thread)
+                    if released:
+                        released.discard(monitor)
+            elif kind is _MONITOR_RELEASE:
+                # The full (non-reentrant) release of a monitor whose
+                # component still has an open call on this thread: the
+                # critical section is no longer protected.  Normal method
+                # exits look the same (the wrapper releases just before
+                # CALL_END) but perform no further component access, so
+                # they never flag.
+                detail = event.detail
+                monitor = event.monitor
+                if (
+                    monitor
+                    and not detail.get("reentrant")
+                    and not detail.get("abandoned")
+                    and any(
+                        comp == monitor for comp, _ in open_calls.get(thread, ())
+                    )
+                ):
+                    released_by.setdefault(thread, set()).add(monitor)
+            elif kind is _MONITOR_WAIT:
+                monitor = event.monitor
+                waits.setdefault(monitor, set()).add(thread)
+                # Entering a wait means the guard was (re-)checked and
+                # found false — a prior suspect wake was handled correctly.
+                suspect_wakes.pop(thread, None)
+                wait_marks[thread] = (
+                    monitor,
+                    notify_counts.get(monitor, 0)
+                    - notifies_by.get((monitor, thread), 0),
                 )
-        elif kind in _NOTIFIES:
-            monitor = event.monitor
-            self._notify_counts[monitor] = self._notify_counts.get(monitor, 0) + 1
-            by_key = (monitor, thread)
-            self._notifies_by[by_key] = self._notifies_by.get(by_key, 0) + 1
-            if not event.detail.get("woken"):
-                self._lost.append(
-                    (thread, kind.value, monitor, event.component, event.method)
+            elif kind is _MONITOR_NOTIFIED:
+                self._on_wake(event)
+            elif kind is _NOTIFY or kind is _NOTIFY_ALL:
+                monitor = event.monitor
+                notify_counts[monitor] = notify_counts.get(monitor, 0) + 1
+                by_key = (monitor, thread)
+                notifies_by[by_key] = notifies_by.get(by_key, 0) + 1
+                if not event.detail.get("woken"):
+                    self._lost.append(
+                        (thread, kind.value, monitor, event.component, event.method)
+                    )
+            elif kind is _INTERRUPT:
+                # Delivery is certain only for a waiting/blocked target
+                # (the kernel injects InterruptedError at the resumption
+                # point); a runnable target merely gets its flag set,
+                # which a component that never waits again may ignore.
+                if event.detail.get("thread_state") in ("waiting", "blocked"):
+                    interrupt_pending.setdefault(thread)
+                # An interrupted primitive acquirer or barrier party
+                # resumes immediately with InterruptedError — no longer
+                # stuck.
+                prim_blocked.pop(thread, None)
+                barrier_wait.pop(thread, None)
+            elif kind is _SEM_REQUEST:
+                prim_blocked[thread] = ("semaphore", event.monitor or "?")
+            elif kind is _RW_REQUEST:
+                prim_blocked[thread] = (
+                    event.detail.get("mode", "read"),
+                    event.monitor or "?",
                 )
-        elif kind is _SEM_REQUEST:
-            self._prim_blocked[thread] = ("semaphore", event.monitor or "?")
-        elif kind is _RW_REQUEST:
-            self._prim_blocked[thread] = (
-                event.detail.get("mode", "read"),
-                event.monitor or "?",
-            )
-        elif kind in _PRIMITIVE_GRANTS:
-            self._prim_blocked.pop(thread, None)
-        elif kind is _WAIT_TIMEOUT:
-            if event.detail.get("primitive") == "semaphore":
-                # A failed timed tryAcquire resumed with False.
-                self._prim_blocked.pop(thread, None)
-        elif kind is _BARRIER_AWAIT:
-            if not event.detail.get("broken"):
-                self._barrier_wait[thread] = event.monitor or "?"
-        elif kind is _BARRIER_RESUME:
-            self._barrier_wait.pop(thread, None)
-        elif kind is _BARRIER_BROKEN:
-            for waiter in event.detail.get("waiters", ()):
-                self._barrier_wait.pop(waiter, None)
+            elif kind in _PRIMITIVE_GRANTS:
+                prim_blocked.pop(thread, None)
+            elif kind is _WAIT_TIMEOUT:
+                if event.detail.get("primitive") == "semaphore":
+                    # A failed timed tryAcquire resumed with False.
+                    prim_blocked.pop(thread, None)
+            elif kind is _BARRIER_AWAIT:
+                if not event.detail.get("broken"):
+                    barrier_wait[thread] = event.monitor or "?"
+            elif kind is _BARRIER_RESUME:
+                barrier_wait.pop(thread, None)
+            elif kind is _BARRIER_BROKEN:
+                for waiter in event.detail.get("waiters", ()):
+                    barrier_wait.pop(waiter, None)
 
     def _others_notifies(self, monitor: Optional[str], thread: str) -> int:
         """Notifies emitted on ``monitor`` by threads other than ``thread``."""
@@ -576,6 +600,5 @@ def symptoms_from_run(result: RunResult) -> List[Tuple[Symptom, Dict[str, Any]]]
     through a tracker and reads its observations.
     """
     tracker = SymptomTracker()
-    for event in result.trace:
-        tracker.on_event(event)
+    tracker.fold(result.trace)
     return tracker.observations(result)

@@ -15,7 +15,7 @@ expectations ride along, since the same test drivers check outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.vm.events import Event, EventKind
 from repro.vm.trace import CallRecord, Trace
@@ -135,37 +135,45 @@ class OnlineCompletionChecker(OnlineDetector):
         self._open_stacks.clear()
         self._ticks.clear()
 
-    def on_event(self, event: Event) -> None:
-        kind = event.kind
-        if kind is _CALL_BEGIN:
-            thread = event.thread
-            record = CallRecord(
-                thread=thread,
-                component=event.component or "?",
-                method=event.method or "?",
-                begin_seq=event.seq,
-                begin_time=event.time,
-            )
-            self._open_stacks.setdefault(thread, []).append(len(self._order))
-            self._order.append(record)
-        elif kind is _CALL_END:
-            stack = self._open_stacks.get(event.thread, [])
-            if not stack:
-                return  # unmatched end: tolerated, dropped
-            index = stack.pop()
-            begun = self._order[index]
-            self._order[index] = CallRecord(
-                thread=begun.thread,
-                component=begun.component,
-                method=begun.method,
-                begin_seq=begun.begin_seq,
-                begin_time=begun.begin_time,
-                end_seq=event.seq,
-                end_time=event.time,
-                result=event.detail.get("result"),
-            )
-        elif kind is _CLOCK_TICK:
-            self._ticks.append((event.time, event.detail.get("now")))
+    def fold(self, events: Iterable[Event]) -> None:
+        kinds = self.kinds
+        if not kinds:
+            return
+        order = self._order
+        open_stacks = self._open_stacks
+        for event in events:
+            kind = event.kind
+            if kind not in kinds:
+                continue
+            if kind is _CALL_BEGIN:
+                thread = event.thread
+                record = CallRecord(
+                    thread=thread,
+                    component=event.component or "?",
+                    method=event.method or "?",
+                    begin_seq=event.seq,
+                    begin_time=event.time,
+                )
+                open_stacks.setdefault(thread, []).append(len(order))
+                order.append(record)
+            elif kind is _CALL_END:
+                stack = open_stacks.get(event.thread)
+                if not stack:
+                    continue  # unmatched end: tolerated, dropped
+                index = stack.pop()
+                begun = order[index]
+                order[index] = CallRecord(
+                    thread=begun.thread,
+                    component=begun.component,
+                    method=begun.method,
+                    begin_seq=begun.begin_seq,
+                    begin_time=begun.begin_time,
+                    end_seq=event.seq,
+                    end_time=event.time,
+                    result=event.detail.get("result"),
+                )
+            elif kind is _CLOCK_TICK:
+                self._ticks.append((event.time, event.detail.get("now")))
 
     def _clock_at(self, kernel_time: int) -> int:
         # Ticks *at* kernel_time count (ties included), matching the batch

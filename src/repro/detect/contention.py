@@ -10,7 +10,7 @@ profiles are how a tester decides *where* to aim the fairness analyses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.report.text import render_table
 from repro.vm.events import Event, EventKind
@@ -155,7 +155,7 @@ class OnlineContentionProfiler(OnlineDetector):
 
     name = "contention"
 
-    #: every kind the kernel emits with a ``monitor``: :meth:`_profile`
+    #: every kind the kernel emits with a ``monitor``: :meth:`fold`
     #: creates a profile for any of them, even those it does not count
     kinds = frozenset(
         {
@@ -195,50 +195,50 @@ class OnlineContentionProfiler(OnlineDetector):
         self._pending_request.clear()
         self._pending_wait.clear()
 
-    def _profile(self, monitor: str) -> MonitorProfile:
+    def fold(self, events: Iterable[Event]) -> None:
+        kinds = self.kinds
         monitors = self.report.monitors
-        profile = monitors.get(monitor)
-        if profile is None:
-            profile = monitors[monitor] = MonitorProfile(monitor)
-        return profile
-
-    def on_event(self, event: Event) -> None:
-        monitor = event.monitor
-        if monitor is None:
-            return
-        kind = event.kind
-        time = event.time
-        key = (event.thread, monitor)
-        p = self._profile(monitor)
-        if kind is _MONITOR_REQUEST:
-            self._pending_request[key] = time
-        elif kind is _MONITOR_ACQUIRE:
-            p.acquisitions += 1
-            waited_since = self._pending_wait.pop(key, None)
-            if waited_since is not None:
-                waited = time - waited_since
-                p.total_wait_time += waited
-                p.max_wait_time = max(p.max_wait_time, waited)
-                self._pending_request.pop(key, None)
-            else:
-                requested = self._pending_request.pop(key, None)
-                if requested is not None:
-                    blocked = time - requested
-                    if blocked > 0:
-                        p.contended_acquisitions += 1
-                        p.total_blocked_time += blocked
-                        p.max_blocked_time = max(p.max_blocked_time, blocked)
-        elif kind is _MONITOR_WAIT:
-            p.waits += 1
-            self._pending_wait[key] = time
-        elif kind is _NOTIFY:
-            p.notifies += 1
-            if not event.detail.get("woken"):
-                p.lost_notifies += 1
-        elif kind is _NOTIFY_ALL:
-            p.notify_alls += 1
-            if not event.detail.get("woken"):
-                p.lost_notifies += 1
+        pending_request = self._pending_request
+        pending_wait = self._pending_wait
+        for event in events:
+            kind = event.kind
+            monitor = event.monitor
+            if monitor is None or kind not in kinds:
+                continue
+            p = monitors.get(monitor)
+            if p is None:
+                p = monitors[monitor] = MonitorProfile(monitor)
+            if kind is _MONITOR_REQUEST:
+                pending_request[(event.thread, monitor)] = event.time
+            elif kind is _MONITOR_ACQUIRE:
+                p.acquisitions += 1
+                time = event.time
+                key = (event.thread, monitor)
+                waited_since = pending_wait.pop(key, None)
+                if waited_since is not None:
+                    waited = time - waited_since
+                    p.total_wait_time += waited
+                    p.max_wait_time = max(p.max_wait_time, waited)
+                    pending_request.pop(key, None)
+                else:
+                    requested = pending_request.pop(key, None)
+                    if requested is not None:
+                        blocked = time - requested
+                        if blocked > 0:
+                            p.contended_acquisitions += 1
+                            p.total_blocked_time += blocked
+                            p.max_blocked_time = max(p.max_blocked_time, blocked)
+            elif kind is _MONITOR_WAIT:
+                p.waits += 1
+                pending_wait[(event.thread, monitor)] = event.time
+            elif kind is _NOTIFY:
+                p.notifies += 1
+                if not event.detail.get("woken"):
+                    p.lost_notifies += 1
+            elif kind is _NOTIFY_ALL:
+                p.notify_alls += 1
+                if not event.detail.get("woken"):
+                    p.lost_notifies += 1
 
     def finish(self) -> ContentionReport:
         return self.report

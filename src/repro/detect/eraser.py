@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.vm.events import Event, EventKind
 from repro.vm.trace import AccessRecord, Trace
@@ -213,54 +213,57 @@ class OnlineLocksetDetector(OnlineDetector):
         for state in (detector._fields, detector.reports, self._held, self._locksets):
             state.clear()
 
-    def on_event(self, event: Event) -> None:
-        kind = event.kind
-        thread = event.thread
-        if kind is _READ or kind is _WRITE:
-            locks_held = self._locksets.get(thread)
-            if locks_held is None:
-                locks_held = self._locksets[thread] = frozenset(
-                    self._held.get(thread, ())
-                )
-            component = event.component or "?"
-            fieldname = event.detail.get("field", "?")
-            is_write = kind is _WRITE
-            info = self.detector._refine(
-                component, fieldname, thread, is_write, locks_held
-            )
-            if info is not None:
-                self.detector._report(
-                    info,
-                    AccessRecord(
-                        thread=thread,
-                        component=component,
-                        field=fieldname,
-                        is_write=is_write,
-                        locks_held=locks_held,
-                        seq=event.seq,
-                        time=event.time,
-                    ),
-                )
-        elif kind is _MONITOR_ACQUIRE:
-            stack = self._held.setdefault(thread, [])
-            monitor = event.monitor or "?"
-            for _ in range(event.detail.get("count", 1)):
-                stack.append(monitor)
-            self._locksets.pop(thread, None)
-        elif kind is _MONITOR_RELEASE:
-            stack = self._held.setdefault(thread, [])
-            monitor = event.monitor
-            if monitor in stack:
-                stack.reverse()
-                stack.remove(monitor)
-                stack.reverse()
-            self._locksets.pop(thread, None)
-        elif kind is _MONITOR_WAIT:
-            # wait releases the lock entirely
-            stack = self._held.get(thread, ())
-            monitor = event.monitor
-            self._held[thread] = [m for m in stack if m != monitor]
-            self._locksets.pop(thread, None)
+    def fold(self, events: Iterable[Event]) -> None:
+        kinds = self.kinds
+        detector = self.detector
+        refine = detector._refine
+        held = self._held
+        locksets = self._locksets
+        for event in events:
+            kind = event.kind
+            if kind not in kinds:
+                continue
+            thread = event.thread
+            if kind is _READ or kind is _WRITE:
+                locks_held = locksets.get(thread)
+                if locks_held is None:
+                    locks_held = locksets[thread] = frozenset(held.get(thread, ()))
+                component = event.component or "?"
+                fieldname = event.detail.get("field", "?")
+                is_write = kind is _WRITE
+                info = refine(component, fieldname, thread, is_write, locks_held)
+                if info is not None:
+                    detector._report(
+                        info,
+                        AccessRecord(
+                            thread=thread,
+                            component=component,
+                            field=fieldname,
+                            is_write=is_write,
+                            locks_held=locks_held,
+                            seq=event.seq,
+                            time=event.time,
+                        ),
+                    )
+            elif kind is _MONITOR_ACQUIRE:
+                stack = held.setdefault(thread, [])
+                monitor = event.monitor or "?"
+                for _ in range(event.detail.get("count", 1)):
+                    stack.append(monitor)
+                locksets.pop(thread, None)
+            elif kind is _MONITOR_RELEASE:
+                stack = held.setdefault(thread, [])
+                monitor = event.monitor
+                if monitor in stack:
+                    stack.reverse()
+                    stack.remove(monitor)
+                    stack.reverse()
+                locksets.pop(thread, None)
+            elif kind is _MONITOR_WAIT:
+                # wait releases the lock entirely
+                monitor = event.monitor
+                held[thread] = [m for m in held.get(thread, ()) if m != monitor]
+                locksets.pop(thread, None)
 
     def finish(self) -> List[RaceReport]:
         return list(self.detector.reports)

@@ -136,32 +136,45 @@ class OnlineLockGraphDetector(OnlineDetector):
         _REQUEST_KINDS | _GRANT_KINDS | _RELEASE_KINDS | {EventKind.MONITOR_WAIT}
     )
 
-    def on_event(self, event: Event) -> None:
-        thread = event.thread
-        monitor = event.monitor
-        kind = event.kind
-        stack = self._held.setdefault(thread, [])
-        if kind in _REQUEST_KINDS:
-            # The ordering edge is established at *request* time: a thread
-            # blocked on `inner` while holding `outer` is the hazard even
-            # if the grant never happens (as in an actual deadlock run).
-            monitor = monitor or "?"
-            for outer in set(stack):
-                if outer != monitor:
-                    edge = LockOrderEdge(outer, monitor, thread, event.seq)
-                    self.graph.setdefault((outer, monitor), edge)
-                    self.edges.append(edge)
-        elif kind in _GRANT_KINDS:
-            monitor = monitor or "?"
-            for _ in range(event.detail.get("count", 1)):
-                stack.append(monitor)
-        elif kind in _RELEASE_KINDS:
-            if monitor in stack:
-                stack.reverse()
-                stack.remove(monitor)
-                stack.reverse()
-        elif kind is _MONITOR_WAIT:
-            self._held[thread] = [m for m in stack if m != monitor]
+    def fold(self, events: Iterable[Event]) -> None:
+        kinds = self.kinds
+        graph = self.graph
+        edges = self.edges
+        held = self._held
+        for event in events:
+            kind = event.kind
+            if kind not in kinds:
+                continue
+            thread = event.thread
+            monitor = event.monitor
+            if kind in _REQUEST_KINDS:
+                # The ordering edge is established at *request* time: a
+                # thread blocked on `inner` while holding `outer` is the
+                # hazard even if the grant never happens (as in an actual
+                # deadlock run).
+                stack = held.get(thread)
+                if stack:
+                    monitor = monitor or "?"
+                    for outer in set(stack):
+                        if outer != monitor:
+                            edge = LockOrderEdge(outer, monitor, thread, event.seq)
+                            graph.setdefault((outer, monitor), edge)
+                            edges.append(edge)
+            elif kind in _GRANT_KINDS:
+                stack = held.get(thread)
+                if stack is None:
+                    stack = held[thread] = []
+                monitor = monitor or "?"
+                for _ in range(event.detail.get("count", 1)):
+                    stack.append(monitor)
+            elif kind in _RELEASE_KINDS:
+                stack = held.get(thread)
+                if stack and monitor in stack:
+                    stack.reverse()
+                    stack.remove(monitor)
+                    stack.reverse()
+            elif kind is _MONITOR_WAIT:
+                held[thread] = [m for m in held.get(thread, ()) if m != monitor]
 
     def finish(self) -> List[PotentialDeadlock]:
         """All simple cycles of the graph as potential deadlocks.

@@ -2,23 +2,30 @@
 
 Every batch detector in :mod:`repro.detect` is a fold over the event
 stream; this module makes the fold explicit.  An :class:`OnlineDetector`
-consumes events one at a time (``on_event``) and produces its findings on
-demand (``finish``); the batch entry points (``detect_races``,
-``detect_lock_cycles``, ...) are now thin wrappers that :func:`replay` a
-stored trace through the online form, so there is exactly one
-implementation of each analysis.
+consumes events in order, one at a time (``on_event``) or a batch at a
+time (``fold``), and produces its findings on demand (``finish``); the
+batch entry points (``detect_races``, ``detect_lock_cycles``, ...) are
+thin wrappers that :func:`replay` a stored trace through the online
+form, so there is exactly one implementation of each analysis.
 
 :class:`DetectorPipeline` bundles the seven detectors plus the VM-level
-:class:`~repro.classify.symptoms.SymptomTracker` behind a single event
-sink that plugs into :meth:`repro.vm.kernel.Kernel.subscribe`.  With the
-kernel's ``trace_mode="none"``, a run's memory footprint drops from
-O(events) to O(detector state) while the pipeline still sees every event
-— this is what lets :mod:`repro.engine` campaigns afford full detection
-on every run.  Each detector declares the event :attr:`~OnlineDetector.kinds`
-its fold reads, and the pipeline routes every event to only those
-detectors.  A pipeline finding that is already *permanent* (a wait-for
-cycle among blocked threads) may abort the run early via
-:meth:`~repro.vm.kernel.Kernel.request_abort` instead of burning steps.
+:class:`~repro.classify.symptoms.SymptomTracker` behind one kernel
+connection.  Each detector declares the event :attr:`~OnlineDetector.kinds`
+its fold reads and skips the rest.  Most detectors *fold*: the kernel
+buffers a run's events and hands them over in batches
+(:meth:`~repro.vm.kernel.Kernel.install_consumer`) of about
+:data:`~repro.vm.kernel.CHUNK_EVENTS` events, at step boundaries and
+once at the end of the run, and each folding detector consumes a batch
+in one call.  A detector that can end the run early (one that overrides
+:meth:`~OnlineDetector.abort_reason`; a wait-for cycle among blocked
+threads is *permanent*) instead stays *inline*: the kernel routes it
+each event of its kinds as the event is emitted, and the pipeline then
+polls it and forwards a reason to
+:meth:`~repro.vm.kernel.Kernel.request_abort`, so the run stops on the
+event that proved the failure.  With the kernel's ``trace_mode="none"``,
+a run's memory drops from O(events) to O(detector state) plus one batch,
+while the pipeline still sees every event — this is what lets
+:mod:`repro.engine` campaigns afford full detection on every run.
 
 Import discipline: the concrete detector modules import this one (for
 :class:`OnlineDetector` / :func:`replay`), so this module must only
@@ -63,19 +70,29 @@ class OnlineDetector:
     """Protocol for a streaming detector.
 
     Subclasses set :attr:`name` (the key their findings appear under in a
-    pipeline), consume events via :meth:`on_event`, and return their
-    findings from :meth:`finish`.  ``finish`` must be a pure read of the
-    accumulated state (idempotent): pipelines may call it more than once.
+    pipeline), consume events, and return their findings from
+    :meth:`finish`.  ``finish`` must be a pure read of the accumulated
+    state (idempotent): pipelines may call it more than once.
+
+    A subclass overrides exactly one of :meth:`on_event` (one event at a
+    time) and :meth:`fold` (a batch at a time, which a pipeline prefers:
+    one call per batch instead of one per event); each default is
+    defined through the other.  Either way the result may not depend on
+    how the stream is cut into batches.
+
     :meth:`abort_reason` lets a detector ask for an early end of the run;
     it must only return a reason for findings that are already permanent
     — aborting cannot un-happen an event, but a transient condition would
-    make the early-stopped run diverge from the natural one.
+    make the early-stopped run diverge from the natural one.  A detector
+    that overrides it is routed inline, event by event, so a pipeline can
+    poll it as soon as the failure forms.
 
     :attr:`kinds` lists the event kinds whose arrival changes the
-    detector's state (bookkeeping-only kinds included); a pipeline
-    delivers only those kinds.  ``None`` means every kind.  A pipeline
-    polls :meth:`abort_reason` only after :attr:`abort_kinds`, the kinds
-    that can change it (by default :attr:`kinds`).
+    detector's state (bookkeeping-only kinds included); a detector skips
+    the other kinds, and an inline one is only delivered these.  ``None``
+    means every kind.  A pipeline polls :meth:`abort_reason` only after
+    :attr:`abort_kinds`, the kinds that can change it (by default
+    :attr:`kinds`).
     """
 
     #: Stable key identifying the detector's findings in pipeline output.
@@ -89,7 +106,21 @@ class OnlineDetector:
     abort_kinds: Optional[FrozenSet[EventKind]] = None
 
     def on_event(self, event: Event) -> None:
-        raise NotImplementedError
+        """Consume one event: a batch of one."""
+        self.fold((event,))
+
+    def fold(self, events: Iterable[Event]) -> None:
+        """Consume a batch of events in order: each one of :attr:`kinds`
+        through :meth:`on_event`."""
+        if type(self).on_event is OnlineDetector.on_event:
+            raise NotImplementedError(
+                f"{type(self).__name__} overrides neither on_event nor fold"
+            )
+        on_event = self.on_event
+        kinds = self.kinds
+        for event in events:
+            if kinds is None or event.kind in kinds:
+                on_event(event)
 
     def finish(self) -> Any:
         raise NotImplementedError
@@ -109,10 +140,9 @@ class OnlineDetector:
 
 
 def replay(events: Iterable[Event], detector: OnlineDetector) -> OnlineDetector:
-    """Feed every event to the detector; returns the detector for
+    """Fold every event into the detector; returns the detector for
     chaining (``replay(trace, D()).finish()`` is the batch idiom)."""
-    for event in events:
-        detector.on_event(event)
+    detector.fold(events)
     return detector
 
 
@@ -219,20 +249,56 @@ class DetectionSummary:
         )
 
 
-class DetectorPipeline:
-    """A set of online detectors behind one kernel event sink.
+_EVERY_KIND = tuple(EventKind)
 
-    Events are routed by kind: one table, :attr:`routes`, built at
-    construction, maps each kind to the handlers whose fold reads it —
-    the symptom tracker first, then the detectors in report order, then
-    the abort poll of each detector that overrides
-    :meth:`~OnlineDetector.abort_reason` (polled only after its
-    :attr:`~OnlineDetector.abort_kinds`, the only events that can change
-    it).  :meth:`attach` installs that table into a kernel in one call;
-    :meth:`on_event` walks the same table for replay and batch callers.  A
-    :class:`~repro.run.executor.RunExecutor` installs the table itself,
-    merged with its sink's, and only binds each run's kernel
-    (:meth:`bind`).
+
+def _kinds_of(target: Any) -> Tuple[EventKind, ...]:
+    kinds = getattr(target, "kinds", None)
+    return _EVERY_KIND if kinds is None else tuple(kinds)
+
+
+def _abort_kinds_of(detector: OnlineDetector) -> Tuple[EventKind, ...]:
+    kinds = getattr(detector, "abort_kinds", None)
+    return _kinds_of(detector) if kinds is None else tuple(kinds)
+
+
+def _can_abort(detector: OnlineDetector) -> bool:
+    # read through the instance, so a wrapper that takes its inner
+    # detector's bound ``abort_reason`` is polled as that detector
+    poll = getattr(detector, "abort_reason", None)
+    function = getattr(poll, "__func__", None)
+    return function not in (None, OnlineDetector.abort_reason)
+
+
+def _table(
+    subscribers: List[Tuple[Callable[[Event], None], Tuple[EventKind, ...]]],
+) -> Dict[EventKind, Tuple[Callable[[Event], None], ...]]:
+    """kind -> the handlers subscribed to it, in subscription order."""
+    table: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {}
+    for handler, kinds in subscribers:
+        for kind in kinds:
+            table[kind] = table.get(kind, ()) + (handler,)
+    return table
+
+
+class DetectorPipeline:
+    """A set of online detectors behind one kernel connection.
+
+    The detectors that can abort the run early are *inline*: a
+    kind-routing table, :attr:`kernel_routes`, maps each kind to their
+    ``on_event`` and then to the abort poll of each (polled only after
+    its :attr:`~OnlineDetector.abort_kinds`, the only events that can
+    change it).  Every other detector, and the symptom tracker first,
+    *folds*: :meth:`bind` makes the pipeline the kernel's batch consumer,
+    and each batch goes to their ``fold`` in turn.  :meth:`attach`
+    installs both into a kernel in one call.  A
+    :class:`~repro.run.executor.RunExecutor` installs
+    :attr:`kernel_routes` itself, merged with its sink's, and only binds
+    each run's kernel.
+
+    :attr:`routes` is the whole pipeline as one event-at-a-time table —
+    symptoms, the detectors in report order, the abort polls — which
+    :meth:`on_event` walks for replay and batch callers.
 
     Args:
         detectors: the detectors to run; defaults to
@@ -263,45 +329,26 @@ class DetectorPipeline:
         self._counted = 0
         self._seq_start = 0
         self._kernel: Optional["Kernel"] = None
-        #: kind -> handlers in delivery order: the table kernels route by
-        #: and on_event walks
-        self.routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {}
-        for handler, kinds in self._subscribers():
-            for kind in kinds:
-                self.routes[kind] = self.routes.get(kind, ()) + (handler,)
-
-    def _subscribers(
-        self,
-    ) -> List[Tuple[Callable[[Event], None], Tuple[EventKind, ...]]]:
-        """Symptoms, the detectors in report order, then the abort polls
-        of the detectors that can abort, each with its kinds (a poll's
-        are its detector's ``abort_kinds``)."""
-        every = tuple(EventKind)
-
-        def kinds_of(target: Any) -> Tuple[EventKind, ...]:
-            kinds = getattr(target, "kinds", None)
-            return every if kinds is None else tuple(kinds)
-
-        def abort_kinds_of(detector: OnlineDetector) -> Tuple[EventKind, ...]:
-            kinds = getattr(detector, "abort_kinds", None)
-            return kinds_of(detector) if kinds is None else tuple(kinds)
-
-        def can_abort(detector: OnlineDetector) -> bool:
-            # read through the instance, so a wrapper that takes its inner
-            # detector's bound ``abort_reason`` is polled as that detector
-            poll = getattr(detector, "abort_reason", None)
-            function = getattr(poll, "__func__", None)
-            return function not in (None, OnlineDetector.abort_reason)
-
-        targets = [(self.symptoms.on_event, kinds_of(self.symptoms))]
-        targets += [(d.on_event, kinds_of(d)) for d in self.detectors]
-        if self.early_stop:
-            targets += [
-                (self._abort_poll(d), abort_kinds_of(d))
-                for d in self.detectors
-                if can_abort(d)
-            ]
-        return targets
+        inline = [d for d in self.detectors if early_stop and _can_abort(d)]
+        polls = [(self._abort_poll(d), _abort_kinds_of(d)) for d in inline]
+        #: kind -> handlers in delivery order, for every detector: the
+        #: table on_event walks
+        self.routes = _table(
+            [(self.symptoms.on_event, _kinds_of(self.symptoms))]
+            + [(d.on_event, _kinds_of(d)) for d in self.detectors]
+            + polls
+        )
+        #: kind -> handlers of the inline detectors and their abort polls:
+        #: the table kernels route by
+        self.kernel_routes = _table(
+            [(d.on_event, _kinds_of(d)) for d in inline] + polls
+        )
+        #: the fold of the symptom tracker, then of each detector not
+        #: inline, in report order
+        self._folds: Tuple[Callable[[Sequence[Event]], None], ...] = (
+            self.symptoms.fold,
+            *[d.fold for d in self.detectors if d not in inline],
+        )
 
     def _abort_poll(self, detector: OnlineDetector) -> Callable[[Event], None]:
         """A handler asking ``detector`` for an abort reason; the first
@@ -328,18 +375,24 @@ class DetectorPipeline:
         return seen
 
     def bind(self, kernel: "Kernel") -> "DetectorPipeline":
-        """Make ``kernel``, whose routes deliver to this pipeline, the one
-        early aborts are asked of and events are counted on; returns self
-        for chaining."""
+        """Make this pipeline ``kernel``'s batch consumer, and ``kernel``
+        the one early aborts are asked of and events are counted on;
+        returns self for chaining.  The inline detectors receive events
+        only through :attr:`kernel_routes`, installed separately."""
         self._kernel = kernel
         self._seq_start = kernel.events_emitted
+        kernel.install_consumer(self._fold)
         return self
 
     def attach(self, kernel: "Kernel") -> "DetectorPipeline":
-        """Route a kernel's events to this pipeline (:attr:`routes`) and
-        :meth:`bind` it; returns self for chaining."""
-        kernel.install_routes(self.routes)
+        """Route a kernel's events to this pipeline (:attr:`kernel_routes`
+        and :meth:`bind`); returns self for chaining."""
+        kernel.install_routes(self.kernel_routes)
         return self.bind(kernel)
+
+    def _fold(self, events: Sequence[Event]) -> None:
+        for fold in self._folds:
+            fold(events)
 
     def reset(self) -> "DetectorPipeline":
         """Reset every detector and the symptom tracker in place for the
@@ -360,7 +413,10 @@ class DetectorPipeline:
             handler(event)
 
     def findings(self) -> Dict[str, Any]:
-        """Raw findings keyed by detector name."""
+        """Raw findings keyed by detector name, after folding what the
+        bound kernel still holds."""
+        if self._kernel is not None:
+            self._kernel.drain()
         return {detector.name: detector.finish() for detector in self.detectors}
 
     def report(self, result: "RunResult") -> "DetectionReport":

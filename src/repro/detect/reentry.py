@@ -35,7 +35,7 @@ fields or ``or``-chains, where the proceed path reads the full sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.run.registry import register_detector
 from repro.vm.events import Event, EventKind
@@ -149,10 +149,6 @@ class OnlineReentryDetector(OnlineDetector):
 
     # -- helpers -----------------------------------------------------------
 
-    def _top(self, thread: str) -> Optional[_Frame]:
-        stack = self._frames.get(thread)
-        return stack[-1] if stack else None
-
     def _flag(self, thread: str, frame: _Frame, kind: str) -> None:
         if frame.flagged:
             return
@@ -178,62 +174,67 @@ class OnlineReentryDetector(OnlineDetector):
 
     # -- event fold --------------------------------------------------------
 
-    def on_event(self, event: Event) -> None:
-        kind = event.kind
-        thread = event.thread
-        if kind is _CALL_BEGIN:
-            self._frames.setdefault(thread, []).append(
-                _Frame(component=event.component or "?", method=event.method or "?")
-            )
-            return
-        frame = self._top(thread)
-        if frame is None:
-            if kind in _THREAD_EXITS:
-                self._frames.pop(thread, None)
-            return
-        if kind is _READ:
-            if event.component != frame.component:
-                return
-            fieldname = str(event.detail.get("field", "?"))
-            if fieldname not in frame.reads:
-                frame.reads.append(fieldname)
-            if frame.state == "woken" and _guard_reread(frame.guard, frame.reads):
-                frame.state = "run"
-        elif kind is _WRITE:
-            if event.component == frame.component and frame.state == "woken":
-                self._watch_write_or_exit(thread, frame, "premature-write")
-        elif kind is _MONITOR_WAIT:
-            # A wait (or re-wait) never flags: the guard held.  Capture the
-            # reads since the frame opened / the last wake as the guard.
-            frame.guard = tuple(frame.reads)
-            frame.reads = []
-            frame.state = "waiting"
-        elif kind in _WAKEUPS:
-            if frame.state != "waiting":
-                return
-            frame.woke = True
-            frame.reads = []
-            # An unguarded wait (no component reads before it) is the
-            # signal idiom, not a guarded wait: nothing to re-check.
-            frame.state = "woken" if frame.guard else "run"
-        elif kind is _MONITOR_RELEASE:
-            if event.monitor == frame.component and frame.state == "woken":
-                self._watch_write_or_exit(thread, frame, "premature-exit")
-        elif kind is _CALL_END:
-            if event.component == frame.component and event.method == frame.method:
-                if frame.state == "woken":
+    def fold(self, events: Iterable[Event]) -> None:
+        kinds = self.kinds
+        frames = self._frames
+        for event in events:
+            kind = event.kind
+            if kind not in kinds:
+                continue
+            thread = event.thread
+            if kind is _CALL_BEGIN:
+                frames.setdefault(thread, []).append(
+                    _Frame(component=event.component or "?", method=event.method or "?")
+                )
+                continue
+            stack = frames.get(thread)
+            if not stack:
+                if kind in _THREAD_EXITS:
+                    frames.pop(thread, None)
+                continue
+            frame = stack[-1]
+            if kind is _READ:
+                if event.component != frame.component:
+                    continue
+                fieldname = str(event.detail.get("field", "?"))
+                if fieldname not in frame.reads:
+                    frame.reads.append(fieldname)
+                if frame.state == "woken" and _guard_reread(frame.guard, frame.reads):
+                    frame.state = "run"
+            elif kind is _WRITE:
+                if event.component == frame.component and frame.state == "woken":
+                    self._watch_write_or_exit(thread, frame, "premature-write")
+            elif kind is _MONITOR_WAIT:
+                # A wait (or re-wait) never flags: the guard held.  Capture
+                # the reads since the frame opened / the last wake as the
+                # guard.
+                frame.guard = tuple(frame.reads)
+                frame.reads = []
+                frame.state = "waiting"
+            elif kind in _WAKEUPS:
+                if frame.state != "waiting":
+                    continue
+                frame.woke = True
+                frame.reads = []
+                # An unguarded wait (no component reads before it) is the
+                # signal idiom, not a guarded wait: nothing to re-check.
+                frame.state = "woken" if frame.guard else "run"
+            elif kind is _MONITOR_RELEASE:
+                if event.monitor == frame.component and frame.state == "woken":
                     self._watch_write_or_exit(thread, frame, "premature-exit")
-                stack = self._frames.get(thread)
-                if stack:
+            elif kind is _CALL_END:
+                if event.component == frame.component and event.method == frame.method:
+                    if frame.state == "woken":
+                        self._watch_write_or_exit(thread, frame, "premature-exit")
                     stack.pop()
-        elif kind is _THREAD_CRASH:
-            for open_frame in reversed(self._frames.get(thread, [])):
-                if open_frame.woke and not open_frame.flagged:
-                    self._flag(thread, open_frame, "crash-after-wake")
-                    break
-            self._frames.pop(thread, None)
-        elif kind is _THREAD_END:
-            self._frames.pop(thread, None)
+            elif kind is _THREAD_CRASH:
+                for open_frame in reversed(stack):
+                    if open_frame.woke and not open_frame.flagged:
+                        self._flag(thread, open_frame, "crash-after-wake")
+                        break
+                frames.pop(thread, None)
+            elif kind is _THREAD_END:
+                frames.pop(thread, None)
 
     def finish(self) -> List[ReentryFinding]:
         return list(self._findings)

@@ -22,7 +22,7 @@ Two measures are computed from a trace:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.vm.events import Event, EventKind
 from repro.vm.trace import Trace
@@ -35,8 +35,6 @@ __all__ = ["StarvationReport", "OnlineStarvationDetector", "analyze_starvation"]
 
 # Event kinds bound to module names: function bodies read these, never
 # ``EventKind.X`` (a Python-level enum class lookup before 3.12).
-_THREAD_END = EventKind.THREAD_END
-_THREAD_CRASH = EventKind.THREAD_CRASH
 _MONITOR_REQUEST = EventKind.MONITOR_REQUEST
 _MONITOR_ACQUIRE = EventKind.MONITOR_ACQUIRE
 _MONITOR_WAIT = EventKind.MONITOR_WAIT
@@ -51,7 +49,7 @@ _RW_DOWNGRADE = EventKind.RW_DOWNGRADE
 
 _PRIMITIVE_REQUESTS = frozenset({_SEM_REQUEST, _RW_REQUEST})
 _PRIMITIVE_GRANTS = frozenset({_SEM_ACQUIRE, _RW_ACQUIRE, _RW_DOWNGRADE})
-_THREAD_EXITS = frozenset({_THREAD_END, _THREAD_CRASH})
+_THREAD_EXITS = frozenset({EventKind.THREAD_END, EventKind.THREAD_CRASH})
 
 
 @dataclass(frozen=True)
@@ -138,63 +136,67 @@ class OnlineStarvationDetector(OnlineDetector):
         ):
             state.clear()
 
-    def on_event(self, event: Event) -> None:
-        monitor = event.monitor
-        thread = event.thread
-        kind = event.kind
-        if kind is _MONITOR_REQUEST:
-            self._entry_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
-        elif kind is _MONITOR_ACQUIRE:
-            queued = self._entry_sets.setdefault(monitor, {})
-            arrived = queued.pop(thread, event.seq)
-            for bystander, bystander_arrived in queued.items():
-                if bystander_arrived < arrived:
-                    key = (bystander, monitor)
-                    self._lock_bypasses[key] = self._lock_bypasses.get(key, 0) + 1
-        elif kind is _MONITOR_WAIT:
-            self._wait_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
-        elif kind is _MONITOR_NOTIFIED:
-            seq = event.seq
-            waiters = self._wait_sets.setdefault(monitor, {})
-            arrived = waiters.pop(thread, seq)
-            for bystander, bystander_arrived in waiters.items():
-                if bystander_arrived < arrived:
-                    key = (bystander, monitor)
-                    self._notify_bypasses[key] = self._notify_bypasses.get(key, 0) + 1
-            # the woken thread re-enters the entry set
-            self._entry_sets.setdefault(monitor, {}).setdefault(thread, seq)
-        elif kind in _PRIMITIVE_REQUESTS:
-            # Semaphore and rw-lock queues starve exactly like entry sets:
-            # same arrival bookkeeping, different report kind.
-            self._entry_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
-            if kind is _RW_REQUEST:
-                self._prim_kind[monitor] = "rwlock"
-                self._rw_mode[(thread, monitor)] = event.detail.get("mode", "read")
-            else:
-                self._prim_kind[monitor] = "semaphore"
-        elif kind in _PRIMITIVE_GRANTS:
-            queued = self._entry_sets.setdefault(monitor, {})
-            arrived = queued.pop(thread, event.seq)
-            for bystander, bystander_arrived in queued.items():
-                if bystander_arrived < arrived:
-                    key = (bystander, monitor)
-                    self._lock_bypasses[key] = self._lock_bypasses.get(key, 0) + 1
-        elif kind is _WAIT_TIMEOUT:
-            if event.detail.get("primitive") == "semaphore":
-                self._entry_sets.setdefault(monitor, {}).pop(thread, None)
-        elif kind is _INTERRUPT:
-            # An interrupted primitive acquirer leaves its queue for good;
-            # monitor entry sets are left to the monitor protocol events
-            # (a post-wait reacquirer stays queued with the interrupt
-            # pending, so popping it here would lose its arrival).
-            for mon, queued in self._entry_sets.items():
-                if mon in self._prim_kind:
+    def fold(self, events: Iterable[Event]) -> None:
+        kinds = self.kinds
+        entry_sets = self._entry_sets
+        wait_sets = self._wait_sets
+        lock_bypasses = self._lock_bypasses
+        notify_bypasses = self._notify_bypasses
+        for event in events:
+            kind = event.kind
+            if kind not in kinds:
+                continue
+            monitor = event.monitor
+            thread = event.thread
+            if kind is _MONITOR_REQUEST:
+                entry_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
+            elif kind is _MONITOR_ACQUIRE or kind in _PRIMITIVE_GRANTS:
+                queued = entry_sets.setdefault(monitor, {})
+                arrived = queued.pop(thread, event.seq)
+                for bystander, bystander_arrived in queued.items():
+                    if bystander_arrived < arrived:
+                        key = (bystander, monitor)
+                        lock_bypasses[key] = lock_bypasses.get(key, 0) + 1
+            elif kind is _MONITOR_WAIT:
+                wait_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
+            elif kind is _MONITOR_NOTIFIED:
+                seq = event.seq
+                waiters = wait_sets.setdefault(monitor, {})
+                arrived = waiters.pop(thread, seq)
+                for bystander, bystander_arrived in waiters.items():
+                    if bystander_arrived < arrived:
+                        key = (bystander, monitor)
+                        notify_bypasses[key] = notify_bypasses.get(key, 0) + 1
+                # the woken thread re-enters the entry set
+                entry_sets.setdefault(monitor, {}).setdefault(thread, seq)
+            elif kind in _PRIMITIVE_REQUESTS:
+                # Semaphore and rw-lock queues starve exactly like entry
+                # sets: same arrival bookkeeping, different report kind.
+                entry_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
+                if kind is _RW_REQUEST:
+                    self._prim_kind[monitor] = "rwlock"
+                    self._rw_mode[(thread, monitor)] = event.detail.get(
+                        "mode", "read"
+                    )
+                else:
+                    self._prim_kind[monitor] = "semaphore"
+            elif kind is _WAIT_TIMEOUT:
+                if event.detail.get("primitive") == "semaphore":
+                    entry_sets.setdefault(monitor, {}).pop(thread, None)
+            elif kind is _INTERRUPT:
+                # An interrupted primitive acquirer leaves its queue for
+                # good; monitor entry sets are left to the monitor
+                # protocol events (a post-wait reacquirer stays queued with
+                # the interrupt pending, so popping it here would lose its
+                # arrival).
+                for mon, queued in entry_sets.items():
+                    if mon in self._prim_kind:
+                        queued.pop(thread, None)
+            elif kind in _THREAD_EXITS:
+                for queued in entry_sets.values():
                     queued.pop(thread, None)
-        elif kind in _THREAD_EXITS:
-            for queued in self._entry_sets.values():
-                queued.pop(thread, None)
-            for waiters in self._wait_sets.values():
-                waiters.pop(thread, None)
+                for waiters in wait_sets.values():
+                    waiters.pop(thread, None)
 
     def _queue_kind(self, thread: str, monitor: str) -> str:
         """Report kind for a bypassed acquirer of ``monitor``."""

@@ -46,7 +46,7 @@ overreports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.vm.events import Event, EventKind
 from repro.vm.trace import Trace
@@ -68,9 +68,6 @@ _NOTIFY_ALL = EventKind.NOTIFY_ALL
 _READ = EventKind.READ
 _WRITE = EventKind.WRITE
 
-_RELEASES = frozenset({_MONITOR_RELEASE, _MONITOR_WAIT})
-_NOTIFIES = frozenset({_NOTIFY, _NOTIFY_ALL})
-_ACCESSES = frozenset({_READ, _WRITE})
 
 
 class VectorClock:
@@ -185,96 +182,105 @@ class OnlineHbDetector(OnlineDetector):
         ):
             state.clear()
 
-    def on_event(self, event: Event) -> None:
-        thread = event.thread
-        vc = self._thread_vc.get(thread)
-        if vc is None:
-            vc = self._thread_vc[thread] = VectorClock({thread: 1})
-        clocks = vc._clocks
-        kind = event.kind
+    def fold(self, events: Iterable[Event]) -> None:
+        kinds = self.kinds
+        thread_vc = self._thread_vc
+        monitor_vc = self._monitor_vc
+        notify_vc = self._notify_vc
+        fields = self._fields
+        races = self.races
+        max_reports = self.max_reports
+        for event in events:
+            kind = event.kind
+            if kind not in kinds:
+                continue
+            thread = event.thread
+            vc = thread_vc.get(thread)
+            if vc is None:
+                vc = thread_vc[thread] = VectorClock({thread: 1})
+            clocks = vc._clocks
 
-        if kind in _ACCESSES:
-            seq = event.seq
-            key = (event.component or "?", event.detail.get("field", "?"))
-            slot = self._fields.get(key)
-            if slot is None:
-                slot = self._fields[key] = _FieldEpochs()
-            is_write = kind is _WRITE
-            races = self.races
-            # conflict with the last write: c@w happens before this
-            # access exactly when c <= this thread's entry for w
-            write = slot.write
-            if (
-                write is not None
-                and write[0] != thread
-                and write[1] > clocks.get(write[0], 0)
-                and len(races) < self.max_reports
-            ):
-                races.append(
-                    HbRace(
-                        component=key[0],
-                        field=key[1],
-                        first_thread=write[0] or "?",
-                        first_seq=write[2],
-                        first_is_write=True,
-                        second_thread=thread,
-                        second_seq=seq,
-                        second_is_write=is_write,
-                    )
-                )
-            own = clocks[thread]
-            if is_write:
-                # a write also conflicts with unordered prior reads
-                for reader, (read_clock, read_seq) in slot.reads.items():
-                    if (
-                        reader != thread
-                        and read_clock > clocks.get(reader, 0)
-                        and len(races) < self.max_reports
-                    ):
-                        races.append(
-                            HbRace(
-                                component=key[0],
-                                field=key[1],
-                                first_thread=reader,
-                                first_seq=read_seq,
-                                first_is_write=False,
-                                second_thread=thread,
-                                second_seq=seq,
-                                second_is_write=True,
-                            )
+            if kind is _READ or kind is _WRITE:
+                seq = event.seq
+                key = (event.component or "?", event.detail.get("field", "?"))
+                slot = fields.get(key)
+                if slot is None:
+                    slot = fields[key] = _FieldEpochs()
+                is_write = kind is _WRITE
+                # conflict with the last write: c@w happens before this
+                # access exactly when c <= this thread's entry for w
+                write = slot.write
+                if (
+                    write is not None
+                    and write[0] != thread
+                    and write[1] > clocks.get(write[0], 0)
+                    and len(races) < max_reports
+                ):
+                    races.append(
+                        HbRace(
+                            component=key[0],
+                            field=key[1],
+                            first_thread=write[0] or "?",
+                            first_seq=write[2],
+                            first_is_write=True,
+                            second_thread=thread,
+                            second_seq=seq,
+                            second_is_write=is_write,
                         )
-                slot.write = (thread, own, seq)
-                slot.reads.clear()
-            else:
-                slot.reads[thread] = (own, seq)
-            clocks[thread] = own + 1
-        elif kind is _MONITOR_ACQUIRE:
-            released = self._monitor_vc.get(event.monitor)
-            if released is not None:
-                vc.join(released)
-            clocks[thread] += 1
-        elif kind in _RELEASES:
-            # wait releases the lock exactly like a release does
-            monitor = event.monitor
-            released = self._monitor_vc.get(monitor)
-            if released is None:
-                released = self._monitor_vc[monitor] = VectorClock()
-            released.join(vc)
-            clocks[thread] += 1
-        elif kind in _NOTIFIES:
-            woken = event.detail.get("woken")
-            if woken:
-                # one snapshot, shared: a notified join only reads it
-                sent = vc.copy()
+                    )
+                own = clocks[thread]
+                if is_write:
+                    # a write also conflicts with unordered prior reads
+                    for reader, (read_clock, read_seq) in slot.reads.items():
+                        if (
+                            reader != thread
+                            and read_clock > clocks.get(reader, 0)
+                            and len(races) < max_reports
+                        ):
+                            races.append(
+                                HbRace(
+                                    component=key[0],
+                                    field=key[1],
+                                    first_thread=reader,
+                                    first_seq=read_seq,
+                                    first_is_write=False,
+                                    second_thread=thread,
+                                    second_seq=seq,
+                                    second_is_write=True,
+                                )
+                            )
+                    slot.write = (thread, own, seq)
+                    slot.reads.clear()
+                else:
+                    slot.reads[thread] = (own, seq)
+                clocks[thread] = own + 1
+            elif kind is _MONITOR_ACQUIRE:
+                released = monitor_vc.get(event.monitor)
+                if released is not None:
+                    vc.join(released)
+                clocks[thread] += 1
+            elif kind is _MONITOR_RELEASE or kind is _MONITOR_WAIT:
+                # wait releases the lock exactly like a release does
                 monitor = event.monitor
-                for waiter in woken:
-                    self._notify_vc[(monitor, waiter)] = sent
-            clocks[thread] += 1
-        elif kind is _MONITOR_NOTIFIED:
-            sent = self._notify_vc.pop((event.monitor, thread), None)
-            if sent is not None:
-                vc.join(sent)
-            clocks[thread] += 1
+                released = monitor_vc.get(monitor)
+                if released is None:
+                    released = monitor_vc[monitor] = VectorClock()
+                released.join(vc)
+                clocks[thread] += 1
+            elif kind is _NOTIFY or kind is _NOTIFY_ALL:
+                woken = event.detail.get("woken")
+                if woken:
+                    # one snapshot, shared: a notified join only reads it
+                    sent = vc.copy()
+                    monitor = event.monitor
+                    for waiter in woken:
+                        notify_vc[(monitor, waiter)] = sent
+                clocks[thread] += 1
+            elif kind is _MONITOR_NOTIFIED:
+                sent = notify_vc.pop((event.monitor, thread), None)
+                if sent is not None:
+                    vc.join(sent)
+                clocks[thread] += 1
 
     def finish(self) -> List[HbRace]:
         return list(self.races)

@@ -34,6 +34,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs.live.frames import TelemetryFrame
 from repro.obs.metrics import MetricsRegistry
 from repro.run.config import DETECTOR_ORDER, RunConfig, RunConfigError, _coerce_faults
+from repro.run.executor import RunExecutor
 from repro.testing.explorer import RunSummary, wilson_interval
 from repro.vm.kernel import RunStatus
 
@@ -564,17 +565,22 @@ def _plan(spec: CampaignSpec):
             spec.mode, spec.budget, spec.shard_size, spec.seed_start
         )
         return shards, [], False
-    # build_factory (not bare resolve_factory): template workloads need
-    # their component paired in before the planner can run them
-    factory = spec.run_config().build_factory()
+    # plan through an executor, as a worker runs a shard: the planner's
+    # runs are journaled and merged like any other, so they carry the
+    # same detection, metrics and coverage
+    executor = RunExecutor(spec.run_config())
     n_shards = max(1, spec.budget // spec.shard_size)
-    plan = plan_systematic_shards(
-        factory,
-        budget=spec.budget,
-        n_shards=n_shards,
-        max_depth=spec.max_depth,
-        branch=spec.branch,
-    )
+    try:
+        plan = plan_systematic_shards(
+            executor,
+            budget=spec.budget,
+            n_shards=n_shards,
+            max_depth=spec.max_depth,
+            branch=spec.branch,
+            summarize=executor.summarize,
+        )
+    finally:
+        executor.release()
     return plan.shards, plan.planner_summaries, plan.exhausted
 
 

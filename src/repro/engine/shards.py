@@ -22,7 +22,7 @@ partitioning strategies, matching the two exploration families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.testing.explorer import (
     ExplorationRun,
@@ -111,6 +111,7 @@ def plan_systematic_shards(
     n_shards: int,
     max_depth: int = 400,
     branch: str = "shallow",
+    summarize: Callable[[ExplorationRun], RunSummary] = ExplorationRun.summary,
 ) -> SystematicPlan:
     """Expand the decision tree just far enough to split it, then deal the
     explorer's pending frontier round-robin into ``n_shards`` groups.
@@ -118,14 +119,17 @@ def plan_systematic_shards(
     The expansion executes at most ``min(budget, n_shards)`` runs in the
     calling process; small trees may exhaust during planning, in which
     case no shards are needed at all.  The rest of ``budget`` is dealt
-    exactly, and only to shards that get at least one run.
+    exactly, and only to shards that get at least one run.  Each
+    expansion run is recorded as ``summarize(run)`` (a
+    :class:`~repro.run.executor.RunExecutor` factory's ``summarize``
+    attaches its detection, metrics and coverage).
     """
     if n_shards <= 0:
         raise ValueError(f"n_shards must be positive, got {n_shards}")
     planner_summaries: List[RunSummary] = []
 
     def note(run: ExplorationRun) -> None:
-        planner_summaries.append(run.summary())
+        planner_summaries.append(summarize(run))
 
     expansion = explore_systematic(
         factory,

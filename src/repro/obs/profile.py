@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from repro.detect.online import DetectorPipeline, OnlineDetector, default_detectors
 from repro.report.text import render_table
@@ -35,15 +35,17 @@ __all__ = ["TimedDetector", "ProfileReport", "profile_workload"]
 
 
 class TimedDetector(OnlineDetector):
-    """Wrap an online detector, metering its ``on_event`` wall time.
+    """Wrap an online detector, metering the wall time of its folds.
 
     Delegates the whole :class:`OnlineDetector` protocol; accumulates
-    ``wall_seconds`` / ``events`` so the profiler can attribute detector
-    cost per analysis.  The wrapper takes the inner detector's
-    ``kinds``, ``abort_kinds`` and ``abort_reason``, so a pipeline routes
-    it exactly the events, and polls it exactly as often, as the bare
-    detector.  Timing uses ``perf_counter`` around each call — meaningful
-    for *relative* breakdowns, which is all the profiler reports.
+    ``wall_seconds`` and ``events`` (those of its kinds) so the profiler
+    can attribute detector cost per analysis.  The wrapper takes the
+    inner detector's ``kinds``, ``abort_kinds`` and ``abort_reason``, so
+    a pipeline routes it exactly the events, and polls it exactly as
+    often, as the bare detector: a folding detector is timed per batch,
+    an inline one per event.  Timing uses ``perf_counter`` around each
+    call — meaningful for *relative* breakdowns, which is all the
+    profiler reports.
     """
 
     def __init__(self, inner: OnlineDetector) -> None:
@@ -57,11 +59,17 @@ class TimedDetector(OnlineDetector):
         self.wall_seconds = 0.0
         self.events = 0
 
-    def on_event(self, event: Event) -> None:
+    def fold(self, events: Iterable[Event]) -> None:
+        batch = events if isinstance(events, (list, tuple)) else list(events)
         start = time.perf_counter()
-        self.inner.on_event(event)
+        self.inner.fold(batch)
         self.wall_seconds += time.perf_counter() - start
-        self.events += 1
+        kinds = self.kinds
+        self.events += (
+            len(batch)
+            if kinds is None
+            else sum(event.kind in kinds for event in batch)
+        )
 
     def finish(self) -> Any:
         return self.inner.finish()

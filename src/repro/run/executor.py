@@ -131,6 +131,8 @@ def timed_runner(timeout: float) -> KernelRunner:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             _signal.signal(_signal.SIGALRM, previous)
+        # an interrupted run never reached its own final hand-over
+        kernel.drain()
         live = [t.name for t in kernel.threads.values() if t.is_live()]
         return RunResult(
             status=RunStatus.TIMEOUT,
@@ -207,7 +209,8 @@ class RunExecutor:
 
     Everything but the kernel is built once, here: the pipeline, the
     sink, the fault injector, and the one kind-routing table (the
-    pipeline's routes) that every kernel adopts without copying.
+    pipeline's inline routes) that every kernel adopts without copying;
+    binding the pipeline makes it the kernel's batch consumer.
     Building the next kernel releases the previous one
     (:meth:`~repro.vm.kernel.Kernel.release`), so a finished run is freed
     by reference counting; :meth:`release` frees the last one.
@@ -226,10 +229,11 @@ class RunExecutor:
         self._injector: Optional[FaultInjector] = (
             FaultInjector(config.faults) if config.faults is not None else None
         )
-        #: kind -> handlers of the pipeline; the sink (which has no
+        #: kind -> handlers of the pipeline's inline detectors (the rest
+        #: fold each run's events in batches); the sink (which has no
         #: tracer here) reads native counters and routes no events
         self._routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = (
-            self._pipeline.routes if self._pipeline is not None else {}
+            self._pipeline.kernel_routes if self._pipeline is not None else {}
         )
         #: the most recent run's kernel, released when the next is built
         self._kernel: Optional[Kernel] = None

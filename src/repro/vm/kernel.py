@@ -145,6 +145,13 @@ _YIELD = EventKind.YIELD
 
 _RANDOM_POLICY = SelectionPolicy.RANDOM
 
+#: Events a kernel with a batch consumer (:meth:`Kernel.install_consumer`)
+#: buffers before :meth:`Kernel.run` hands them over at the next step
+#: boundary: enough steps per hand-over that a batch costs one call per
+#: consumer instead of one per event, few enough that the buffer stays
+#: small under ``trace_mode="none"``.
+CHUNK_EVENTS = 1024
+
 
 def _is_blocked(thread: SimThread) -> bool:
     return thread.state is _BLOCKED
@@ -286,8 +293,9 @@ class Kernel:
             post-hoc analysis path); ``"none"`` retains nothing — events
             are still delivered to subscribed sinks, so a streaming
             detector pipeline sees the whole execution while memory stays
-            at O(detector state) instead of O(events).  Validated on every
-            assignment, not only here.
+            at O(detector state) instead of O(events), plus at most about
+            :data:`CHUNK_EVENTS` buffered for a batch consumer.  Validated
+            on every assignment, not only here.
         sinks: event subscribers called synchronously with every emitted
             event, in subscription order (see :meth:`subscribe`).
     """
@@ -310,6 +318,9 @@ class Kernel:
         sinks: Optional[Sequence[Callable[[Event], None]]] = None,
     ) -> None:
         self.trace = Trace()
+        self._seq = 0
+        #: receives the run's events in batches (:meth:`install_consumer`)
+        self._consumer: Optional[Callable[[List[Event]], None]] = None
         self.trace_mode = trace_mode
         self.scheduler = scheduler or FifoScheduler()
         self.lock_policy = lock_policy
@@ -350,7 +361,6 @@ class Kernel:
         self._names_seen: Dict[Tuple[str, ...], List[str]] = {}
         #: thread that ran the previous step (context-switch accounting).
         self._last_scheduled: Optional[str] = None
-        self._seq = 0
         self.threads: Dict[str, SimThread] = {}
         #: (runnable threads, their names) in spawn order, kept between
         #: steps; None once a thread enters or leaves the runnable set
@@ -382,12 +392,26 @@ class Kernel:
             raise ValueError(
                 f"trace_mode must be one of {self.TRACE_MODES}, got {mode!r}"
             )
+        self.drain()
         self._trace_mode = mode
-        #: what :meth:`emit` hands each event to for retention: the
-        #: trace's own list append, or None when nothing is retained
-        self._record: Optional[Callable[[Event], None]] = (
-            self.trace.recorder() if mode == "full" else None
-        )
+        self._wire()
+
+    def _wire(self) -> None:
+        """Point :meth:`emit`'s ``_record`` at what keeps each event: the
+        trace's own list append (``"full"``), the batch consumer's
+        pending list (``"none"`` with a consumer), or None.  A consumer
+        reads either from ``_cursor`` on (:meth:`drain`)."""
+        self._drain_at = self._seq + CHUNK_EVENTS
+        #: the events recorded so far, from ``_cursor`` on not yet handed
+        #: over: the trace, or a list the consumer's batches are cut from
+        self._log: Any
+        self._record: Optional[Callable[[Event], None]]
+        if self._trace_mode == "full":
+            self._log, self._cursor = self.trace, len(self.trace)
+            self._record = self.trace.recorder()
+        else:
+            self._log, self._cursor = [], 0
+            self._record = self._log.append if self._consumer is not None else None
 
     @property
     def rng(self) -> random.Random:
@@ -568,9 +592,10 @@ class Kernel:
         identity, so no Python-level ``__hash__`` is called per event.
         Unfiltered subscribers always run first, in subscription order;
         kind-filtered subscribers follow, in subscription order per kind.
-        A :class:`~repro.detect.online.DetectorPipeline` attaches as a
-        kind-filtered routing table (:meth:`install_routes`), so it runs
-        after any unfiltered sink.
+        A :class:`~repro.detect.online.DetectorPipeline` attaches its
+        abort-capable detectors as a kind-filtered routing table
+        (:meth:`install_routes`), so they run after any unfiltered sink,
+        and the rest as the batch consumer (:meth:`install_consumer`).
         """
         if kinds is None:
             self._sinks.append(sink)
@@ -609,19 +634,57 @@ class Kernel:
         for kind, sinks in routes.items():
             kind_sinks[kind] = kind_sinks.get(kind, ()) + sinks
 
+    def install_consumer(self, consumer: Callable[[List[Event]], None]) -> None:
+        """Hand every event emitted from now on to ``consumer`` in
+        batches, in emission order, instead of one call per event.
+
+        :meth:`run` hands the pending events over at the first step
+        boundary at which :data:`CHUNK_EVENTS` have built up, and once
+        more before it returns; :meth:`drain` hands them over at any
+        other time.  Events are kept through :meth:`emit`'s existing
+        record slot (under ``trace_mode="full"`` the consumer reads the
+        trace itself), so emitting costs nothing more.  One consumer per
+        kernel: installing another replaces it, after a drain.
+        """
+        self.drain()
+        self._consumer = consumer
+        self._wire()
+
+    def drain(self) -> None:
+        """Hand the events emitted since the last hand-over to the
+        installed consumer, if any.  For callers that drive :meth:`step`
+        themselves, or that abandon a :meth:`run` midway."""
+        consumer = self._consumer
+        if consumer is None:
+            return
+        self._drain_at = self._seq + CHUNK_EVENTS
+        log = self._log
+        if len(log) == self._cursor:
+            return
+        batch = log[self._cursor :]
+        if self._trace_mode == "full":
+            self._cursor = len(log)
+        else:
+            log.clear()
+        consumer(batch)
+
     def release(self) -> None:
         """Let a finished run be freed by reference counting.
 
-        Drops the event subscriptions and detaches every registered
-        component (``_vm_detach`` hook) from this kernel, which breaks
-        the reference cycles a run builds: component to kernel and back
-        through ``components``, and through each thread's generator, and
-        kernel to subscriber and back.  The run's results, counters and
-        thread table stay readable; the kernel must not run again.
+        Drops the event subscriptions and the batch consumer (events not
+        yet handed over are dropped with it) and detaches every
+        registered component (``_vm_detach`` hook) from this kernel,
+        which breaks the reference cycles a run builds: component to
+        kernel and back through ``components``, and through each
+        thread's generator, and kernel to subscriber and back.  The
+        run's results, counters and thread table stay readable; the
+        kernel must not run again.
         """
         self._sinks = []
         self._kind_sinks = {}
         self._routes_shared = False
+        self._consumer = None
+        self._wire()
         for component in self.components.values():
             detach = getattr(component, "_vm_detach", None)
             if detach is not None:
@@ -1264,6 +1327,7 @@ class Kernel:
         self.scheduler.reset()
         self._ran = True
         status = RunStatus.COMPLETED
+        consumer = self._consumer
         while True:
             if self.abort_reason is not None:
                 # Early abort (online detector found a permanent failure):
@@ -1272,8 +1336,11 @@ class Kernel:
             if self.steps >= self.max_steps:
                 status = RunStatus.STEP_LIMIT
                 break
+            if consumer is not None and self._seq >= self._drain_at:
+                self.drain()
             if not self.step():
                 break
+        self.drain()
         # Close the open blocked/waiting intervals of threads still queued
         # at the end, so the native tick counters include time-to-end (a
         # deadlocked thread's blocked_ticks reach the quiescence point).

@@ -111,7 +111,8 @@ class Trace:
     def __iter__(self) -> Iterator[Event]:
         return iter(self._events)
 
-    def __getitem__(self, index: int) -> Event:
+    def __getitem__(self, index: Any) -> Any:
+        """The event at an index, or a list of the events in a slice."""
         return self._events[index]
 
     @property

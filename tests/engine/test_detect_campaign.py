@@ -165,3 +165,34 @@ class TestDetectCampaign:
         run_campaign(_inline_spec(detect=True), progress=progress)
         assert progress.classes
         assert "classes" in progress.render()
+
+    def test_systematic_plan_runs_carry_detection(self, tmp_path):
+        """The planner's own runs, journaled as shard ``plan``, are
+        summarized like every shard's: each deadlock is classified."""
+        import json
+
+        journal = tmp_path / "camp.jsonl"
+        result = run_campaign(
+            CampaignSpec(
+                factory="deadlock-pair",
+                mode="systematic",
+                budget=37,
+                shard_size=10,
+                workers=0,
+                detect=True,
+                metrics=True,
+                journal_path=str(journal),
+            )
+        )
+        shards = {}
+        for line in journal.read_text().splitlines():
+            record = json.loads(line)
+            if "summaries" in record:
+                shards[record["shard"]] = record["summaries"]
+        assert "plan" in shards
+        summaries = [s for runs in shards.values() for s in runs]
+        assert all(s.get("detection") is not None for s in summaries)
+        assert all(s.get("metrics") is not None for s in summaries)
+        deadlocks = sum(s["status"] == "deadlock" for s in summaries)
+        assert deadlocks == 12
+        assert result.class_counts["FF-T4"] == deadlocks
