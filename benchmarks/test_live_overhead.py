@@ -20,6 +20,7 @@ end-to-end gate (full campaign with a bound server and subscriber vs
 telemetry off) rides along to catch gross regressions.
 """
 
+import statistics
 import time
 
 from conftest import write_result
@@ -30,7 +31,8 @@ from repro.obs.live.frames import TelemetryFrame
 from repro.obs.live.server import TelemetryServer
 
 BUDGET = 400
-ROUNDS = 3
+#: baseline/served campaign pairs timed for the end-to-end gate
+ROUNDS = 5
 # The telemetry pass is far cheaper than the campaign, so sample harder.
 PASS_ROUNDS = 10
 
@@ -53,21 +55,32 @@ def _quiet() -> ProgressTracker:
 
 
 def _campaign_seconds(with_telemetry: bool) -> float:
-    best = None
-    for _ in range(ROUNDS):
-        telemetry = server = None
-        if with_telemetry:
-            telemetry = LiveAggregator()
-            server = TelemetryServer(telemetry, "127.0.0.1", 0).start()
-            telemetry.subscribe()  # a pinned SSE consumer, worst case
-        started = time.process_time()
-        result = run_campaign(_spec(), progress=_quiet(), telemetry=telemetry)
-        elapsed = time.process_time() - started
-        if server is not None:
-            server.close()
-        assert result.n_runs > 0
-        best = elapsed if best is None else min(best, elapsed)
-    return best
+    """CPU seconds of one campaign, with or without a bound server and a
+    pinned subscriber."""
+    telemetry = server = None
+    if with_telemetry:
+        telemetry = LiveAggregator()
+        server = TelemetryServer(telemetry, "127.0.0.1", 0).start()
+        telemetry.subscribe()  # a pinned SSE consumer, worst case
+    started = time.process_time()
+    result = run_campaign(_spec(), progress=_quiet(), telemetry=telemetry)
+    elapsed = time.process_time() - started
+    if server is not None:
+        server.close()
+    assert result.n_runs > 0
+    return elapsed
+
+
+def _campaign_pairs():
+    """ROUNDS back-to-back (baseline, served) campaign CPU times,
+    alternating which of the two goes first: the host's pace drifts over
+    seconds, so only a pair's two sides share it."""
+    pairs = []
+    for round_ in range(ROUNDS):
+        order = (False, True) if round_ % 2 == 0 else (True, False)
+        seconds = {served: _campaign_seconds(served) for served in order}
+        pairs.append((seconds[False], seconds[True]))
+    return pairs
 
 
 def _capture_summaries():
@@ -109,22 +122,24 @@ def _telemetry_pass_seconds(captured) -> float:
 
 
 def test_live_telemetry_overhead(results_dir):
-    base = _campaign_seconds(with_telemetry=False)
-    served = _campaign_seconds(with_telemetry=True)
+    pairs = _campaign_pairs()
+    base = statistics.median(b for b, _ in pairs)
+    served = statistics.median(s for _, s in pairs)
     captured = _capture_summaries()
     marginal = _telemetry_pass_seconds(captured)
 
-    overhead = marginal / base
-    end_to_end = served / base - 1.0
+    # against the fastest baseline, as the best-of-N figure it replaced
+    overhead = marginal / min(b for b, _ in pairs)
+    end_to_end = statistics.median(s / b for b, s in pairs) - 1.0
     per_run_us = marginal / len(captured) * 1e6
     text = (
         "Ext-M: live-telemetry overhead "
-        f"(pc-bug campaign, budget {BUDGET}, inline, best of {ROUNDS}, "
-        "CPU time)\n"
+        f"(pc-bug campaign, budget {BUDGET}, inline, CPU time, median of "
+        f"{ROUNDS} alternating back-to-back pairs)\n"
         f"  merged runs per campaign: {len(captured)}\n"
         f"  baseline campaign:        {base * 1000:8.2f} ms\n"
         f"  with --serve + frames:    {served * 1000:8.2f} ms  "
-        f"({end_to_end:+.1%} end to end)\n"
+        f"({end_to_end:+.1%} end to end, median pair ratio)\n"
         f"  telemetry marginal work:  {marginal * 1000:8.2f} ms  "
         f"({overhead:+.1%}, {per_run_us:.1f} us/run)\n"
         "  (marginal = frame wrap + wire round trip + note_run row "
@@ -137,4 +152,6 @@ def test_live_telemetry_overhead(results_dir):
     # The acceptance gate: telemetry must stay under 5% of campaign cost.
     assert overhead < 0.05, f"telemetry marginal {overhead:.1%}"
     # Loose end-to-end gate for gross regressions on noisy boxes.
-    assert served < base * 1.25, f"{served:.3f}s vs baseline {base:.3f}s"
+    assert end_to_end < 0.25, (
+        f"served/baseline median pair ratio {end_to_end + 1:.3f} ({pairs})"
+    )

@@ -590,10 +590,14 @@ def _mp_context():
 
 
 @dataclass
-class _Active:
+class _Worker:
+    """A pool process, its end of the shard inbox, and the shard it holds
+    (None while idle) with that shard's deadline."""
+
     process: Any
-    shard: Shard
-    deadline: float
+    inbox: Any
+    shard: Optional[Shard] = None
+    deadline: float = 0.0
     dead_since: Optional[float] = None
 
 
@@ -750,31 +754,53 @@ def _run_pool(
     progress: ProgressTracker,
     exhausted_flags: Dict[str, bool],
 ) -> Optional[str]:
-    """The multiprocess orchestration loop: bounded pool, crash isolation,
-    shard deadlines, bounded retries, early goal stop."""
+    """The multiprocess orchestration loop: at most ``spec.workers``
+    long-lived worker processes, each handed one shard at a time; crash
+    isolation, shard deadlines, bounded retries, early goal stop."""
     from queue import Empty
 
     ctx = _mp_context()
     queue = ctx.Queue()
-    active: Dict[str, _Active] = {}
+    workers: List[_Worker] = []
+    #: shard id -> the worker holding it
+    holding: Dict[str, _Worker] = {}
     buffers: Dict[str, List[RunSummary]] = {}
     retries: Dict[str, int] = {}
     #: shard id -> earliest monotonic time a requeued shard may relaunch
     retry_not_before: Dict[str, float] = {}
     goal: Optional[str] = None
-    #: grace period between a worker dying and the shard being declared
+    #: grace period between a worker dying and its shard being declared
     #: crashed, so in-flight queue messages (including "done") can drain.
     grace = 1.0
 
-    def launch(shard: Shard) -> None:
-        task = spec.worker_task(shard)
-        process = ctx.Process(target=worker_main, args=(task, queue), daemon=True)
+    def idle_worker() -> Optional[_Worker]:
+        for worker in workers:
+            if worker.shard is None:
+                return worker
+        if len(workers) >= spec.workers:
+            return None
+        # looked up here, not bound at import, so a wrapper installed on
+        # this module's ``worker_main`` runs in every new worker
+        reader, inbox = ctx.Pipe(duplex=False)
+        process = ctx.Process(target=worker_main, args=(reader, queue), daemon=True)
         process.start()
-        deadline = (
+        reader.close()
+        worker = _Worker(process, inbox)
+        workers.append(worker)
+        return worker
+
+    def hand(worker: _Worker, shard: Shard) -> bool:
+        try:
+            worker.inbox.send(spec.worker_task(shard))
+        except OSError:
+            return False  # died while idle: the liveness pass reaps it
+        worker.shard = shard
+        worker.deadline = (
             time.monotonic() + spec.run_timeout * max(1, shard.max_runs) + 30.0
         )
-        active[shard.shard_id] = _Active(process, shard, deadline)
+        holding[shard.shard_id] = worker
         buffers[shard.shard_id] = []
+        return True
 
     def requeue_or_fail(shard: Shard, error: str = "") -> None:
         buffers.pop(shard.shard_id, None)
@@ -790,51 +816,68 @@ def _run_pool(
         else:
             progress.note_shard_failed(shard.shard_id, error=error)
 
-    def retire(shard_id: str) -> Optional[_Active]:
-        entry = active.pop(shard_id, None)
-        if entry is not None:
-            entry.process.join(timeout=5.0)
-        return entry
+    def release(shard_id: str) -> Optional[Shard]:
+        """The worker holding ``shard_id`` is idle again; returns the shard."""
+        worker = holding.pop(shard_id, None)
+        if worker is None:
+            return None
+        shard, worker.shard = worker.shard, None
+        return shard
+
+    def reap(worker: _Worker) -> None:
+        """Drop a dead or overdue worker; requeue the shard it held."""
+        if worker.process.is_alive():
+            worker.process.terminate()
+        worker.process.join(timeout=5.0)
+        worker.inbox.close()
+        workers.remove(worker)
+        if worker.shard is not None:
+            holding.pop(worker.shard.shard_id, None)
+            requeue_or_fail(worker.shard)
 
     def handle(kind: str, shard_id: str, payload) -> None:
         nonlocal goal
-        if kind == "frame":
-            # the run's summary wrapped with shard-local telemetry counters
-            frame = TelemetryFrame.from_dict(payload)
-            summary = frame.summary
-            if summary is None:
-                return
-            if shard_id in buffers:
-                buffers[shard_id].append(summary)
-            aggregator.merge(summary, shard_id=shard_id, frame=frame)
-            if goal is None:
-                goal = aggregator.goal_reached()
+        if kind == "frames":
+            # each run's summary wrapped with shard-local telemetry
+            # counters, merged in completion order
+            buffer = buffers.get(shard_id)
+            for wired in payload:
+                frame = TelemetryFrame.from_dict(wired)
+                summary = frame.summary
+                if summary is None:
+                    continue
+                if buffer is not None:
+                    buffer.append(summary)
+                aggregator.merge(summary, shard_id=shard_id, frame=frame)
+                if goal is None:
+                    goal = aggregator.goal_reached()
         elif kind == "done":
             exhausted_flags[shard_id] = bool(payload)
             summaries = buffers.pop(shard_id, [])
             if journal is not None:
                 journal.append_shard(shard_id, summaries, exhausted=bool(payload))
             progress.note_shard_done(shard_id, exhausted=bool(payload))
-            retire(shard_id)
+            release(shard_id)
         elif kind == "fail":
-            entry = retire(shard_id)
-            if entry is not None:
-                requeue_or_fail(entry.shard, error=str(payload))
+            shard = release(shard_id)
+            if shard is not None:
+                requeue_or_fail(shard, error=str(payload))
 
     try:
-        while (pending or active) and goal is None:
-            # Launch every eligible shard; requeued shards still inside
-            # their backoff window rotate to the back so they never block
-            # fresh work behind them.
+        while (pending or holding) and goal is None:
+            # Hand every eligible shard to an idle (or new) worker;
+            # requeued shards still inside their backoff window rotate to
+            # the back so they never block fresh work behind them.
             now = time.monotonic()
             for _ in range(len(pending)):
-                if len(active) >= spec.workers:
-                    break
                 shard = pending.popleft()
                 if retry_not_before.get(shard.shard_id, 0.0) > now:
                     pending.append(shard)
-                else:
-                    launch(shard)
+                    continue
+                worker = idle_worker()
+                if worker is None or not hand(worker, shard):
+                    pending.appendleft(shard)
+                    break
 
             # Drain every available message before judging liveness, so a
             # cleanly finished worker is never mistaken for a crash.
@@ -850,25 +893,36 @@ def _run_pool(
                     message = None
 
             now = time.monotonic()
-            for shard_id, entry in list(active.items()):
-                if not entry.process.is_alive():
-                    if entry.dead_since is None:
-                        entry.dead_since = now
-                    elif now - entry.dead_since > grace:
+            for worker in list(workers):
+                if not worker.process.is_alive():
+                    if worker.shard is None:
+                        reap(worker)
+                    elif worker.dead_since is None:
+                        worker.dead_since = now
+                    elif now - worker.dead_since > grace:
                         # died without a done/fail message: hard crash
-                        retire(shard_id)
-                        requeue_or_fail(entry.shard)
-                elif now > entry.deadline:
-                    entry.process.terminate()
-                    retire(shard_id)
-                    requeue_or_fail(entry.shard)
+                        reap(worker)
+                elif worker.shard is not None and now > worker.deadline:
+                    reap(worker)
             progress.maybe_emit()
     finally:
-        for _shard_id, entry in list(active.items()):
-            if entry.process.is_alive():
-                entry.process.terminate()
-            entry.process.join(timeout=5.0)
-        active.clear()
+        # idle workers stop by returning; busy ones (a goal was met, or
+        # the orchestrator itself failed) are terminated
+        for worker in workers:
+            if worker.shard is None:
+                try:
+                    worker.inbox.send(None)
+                except OSError:
+                    pass
+            elif worker.process.is_alive():
+                worker.process.terminate()
+        for worker in workers:
+            worker.process.join(timeout=5.0)
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join(timeout=5.0)
+            worker.inbox.close()
+        workers.clear()
         queue.close()
         queue.cancel_join_thread()
     return goal

@@ -1,14 +1,18 @@
-"""Campaign worker: executes one shard, streaming compact summaries.
+"""Campaign worker: executes shards, streaming compact summaries in batches.
 
-Runs in a child process (or inline, for ``workers=0`` debugging).  The
-worker receives a picklable :class:`~repro.run.config.RunConfig` —
-nothing unpicklable crosses the process boundary — builds **one**
-:class:`~repro.run.executor.RunExecutor` from it, and drives the
-matching explorer over its shard's seeds or DFS prefixes, posting one
-:class:`~repro.obs.live.frames.TelemetryFrame` (wrapping the run's
-:class:`~repro.testing.explorer.RunSummary` plus shard-local counters)
-per completed run and a final ``done`` message.  The orchestrator treats
-a missing ``done`` as a crashed/hung worker and requeues the shard.
+Runs in a long-lived child process (or inline, for ``workers=0``
+debugging).  The orchestrator hands each pool worker one shard at a
+time; a :class:`WorkerTask` carries the shard and a picklable
+:class:`~repro.run.config.RunConfig` — nothing unpicklable crosses the
+process boundary.  For each shard the worker builds **one**
+:class:`~repro.run.executor.RunExecutor` from that config and drives the
+matching explorer over the shard's seeds or DFS prefixes.  Every
+completed run becomes one :class:`~repro.obs.live.frames.TelemetryFrame`
+(the run's :class:`~repro.testing.explorer.RunSummary` plus shard-local
+counters); the worker posts those frames in batches (see
+:class:`_FrameBatcher` for the flush rules) and ends each shard with a
+``done`` message.  The orchestrator treats a missing ``done`` as a
+crashed or hung worker and requeues the shard.
 
 The executor assembles the detector pipeline / instrumentation sink once
 per shard and resets them between runs (the old per-run reconstruction
@@ -20,6 +24,8 @@ processes run in their main thread, so the signal contract holds); see
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -31,7 +37,27 @@ from repro.vm.kernel import RunStatus
 
 from .shards import Shard
 
-__all__ = ["WorkerTask", "ShardOutcome", "execute_shard", "worker_main"]
+__all__ = [
+    "FRAME_BATCH",
+    "FRAME_FLUSH_S",
+    "WorkerTask",
+    "ShardOutcome",
+    "execute_shard",
+    "post_shard",
+    "worker_main",
+]
+
+#: frames a worker holds at most before it posts them as one message
+FRAME_BATCH = 64
+#: seconds since a shard's last post after which the next completed run
+#: posts every pending frame
+FRAME_FLUSH_S = 0.05
+#: seconds an idle worker waits for a shard before it checks that its
+#: orchestrator is still alive
+_IDLE_POLL_S = 1.0
+_TIMEOUT = RunStatus.TIMEOUT.value
+#: the batcher's clock (a module name, so tests can drive it)
+_clock = time.monotonic
 
 
 @dataclass(frozen=True)
@@ -101,42 +127,103 @@ def execute_shard(
     return outcome
 
 
-def worker_main(task: WorkerTask, queue) -> None:
-    """Child-process entry point: execute the shard, streaming messages.
+class _FrameBatcher:
+    """One shard's frames on their way to the orchestrator, posted as
+    ``("frames", shard_id, [frame_dict, ...])`` messages:
 
-    Message protocol (all tuples, all picklable):
+    * the shard's first frame goes at once, so the campaign (and a live
+      view) sees progress as soon as one run completes;
+    * later frames go once :data:`FRAME_BATCH` are pending or
+      :data:`FRAME_FLUSH_S` seconds have passed since the last post
+      (checked as each run completes);
+    * :meth:`flush` posts whatever is pending, before ``done``/``fail``.
+    """
 
-    * ``("frame", shard_id, frame_dict)`` — one
-      :class:`~repro.obs.live.frames.TelemetryFrame` per completed run,
-      carrying the run's summary plus shard-local counters (runs so far,
-      timeouts) for live telemetry;
+    def __init__(self, shard_id: str, queue) -> None:
+        self.shard_id = shard_id
+        self.queue = queue
+        self.runs = 0
+        self.timeouts = 0
+        self.pending: List[dict] = []
+        self.posted_at: Optional[float] = None
+
+    def add(self, summary: RunSummary) -> None:
+        self.runs += 1
+        if summary.status == _TIMEOUT:
+            self.timeouts += 1
+        frame = TelemetryFrame.for_run(
+            self.shard_id, summary, runs=self.runs, timeouts=self.timeouts
+        )
+        self.pending.append(frame.to_dict())
+        if (
+            self.posted_at is None
+            or len(self.pending) >= FRAME_BATCH
+            or _clock() - self.posted_at >= FRAME_FLUSH_S
+        ):
+            self.flush()
+
+    def flush(self) -> None:
+        if self.pending:
+            # a multiprocessing queue pickles later, in its feeder thread:
+            # hand it this list and start a new one
+            self.queue.put(("frames", self.shard_id, self.pending))
+            self.pending = []
+            self.posted_at = _clock()
+
+
+def post_shard(task: WorkerTask, queue) -> None:
+    """Execute one shard, posting its frames and then ``done`` or
+    ``fail`` to ``queue``.  An :class:`Exception` is reported as
+    ``fail``; anything else (an interrupt) is reported, then re-raised."""
+    shard_id = task.shard.shard_id
+    batcher = _FrameBatcher(shard_id, queue)
+    try:
+        outcome = execute_shard(task, emit=batcher.add)
+        batcher.flush()
+        queue.put(("done", shard_id, outcome.exhausted))
+    except BaseException as exc:
+        try:
+            batcher.flush()
+            queue.put(("fail", shard_id, f"{type(exc).__name__}: {exc}"))
+        except Exception:
+            pass
+        if not isinstance(exc, Exception):
+            raise
+
+
+def worker_main(inbox, queue) -> None:
+    """Pool-process entry point: execute the :class:`WorkerTask`\\ s the
+    orchestrator sends over ``inbox`` (a :func:`multiprocessing.Pipe`
+    end), one at a time, until it sends ``None``; then return.
+
+    Message protocol on ``queue`` (all tuples, all picklable):
+
+    * ``("frames", shard_id, [frame_dict, ...])`` — a batch of
+      :class:`~repro.obs.live.frames.TelemetryFrame` dicts, one per
+      completed run in completion order, each carrying the run's summary
+      plus shard-local counters (runs so far, timeouts) for live
+      telemetry; see :class:`_FrameBatcher` for when a batch is posted;
     * ``("done", shard_id, exhausted)`` — the shard finished;
     * ``("fail", shard_id, error_text)`` — the shard raised; the
       orchestrator decides whether to requeue.
 
     A worker that dies without posting ``done``/``fail`` (hard crash,
     ``kill -9``, segfault in an extension) is detected by the orchestrator
-    via process liveness — that is the crash-isolation contract.
+    via process liveness — that is the crash-isolation contract.  An idle
+    worker whose orchestrator has gone returns on its own.
     """
-    shard_id = task.shard.shard_id
-    runs = 0
-    timeouts = 0
-
-    def emit(summary: RunSummary) -> None:
-        nonlocal runs, timeouts
-        runs += 1
-        if summary.status == RunStatus.TIMEOUT.value:
-            timeouts += 1
-        frame = TelemetryFrame.for_run(
-            shard_id, summary, runs=runs, timeouts=timeouts
-        )
-        queue.put(("frame", shard_id, frame.to_dict()))
-
-    try:
-        outcome = execute_shard(task, emit=emit)
-        queue.put(("done", shard_id, outcome.exhausted))
-    except BaseException as exc:  # noqa: BLE001 - report, then die quietly
+    parent = os.getppid()
+    while True:
         try:
-            queue.put(("fail", shard_id, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
+            while not inbox.poll(_IDLE_POLL_S):
+                if os.getppid() != parent:
+                    # orphaned: nobody drains the queue, so exit without
+                    # waiting for it to flush
+                    queue.cancel_join_thread()
+                    return
+            task = inbox.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        post_shard(task, queue)

@@ -1,15 +1,16 @@
 """Telemetry frames: the compact streaming currency of a live campaign.
 
-A :class:`TelemetryFrame` is what a campaign worker posts to the
-orchestrator queue for every completed run: the run's
-:class:`~repro.testing.explorer.RunSummary` plus the shard-local
-counters the summary alone cannot provide — how many runs this shard has
-completed so far, and how many of them timed out.  Frames are plain-dict
-serializable, so they ride the existing multiprocessing plumbing
-unchanged and journal-compatible (the embedded summary dict is
-byte-identical to the pre-frame ``("run", ...)`` payload).  A shard's
-end travels as a plain ``("done", ...)`` or ``("fail", ...)`` tuple (see
-:func:`repro.engine.worker.worker_main`).
+A :class:`TelemetryFrame` is what a campaign worker builds for every
+completed run: the run's :class:`~repro.testing.explorer.RunSummary`
+plus the shard-local counters the summary alone cannot provide — how
+many runs this shard has completed so far, and how many of them timed
+out.  Frames are plain-dict serializable, so they ride the
+multiprocessing plumbing and stay journal-compatible (the embedded
+summary dict is byte-identical to the pre-frame ``("run", ...)``
+payload).  Workers post them in batches, ``("frames", shard_id,
+[frame_dict, ...])``, in completion order; a shard's end travels as a
+plain ``("done", ...)`` or ``("fail", ...)`` tuple (see
+:func:`repro.engine.worker.worker_main` for the flush rules).
 
 The orchestrator's :class:`~repro.obs.live.aggregate.LiveAggregator`
 consumes frames incrementally; the SSE stream re-publishes an annotated

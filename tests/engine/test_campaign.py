@@ -13,6 +13,7 @@ from repro.engine import (
     run_campaign,
 )
 from repro.engine.journal import CampaignJournal
+from repro.engine.workloads import resolve_factory
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="requires fork start method")
@@ -22,6 +23,35 @@ def crash_factory(scheduler):
     """A factory that kills its process outright — the crash-isolation
     workload.  Only ever invoked inside a sacrificial worker child."""
     os._exit(3)
+
+
+#: names the marker file whose creation records the one crash
+CRASH_ONCE_ENV = "REPRO_TEST_CRASH_ONCE_MARKER"
+_crash_once_builds = 0
+
+
+def crash_once_factory(scheduler):
+    """pc-bug, except that the first worker to reach its fourth run dies
+    there, once per marker file: the requeue-and-replace workload."""
+    global _crash_once_builds
+    _crash_once_builds += 1
+    if _crash_once_builds == 4:
+        try:
+            os.close(os.open(os.environ[CRASH_ONCE_ENV], os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(3)
+    return resolve_factory("pc-bug")(scheduler)
+
+
+def report_body(result):
+    """A campaign report without the lines a worker count may change."""
+    return [
+        line
+        for line in result.describe().splitlines()[1:]
+        if not line.lstrip().startswith("wall time")
+    ]
 
 
 def producer_only(scheduler):
@@ -274,6 +304,76 @@ class TestPooledCampaign:
         assert result.shards_requeued == 1  # one retry, then give up
         assert result.n_executed == 0
         assert result.goal_reached is None  # budget goal unmet
+
+
+    @needs_fork
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_crashed_worker_is_replaced_and_its_shard_finished(
+        self, workers, tmp_path, monkeypatch
+    ):
+        marker = tmp_path / "crashed"
+        monkeypatch.setenv(CRASH_ONCE_ENV, str(marker))
+        inline = run_campaign(
+            CampaignSpec(factory="pc-bug", budget=40, workers=0, shard_size=10)
+        )
+        pooled = run_campaign(
+            CampaignSpec(
+                factory=f"{__name__}:crash_once_factory",
+                budget=40,
+                workers=workers,
+                shard_size=10,
+            )
+        )
+        assert marker.exists()
+        assert pooled.shards_requeued == 1
+        assert not pooled.shards_failed
+        assert pooled.shards_completed == pooled.shards_total == 4
+        assert pooled.goal_reached == "budget"
+        assert {s.schedule_key for s in pooled.summaries} == {
+            s.schedule_key for s in inline.summaries
+        }
+        assert set(pooled.distinct_failure_signatures()) == set(
+            inline.distinct_failure_signatures()
+        )
+
+    @pytest.mark.parametrize("shard_size", [7, 13, 45])
+    def test_uneven_shards_match_inline(self, shard_size):
+        def campaign(workers):
+            return run_campaign(
+                CampaignSpec(
+                    factory="pc-bug",
+                    budget=100,
+                    workers=workers,
+                    shard_size=shard_size,
+                    detect=True,
+                )
+            )
+
+        inline, pooled = campaign(0), campaign(2)
+        assert pooled.n_executed == inline.n_executed == 100
+        assert {s.schedule_key for s in pooled.summaries} == {
+            s.schedule_key for s in inline.summaries
+        }
+        assert report_body(pooled) == report_body(inline)
+
+    @needs_fork
+    def test_workers_serve_many_shards_and_return(self, tmp_path, monkeypatch):
+        # every worker enters through the module's worker_main, looked up
+        # at launch, and leaves by returning from it
+        import repro.engine.campaign as campaign_module
+
+        original = campaign_module.worker_main
+
+        def recording_worker_main(inbox, queue):
+            original(inbox, queue)
+            (tmp_path / str(os.getpid())).touch()
+
+        monkeypatch.setattr(campaign_module, "worker_main", recording_worker_main)
+        result = run_campaign(
+            CampaignSpec(factory="pc-ok", budget=100, workers=2, shard_size=10)
+        )
+        assert result.shards_completed == 10
+        assert 1 <= len(list(tmp_path.iterdir())) <= 2
 
 
 class TestJournalAndResume:

@@ -1,11 +1,21 @@
 """Tests for the shard worker: timed runs, streaming, coverage hits."""
 
+import multiprocessing
 import time
 
 import pytest
 
+import repro.engine.worker as worker_module
 from repro.engine.shards import Shard
-from repro.engine.worker import WorkerTask, execute_shard, worker_main
+from repro.engine.worker import (
+    FRAME_BATCH,
+    FRAME_FLUSH_S,
+    WorkerTask,
+    execute_shard,
+    post_shard,
+    worker_main,
+)
+from repro.engine.workloads import pc_ok
 from repro.run import RunConfig
 from repro.run.executor import RunTimeoutInterrupt, timed_runner
 from repro.vm import Kernel, RandomScheduler, RunStatus, Tick
@@ -189,26 +199,128 @@ class TestExecuteShard:
             execute_shard(task)
 
 
+def inbox_of(*tasks):
+    """A worker inbox holding ``tasks`` and then the stop message."""
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    for task in tasks:
+        writer.send(task)
+    writer.send(None)
+    return reader
+
+
+_raise_calls = 0
+
+
+def raise_at_fourth_factory(scheduler):
+    """pc-ok, except that its fourth build in this process raises."""
+    global _raise_calls
+    _raise_calls += 1
+    if _raise_calls == 4:
+        raise RuntimeError("fourth build")
+    return pc_ok(scheduler)
+
+
 class TestWorkerMain:
     def test_message_protocol(self):
         queue = FakeQueue()
         task = WorkerTask(shard=random_shard((0, 1)), config=run_config())
-        worker_main(task, queue)
+        worker_main(inbox_of(task), queue)
         kinds = [m[0] for m in queue.messages]
-        assert kinds == ["frame", "frame", "done"]
+        # the first frame goes alone, the rest go before "done"
+        assert kinds == ["frames", "frames", "done"]
         assert all(m[1] == "random-test" for m in queue.messages)
-        # frame payloads are plain dicts (picklable / JSON-able) wrapping
-        # the run summary plus shard-local counters
-        first = queue.messages[0][2]
-        assert isinstance(first, dict)
-        assert first["runs"] == 1
-        assert queue.messages[1][2]["runs"] == 2
-        assert isinstance(first["summary"], dict)
-        assert "status" in first["summary"]
+        # frame payloads are lists of plain dicts (picklable / JSON-able),
+        # each wrapping one run summary plus shard-local counters
+        frames = [f for m in queue.messages[:-1] for f in m[2]]
+        assert len(queue.messages[0][2]) == 1
+        assert [f["runs"] for f in frames] == [1, 2]
+        assert all(isinstance(f, dict) for f in frames)
+        assert isinstance(frames[0]["summary"], dict)
+        assert "status" in frames[0]["summary"]
 
     def test_failure_reported_not_raised(self):
         queue = FakeQueue()
         shard = Shard(shard_id="x", mode="bogus", max_runs=1)
-        worker_main(WorkerTask(shard=shard, config=run_config()), queue)
+        worker_main(inbox_of(WorkerTask(shard=shard, config=run_config())), queue)
         assert queue.messages[-1][0] == "fail"
         assert "bogus" in queue.messages[-1][2]
+
+    def test_worker_serves_shards_until_stopped(self):
+        # one process serves many shards, one at a time, and keeps
+        # serving after a shard fails
+        queue = FakeQueue()
+        bad = Shard(shard_id="x", mode="bogus", max_runs=1)
+        good = Shard(
+            shard_id="random-next", mode="random", seeds=(3, 4), max_runs=2
+        )
+        worker_main(
+            inbox_of(
+                WorkerTask(shard=random_shard((0, 1)), config=run_config()),
+                WorkerTask(shard=bad, config=run_config()),
+                WorkerTask(shard=good, config=run_config()),
+            ),
+            queue,
+        )
+        ends = [(m[0], m[1]) for m in queue.messages if m[0] != "frames"]
+        assert ends == [
+            ("done", "random-test"),
+            ("fail", "x"),
+            ("done", "random-next"),
+        ]
+
+
+def _sent_frames(messages):
+    return [f for m in messages if m[0] == "frames" for f in m[2]]
+
+
+class TestFrameBatching:
+    """Flush rules: a shard's first frame goes alone, later frames go in
+    batches of at most FRAME_BATCH or after FRAME_FLUSH_S, and nothing is
+    left behind at done or fail."""
+
+    def run_shard(self, monkeypatch, n_runs, tick=0.0, workload="pc-ok"):
+        now = [0.0]
+
+        def clock():
+            now[0] += tick
+            return now[0]
+
+        monkeypatch.setattr(worker_module, "_clock", clock)
+        queue = FakeQueue()
+        task = WorkerTask(
+            shard=random_shard(range(n_runs)), config=run_config(workload=workload)
+        )
+        post_shard(task, queue)
+        return queue.messages
+
+    def test_frozen_clock_batches_by_count(self, monkeypatch):
+        messages = self.run_shard(monkeypatch, 2 * FRAME_BATCH + 10)
+        sizes = [len(m[2]) for m in messages if m[0] == "frames"]
+        assert sizes == [1, FRAME_BATCH, FRAME_BATCH, 9]
+        assert messages[-1][0] == "done"
+        frames = _sent_frames(messages)
+        assert [f["runs"] for f in frames] == list(range(1, 2 * FRAME_BATCH + 11))
+        assert [f["summary"]["seed"] for f in frames] == list(
+            range(2 * FRAME_BATCH + 10)
+        )
+
+    def test_elapsed_time_flushes_before_the_count(self, monkeypatch):
+        # every clock read advances 0.3 of the flush interval, so the
+        # interval has passed at every fourth run after a post
+        messages = self.run_shard(monkeypatch, 40, tick=FRAME_FLUSH_S * 0.3)
+        sizes = [len(m[2]) for m in messages if m[0] == "frames"]
+        assert sizes[0] == 1
+        assert max(sizes) < FRAME_BATCH
+        assert sum(sizes) == 40
+        assert len(sizes) > 2
+        assert [f["runs"] for f in _sent_frames(messages)] == list(range(1, 41))
+
+    def test_pending_frames_go_before_fail(self, monkeypatch):
+        global _raise_calls
+        _raise_calls = 0
+        messages = self.run_shard(
+            monkeypatch, 10, workload=f"{__name__}:raise_at_fourth_factory"
+        )
+        assert [m[0] for m in messages] == ["frames", "frames", "fail"]
+        assert [len(m[2]) for m in messages[:2]] == [1, 2]
+        assert "fourth build" in messages[-1][2]
