@@ -8,7 +8,7 @@ journaled work variant by variant, shard by shard).
 
 Every campaign runs the full online detector pipeline *plus* the
 ``"reentry"`` detector (the EF-T5 instrument that is not part of the
-default seven), inline (``workers=0`` — variants live only in this
+default six), inline (``workers=0`` — variants live only in this
 process's ``COMPONENTS`` registry) and with ``trace_mode="none"`` so a
 large corpus stays O(detector state) per run.  Detected classes merge
 two evidence streams, mirroring Table 1's split of detection techniques:
@@ -58,7 +58,7 @@ __all__ = [
 RESULTS_SCHEMA = "repro-corpus-results"
 RESULTS_VERSION = 1
 
-#: the detector set every sweep campaign runs: the default seven plus
+#: the detector set every sweep campaign runs: the default six plus
 #: the premature-reentry detector (EF-T5 needs it)
 SWEEP_DETECTORS: Tuple[str, ...] = DETECTOR_ORDER + ("reentry",)
 

@@ -8,12 +8,16 @@ Public API::
         find_deadlock_cycle, reconstruct_final_state,  # actual deadlock
         analyze_starvation,                       # FF-T2/FF-T5 fairness
         Expectation, check_completion_times,      # the Table-1 oracle
-        analyze_run, DetectionReport,             # everything at once
+        analyze_run, DetectionReport,             # the six at once
         DetectorPipeline,                         # streaming (online) form
+        profile_contention,                       # a measurement, opt-in
     )
 
 Every batch ``detect_*`` entry point above is a thin wrapper that replays
-the trace through the corresponding ``Online*`` detector; attach a
+the trace through the corresponding ``Online*`` detector, and
+:func:`analyze_run` replays it through a pipeline of the six default
+detectors.  Contention is a measurement, not a failure: a pipeline runs
+:class:`OnlineContentionProfiler` only where it names it.  Attach a
 :class:`DetectorPipeline` to a kernel (``DetectorPipeline().attach(kernel)``,
 or let :class:`repro.run.RunExecutor` do it per run) to run the same
 analyses while the run executes, with no stored trace at all under
@@ -34,7 +38,6 @@ from .contention import (
     profile_contention,
 )
 from .completion import (
-    CompletionChecker,
     Expectation,
     OnlineCompletionChecker,
     Violation,
@@ -66,7 +69,6 @@ from .waitgraph import (
 )
 
 __all__ = [
-    "CompletionChecker",
     "ContentionReport",
     "MonitorProfile",
     "DetectionReport",

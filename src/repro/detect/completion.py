@@ -30,7 +30,6 @@ __all__ = [
     "UNSET",
     "Expectation",
     "Violation",
-    "CompletionChecker",
     "OnlineCompletionChecker",
     "check_completion_times",
 ]
@@ -176,8 +175,8 @@ class OnlineCompletionChecker(OnlineDetector):
                 self._ticks.append((event.time, event.detail.get("now")))
 
     def _clock_at(self, kernel_time: int) -> int:
-        # Ticks *at* kernel_time count (ties included), matching the batch
-        # scan that breaks only on event.time > kernel_time.
+        # Ticks *at* kernel_time count (ties included), matching the
+        # trace-scanning reference that breaks only on event.time > kernel_time.
         clock = 0
         for tick_time, now in self._ticks:
             if tick_time > kernel_time:
@@ -265,111 +264,9 @@ class OnlineCompletionChecker(OnlineDetector):
         return violations
 
 
-class CompletionChecker:
-    """Check a set of expectations against a trace (batch form of
-    :class:`OnlineCompletionChecker`)."""
-
-    def __init__(self, expectations: Sequence[Expectation]) -> None:
-        self.expectations = list(expectations)
-
-    def _clock_at(self, trace: Trace, kernel_time: int) -> int:
-        clock = 0
-        for event in trace:
-            if event.time > kernel_time:
-                break
-            if event.kind is _CLOCK_TICK:
-                clock = event.detail.get("now", clock + 1)
-        return clock
-
-    def _match(self, trace: Trace, exp: Expectation) -> Optional[CallRecord]:
-        matching = [
-            r
-            for r in trace.call_records()
-            if r.component == exp.component
-            and r.method == exp.method
-            and (exp.thread is None or r.thread == exp.thread)
-        ]
-        if exp.occurrence < len(matching):
-            return matching[exp.occurrence]
-        return None
-
-    def check(self, trace: Trace) -> List[Violation]:
-        online = OnlineCompletionChecker(self.expectations)
-        replay(trace, online)
-        return online.finish()
-
-    def _check_batch(self, trace: Trace) -> List[Violation]:
-        """The original trace-scanning implementation, kept as the
-        reference the equivalence tests compare :meth:`check` against."""
-        violations: List[Violation] = []
-        for exp in self.expectations:
-            call = self._match(trace, exp)
-            if call is None or not call.completed:
-                if not exp.never:
-                    symptom = (
-                        Symptom.PERMANENTLY_WAITING
-                        if call is not None
-                        else Symptom.NEVER_COMPLETES
-                    )
-                    detail = (
-                        "call never completed"
-                        if call is not None
-                        else "call never began"
-                    )
-                    violations.append(Violation(exp, symptom, None, call, detail))
-                continue
-            # The call completed.
-            if exp.never:
-                clock = self._clock_at(trace, call.end_time or 0)
-                violations.append(
-                    Violation(
-                        exp,
-                        Symptom.COMPLETED_EARLY,
-                        clock,
-                        call,
-                        f"expected never to complete, completed at clock {clock}",
-                    )
-                )
-                continue
-            window = exp.window()
-            clock = self._clock_at(trace, call.end_time or 0)
-            if window is not None:
-                lo, hi = window
-                if clock < lo:
-                    violations.append(
-                        Violation(
-                            exp,
-                            Symptom.COMPLETED_EARLY,
-                            clock,
-                            call,
-                            f"completed at clock {clock}, expected >= {lo}",
-                        )
-                    )
-                elif clock > hi:
-                    violations.append(
-                        Violation(
-                            exp,
-                            Symptom.COMPLETED_LATE,
-                            clock,
-                            call,
-                            f"completed at clock {clock}, expected <= {hi}",
-                        )
-                    )
-            if exp.returns is not _UNSET and call.result != exp.returns:
-                violations.append(
-                    Violation(
-                        exp,
-                        Symptom.DATA_RACE,
-                        clock,
-                        call,
-                        f"returned {call.result!r}, expected {exp.returns!r}",
-                    )
-                )
-        return violations
-
-
 def check_completion_times(
     trace: Trace, expectations: Sequence[Expectation]
 ) -> List[Violation]:
-    """Convenience wrapper around :class:`CompletionChecker`."""
-    return CompletionChecker(expectations).check(trace)
+    """Check ``expectations`` against a stored trace (replays it through
+    :class:`OnlineCompletionChecker`)."""
+    return replay(trace, OnlineCompletionChecker(expectations)).finish()

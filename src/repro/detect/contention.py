@@ -38,7 +38,14 @@ _NOTIFY_ALL = EventKind.NOTIFY_ALL
 
 @dataclass
 class MonitorProfile:
-    """Aggregate synchronization statistics of one monitor."""
+    """Aggregate synchronization statistics of one monitor, folded from
+    its events.  A live :class:`~repro.vm.monitor.MonitorObject` counts
+    the same things differently: its ``acquisitions`` leave out reentrant
+    ones, and its ``contended_ticks`` sum each grant's ``blocked_for``,
+    which also covers a woken waiter's wait for the lock (MONITOR_NOTIFIED
+    to MONITOR_ACQUIRE).  Here an acquisition is *contended* when its
+    MONITOR_REQUEST came strictly before it, and that reacquisition is
+    wait time.  ``lost_notifies`` agree."""
 
     monitor: str
     acquisitions: int = 0

@@ -8,7 +8,7 @@ batch entry points (``detect_races``, ``detect_lock_cycles``, ...) are
 thin wrappers that :func:`replay` a stored trace through the online
 form, so there is exactly one implementation of each analysis.
 
-:class:`DetectorPipeline` bundles the seven detectors plus the VM-level
+:class:`DetectorPipeline` bundles the six detectors plus the VM-level
 :class:`~repro.classify.symptoms.SymptomTracker` behind one kernel
 connection.  Each detector declares the event :attr:`~OnlineDetector.kinds`
 its fold reads and skips the rest.  Most detectors *fold*: the kernel
@@ -150,9 +150,9 @@ def default_detectors(
     expectations: Sequence["Expectation"] = (),
     bypass_threshold: int = 3,
 ) -> List[OnlineDetector]:
-    """One instance of each of the seven detectors, in report order."""
+    """One instance of each of the six failure detectors, in report order
+    (the contention profiler, a measurement, runs only where named)."""
     from .completion import OnlineCompletionChecker
-    from .contention import OnlineContentionProfiler
     from .eraser import OnlineLocksetDetector
     from .lockgraph import OnlineLockGraphDetector
     from .starvation import OnlineStarvationDetector
@@ -165,7 +165,6 @@ def default_detectors(
         OnlineLockGraphDetector(),
         OnlineWaitGraphDetector(),
         OnlineStarvationDetector(bypass_threshold=bypass_threshold),
-        OnlineContentionProfiler(),
         OnlineCompletionChecker(expectations),
     ]
 
@@ -302,7 +301,7 @@ class DetectorPipeline:
 
     Args:
         detectors: the detectors to run; defaults to
-            :func:`default_detectors` (all seven).
+            :func:`default_detectors` (all six).
         expectations: completion-time expectations for the default set.
         bypass_threshold: starvation threshold for the default set.
         early_stop: honour detector :meth:`~OnlineDetector.abort_reason`
@@ -381,7 +380,7 @@ class DetectorPipeline:
         only through :attr:`kernel_routes`, installed separately."""
         self._kernel = kernel
         self._seq_start = kernel.events_emitted
-        kernel.install_consumer(self._fold)
+        kernel.install_consumer(self.fold)
         return self
 
     def attach(self, kernel: "Kernel") -> "DetectorPipeline":
@@ -390,7 +389,9 @@ class DetectorPipeline:
         kernel.install_routes(self.kernel_routes)
         return self.bind(kernel)
 
-    def _fold(self, events: Sequence[Event]) -> None:
+    def fold(self, events: Sequence[Event]) -> None:
+        """Fold a batch into the symptom tracker and each detector not
+        inline (all of them under ``early_stop=False``)."""
         for fold in self._folds:
             fold(events)
 
@@ -430,7 +431,6 @@ class DetectorPipeline:
 
         found = self.findings()
         return assemble_report(
-            result,
             races=found.get("lockset", []),
             hb_races=found.get("hb", []),
             potential_deadlocks=found.get("lockgraph", []),
@@ -438,7 +438,6 @@ class DetectorPipeline:
             starvation=found.get("starvation", []),
             completion_violations=found.get("completion", []),
             observations=self.symptoms.observations(result),
-            contention=found.get("contention"),
             reentry=found.get("reentry", []),
         )
 

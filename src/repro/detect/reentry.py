@@ -118,7 +118,7 @@ class OnlineReentryDetector(OnlineDetector):
 
     State is O(threads × open calls): a frame stack per thread with the
     running guard-read sequence and the wake watch.  Not part of the
-    seven-detector default set — corpus sweeps (and anyone hunting EF-T5
+    six-detector default set — corpus sweeps (and anyone hunting EF-T5
     specifically) opt in by name.
     """
 

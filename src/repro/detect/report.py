@@ -2,15 +2,18 @@
 
 :func:`analyze_run` is the one-call entry point used by the examples and
 the mutation-study bench: it takes a finished :class:`RunResult` (plus
-optional completion-time expectations), runs
+optional completion-time expectations) and replays its trace through a
+:class:`~repro.detect.online.DetectorPipeline` of the six default
+detectors,
 
-* the VM-level symptom extraction (blocked/waiting/deadlock/step-limit),
 * the lockset race detector (FF-T1),
+* the happens-before race detector (FF-T1),
 * the lock-order-graph potential-deadlock detector (FF-T2/FF-T4),
 * the wait-for-graph actual-deadlock check,
 * the starvation analyzer (FF-T2 unfair lock, FF-T5 unfair notify),
 * the completion-time checker (the Table-1 oracle),
 
+plus the VM-level symptom extraction (blocked/waiting/deadlock/step-limit),
 and folds everything into one :class:`DetectionReport` whose findings are
 classified against the Table-1 taxonomy.
 """
@@ -18,25 +21,23 @@ classified against the Table-1 taxonomy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.classify.symptoms import (
     ClassificationReport,
     Symptom,
     classify_symptoms,
-    symptoms_from_run,
 )
 from repro.classify.taxonomy import FailureClass
 from repro.vm.kernel import RunResult
 
-from .completion import Expectation, Violation, check_completion_times
-from .contention import ContentionReport, profile_contention
-from .eraser import RaceReport, detect_races
-from .lockgraph import PotentialDeadlock, detect_lock_cycles
+from .completion import Expectation, Violation
+from .eraser import RaceReport
+from .lockgraph import PotentialDeadlock
+from .online import DetectorPipeline
 from .reentry import ReentryFinding
-from .starvation import StarvationReport, analyze_starvation
-from .vectorclock import HbRace, detect_races_hb
-from .waitgraph import find_deadlock_cycle
+from .starvation import StarvationReport
+from .vectorclock import HbRace
 
 __all__ = ["DetectionReport", "analyze_run", "assemble_report", "dedupe_hb_races"]
 
@@ -52,8 +53,6 @@ class DetectionReport:
     starvation: List[StarvationReport] = field(default_factory=list)
     completion_violations: List[Violation] = field(default_factory=list)
     reentry: List[ReentryFinding] = field(default_factory=list)
-    #: measurement, not a failure finding — excluded from ``clean``
-    contention: Optional[ContentionReport] = None
     classification: ClassificationReport = field(
         default_factory=ClassificationReport
     )
@@ -115,8 +114,7 @@ def dedupe_hb_races(
 
     A race both detectors saw is one finding, not two; HB-only findings
     (rare: requires an unlocked-but-ordered pattern to later become
-    unordered) deserve their own observation.  Used by both the batch
-    :func:`analyze_run` and the streaming pipeline's report assembly.
+    unordered) deserve their own observation; used by report assembly.
     """
     lockset_fields = {(r.component, r.field) for r in lockset_races}
     return [
@@ -127,7 +125,6 @@ def dedupe_hb_races(
 
 
 def assemble_report(
-    result: RunResult,
     *,
     races: Sequence[RaceReport],
     hb_races: Sequence[HbRace],
@@ -136,20 +133,11 @@ def assemble_report(
     starvation: Sequence[StarvationReport],
     completion_violations: Sequence[Violation],
     observations: Sequence[Tuple[Symptom, Dict[str, Any]]],
-    contention: Optional[ContentionReport] = None,
     reentry: Sequence[ReentryFinding] = (),
 ) -> DetectionReport:
     """Fold detector findings plus VM-level observations into one
-    classified :class:`DetectionReport`.
-
-    Shared by the batch path (:func:`analyze_run`, findings from trace
-    scans) and the streaming path
-    (:meth:`repro.detect.online.DetectorPipeline.report`, findings from
-    online detectors); ``result`` is unused here beyond signature parity
-    but kept so report assembly can grow result-dependent fields without
-    touching both callers.
-    """
-    del result  # findings and observations carry everything needed today
+    classified :class:`DetectionReport`
+    (:meth:`repro.detect.online.DetectorPipeline.report`)."""
     observations = list(observations)
     for hb_race in dedupe_hb_races(hb_races, races):
         observations.append(
@@ -222,7 +210,6 @@ def assemble_report(
         starvation=list(starvation),
         completion_violations=list(completion_violations),
         reentry=list(reentry),
-        contention=contention,
         classification=classify_symptoms(observations),
     )
 
@@ -232,24 +219,12 @@ def analyze_run(
     expectations: Sequence[Expectation] = (),
     bypass_threshold: int = 3,
 ) -> DetectionReport:
-    """Run all detectors over a finished run and classify the findings."""
-    trace = result.trace
-    races = detect_races(trace)
-    hb_races = detect_races_hb(trace)
-    potential = detect_lock_cycles(trace)
-    cycle = find_deadlock_cycle(trace)
-    starvation = analyze_starvation(trace, bypass_threshold=bypass_threshold)
-    violations = (
-        check_completion_times(trace, expectations) if expectations else []
+    """Run the default detectors over a finished run's trace and classify
+    the findings."""
+    pipeline = DetectorPipeline(
+        expectations=expectations,
+        bypass_threshold=bypass_threshold,
+        early_stop=False,
     )
-    return assemble_report(
-        result,
-        races=races,
-        hb_races=hb_races,
-        potential_deadlocks=potential,
-        deadlock_cycle=cycle,
-        starvation=starvation,
-        completion_violations=violations,
-        observations=symptoms_from_run(result),
-        contention=profile_contention(trace),
-    )
+    pipeline.fold(result.trace)
+    return pipeline.report(result)

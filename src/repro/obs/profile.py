@@ -2,7 +2,7 @@
 
 :func:`profile_workload` runs a workload under N random schedules with
 the full observability stack attached — instrumentation sink, span
-tracer, and (optionally) the seven online detectors each wrapped in a
+tracer, and (optionally) the six online detectors each wrapped in a
 :class:`TimedDetector` — and folds everything into one
 :class:`ProfileReport`.  The report answers the questions an operator
 tuning a campaign actually asks:

@@ -64,7 +64,6 @@ DETECTOR_ORDER: Tuple[str, ...] = (
     "lockgraph",
     "waitgraph",
     "starvation",
-    "contention",
     "completion",
 )
 

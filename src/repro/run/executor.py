@@ -1,7 +1,7 @@
 """RunExecutor: one assembly of pipeline + sink + routes, reused per run.
 
 Rebuilding the observation stack for every single run — a fresh
-:class:`~repro.detect.online.DetectorPipeline` (seven detector objects
+:class:`~repro.detect.online.DetectorPipeline` (six detector objects
 plus a symptom tracker) and a fresh
 :class:`~repro.obs.sink.InstrumentationSink` per kernel, each
 subscribing its handlers one by one — is pure allocation overhead on the

@@ -105,10 +105,13 @@ class MonitorObject:
     changes, and are left out of equality, ``repr`` and
     :meth:`snapshot`: ``acquisitions`` (outermost holds), ``hold_ticks``
     (virtual time of the closed holds; ``hold_since`` stamps the open
-    one), ``contended_ticks`` (time acquirers spent blocked),
-    ``entry_peak`` (the most threads requesting the lock at once, the
-    requester counted until it holds it), ``wait_peak`` and
-    ``lost_notifies`` (notifies that woke nobody).
+    one), ``contended_ticks`` (time acquirers spent blocked: each
+    grant's ``blocked_for``, from the request, or for a woken waiter
+    from its wake; :class:`repro.detect.contention.MonitorProfile`
+    counts that reacquisition as wait time instead), ``entry_peak``
+    (the most threads requesting the lock at once, the requester
+    counted until it holds it), ``wait_peak`` and ``lost_notifies``
+    (notifies that woke nobody).
     """
 
     KIND: ClassVar[str] = "monitor"

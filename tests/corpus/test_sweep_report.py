@@ -15,6 +15,7 @@ from repro.corpus import (
     sweep_corpus,
     write_results,
 )
+from repro.run.config import DETECTOR_ORDER
 
 
 def result(variant_id, expected=(), detected=(), parent="P", **kw):
@@ -187,4 +188,6 @@ class TestSweepEndToEnd:
 
     def test_sweep_detector_set_includes_reentry(self):
         assert "reentry" in SWEEP_DETECTORS
-        assert len(SWEEP_DETECTORS) == len(set(SWEEP_DETECTORS)) == 8
+        assert (
+            len(SWEEP_DETECTORS) == len(set(SWEEP_DETECTORS)) == len(DETECTOR_ORDER) + 1
+        )

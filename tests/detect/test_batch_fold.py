@@ -26,7 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.classify.symptoms import SymptomTracker
-from repro.detect.online import DetectorPipeline, OnlineDetector
+from repro.detect import OnlineContentionProfiler
+from repro.detect.online import DetectorPipeline, OnlineDetector, default_detectors
 from repro.run import RunConfig, RunExecutor
 from repro.run.executor import timed_runner
 from repro.run.registry import DETECTORS, FAULTS, load_builtins
@@ -111,9 +112,14 @@ def per_event_run(executor, scheduler):
     return pipeline, executor.runner(kernel)
 
 
-def replayed(events):
+def with_contention():
+    """The default detectors plus the opt-in contention profiler."""
+    return [*default_detectors(), OnlineContentionProfiler()]
+
+
+def replayed(events, detectors=None):
     """A fresh pipeline fed ``events`` one at a time."""
-    pipeline = DetectorPipeline()
+    pipeline = DetectorPipeline(detectors)
     for event in events:
         pipeline.on_event(event)
     return pipeline
@@ -239,25 +245,28 @@ def test_timeout_hands_over_what_the_run_emitted():
             pass
 
     kernel.spawn(busy, name="busy")
-    pipeline = DetectorPipeline().attach(kernel)
+    pipeline = DetectorPipeline(with_contention()).attach(kernel)
     result = timed_runner(0.2)(kernel)
     assert result.status is RunStatus.TIMEOUT
     assert len(kernel.trace) > 0
-    assert folded_findings(pipeline) == replayed(result.trace).findings()
+    assert (
+        folded_findings(pipeline)
+        == replayed(result.trace, with_contention()).findings()
+    )
     assert folded_findings(pipeline)["contention"].monitors["m"].acquisitions == 2
 
 
 def test_manually_stepped_kernel_drains_on_read():
     config = RunConfig(workload="pc-bug")
     kernel = RunExecutor(config)(RandomScheduler(seed=2))
-    pipeline = DetectorPipeline().attach(kernel)
+    pipeline = DetectorPipeline(with_contention()).attach(kernel)
     while kernel.step():
         pass
     assert kernel.events_emitted < CHUNK_EVENTS
     # nothing was handed over: step() leaves the batch to the caller
     assert folded_findings(pipeline)["contention"].monitors == {}
     found = pipeline.findings()
-    assert found == replayed(kernel.trace).findings()
+    assert found == replayed(kernel.trace, with_contention()).findings()
     kernel.drain()
     assert pipeline.findings() == found
 

@@ -1,17 +1,24 @@
 """Tests for the monitor contention profiler."""
 
+from collections import Counter
+
+import pytest
+
 from repro.components import ProducerConsumer
-from repro.detect import profile_contention
+from repro.detect import MonitorProfile, profile_contention
 from repro.vm import (
     Acquire,
+    EventKind,
     Kernel,
     Notify,
+    RandomScheduler,
     Release,
     RoundRobinScheduler,
     FifoScheduler,
     Wait,
     Yield,
 )
+from tests.vm.test_ready_set import PROGRAMS
 
 
 def contended_run():
@@ -144,3 +151,37 @@ class TestProfileContention:
     def test_describe(self):
         report = profile_contention(contended_run())
         assert "acquisitions" in report.describe()
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_fold_matches_the_monitor_counters(name):
+    """The trace fold against the counters each live monitor keeps: the
+    fold also counts reentrant acquisitions, and the monitor's contended
+    time also covers each woken waiter's wait for the lock."""
+    for seed in range(20):
+        kernel = PROGRAMS[name](RandomScheduler(seed))
+        trace = kernel.run().trace
+        report = profile_contention(trace)
+        reentrant = Counter()
+        reacquire_ticks = Counter()
+        woken_at = {}
+        for event in trace:
+            if event.kind is EventKind.MONITOR_NOTIFIED:
+                woken_at[(event.thread, event.monitor)] = event.time
+            elif event.kind is EventKind.MONITOR_ACQUIRE:
+                if event.detail.get("reentrant"):
+                    reentrant[event.monitor] += 1
+                woken = woken_at.pop((event.thread, event.monitor), None)
+                if woken is not None:
+                    reacquire_ticks[event.monitor] += event.time - woken
+        for monitor in kernel.monitors.values():
+            profile = report.monitors.get(monitor.name, MonitorProfile(monitor.name))
+            where = (name, seed, monitor.name)
+            assert (
+                profile.acquisitions - reentrant[monitor.name] == monitor.acquisitions
+            ), where
+            assert profile.lost_notifies == monitor.lost_notifies, where
+            assert (
+                monitor.contended_ticks
+                == profile.total_blocked_time + reacquire_ticks[monitor.name]
+            ), where

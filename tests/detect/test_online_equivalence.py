@@ -10,7 +10,7 @@ over the stored trace — report objects included, down to classification.
 
 import pytest
 
-from repro.classify.symptoms import SymptomTracker
+from repro.classify.symptoms import SymptomTracker, symptoms_from_run
 from repro.components import (
     CyclicBarrier,
     NativeReadWriteLock,
@@ -29,10 +29,10 @@ from repro.components.faulty import (
     WriterStarvingRwLock,
 )
 from repro.detect import (
-    CompletionChecker,
     DetectionSummary,
     Expectation,
     LocksetDetector,
+    OnlineContentionProfiler,
     OnlineReentryDetector,
     analyze_run,
     analyze_starvation,
@@ -81,6 +81,7 @@ from repro.vm import (
     Write,
     Yield,
 )
+from tests.detect.completion_reference import completion_reference
 
 
 def unsync_counter(scheduler) -> Kernel:
@@ -313,13 +314,14 @@ def assert_equivalent(pipeline, result, expectations):
     assert found["lockgraph"] == detect_lock_cycles(trace)
     assert found["waitgraph"] == find_deadlock_cycle(trace)
     assert found["starvation"] == analyze_starvation(trace)
-    assert found["contention"] == profile_contention(trace)
     assert found["completion"] == check_completion_times(trace, expectations)
+    assert pipeline.symptoms.observations(result) == symptoms_from_run(result)
     # Whole-report equality: findings, symptoms, and classification.
     assert pipeline.report(result) == analyze_run(result, expectations)
-    # The streaming completion checker against the preserved batch scan.
-    checker = CompletionChecker(expectations)
-    assert checker.check(trace) == checker._check_batch(trace)
+    # The streaming completion checker against the trace-scanning reference.
+    assert check_completion_times(trace, expectations) == completion_reference(
+        trace, expectations
+    )
 
 
 def streaming(factory, pipeline):
@@ -400,21 +402,30 @@ def test_trace_mode_none_matches_full_trace_analysis(name):
         assert pipeline.summary(none_result) == full_summary
 
 
-@pytest.mark.parametrize("name", sorted(FACTORIES))
-def test_reentry_equivalence(name):
-    """The opt-in reentry detector, routed by kind, against
-    :func:`detect_reentry` replaying the whole stored trace."""
-    pipeline = DetectorPipeline([OnlineReentryDetector()], early_stop=False)
+def assert_opt_in_equivalent(name, detector, batch):
+    """A detector outside the default set, routed by kind, against
+    ``batch`` replaying the whole stored trace."""
+    pipeline = DetectorPipeline([detector], early_stop=False)
     factory = streaming(FACTORIES[name], pipeline)
     checked = []
 
     def on_run(run):
-        assert pipeline.findings()["reentry"] == detect_reentry(run.result.trace)
+        assert pipeline.findings()[detector.name] == batch(run.result.trace)
         checked.append(run)
 
     explore_systematic(factory, max_runs=15, on_run=on_run, keep_runs=False)
     explore_random(factory, seeds=range(8), on_run=on_run, keep_runs=False)
     assert checked
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_reentry_equivalence(name):
+    assert_opt_in_equivalent(name, OnlineReentryDetector(), detect_reentry)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_contention_equivalence(name):
+    assert_opt_in_equivalent(name, OnlineContentionProfiler(), profile_contention)
 
 
 def test_reentry_equivalence_sees_findings():

@@ -4,7 +4,7 @@ flagged with its documented failure class.
 The registry is the repro's ground truth — each faulty component cites
 the Table-1 class its defect injects.  This suite closes the loop: the
 static checks (for the T1 classes, which the paper prescribes static
-analysis for) or the full online detector pipeline (default seven plus
+analysis for) or the full online detector pipeline (default six plus
 the premature-reentry detector) must implicate that class.
 
 A dynamic exemplar counts as flagged when, on at least one random

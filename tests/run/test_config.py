@@ -6,14 +6,17 @@ import pickle
 
 import pytest
 
+from repro.detect import ContentionReport
 from repro.run import (
     DETECTOR_ORDER,
     RunConfig,
     RunConfigError,
+    RunExecutor,
     load_scenario,
     normalize_detect,
     parse_seed_spec,
 )
+from repro.vm import RandomScheduler
 
 
 class TestNormalizeDetect:
@@ -35,6 +38,16 @@ class TestNormalizeDetect:
     def test_unknown_names_kept_for_validate(self):
         # normalize passes unknowns through; validate() rejects them
         assert "bogus" in normalize_detect(["bogus", "hb"])
+
+    def test_contention_is_opt_in(self):
+        assert "contention" not in normalize_detect(True)
+        config = RunConfig(workload="pc-bug", detect=("contention",))
+        config.validate()
+        executor = RunExecutor(config)
+        executor(RandomScheduler(seed=0)).run()
+        report = executor.pipeline.findings()["contention"]
+        assert isinstance(report, ContentionReport)
+        assert report.monitors["SingleNotifyProducerConsumer"].acquisitions > 0
 
 
 class TestParseSeedSpec:
