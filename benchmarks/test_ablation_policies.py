@@ -186,7 +186,10 @@ def test_lock_policy_ablation(benchmark, results_dir):
 
 def _run_pc(cls, seed, **kernel_kwargs):
     kernel = Kernel(
-        scheduler=RandomScheduler(seed=seed), max_steps=50_000, **kernel_kwargs
+        scheduler=RandomScheduler(seed=seed),
+        max_steps=50_000,
+        seed=seed,
+        **kernel_kwargs,
     )
     pc = kernel.register(cls())
 

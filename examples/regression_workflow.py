@@ -10,6 +10,8 @@
 4. Post-mortem: save the failing trace, reload it, and run the detectors
    and the contention profiler on the artifact alone.
 
+Every file lands in a temporary directory that is removed on exit.
+
 Run:  python examples/regression_workflow.py
 """
 
@@ -25,7 +27,11 @@ from repro.vm import load_schedule, load_trace, save_trace
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="repro-workflow-"))
+    with tempfile.TemporaryDirectory(prefix="repro-workflow-") as workdir:
+        workflow(Path(workdir))
+
+
+def workflow(workdir: Path) -> None:
     factory = lambda: BoundedBuffer(2)  # noqa: E731
 
     # -- 1. the paper's method, one call ------------------------------------

@@ -31,10 +31,13 @@ for the schema).  ``analyze`` re-runs every trace-based detector over a
 saved run.  ``explore`` drives the single-process schedule explorer
 over a named workload or any ``module:function`` program factory;
 ``campaign`` shards the same schedule space across a multiprocessing
-pool with journaling and resume (see :mod:`repro.engine`).  Both parse
-their flags into one :class:`repro.run.RunConfig` and assemble runs
-through :class:`repro.run.RunExecutor` — the CLI itself never touches
-detectors or sinks directly.
+pool with journaling and resume (see :mod:`repro.engine`).  Both share
+one set of run flags, parsed into one :class:`repro.run.RunConfig`, and a
+scenario file parses into the same objects; each job (one run, an
+exploration, a campaign) then has one driver that flags and files both
+call.  Runs are assembled by :class:`repro.run.RunExecutor`, and the CLI
+reads detection and metrics only from its summaries and its last run's
+report and sink snapshot.
 
 ``campaign --serve`` exposes live telemetry over an embedded HTTP
 endpoint while the campaign runs, ``dash`` renders a terminal dashboard
@@ -190,7 +193,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_run_scenario(args: argparse.Namespace) -> int:
     """Execute a declarative ``scenario.toml``: a ``[run]`` table plus at
-    most one of ``[explore]`` / ``[campaign]``."""
+    most one of ``[explore]`` / ``[campaign]``, each handed to the driver
+    the matching command uses."""
     from repro.run import RunConfigError, load_scenario
 
     try:
@@ -200,15 +204,7 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
     config = scenario.run
 
     if scenario.campaign is not None:
-        import sys as _sys
-
-        from repro.engine import (
-            CampaignError,
-            CampaignSpec,
-            ProgressTracker,
-            run_campaign,
-        )
-        from repro.engine.journal import JournalError
+        from repro.engine import CampaignSpec
 
         params = dict(scenario.campaign)
         resume = bool(params.pop("resume", False))
@@ -217,67 +213,23 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
         if journal is not None:
             params["journal_path"] = str(journal)
         spec = CampaignSpec.from_run_config(config, **params)
-        progress = ProgressTracker(
-            total_runs=spec.budget,
-            stream=None if quiet else _sys.stderr,
-        )
-        try:
-            result = run_campaign(spec, resume=resume, progress=progress)
-        except (CampaignError, JournalError) as exc:
-            raise SystemExit(f"error: {exc}")
-        print(result.describe())
-        if spec.metrics_out:
-            print(f"metrics written to {spec.metrics_out}")
-        if spec.metrics_prom:
-            print(f"prometheus metrics written to {spec.metrics_prom}")
-        return 2 if result.failures() else 0
+        return _campaign(spec, resume, quiet=quiet)
 
-    from repro.run.executor import RunExecutor
-
-    try:
-        executor = RunExecutor(config)
-    except RunConfigError as exc:
-        raise SystemExit(f"error: {exc}")
-
+    executor = _executor(config)
     if scenario.explore is not None:
-        params = dict(scenario.explore)
-        runs = int(params.get("runs", 200))
-        stop = bool(params.get("stop_on_failure", False))
-        try:
-            if config.scheduler == "systematic":
-                result = executor.explore(
-                    "systematic", max_runs=runs, stop_on_failure=stop
-                )
-            else:
-                seeds_spec = params.get("seeds")
-                seeds = (
-                    _parse_seeds(str(seeds_spec))
-                    if seeds_spec is not None
-                    else list(range(runs))
-                )
-                result = executor.explore(seeds=seeds, stop_on_failure=stop)
-        except RunConfigError as exc:
-            raise SystemExit(f"error: {exc}")
-        print(result.describe())
-        lo, hi = result.failure_rate_interval()
-        print(
-            f"  failure rate: {result.failure_rate():.1%} "
-            f"(95% CI [{lo:.1%}, {hi:.1%}])"
+        params = scenario.explore
+        seeds = params.get("seeds")
+        return _explore(
+            executor,
+            runs=int(params.get("runs", 200)),
+            seeds=_parse_seeds(seeds) if seeds is not None else None,
+            stop_on_failure=bool(params.get("stop_on_failure", False)),
         )
-        return 0 if not result.failures() else 2
 
     # no driver table: execute exactly one run as configured
-    try:
-        result = executor.execute()
-    except RunConfigError as exc:
-        raise SystemExit(f"error: {exc}")
+    result = _execute(executor)
     print(f"{config.workload}: {result.status.value} after {result.steps} steps")
-    if result.stuck_threads:
-        print(f"  stuck threads: {', '.join(result.stuck_threads)}")
-    if executor.pipeline is not None:
-        print()
-        print(executor.pipeline.report(result).describe())
-    return 0 if result.ok else 2
+    return _report_run(executor, result)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -372,21 +324,161 @@ def _cmd_suite_run(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_seeds(text: str) -> List[int]:
+def _parse_seeds(spec) -> List[int]:
     """Parse a seed spec: ``7``, ``0:100`` (half-open), or ``1,5,9``."""
     from repro.run import RunConfigError, parse_seed_spec
 
     try:
-        return list(parse_seed_spec(text))
+        return list(parse_seed_spec(spec))
     except RunConfigError as exc:
         raise SystemExit(f"error: {exc}")
 
 
-def _cmd_explore(args: argparse.Namespace) -> int:
+def _run_config(args: argparse.Namespace, **fields):
+    """The :class:`repro.run.RunConfig` of the shared run flags, plus the
+    command's own ``fields``."""
     from repro.run import RunConfig, RunConfigError
+
+    try:
+        return RunConfig(
+            workload=args.factory,
+            component=args.component,
+            scheduler=args.mode,
+            detect=args.detect,
+            metrics=args.metrics or bool(args.metrics_out),
+            max_depth=args.max_depth,
+            branch=args.branch,
+            pct_depth=args.pct_depth,
+            pct_expected_steps=args.pct_steps,
+            spurious_rate=args.spurious_rate,
+            faults=_resolve_faults(args.faults),
+            **fields,
+        )
+    except RunConfigError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
+def _executor(config):
+    from repro.run import RunConfigError
     from repro.run.executor import RunExecutor
 
-    want_metrics = args.metrics or bool(args.metrics_out)
+    try:
+        return RunExecutor(config)
+    except RunConfigError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
+def _execute(executor):
+    """One run of the config's own scheduler (seed, replay prefix, and all)."""
+    from repro.run import RunConfigError
+    from repro.vm.scheduler import ChoiceExhaustedError
+
+    try:
+        return executor.execute()
+    except RunConfigError as exc:
+        raise SystemExit(f"error: {exc}")
+    except ChoiceExhaustedError as exc:
+        raise SystemExit(
+            f"error: decision sequence does not fit this program: {exc}"
+        )
+
+
+def _print_metrics(registry, metrics_out: Optional[str], config) -> None:
+    events = registry.get("vm_events_total")
+    total = int(events.total) if events is not None else 0
+    print(f"  metrics: {total} kernel events")
+    contended = registry.get("vm_monitor_contended_ticks_total")
+    if contended is not None:
+        for name, ticks in contended.top(3, label="monitor"):
+            print(f"    contended monitor {name}: {int(ticks)} ticks")
+    if metrics_out:
+        from repro.obs import write_metrics_jsonl
+
+        write_metrics_jsonl(
+            registry,
+            metrics_out,
+            meta={"factory": config.workload, "mode": config.scheduler},
+        )
+        print(f"  metrics written to {metrics_out}")
+
+
+def _report_run(executor, result, metrics_out: Optional[str] = None) -> int:
+    """Report one executed run: stuck and crashed threads, the detection
+    report and the metrics summary; returns the exit code."""
+    if result.stuck_threads:
+        print(f"  stuck threads: {', '.join(result.stuck_threads)}")
+    for name, exc in result.crashed.items():
+        print(f"  crashed {name}: {exc!r}")
+    if executor.pipeline is not None:
+        print()
+        print(executor.pipeline.report(result).describe())
+    if executor.sink is not None:
+        from repro.obs import MetricsRegistry
+        from repro.obs.sink import fold_record
+
+        registry = MetricsRegistry()
+        fold_record(registry, executor.sink.snapshot())
+        _print_metrics(registry, metrics_out, executor.config)
+    return 0 if result.ok else 2
+
+
+def _explore(
+    executor,
+    runs: int,
+    seeds: Optional[List[int]],
+    stop_on_failure: bool,
+    metrics_out: Optional[str] = None,
+) -> int:
+    """The exploration driver: ``runs`` bounds a systematic enumeration
+    and, without ``seeds``, sets the seed count of a random/PCT one.
+    Classes and metrics are folded per run by a
+    :class:`~repro.engine.ProgressTracker`, as a campaign folds them."""
+    from repro.engine import ProgressTracker
+    from repro.run import RunConfigError
+
+    config = executor.config
+    tracker = ProgressTracker()
+
+    def on_run(run) -> None:
+        tracker.note_run(executor.summarize(run))
+
+    try:
+        if config.scheduler == "systematic":
+            result = executor.explore(
+                max_runs=runs, stop_on_failure=stop_on_failure, on_run=on_run
+            )
+        else:
+            result = executor.explore(
+                seeds=seeds if seeds is not None else list(range(runs)),
+                stop_on_failure=stop_on_failure,
+                on_run=on_run,
+            )
+    except RunConfigError as exc:
+        raise SystemExit(f"error: {exc}")
+    print(result.describe())
+    if config.detect:
+        class_bits = ", ".join(
+            f"{code}: {count}" for code, count in sorted(tracker.classes.items())
+        )
+        print(f"  failure classes: {class_bits or 'none detected'}")
+    if config.metrics:
+        _print_metrics(tracker.metrics, metrics_out, config)
+    lo, hi = result.failure_rate_interval()
+    print(f"  failure rate: {result.failure_rate():.1%} (95% CI [{lo:.1%}, {hi:.1%}])")
+    for run in result.failures():
+        if run.seed is not None:
+            print(f"  failure at seed {run.seed}: {run.result.status.value}")
+        else:
+            decisions = ",".join(str(d) for d in run.decisions)
+            print(
+                f"  failure ({run.result.status.value}) — replay with "
+                f"--mode replay --decisions {decisions}"
+            )
+        break  # first failure is enough for the console
+    return 0 if not result.failures() else 2
+
+
+def _cmd_explore(args: argparse.Namespace) -> int:
     decisions: List[int] = []
     if args.mode == "replay":
         if args.decisions is None:
@@ -398,81 +490,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 f"error: --decisions must be comma-separated integers, "
                 f"got {args.decisions!r}"
             )
-
-    try:
-        config = RunConfig(
-            workload=args.factory,
-            component=args.component,
-            scheduler=args.mode,
-            prefix=tuple(decisions),
-            detect=args.detect,
-            metrics=want_metrics,
-            timeout=0.0,
-            max_depth=args.max_depth,
-            branch=args.branch,
-            pct_depth=args.pct_depth,
-            pct_expected_steps=args.pct_steps,
-            spurious_rate=args.spurious_rate,
-            faults=_resolve_faults(args.faults),
-        )
-        executor = RunExecutor(config)
-    except RunConfigError as exc:
-        raise SystemExit(f"error: {exc}")
-
-    metrics_registry = None
-    if want_metrics:
-        from repro.obs import MetricsRegistry
-        from repro.obs.sink import fold_record
-
-        metrics_registry = MetricsRegistry()
-
-    def _finish_metrics() -> None:
-        if metrics_registry is None:
-            return
-        events = metrics_registry.get("vm_events_total")
-        total = int(events.total) if events is not None else 0
-        print(f"  metrics: {total} kernel events")
-        contended = metrics_registry.get("vm_monitor_contended_ticks_total")
-        if contended is not None:
-            for name, ticks in contended.top(3, label="monitor"):
-                print(f"    contended monitor {name}: {int(ticks)} ticks")
-        if args.metrics_out:
-            from repro.obs import write_metrics_jsonl
-
-            write_metrics_jsonl(
-                metrics_registry,
-                args.metrics_out,
-                meta={"factory": args.factory, "mode": args.mode},
-            )
-            print(f"  metrics written to {args.metrics_out}")
+    executor = _executor(_run_config(args, prefix=tuple(decisions), timeout=0.0))
 
     if args.mode == "replay":
-        from repro.vm.scheduler import (
-            ChoiceExhaustedError,
-            FifoScheduler,
-            ReplayScheduler,
-        )
-
-        try:
-            result = executor.execute(
-                ReplayScheduler(decisions, fallback=FifoScheduler())
-            )
-        except ChoiceExhaustedError as exc:
-            raise SystemExit(
-                f"error: decision sequence does not fit this program: {exc}"
-            )
+        result = _execute(executor)
         print(f"replayed {len(decisions)} decisions: {result.status.value}")
-        if result.stuck_threads:
-            print(f"  stuck threads: {', '.join(result.stuck_threads)}")
-        if result.crashed:
-            for name, exc in result.crashed.items():
-                print(f"  crashed {name}: {exc!r}")
-        if executor.pipeline is not None:
-            print()
-            print(executor.pipeline.report(result).describe())
-        if executor.sink is not None:
-            fold_record(metrics_registry, executor.sink.snapshot())
-            _finish_metrics()
+        code = _report_run(executor, result, args.metrics_out)
         if args.save_trace:
             from repro.vm.serialize import save_trace
 
@@ -494,7 +517,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 f"chrome trace written to {args.chrome_trace} "
                 "(open in ui.perfetto.dev)"
             )
-        return 0 if result.ok else 2
+        return code
 
     for flag, value in (
         ("--save-trace", args.save_trace),
@@ -506,125 +529,63 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 "(replay a failure's decisions or seed to capture its trace)",
                 file=sys.stderr,
             )
-
-    from collections import Counter
-
-    class_counts: Counter = Counter()
-
-    def on_detect(run) -> None:
-        if executor.sink is not None:
-            fold_record(metrics_registry, executor.sink.snapshot())
-        if executor.pipeline is None:
-            return
-        for code in executor.pipeline.summary(run.result).classes:
-            class_counts[code] += 1
-
-    if args.mode == "systematic":
-        result = executor.explore(
-            "systematic",
-            max_runs=args.runs,
-            stop_on_failure=args.stop_on_failure,
-            on_run=on_detect,
-        )
-    else:
-        seeds = _parse_seeds(args.seeds) if args.seeds else list(range(args.runs))
-        result = executor.explore(
-            args.mode,
-            seeds=seeds,
-            stop_on_failure=args.stop_on_failure,
-            on_run=on_detect,
-        )
-    print(result.describe())
-    if args.detect:
-        class_bits = ", ".join(
-            f"{code}: {count}" for code, count in sorted(class_counts.items())
-        )
-        print(f"  failure classes: {class_bits or 'none detected'}")
-    if want_metrics:
-        _finish_metrics()
-    lo, hi = result.failure_rate_interval()
-    print(f"  failure rate: {result.failure_rate():.1%} (95% CI [{lo:.1%}, {hi:.1%}])")
-    for run in result.failures():
-        if run.seed is not None:
-            print(f"  failure at seed {run.seed}: {run.result.status.value}")
-        else:
-            decisions = ",".join(str(d) for d in run.decisions)
-            print(
-                f"  failure ({run.result.status.value}) — replay with "
-                f"--mode replay --decisions {decisions}"
-            )
-        break  # first failure is enough for the console
-    return 0 if not result.failures() else 2
+    return _explore(
+        executor,
+        runs=args.runs,
+        seeds=_parse_seeds(args.seeds) if args.seeds else None,
+        stop_on_failure=args.stop_on_failure,
+        metrics_out=args.metrics_out,
+    )
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    import sys as _sys
-
-    from repro.engine import CampaignError, CampaignSpec, ProgressTracker, run_campaign
+def _campaign(
+    spec,
+    resume: bool,
+    *,
+    quiet: bool = False,
+    progress_json: bool = False,
+    serve: Optional[str] = None,
+    dash: bool = False,
+) -> int:
+    """The campaign driver: heartbeat, optional live telemetry, the
+    report and the metrics-path lines; returns the exit code."""
+    from repro.engine import CampaignError, ProgressTracker, run_campaign
     from repro.engine.journal import JournalError
 
-    try:
-        spec = CampaignSpec(
-            factory=args.factory,
-            component=args.component,
-            mode=args.mode,
-            budget=args.budget,
-            workers=args.workers,
-            shard_size=args.shard_size,
-            seed_start=args.seed_start,
-            goal=args.goal,
-            coverage=args.coverage,
-            detect=args.detect,
-            trace_mode=args.trace_mode,
-            run_timeout=args.timeout,
-            max_retries=args.retries,
-            max_depth=args.max_depth,
-            branch=args.branch,
-            pct_depth=args.pct_depth,
-            pct_expected_steps=args.pct_steps,
-            journal_path=args.journal,
-            metrics=args.metrics,  # --metrics-out/--metrics-prom imply it
-            metrics_out=args.metrics_out,
-            metrics_prom=args.metrics_prom,
-            spurious_rate=args.spurious_rate,
-            faults=_resolve_faults(args.faults),
-        )
-    except CampaignError as exc:
-        raise SystemExit(f"error: {exc}")
     # --progress-json is an explicit request for machine-readable
     # heartbeats, so it wins over --quiet and --dash; the plain text
     # heartbeat stays off under either (--dash owns the terminal).
-    heartbeat = args.progress_json or not (args.quiet or args.dash)
+    heartbeat = progress_json or not (quiet or dash)
     progress = ProgressTracker(
-        total_runs=args.budget,
-        stream=_sys.stderr if heartbeat else None,
-        json_mode=args.progress_json,
+        total_runs=spec.budget,
+        stream=sys.stderr if heartbeat else None,
+        json_mode=progress_json,
     )
 
     telemetry = None
     server = None
     dashboard = None
-    if args.serve or args.dash:
+    if serve or dash:
         from repro.obs.live import LiveAggregator
         from repro.obs.live.dash import LocalDashboard
         from repro.obs.live.server import TelemetryServer, parse_serve_address
 
-        telemetry = LiveAggregator(total_runs=args.budget)
-        if args.serve:
+        telemetry = LiveAggregator(total_runs=spec.budget)
+        if serve:
             try:
-                host, port = parse_serve_address(args.serve)
+                host, port = parse_serve_address(serve)
                 server = TelemetryServer(telemetry, host, port).start()
             except (ValueError, OSError) as exc:
-                raise SystemExit(f"error: --serve {args.serve}: {exc}")
+                raise SystemExit(f"error: --serve {serve}: {exc}")
             print(
                 f"live telemetry at {server.url} (/status /metrics /events)",
-                file=_sys.stderr,
+                file=sys.stderr,
             )
-        if args.dash:
-            dashboard = LocalDashboard(telemetry, _sys.stderr).start()
+        if dash:
+            dashboard = LocalDashboard(telemetry, sys.stderr).start()
     try:
         result = run_campaign(
-            spec, resume=args.resume, progress=progress, telemetry=telemetry
+            spec, resume=resume, progress=progress, telemetry=telemetry
         )
     except (CampaignError, JournalError) as exc:
         raise SystemExit(f"error: {exc}")
@@ -639,6 +600,37 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if spec.metrics_prom:
         print(f"prometheus metrics written to {spec.metrics_prom}")
     return 2 if result.failures() else 0
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.engine import CampaignSpec
+
+    config = _run_config(
+        args,
+        coverage=args.coverage,
+        trace_mode=args.trace_mode,
+        timeout=args.timeout,
+    )
+    spec = CampaignSpec.from_run_config(
+        config,
+        budget=args.budget,
+        workers=args.workers,
+        shard_size=args.shard_size,
+        seed_start=args.seed_start,
+        goal=args.goal,
+        max_retries=args.retries,
+        journal_path=args.journal,
+        metrics_out=args.metrics_out,
+        metrics_prom=args.metrics_prom,
+    )
+    return _campaign(
+        spec,
+        args.resume,
+        quiet=args.quiet,
+        progress_json=args.progress_json,
+        serve=args.serve,
+        dash=args.dash,
+    )
 
 
 def _cmd_dash(args: argparse.Namespace) -> int:
@@ -911,18 +903,56 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("component", help="module:ClassName to test")
     p_suite.set_defaults(func=_cmd_suite_run)
 
-    p_explore = sub.add_parser(
-        "explore",
-        help="single-process schedule exploration of a workload "
-        "(systematic DFS, random, PCT, or exact replay)",
-    )
-    p_explore.add_argument(
+    # the run flags ``explore`` and ``campaign`` share (see _run_config)
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument(
         "factory", help="workload name (e.g. pc-bug) or module:function factory"
     )
-    p_explore.add_argument(
+    run_flags.add_argument(
         "--component",
         help="component name to instantiate a workload template with "
         "(e.g. 'pc' + --component BoundedBuffer)",
+    )
+    run_flags.add_argument(
+        "--detect",
+        action="store_true",
+        help="stream every run through the online detector pipeline "
+        "and report per-failure-class counts",
+    )
+    run_flags.add_argument("--max-depth", type=int, default=400)
+    run_flags.add_argument("--branch", default="shallow", choices=["shallow", "deep"])
+    run_flags.add_argument("--pct-depth", type=int, default=3)
+    run_flags.add_argument("--pct-steps", type=int, default=200)
+    run_flags.add_argument(
+        "--metrics",
+        action="store_true",
+        help="attach the instrumentation sink to every run and report "
+        "the merged metrics",
+    )
+    run_flags.add_argument(
+        "--metrics-out",
+        help="write the merged metrics registry to this JSONL path "
+        "(implies --metrics)",
+    )
+    run_flags.add_argument(
+        "--spurious-rate",
+        type=float,
+        default=0.0,
+        help="per-step probability that one waiting thread wakes "
+        "spuriously (drawn from each run's seeded RNG, so runs stay "
+        "reproducible; folded into a campaign's journal fingerprint)",
+    )
+    run_flags.add_argument(
+        "--faults",
+        help="deterministic fault plan: a registered plan name (see "
+        "'registry list faults') or a path to a fault-plan JSON file",
+    )
+
+    p_explore = sub.add_parser(
+        "explore",
+        parents=[run_flags],
+        help="single-process schedule exploration of a workload "
+        "(systematic DFS, random, PCT, or exact replay)",
     )
     p_explore.add_argument(
         "--mode",
@@ -935,41 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument(
         "--seeds", help="seed spec for random/pct: '7', '0:100', or '1,5,9'"
     )
-    p_explore.add_argument(
-        "--detect",
-        action="store_true",
-        help="stream every run through the online detector pipeline "
-        "and report per-failure-class counts",
-    )
     p_explore.add_argument("--stop-on-failure", action="store_true")
-    p_explore.add_argument("--max-depth", type=int, default=400)
-    p_explore.add_argument("--branch", default="shallow", choices=["shallow", "deep"])
-    p_explore.add_argument("--pct-depth", type=int, default=3)
-    p_explore.add_argument("--pct-steps", type=int, default=200)
-    p_explore.add_argument(
-        "--metrics",
-        action="store_true",
-        help="attach the instrumentation sink to every run and report "
-        "merged contention metrics",
-    )
-    p_explore.add_argument(
-        "--metrics-out",
-        help="write the merged metrics registry to this JSONL path "
-        "(implies --metrics)",
-    )
-    p_explore.add_argument(
-        "--spurious-rate",
-        type=float,
-        default=0.0,
-        help="per-step probability that one waiting thread wakes "
-        "spuriously (drawn from the run's seeded RNG, so runs stay "
-        "reproducible)",
-    )
-    p_explore.add_argument(
-        "--faults",
-        help="deterministic fault plan: a registered plan name (see "
-        "'registry list faults') or a path to a fault-plan JSON file",
-    )
     p_explore.add_argument(
         "--decisions", help="comma-separated decision indices for --mode replay"
     )
@@ -985,16 +981,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_campaign = sub.add_parser(
         "campaign",
+        parents=[run_flags],
         help="parallel, resumable schedule-exploration campaign "
         "(shards across a multiprocessing pool; see repro.engine)",
-    )
-    p_campaign.add_argument(
-        "factory", help="workload name (e.g. pc-bug) or module:function factory"
-    )
-    p_campaign.add_argument(
-        "--component",
-        help="component name to instantiate a workload template with "
-        "(e.g. 'pc' + --component BoundedBuffer)",
     )
     p_campaign.add_argument(
         "--mode", default="random", choices=["random", "pct", "systematic"]
@@ -1015,12 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--coverage", help="module:Class whose CoFG arc coverage to track"
     )
     p_campaign.add_argument(
-        "--detect",
-        action="store_true",
-        help="run the streaming detector pipeline on every run and "
-        "aggregate per-failure-class counts",
-    )
-    p_campaign.add_argument(
         "--trace-mode",
         default="full",
         choices=["full", "none"],
@@ -1033,35 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument(
         "--retries", type=int, default=2, help="max requeues of a crashed shard"
     )
-    p_campaign.add_argument("--max-depth", type=int, default=400)
-    p_campaign.add_argument("--branch", default="shallow", choices=["shallow", "deep"])
-    p_campaign.add_argument("--pct-depth", type=int, default=3)
-    p_campaign.add_argument("--pct-steps", type=int, default=200)
-    p_campaign.add_argument(
-        "--spurious-rate",
-        type=float,
-        default=0.0,
-        help="per-step probability that one waiting thread wakes "
-        "spuriously (drawn from each run's seeded RNG; folded into the "
-        "journal fingerprint)",
-    )
-    p_campaign.add_argument(
-        "--faults",
-        help="deterministic fault plan: a registered plan name (see "
-        "'registry list faults') or a path to a fault-plan JSON file",
-    )
     p_campaign.add_argument("--journal", help="JSONL checkpoint path")
-    p_campaign.add_argument(
-        "--metrics",
-        action="store_true",
-        help="attach the instrumentation sink to every run and merge "
-        "per-run metrics into a campaign registry",
-    )
-    p_campaign.add_argument(
-        "--metrics-out",
-        help="write the merged campaign metrics to this JSONL path "
-        "(implies --metrics)",
-    )
     p_campaign.add_argument(
         "--metrics-prom",
         help="write the merged campaign metrics in Prometheus text "

@@ -60,7 +60,6 @@ _SEEDED_MODES = ("random", "pct")
 # read on every merged run (an enum member's ``.value`` is a property read)
 _DEADLOCK = RunStatus.DEADLOCK.value
 _GOALS = ("budget", "first-failure", "first-deadlock", "coverage")
-_TRACE_MODES = ("full", "none")
 
 #: Pseudo shard id for the systematic planner's own expansion runs.
 PLAN_SHARD_ID = "plan"

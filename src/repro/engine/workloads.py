@@ -240,23 +240,9 @@ def pc_no_notify(scheduler) -> Kernel:
 def deadlock_pair(scheduler) -> Kernel:
     """Two opposite-direction transfers over unordered account locks
     (FF-T2/FF-T4 deadlock on some schedules)."""
-    from repro.components import Account
     from repro.components.faulty import DeadlockPair
 
-    kernel = Kernel(scheduler=scheduler)
-    a = kernel.register(Account(10), name="A")
-    b = kernel.register(Account(10), name="B")
-    pair = kernel.register(DeadlockPair())
-
-    def t1():
-        yield from pair.transfer(a, b, 1)
-
-    def t2():
-        yield from pair.transfer(b, a, 1)
-
-    kernel.spawn(t1, name="t1")
-    kernel.spawn(t2, name="t2")
-    return kernel
+    return pair_template(DeadlockPair)(scheduler)
 
 
 @register_workload("mixed-deadlock")

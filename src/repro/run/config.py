@@ -13,18 +13,17 @@ single currency of run assembly everywhere:
   (it replaces the old ``WorkerTask`` parallel field set);
 * :class:`~repro.run.executor.RunExecutor` turns it into kernels.
 
-Serialization: native pickle (plain frozen dataclass), JSON
-(:meth:`to_json` / :meth:`from_json`), and TOML (:meth:`to_toml` /
-:meth:`from_toml`; reading uses the stdlib ``tomllib``, Python 3.11+).
-All three round-trip to an equal config, and :meth:`from_dict` rejects
-unknown keys so a typoed scenario file fails loudly instead of silently
-running defaults.
+A config crosses the process boundary as a pickle (it is a plain frozen
+dataclass).  The one config-file format is the scenario file
+(:func:`load_scenario`, TOML read with the stdlib ``tomllib``, Python
+3.11+), whose ``[run]`` table :meth:`RunConfig.from_dict` reads,
+rejecting unknown keys so a typoed scenario file fails loudly instead of
+silently running defaults.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -333,22 +332,7 @@ class RunConfig:
             pct_expected_steps=self.pct_expected_steps,
         )
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data projection (None-valued fields omitted); the inverse
-        of :meth:`from_dict`."""
-        payload: Dict[str, Any] = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if value is None:
-                continue
-            if isinstance(value, FaultPlan):
-                value = value.to_dict()
-            elif isinstance(value, tuple):
-                value = list(value)
-            payload[spec.name] = value
-        return payload
+    # -- plain data --------------------------------------------------------
 
     @classmethod
     def from_dict(
@@ -372,44 +356,6 @@ class RunConfig:
             if isinstance(exc, RunConfigError):
                 raise
             raise RunConfigError(f"{source} is malformed: {exc}") from None
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise RunConfigError(f"cannot parse run config JSON: {exc}") from None
-        return cls.from_dict(payload, source="run config JSON")
-
-    def to_toml(self) -> str:
-        """Emit the config as a ``[run]`` TOML table (the scenario-file
-        schema; see docs/formats.md)."""
-        lines = ["[run]"]
-        for key, value in self.to_dict().items():
-            lines.append(f"{key} = {_toml_value(value)}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_toml(cls, text: str) -> "RunConfig":
-        """Parse a TOML document holding either a ``[run]`` table or the
-        bare key set at top level (requires Python 3.11+)."""
-        data = _parse_toml(text, source="run config TOML")
-        table = data.get("run", data)
-        if not isinstance(table, dict):
-            raise RunConfigError("run config TOML [run] must be a table")
-        return cls.from_dict(dict(table), source="run config TOML")
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "RunConfig":
-        """Load a config file, dispatching on suffix (.json vs .toml)."""
-        path = Path(path)
-        text = path.read_text()
-        if path.suffix == ".json":
-            return cls.from_json(text)
-        return cls.from_toml(text)
 
 
 # -- scenario files --------------------------------------------------------
@@ -524,22 +470,3 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         )
     run.validate()
     return Scenario(run=run, explore=explore, campaign=campaign, source=str(path))
-
-
-# -- minimal TOML emission (stdlib has no writer) --------------------------
-
-
-def _toml_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, str):
-        # JSON string escaping is a valid TOML basic string.
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_toml_value(v) for v in value) + "]"
-    if isinstance(value, dict):
-        pairs = ", ".join(f"{k} = {_toml_value(v)}" for k, v in value.items())
-        return "{" + pairs + "}"
-    raise RunConfigError(f"cannot serialize {value!r} to TOML")

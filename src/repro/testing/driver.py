@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Type
 
 from repro.analysis.builder import build_all_cofgs
 from repro.coverage.tracker import CoverageTracker
-from repro.detect.completion import Violation, check_completion_times
+from repro.detect.completion import Violation
 from repro.detect.report import DetectionReport, analyze_run
 from repro.vm.api import MonitorComponent
 from repro.vm.kernel import Kernel, RunResult
@@ -127,14 +127,13 @@ class SequenceRunner:
 
         result = kernel.run()
         expectations = sequence.expectations(component.vm_name)
-        violations = check_completion_times(result.trace, expectations)
+        report = analyze_run(result, expectations)
         coverage = CoverageTracker(build_all_cofgs(type(component)))
         coverage.feed(result.trace)
-        report = analyze_run(result, expectations)
         return SequenceOutcome(
             sequence=sequence,
             result=result,
-            violations=violations,
+            violations=report.completion_violations,
             coverage=coverage,
             report=report,
             call_results=call_results,

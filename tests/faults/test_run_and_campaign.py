@@ -63,16 +63,11 @@ class TestRunConfigCoercion:
             RunConfig(workload="pc-ok", spurious_rate=-0.1).validate()
 
     def test_dict_round_trip_preserves_plan(self):
-        config = RunConfig(workload="pc-ok", spurious_rate=0.2, faults=PLAN)
-        again = RunConfig.from_dict(config.to_dict())
+        again = RunConfig.from_dict(
+            {"workload": "pc-ok", "spurious_rate": 0.2, "faults": PLAN.to_dict()}
+        )
         assert again.faults == PLAN
         assert again.spurious_rate == 0.2
-
-    def test_toml_round_trip_preserves_plan(self, tmp_path):
-        config = RunConfig(workload="pc-ok", faults=PLAN)
-        path = tmp_path / "scenario.toml"
-        path.write_text(config.to_toml())
-        assert RunConfig.load(path).faults == PLAN
 
 
 class TestScenarioFaultsTable:

@@ -180,29 +180,6 @@ class TestRoundTrips:
         config = RunConfig(**FULL)
         assert pickle.loads(pickle.dumps(config)) == config
 
-    def test_json_round_trip(self):
-        config = RunConfig(**FULL)
-        assert RunConfig.from_json(config.to_json()) == config
-
-    def test_toml_round_trip(self):
-        pytest.importorskip("tomllib")
-        config = RunConfig(**FULL)
-        assert RunConfig.from_toml(config.to_toml()) == config
-
-    def test_all_three_formats_agree(self):
-        pytest.importorskip("tomllib")
-        config = RunConfig(**FULL)
-        via_pickle = pickle.loads(pickle.dumps(config))
-        via_json = RunConfig.from_json(config.to_json())
-        via_toml = RunConfig.from_toml(config.to_toml())
-        assert via_pickle == via_json == via_toml == config
-
-    def test_to_dict_omits_none(self):
-        payload = RunConfig(workload="pc-ok").to_dict()
-        assert "component" not in payload
-        assert "seed" not in payload
-        assert "coverage" not in payload
-
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(RunConfigError, match="unknown key"):
             RunConfig.from_dict({"workload": "pc-ok", "sheduler": "random"})
@@ -210,16 +187,6 @@ class TestRoundTrips:
     def test_from_dict_requires_workload(self):
         with pytest.raises(RunConfigError, match="workload"):
             RunConfig.from_dict({"scheduler": "random"})
-
-    def test_load_dispatches_on_suffix(self, tmp_path):
-        pytest.importorskip("tomllib")
-        config = RunConfig(**FULL)
-        json_path = tmp_path / "c.json"
-        toml_path = tmp_path / "c.toml"
-        json_path.write_text(config.to_json())
-        toml_path.write_text(config.to_toml())
-        assert RunConfig.load(json_path) == config
-        assert RunConfig.load(toml_path) == config
 
 
 class TestScenarioFiles:

@@ -577,6 +577,74 @@ class TestScenarioRun:
             main(["run", str(tmp_path / "nope.toml")])
 
 
+class TestScenarioParity:
+    """A job run from flags and from the equivalent scenario file prints
+    the same report: only the first line (the job's header) may differ."""
+
+    def _both(self, tmp_path, capsys, flags, scenario):
+        pytest.importorskip("tomllib")
+        path = tmp_path / "scenario.toml"
+        path.write_text(scenario)
+        flag_code = main(flags)
+        flag_out = capsys.readouterr().out.splitlines()
+        file_code = main(["run", str(path)])
+        file_out = capsys.readouterr().out.splitlines()
+        assert file_code == flag_code
+        assert file_out[1:] == flag_out[1:]
+        return flag_out
+
+    def test_random_explore_with_detection(self, tmp_path, capsys):
+        out = self._both(
+            tmp_path,
+            capsys,
+            ["explore", "pc-bug", "--mode", "random", "--seeds", "0:30", "--detect"],
+            '[run]\nworkload = "pc-bug"\nscheduler = "random"\ndetect = true\n'
+            'timeout = 0.0\n[explore]\nseeds = "0:30"\n',
+        )
+        assert any(line.startswith("  failure classes:") for line in out)
+
+    def test_seed_list(self, tmp_path, capsys):
+        # formats.md allows a TOML list wherever a seed spec goes
+        self._both(
+            tmp_path,
+            capsys,
+            ["explore", "pc-bug", "--mode", "random", "--seeds", "6,7,8"],
+            '[run]\nworkload = "pc-bug"\nscheduler = "random"\n'
+            "timeout = 0.0\n[explore]\nseeds = [6, 7, 8]\n",
+        )
+
+    def test_systematic_explore(self, tmp_path, capsys):
+        out = self._both(
+            tmp_path,
+            capsys,
+            ["explore", "racing-locks", "--mode", "systematic", "--runs", "50"],
+            '[run]\nworkload = "racing-locks"\nscheduler = "systematic"\n'
+            "timeout = 0.0\n[explore]\nruns = 50\n",
+        )
+        assert any("--mode replay --decisions" in line for line in out)
+
+    def test_replay_against_a_single_run(self, tmp_path, capsys):
+        out = self._both(
+            tmp_path,
+            capsys,
+            [
+                "explore",
+                "racing-locks",
+                "--mode",
+                "replay",
+                "--decisions",
+                "1,0,0,0,0,0",
+                "--detect",
+                "--metrics",
+            ],
+            '[run]\nworkload = "racing-locks"\nscheduler = "replay"\n'
+            "prefix = [1, 0, 0, 0, 0, 0]\ndetect = true\nmetrics = true\n"
+            "timeout = 0.0\n",
+        )
+        assert "deadlock cycle:" in "\n".join(out)
+        assert any(line.startswith("  metrics:") for line in out)
+
+
 class TestShippedScript:
     def test_examples_script_passes(self, capsys):
         import pathlib
