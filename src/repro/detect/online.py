@@ -11,21 +11,20 @@ form, so there is exactly one implementation of each analysis.
 :class:`DetectorPipeline` bundles the six detectors plus the VM-level
 :class:`~repro.classify.symptoms.SymptomTracker` behind one kernel
 connection.  Each detector declares the event :attr:`~OnlineDetector.kinds`
-its fold reads and skips the rest.  Most detectors *fold*: the kernel
+its fold reads and skips the rest.  Every detector *folds*: the kernel
 buffers a run's events and hands them over in batches
 (:meth:`~repro.vm.kernel.Kernel.install_consumer`) of about
 :data:`~repro.vm.kernel.CHUNK_EVENTS` events, at step boundaries and
-once at the end of the run, and each folding detector consumes a batch
-in one call.  A detector that can end the run early (one that overrides
-:meth:`~OnlineDetector.abort_reason`; a wait-for cycle among blocked
-threads is *permanent*) instead stays *inline*: the kernel routes it
-each event of its kinds as the event is emitted, and the pipeline then
-polls it and forwards a reason to
-:meth:`~repro.vm.kernel.Kernel.request_abort`, so the run stops on the
-event that proved the failure.  With the kernel's ``trace_mode="none"``,
-a run's memory drops from O(events) to O(detector state) plus one batch,
-while the pipeline still sees every event — this is what lets
-:mod:`repro.engine` campaigns afford full detection on every run.
+once at the end of the run, and each detector consumes a batch in one
+call.  After each batch the pipeline polls the detectors that can end
+the run early (:meth:`~OnlineDetector.abort_reason`; a wait-for cycle
+among blocked threads is *permanent*); the kernel also hands a batch
+over after any step in which such a cycle can close
+(:meth:`~repro.vm.kernel.Kernel.park`), so the run stops on the step
+that proved the failure.  With the kernel's ``trace_mode="none"``, a
+run's memory drops from O(events) to O(detector state) plus one batch —
+this is what lets :mod:`repro.engine` campaigns afford full detection
+on every run.
 
 Import discipline: the concrete detector modules import this one (for
 :class:`OnlineDetector` / :func:`replay`), so this module must only
@@ -48,7 +47,7 @@ from typing import (
     Tuple,
 )
 
-from repro.classify.symptoms import SymptomTracker
+from repro.classify.symptoms import CANDIDATES, SymptomTracker
 from repro.vm.events import Event, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,16 +82,12 @@ class OnlineDetector:
     :meth:`abort_reason` lets a detector ask for an early end of the run;
     it must only return a reason for findings that are already permanent
     — aborting cannot un-happen an event, but a transient condition would
-    make the early-stopped run diverge from the natural one.  A detector
-    that overrides it is routed inline, event by event, so a pipeline can
-    poll it as soon as the failure forms.
+    make the early-stopped run diverge from the natural one.  A pipeline
+    polls it after each batch.
 
     :attr:`kinds` lists the event kinds whose arrival changes the
     detector's state (bookkeeping-only kinds included); a detector skips
-    the other kinds, and an inline one is only delivered these.  ``None``
-    means every kind.  A pipeline polls :meth:`abort_reason` only after
-    :attr:`abort_kinds`, the kinds that can change it (by default
-    :attr:`kinds`).
+    the other kinds.  ``None`` means every kind.
     """
 
     #: Stable key identifying the detector's findings in pipeline output.
@@ -100,10 +95,6 @@ class OnlineDetector:
 
     #: Event kinds the fold reads; ``None`` routes every kind here.
     kinds: Optional[FrozenSet[EventKind]] = None
-
-    #: Event kinds after which :meth:`abort_reason` can change; ``None``
-    #: means :attr:`kinds`.
-    abort_kinds: Optional[FrozenSet[EventKind]] = None
 
     def on_event(self, event: Event) -> None:
         """Consume one event: a batch of one."""
@@ -135,7 +126,9 @@ class OnlineDetector:
         )
 
     def abort_reason(self) -> Optional[str]:
-        """A reason to end the run early, or None to keep going."""
+        """A reason to end the run early, or None to keep going.  Polled
+        after each batch, so a reason stops the run at the kernel's next
+        hand-over (:meth:`~repro.vm.kernel.Kernel.park`)."""
         return None
 
 
@@ -248,19 +241,6 @@ class DetectionSummary:
         )
 
 
-_EVERY_KIND = tuple(EventKind)
-
-
-def _kinds_of(target: Any) -> Tuple[EventKind, ...]:
-    kinds = getattr(target, "kinds", None)
-    return _EVERY_KIND if kinds is None else tuple(kinds)
-
-
-def _abort_kinds_of(detector: OnlineDetector) -> Tuple[EventKind, ...]:
-    kinds = getattr(detector, "abort_kinds", None)
-    return _kinds_of(detector) if kinds is None else tuple(kinds)
-
-
 def _can_abort(detector: OnlineDetector) -> bool:
     # read through the instance, so a wrapper that takes its inner
     # detector's bound ``abort_reason`` is polled as that detector
@@ -269,35 +249,15 @@ def _can_abort(detector: OnlineDetector) -> bool:
     return function not in (None, OnlineDetector.abort_reason)
 
 
-def _table(
-    subscribers: List[Tuple[Callable[[Event], None], Tuple[EventKind, ...]]],
-) -> Dict[EventKind, Tuple[Callable[[Event], None], ...]]:
-    """kind -> the handlers subscribed to it, in subscription order."""
-    table: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {}
-    for handler, kinds in subscribers:
-        for kind in kinds:
-            table[kind] = table.get(kind, ()) + (handler,)
-    return table
-
-
 class DetectorPipeline:
     """A set of online detectors behind one kernel connection.
 
-    The detectors that can abort the run early are *inline*: a
-    kind-routing table, :attr:`kernel_routes`, maps each kind to their
-    ``on_event`` and then to the abort poll of each (polled only after
-    its :attr:`~OnlineDetector.abort_kinds`, the only events that can
-    change it).  Every other detector, and the symptom tracker first,
-    *folds*: :meth:`bind` makes the pipeline the kernel's batch consumer,
-    and each batch goes to their ``fold`` in turn.  :meth:`attach`
-    installs both into a kernel in one call.  A
-    :class:`~repro.run.executor.RunExecutor` installs
-    :attr:`kernel_routes` itself, merged with its sink's, and only binds
-    each run's kernel.
-
-    :attr:`routes` is the whole pipeline as one event-at-a-time table —
-    symptoms, the detectors in report order, the abort polls — which
-    :meth:`on_event` walks for replay and batch callers.
+    :meth:`bind` makes the pipeline a kernel's batch consumer: each batch
+    goes to the symptom tracker's ``fold``, then to each detector's in
+    report order, and then the abort-capable detectors are polled; the
+    first reason wins and is forwarded to the kernel.  :attr:`routes` is
+    the same pipeline one event at a time, which :meth:`on_event` walks
+    (polling after each event) for replay and per-event callers.
 
     Args:
         detectors: the detectors to run; defaults to
@@ -305,7 +265,7 @@ class DetectorPipeline:
         expectations: completion-time expectations for the default set.
         bypass_threshold: starvation threshold for the default set.
         early_stop: honour detector :meth:`~OnlineDetector.abort_reason`
-            by asking the attached kernel to end the run early.
+            by asking the bound kernel to end the run early.
     """
 
     def __init__(
@@ -328,41 +288,28 @@ class DetectorPipeline:
         self._counted = 0
         self._seq_start = 0
         self._kernel: Optional["Kernel"] = None
-        inline = [d for d in self.detectors if early_stop and _can_abort(d)]
-        polls = [(self._abort_poll(d), _abort_kinds_of(d)) for d in inline]
-        #: kind -> handlers in delivery order, for every detector: the
-        #: table on_event walks
-        self.routes = _table(
-            [(self.symptoms.on_event, _kinds_of(self.symptoms))]
-            + [(d.on_event, _kinds_of(d)) for d in self.detectors]
-            + polls
+        #: the detectors polled for an abort reason, in report order
+        self._abortable: Tuple[OnlineDetector, ...] = tuple(
+            d for d in self.detectors if early_stop and _can_abort(d)
         )
-        #: kind -> handlers of the inline detectors and their abort polls:
-        #: the table kernels route by
-        self.kernel_routes = _table(
-            [(d.on_event, _kinds_of(d)) for d in inline] + polls
-        )
-        #: the fold of the symptom tracker, then of each detector not
-        #: inline, in report order
-        self._folds: Tuple[Callable[[Sequence[Event]], None], ...] = (
-            self.symptoms.fold,
-            *[d.fold for d in self.detectors if d not in inline],
-        )
+        #: kind -> handlers in delivery order: the table on_event walks
+        self.routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = {}
+        for target in (self.symptoms, *self.detectors):
+            for kind in EventKind if target.kinds is None else target.kinds:
+                self.routes[kind] = self.routes.get(kind, ()) + (target.on_event,)
+        #: the fold of the symptom tracker, then of each detector
+        self._folds = (self.symptoms.fold, *[d.fold for d in self.detectors])
 
-    def _abort_poll(self, detector: OnlineDetector) -> Callable[[Event], None]:
-        """A handler asking ``detector`` for an abort reason; the first
-        reason wins and is forwarded to the bound kernel."""
-        abort_reason = detector.abort_reason
-
-        def poll(event: Event) -> None:
-            if self.aborted is None:
-                reason = abort_reason()
-                if reason is not None:
-                    self.aborted = reason
-                    if self._kernel is not None:
-                        self._kernel.request_abort(reason)
-
-        return poll
+    def _poll(self) -> None:
+        """Ask each abort-capable detector for a reason; the first one is
+        kept and forwarded to the bound kernel."""
+        for detector in self._abortable:
+            reason = detector.abort_reason()
+            if reason is not None:
+                self.aborted = reason
+                if self._kernel is not None:
+                    self._kernel.request_abort(reason)
+                return
 
     @property
     def events_seen(self) -> int:
@@ -376,24 +323,22 @@ class DetectorPipeline:
     def bind(self, kernel: "Kernel") -> "DetectorPipeline":
         """Make this pipeline ``kernel``'s batch consumer, and ``kernel``
         the one early aborts are asked of and events are counted on;
-        returns self for chaining.  The inline detectors receive events
-        only through :attr:`kernel_routes`, installed separately."""
+        returns self for chaining."""
         self._kernel = kernel
         self._seq_start = kernel.events_emitted
         kernel.install_consumer(self.fold)
         return self
 
-    def attach(self, kernel: "Kernel") -> "DetectorPipeline":
-        """Route a kernel's events to this pipeline (:attr:`kernel_routes`
-        and :meth:`bind`); returns self for chaining."""
-        kernel.install_routes(self.kernel_routes)
-        return self.bind(kernel)
+    #: :meth:`bind` under the name older callers use
+    attach = bind
 
     def fold(self, events: Sequence[Event]) -> None:
-        """Fold a batch into the symptom tracker and each detector not
-        inline (all of them under ``early_stop=False``)."""
+        """Fold a batch into the symptom tracker and each detector, then
+        poll for an abort reason (unless ``early_stop=False``)."""
         for fold in self._folds:
             fold(events)
+        if self._abortable and self.aborted is None:
+            self._poll()
 
     def reset(self) -> "DetectorPipeline":
         """Reset every detector and the symptom tracker in place for the
@@ -409,9 +354,12 @@ class DetectorPipeline:
         return self
 
     def on_event(self, event: Event) -> None:
+        """Deliver one event to each handler of its kind, then poll."""
         self._counted += 1
         for handler in self.routes.get(event.kind, ()):
             handler(event)
+        if self._abortable and self.aborted is None:
+            self._poll()
 
     def findings(self) -> Dict[str, Any]:
         """Raw findings keyed by detector name, after folding what the
@@ -442,5 +390,36 @@ class DetectorPipeline:
         )
 
     def summary(self, result: "RunResult") -> DetectionSummary:
-        """The compact summary engine workers ship across processes."""
-        return DetectionSummary.from_report(self.report(result), aborted=self.aborted)
+        """The compact summary engine workers ship across processes: the
+        :class:`DetectionSummary` of :meth:`report`, read from the
+        findings' counts and each observation's primary class, without
+        assembling the report."""
+        found = self.findings()
+        races = found.get("lockset", [])
+        hb_races = found.get("hb", [])
+        starvation = found.get("starvation", [])
+        completion = found.get("completion", [])
+        reentry = found.get("reentry", [])
+        observations = self.symptoms.observations(result)
+        if races or hb_races or starvation or completion or reentry:
+            from .report import finding_observations
+
+            observations += finding_observations(
+                races=races,
+                hb_races=hb_races,
+                starvation=starvation,
+                completion_violations=completion,
+                reentry=reentry,
+            )
+        codes = (CANDIDATES[symptom][0].code for symptom, _ in observations)
+        return DetectionSummary(
+            races=len(races),
+            hb_races=len(hb_races),
+            potential_deadlocks=len(found.get("lockgraph", [])),
+            deadlock_cycle=tuple(found.get("waitgraph", [])),
+            starvation=len(starvation),
+            completion_violations=len(completion),
+            reentry=len(reentry),
+            classes=tuple(dict.fromkeys(codes)),
+            aborted=self.aborted,
+        )

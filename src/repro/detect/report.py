@@ -124,21 +124,18 @@ def dedupe_hb_races(
     ]
 
 
-def assemble_report(
+def finding_observations(
     *,
     races: Sequence[RaceReport],
     hb_races: Sequence[HbRace],
-    potential_deadlocks: Sequence[PotentialDeadlock],
-    deadlock_cycle: Sequence[str],
     starvation: Sequence[StarvationReport],
     completion_violations: Sequence[Violation],
-    observations: Sequence[Tuple[Symptom, Dict[str, Any]]],
     reentry: Sequence[ReentryFinding] = (),
-) -> DetectionReport:
-    """Fold detector findings plus VM-level observations into one
-    classified :class:`DetectionReport`
-    (:meth:`repro.detect.online.DetectorPipeline.report`)."""
-    observations = list(observations)
+) -> List[Tuple[Symptom, Dict[str, Any]]]:
+    """The observation each finding is evidence of, in report order: the
+    one finding-to-symptom mapping, shared by :func:`assemble_report` and
+    :meth:`~repro.detect.online.DetectorPipeline.summary`."""
+    observations: List[Tuple[Symptom, Dict[str, Any]]] = []
     for hb_race in dedupe_hb_races(hb_races, races):
         observations.append(
             (
@@ -201,7 +198,30 @@ def assemble_report(
                 },
             )
         )
+    return observations
 
+
+def assemble_report(
+    *,
+    races: Sequence[RaceReport],
+    hb_races: Sequence[HbRace],
+    potential_deadlocks: Sequence[PotentialDeadlock],
+    deadlock_cycle: Sequence[str],
+    starvation: Sequence[StarvationReport],
+    completion_violations: Sequence[Violation],
+    observations: Sequence[Tuple[Symptom, Dict[str, Any]]],
+    reentry: Sequence[ReentryFinding] = (),
+) -> DetectionReport:
+    """Fold detector findings plus VM-level observations into one
+    classified :class:`DetectionReport`
+    (:meth:`repro.detect.online.DetectorPipeline.report`)."""
+    observations = list(observations) + finding_observations(
+        races=races,
+        hb_races=hb_races,
+        starvation=starvation,
+        completion_violations=completion_violations,
+        reentry=reentry,
+    )
     return DetectionReport(
         races=list(races),
         hb_races=list(hb_races),

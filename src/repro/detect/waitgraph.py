@@ -12,7 +12,7 @@ kernel object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.vm.events import Event, EventKind
 from repro.vm.trace import Trace
@@ -108,12 +108,6 @@ class WaitForState:
         self.sem_req_n.pop(thread, None)
         self.rw_req_mode.pop(thread, None)
 
-    def blocked_threads(self) -> List[str]:
-        return sorted(self.blocked_on)
-
-    def waiting_threads(self) -> List[str]:
-        return sorted(self.waiting_on)
-
 
 def _cycle_of(state: WaitForState) -> List[str]:
     """A blocked-on cycle in the given state, in cycle order ([] if none).
@@ -169,22 +163,6 @@ def _cycle_of(state: WaitForState) -> List[str]:
     return find_cycle(edges, starts=sorted(edges))
 
 
-def _cycle_possible(state: WaitForState) -> bool:
-    """False only when :func:`_cycle_of` must return []: with no
-    semaphore or rw request outstanding every edge is a monitor edge,
-    from a blocked thread to its target's owner, so a cycle needs some
-    blocked thread whose target another blocked thread owns."""
-    if state.request_kind:
-        return True
-    blocked_on = state.blocked_on
-    owner = state.owner
-    for thread, target in blocked_on.items():
-        holder = owner.get(target)
-        if holder != thread and holder in blocked_on:
-            return True
-    return False
-
-
 @register_detector("waitgraph")
 class OnlineWaitGraphDetector(OnlineDetector):
     """Streaming wait-for-graph maintenance with live cycle detection.
@@ -197,13 +175,14 @@ class OnlineWaitGraphDetector(OnlineDetector):
     :meth:`abort_reason` and end the run early; the kernel's own
     quiescence diagnosis then yields the same DEADLOCK status a
     run-to-quiescence would.
+
+    It folds like every detector: the kernel hands a batch over at the
+    end of each step in which a cycle can close
+    (:meth:`~repro.vm.kernel.Kernel.park`), so the poll after that batch
+    still stops the run on the step that closed the cycle.
     """
 
     name = "waitgraph"
-
-    #: ``live_cycle`` (the abort reason) is only ever set after one of
-    #: these, so a poll after them stops the run on the event it forms
-    abort_kinds = _CYCLE_KINDS
 
     kinds = frozenset(
         {
@@ -241,119 +220,129 @@ class OnlineWaitGraphDetector(OnlineDetector):
         self._hold_count.clear()
         self.live_cycle = []
 
-    def on_event(self, event: Event) -> None:
+    def fold(self, events: Iterable[Event]) -> None:
         state = self.state
-        thread = event.thread
-        monitor = event.monitor
-        kind = event.kind
-        if kind is _MONITOR_REQUEST:
-            # Blocked until a matching ACQUIRE appears.
-            if state.owner.get(monitor) != thread:
-                state.blocked_on[thread] = monitor
-        elif kind is _MONITOR_ACQUIRE:
-            state.blocked_on.pop(thread, None)
-            state.owner[monitor] = thread
-            key = (thread, monitor)
-            hold_count = self._hold_count
-            hold_count[key] = hold_count.get(key, 0) + event.detail.get("count", 1)
-        elif kind is _MONITOR_RELEASE:
-            key = (thread, monitor)
-            hold_count = self._hold_count
-            left = hold_count.get(key, 1) - 1
-            if left > 0:
-                hold_count[key] = left
-            else:
-                hold_count.pop(key, None)
-                if state.owner.get(monitor) == thread:
-                    del state.owner[monitor]
-        elif kind is _MONITOR_WAIT:
-            self._hold_count.pop((thread, monitor), None)
-            if state.owner.get(monitor) == thread:
-                del state.owner[monitor]
-            state.waiting_on[thread] = monitor
-        elif kind is _MONITOR_NOTIFIED:
-            state.waiting_on.pop(thread, None)
-            state.blocked_on[thread] = monitor
-        elif kind is _SEM_REQUEST:
-            state.blocked_on[thread] = monitor
-            state.request_kind[thread] = "semaphore"
-            state.sem_req_n[thread] = event.detail.get("n", 1)
-        elif kind is _SEM_ACQUIRE:
-            state._clear_request(thread)
-            detail = event.detail
-            held = state.sem_held.setdefault(monitor, {})
-            held[thread] = held.get(thread, 0) + detail.get("n", 1)
-            state.sem_available[monitor] = detail.get("available", 0)
-        elif kind is _SEM_RELEASE:
-            detail = event.detail
-            held = state.sem_held.setdefault(monitor, {})
-            left = held.get(thread, 0) - detail.get("n", 1)
-            if left > 0:
-                held[thread] = left
-            else:
-                held.pop(thread, None)
-            state.sem_available[monitor] = detail.get("available", 0)
-        elif kind is _RW_REQUEST:
-            # The writer's reentrant write request and a holder's read
-            # request (reentrant read, or the never-blocking downgrade)
-            # are granted in the same step; a read-only holder requesting
-            # write genuinely blocks on itself — the unsupported j.u.c
-            # upgrade — and must stay marked.
-            mode = event.detail.get("mode", "read")
-            is_writer = state.rw_writer.get(monitor) == thread
-            holds = thread in state.rw_held.get(monitor, {})
-            if (mode == "write" and not is_writer) or (
-                mode == "read" and not holds
+        owner, blocked_on, waiting_on = state.owner, state.blocked_on, state.waiting_on
+        clear_request = state._clear_request
+        hold_count = self._hold_count
+        kinds = self.kinds
+        for event in events:
+            kind = event.kind
+            if kind not in kinds:
+                continue
+            thread = event.thread
+            monitor = event.monitor
+            if kind is _MONITOR_REQUEST:
+                # Blocked until a matching ACQUIRE appears.
+                if owner.get(monitor) != thread:
+                    blocked_on[thread] = monitor
+            elif kind is _MONITOR_ACQUIRE:
+                blocked_on.pop(thread, None)
+                owner[monitor] = thread
+                key = (thread, monitor)
+                hold_count[key] = hold_count.get(key, 0) + event.detail.get("count", 1)
+            elif kind is _MONITOR_RELEASE:
+                key = (thread, monitor)
+                left = hold_count.get(key, 1) - 1
+                if left > 0:
+                    hold_count[key] = left
+                else:
+                    hold_count.pop(key, None)
+                    if owner.get(monitor) == thread:
+                        del owner[monitor]
+            elif kind is _MONITOR_WAIT:
+                hold_count.pop((thread, monitor), None)
+                if owner.get(monitor) == thread:
+                    del owner[monitor]
+                waiting_on[thread] = monitor
+            elif kind is _MONITOR_NOTIFIED:
+                waiting_on.pop(thread, None)
+                blocked_on[thread] = monitor
+            elif kind is _SEM_REQUEST:
+                blocked_on[thread] = monitor
+                state.request_kind[thread] = "semaphore"
+                state.sem_req_n[thread] = event.detail.get("n", 1)
+            elif kind is _SEM_ACQUIRE:
+                clear_request(thread)
+                detail = event.detail
+                held = state.sem_held.setdefault(monitor, {})
+                held[thread] = held.get(thread, 0) + detail.get("n", 1)
+                state.sem_available[monitor] = detail.get("available", 0)
+            elif kind is _SEM_RELEASE:
+                detail = event.detail
+                held = state.sem_held.setdefault(monitor, {})
+                left = held.get(thread, 0) - detail.get("n", 1)
+                if left > 0:
+                    held[thread] = left
+                else:
+                    held.pop(thread, None)
+                state.sem_available[monitor] = detail.get("available", 0)
+            elif kind is _RW_REQUEST:
+                # The writer's reentrant write request and a holder's read
+                # request (reentrant read, or the never-blocking downgrade)
+                # are granted in the same step; a read-only holder
+                # requesting write genuinely blocks on itself — the
+                # unsupported j.u.c upgrade — and must stay marked.
+                mode = event.detail.get("mode", "read")
+                is_writer = state.rw_writer.get(monitor) == thread
+                holds = thread in state.rw_held.get(monitor, {})
+                if (mode == "write" and not is_writer) or (
+                    mode == "read" and not holds
+                ):
+                    blocked_on[thread] = monitor
+                    state.request_kind[thread] = "rwlock"
+                    state.rw_req_mode[thread] = mode
+            elif kind in _RW_GRANTS:
+                clear_request(thread)
+                held = state.rw_held.setdefault(monitor, {})
+                held[thread] = held.get(thread, 0) + 1
+                if kind is _RW_ACQUIRE and event.detail.get("mode") == "write":
+                    state.rw_writer[monitor] = thread
+            elif kind is _RW_RELEASE:
+                held = state.rw_held.setdefault(monitor, {})
+                left = held.get(thread, 0) - 1
+                if left > 0:
+                    held[thread] = left
+                else:
+                    held.pop(thread, None)
+                detail = event.detail
+                if (
+                    detail.get("mode") == "write"
+                    and not detail.get("reentrant")
+                    and state.rw_writer.get(monitor) == thread
+                ):
+                    del state.rw_writer[monitor]
+            elif kind is _BARRIER_AWAIT:
+                if not event.detail.get("broken"):
+                    waiting_on[thread] = monitor
+            elif kind is _BARRIER_RESUME:
+                waiting_on.pop(thread, None)
+            elif kind is _BARRIER_BROKEN:
+                for waiter in event.detail.get("waiters", ()):
+                    waiting_on.pop(waiter, None)
+            elif kind is _WAIT_TIMEOUT:
+                if event.detail.get("primitive") == "semaphore":
+                    # A failed timed tryAcquire: the thread resumed with
+                    # False and no SEM_ACQUIRE will follow.
+                    clear_request(thread)
+            elif kind is _INTERRUPT:
+                # An interrupted primitive acquirer resumes immediately (no
+                # grant event follows); monitor bookkeeping is untouched —
+                # monitor interrupts are resolved by later protocol events.
+                if state.request_kind.get(thread) in ("semaphore", "rwlock"):
+                    clear_request(thread)
+            elif kind in _THREAD_EXITS:
+                clear_request(thread)
+                waiting_on.pop(thread, None)
+            # A new cycle needs a new edge.  With only monitor edges, that
+            # is the one a request or notify adds behind a blocked owner (a
+            # grant points edges at a running thread).
+            if kind in _CYCLE_KINDS and not self.live_cycle and (
+                state.request_kind
+                or (kind is _MONITOR_REQUEST or kind is _MONITOR_NOTIFIED)
+                and owner.get(monitor) in blocked_on
             ):
-                state.blocked_on[thread] = monitor
-                state.request_kind[thread] = "rwlock"
-                state.rw_req_mode[thread] = mode
-        elif kind in _RW_GRANTS:
-            state._clear_request(thread)
-            held = state.rw_held.setdefault(monitor, {})
-            held[thread] = held.get(thread, 0) + 1
-            if kind is _RW_ACQUIRE and event.detail.get("mode") == "write":
-                state.rw_writer[monitor] = thread
-        elif kind is _RW_RELEASE:
-            held = state.rw_held.setdefault(monitor, {})
-            left = held.get(thread, 0) - 1
-            if left > 0:
-                held[thread] = left
-            else:
-                held.pop(thread, None)
-            detail = event.detail
-            if (
-                detail.get("mode") == "write"
-                and not detail.get("reentrant")
-                and state.rw_writer.get(monitor) == thread
-            ):
-                del state.rw_writer[monitor]
-        elif kind is _BARRIER_AWAIT:
-            if not event.detail.get("broken"):
-                state.waiting_on[thread] = monitor
-        elif kind is _BARRIER_RESUME:
-            state.waiting_on.pop(thread, None)
-        elif kind is _BARRIER_BROKEN:
-            for waiter in event.detail.get("waiters", ()):
-                state.waiting_on.pop(waiter, None)
-        elif kind is _WAIT_TIMEOUT:
-            if event.detail.get("primitive") == "semaphore":
-                # A failed timed tryAcquire: the thread resumed with False
-                # and no SEM_ACQUIRE will follow.
-                state._clear_request(thread)
-        elif kind is _INTERRUPT:
-            # An interrupted primitive acquirer resumes immediately (no
-            # grant event follows); monitor bookkeeping is untouched —
-            # monitor interrupts are resolved by later protocol events.
-            if state.request_kind.get(thread) in ("semaphore", "rwlock"):
-                state._clear_request(thread)
-        elif kind in _THREAD_EXITS:
-            state._clear_request(thread)
-            state.waiting_on.pop(thread, None)
-        # A cycle can only appear when a blocked-on edge is added or an
-        # ownership edge is redirected.
-        if not self.live_cycle and kind in _CYCLE_KINDS and _cycle_possible(state):
-            self.live_cycle = _cycle_of(state)
+                self.live_cycle = _cycle_of(state)
 
     def abort_reason(self) -> Optional[str]:
         if self.live_cycle:
@@ -362,7 +351,7 @@ class OnlineWaitGraphDetector(OnlineDetector):
 
     def finish(self) -> List[str]:
         """The blocked-on cycle present in the *final* state ([] if none)."""
-        return _cycle_of(self.state) if _cycle_possible(self.state) else []
+        return _cycle_of(self.state)
 
 
 def reconstruct_final_state(trace: Trace) -> WaitForState:

@@ -27,7 +27,7 @@ import json
 import multiprocessing
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
@@ -475,8 +475,14 @@ class CampaignResult:
 
 def _without_metrics(summary: RunSummary) -> RunSummary:
     """``summary`` as the result keeps it: without its metrics record,
-    which :meth:`ProgressTracker.note_run` folds instead."""
-    return summary if summary.metrics is None else replace(summary, metrics=None)
+    which :meth:`ProgressTracker.note_run` folds instead.  A copy of the
+    instance dict (fields, and the schedule key if it was read), not
+    :func:`dataclasses.replace`, which runs the whole constructor."""
+    if summary.metrics is None:
+        return summary
+    kept = object.__new__(type(summary))
+    kept.__dict__.update(vars(summary), metrics=None)
+    return kept
 
 
 class _Aggregator:
@@ -499,9 +505,10 @@ class _Aggregator:
         self.progress = progress
         self.live = live
         self.result = CampaignResult(spec=spec, progress=progress)
+        #: the decisions of every schedule merged so far
         self._seen: set = set()
-        #: failing schedule key -> the index of its summary in the
-        #: result; filled in a random or PCT campaign only
+        #: failing schedule's decisions -> the index of its summary in
+        #: the result; filled in a random or PCT campaign only
         self._failing: Dict[Any, int] = {}
         self._seeded = spec.mode in _SEEDED_MODES
         # goal flags, set as unique summaries merge (never rescanned)
@@ -519,7 +526,8 @@ class _Aggregator:
         shard_id: str = "",
         frame: Optional[TelemetryFrame] = None,
     ) -> None:
-        key = summary.schedule_key
+        # the decisions themselves are the exact key of a schedule
+        key = summary.decisions
         duplicate = key in self._seen
         summaries = self.result.summaries
         if duplicate:

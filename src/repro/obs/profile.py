@@ -40,19 +40,17 @@ class TimedDetector(OnlineDetector):
     Delegates the whole :class:`OnlineDetector` protocol; accumulates
     ``wall_seconds`` and ``events`` (those of its kinds) so the profiler
     can attribute detector cost per analysis.  The wrapper takes the
-    inner detector's ``kinds``, ``abort_kinds`` and ``abort_reason``, so
-    a pipeline routes it exactly the events, and polls it exactly as
-    often, as the bare detector: a folding detector is timed per batch,
-    an inline one per event.  Timing uses ``perf_counter`` around each
-    call — meaningful for *relative* breakdowns, which is all the
-    profiler reports.
+    inner detector's ``kinds`` and ``abort_reason``, so a pipeline hands
+    it exactly the batches, and polls it exactly as often, as the bare
+    detector; each fold is timed per batch.  Timing uses
+    ``perf_counter`` around each call — meaningful for *relative*
+    breakdowns, which is all the profiler reports.
     """
 
     def __init__(self, inner: OnlineDetector) -> None:
         self.inner = inner
         self.name = inner.name
         self.kinds = inner.kinds
-        self.abort_kinds = inner.abort_kinds
         # an instance attribute, so the pipeline polls the wrapper only
         # when the inner detector overrides ``abort_reason``
         self.abort_reason = inner.abort_reason  # type: ignore[method-assign]

@@ -360,24 +360,22 @@ class RunConfig:
 
 # -- scenario files --------------------------------------------------------
 
-#: keys allowed in a scenario's ``[explore]`` table
-_EXPLORE_KEYS = frozenset({"runs", "seeds", "stop_on_failure"})
-#: keys allowed in a scenario's ``[campaign]`` table
-_CAMPAIGN_KEYS = frozenset(
-    {
-        "budget",
-        "workers",
-        "shard_size",
-        "seed_start",
-        "goal",
-        "journal",
-        "resume",
-        "max_retries",
-        "metrics_out",
-        "metrics_prom",
-        "quiet",
-    }
-)
+#: keys allowed in a scenario's ``[explore]`` table -> their value type
+_EXPLORE_KEYS: Dict[str, type] = {"runs": int, "seeds": object, "stop_on_failure": bool}
+#: keys allowed in a scenario's ``[campaign]`` table -> their value type
+_CAMPAIGN_KEYS: Dict[str, type] = {
+    "budget": int,
+    "workers": int,
+    "shard_size": int,
+    "seed_start": int,
+    "goal": str,
+    "journal": str,
+    "resume": bool,
+    "max_retries": int,
+    "metrics_out": str,
+    "metrics_prom": str,
+    "quiet": bool,
+}
 
 
 @dataclass(frozen=True)
@@ -405,15 +403,31 @@ def _parse_toml(text: str, *, source: str) -> Dict[str, Any]:
 
 
 def _check_keys(
-    table: Dict[str, Any], allowed: frozenset[str], *, source: str
+    table: Dict[str, Any], allowed: Dict[str, type], *, source: str
 ) -> Dict[str, Any]:
-    unknown = sorted(set(table) - allowed)
+    """A copy of a driver table whose keys are all ``allowed`` and whose
+    values have the allowed key's type (an int is not a bool here); a
+    ``seeds`` value must parse as a seed spec."""
+    unknown = sorted(set(table) - set(allowed))
     if unknown:
         raise RunConfigError(
             f"{source} has unknown key(s): {', '.join(unknown)} "
             f"(known: {', '.join(sorted(allowed))})"
         )
+    for key, value in table.items():
+        expected = allowed[key]
+        if key == "seeds":
+            parse_seed_spec(value)
+        elif not isinstance(value, expected) or (
+            expected is int and isinstance(value, bool)
+        ):
+            raise RunConfigError(
+                f"{source} {key} must be {_TYPE_NAMES[expected]}, got {value!r}"
+            )
     return dict(table)
+
+
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "true or false"}
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:

@@ -53,7 +53,6 @@ from repro.testing.explorer import (
     explore_random,
     explore_systematic,
 )
-from repro.vm.events import Event, EventKind
 from repro.vm.kernel import Kernel, RunResult, RunStatus
 
 from .config import RunConfig, RunConfigError
@@ -200,17 +199,17 @@ class RunExecutor:
     """Build and drive runs described by one :class:`RunConfig`.
 
     The executor *is* a ``ProgramFactory``: calling it with a scheduler
-    returns a ready kernel routed to the (reused) detector pipeline and
-    bound to the (reused) instrumentation sink, per the config.  Runs
+    returns a ready kernel bound to the (reused) detector pipeline and
+    instrumentation sink, per the config.  Runs
     within one executor are strictly sequential — the pipeline and sink
     are reset at kernel-build time, and :meth:`summarize` reads the
     assembly of the most recently finished run (the same one-slot
     contract the old per-run wrapper factories had).
 
     Everything but the kernel is built once, here: the pipeline, the
-    sink, the fault injector, and the one kind-routing table (the
-    pipeline's inline routes) that every kernel adopts without copying;
-    binding the pipeline makes it the kernel's batch consumer.
+    sink and the fault injector; binding the pipeline makes it the
+    kernel's batch consumer, and the sink (which has no tracer here)
+    reads native counters and routes no events.
     Building the next kernel releases the previous one
     (:meth:`~repro.vm.kernel.Kernel.release`), so a finished run is freed
     by reference counting; :meth:`release` frees the last one.
@@ -228,12 +227,6 @@ class RunExecutor:
         )
         self._injector: Optional[FaultInjector] = (
             FaultInjector(config.faults) if config.faults is not None else None
-        )
-        #: kind -> handlers of the pipeline's inline detectors (the rest
-        #: fold each run's events in batches); the sink (which has no
-        #: tracer here) reads native counters and routes no events
-        self._routes: Dict[EventKind, Tuple[Callable[[Event], None], ...]] = (
-            self._pipeline.kernel_routes if self._pipeline is not None else {}
         )
         #: the most recent run's kernel, released when the next is built
         self._kernel: Optional[Kernel] = None
@@ -290,8 +283,6 @@ class RunExecutor:
             self._pipeline.reset().bind(kernel)
         if self._sink is not None:
             self._sink.reset().bind(kernel)
-        if self._routes:
-            kernel.install_routes(self._routes)
         self._kernel = kernel
         return kernel
 

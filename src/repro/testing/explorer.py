@@ -40,6 +40,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.vm.kernel import Kernel, RunResult, RunStatus
@@ -168,10 +169,11 @@ class RunSummary:
         """Coarse outcome signature: status plus sorted stuck threads."""
         return (self.status, tuple(sorted(self.stuck_threads)))
 
-    @property
+    @cached_property
     def schedule_key(self) -> str:
-        """Stable hash of the decision sequence — the dedupe key for
-        identical schedules reached from different shards/seeds."""
+        """Stable hash of the decision sequence, which names identical
+        schedules reached from different shards/seeds; computed on the
+        first read and kept."""
         raw = ",".join(map(str, self.decisions))
         return hashlib.sha1(raw.encode()).hexdigest()
 

@@ -321,6 +321,9 @@ class Kernel:
         self._seq = 0
         #: receives the run's events in batches (:meth:`install_consumer`)
         self._consumer: Optional[Callable[[List[Event]], None]] = None
+        #: True once a thread has blocked on a semaphore or rw-lock, until
+        #: a hand-over finds none blocked there (:meth:`park`)
+        self._hand_over_each_step = False
         self.trace_mode = trace_mode
         self.scheduler = scheduler or FifoScheduler()
         self.lock_policy = lock_policy
@@ -592,10 +595,8 @@ class Kernel:
         identity, so no Python-level ``__hash__`` is called per event.
         Unfiltered subscribers always run first, in subscription order;
         kind-filtered subscribers follow, in subscription order per kind.
-        A :class:`~repro.detect.online.DetectorPipeline` attaches its
-        abort-capable detectors as a kind-filtered routing table
-        (:meth:`install_routes`), so they run after any unfiltered sink,
-        and the rest as the batch consumer (:meth:`install_consumer`).
+        A :class:`~repro.detect.online.DetectorPipeline` subscribes no
+        sink: it is the batch consumer (:meth:`install_consumer`).
         """
         if kinds is None:
             self._sinks.append(sink)
@@ -657,7 +658,15 @@ class Kernel:
         consumer = self._consumer
         if consumer is None:
             return
-        self._drain_at = self._seq + CHUNK_EVENTS
+        if self._hand_over_each_step:
+            monitors = self.monitors
+            self._hand_over_each_step = any(
+                t.state is _BLOCKED and t.blocked_on not in monitors
+                for t in self.threads.values()
+            )
+        self._drain_at = self._seq + (
+            1 if self._hand_over_each_step else CHUNK_EVENTS
+        )
         log = self._log
         if len(log) == self._cursor:
             return
@@ -780,11 +789,39 @@ class Kernel:
     ) -> None:
         """Suspend ``thread`` in primitive ``on`` (the primitive has
         already queued it): BLOCKED acquiring it, with request ``arg``, or
-        WAITING in it.  A ``deadline`` arms the expiry scan."""
+        WAITING in it.  A ``deadline`` arms the expiry scan.
+
+        While a batch consumer is installed, a BLOCKED park can make
+        :meth:`run` hand the pending events over at the end of this step,
+        so an abort-capable detector folding them sees a wait-for cycle
+        on the step that closed it, as it would event by event:
+
+        * ``on`` is a monitor whose owner is itself BLOCKED.  A cycle of
+          monitor edges can only close when a thread blocks behind a
+          blocked owner: grants, notifies and releases add edges only
+          into threads that are running (a grantee is made runnable, a
+          notifier and a releaser hold the lock and run), and a thread
+          that runs is on no cycle.
+        * ``on`` is a semaphore or rw-lock.  Their edges also move with
+          other threads' grants and releases, and while such a request
+          is out the detector searches for a cycle after every request
+          or grant, so it may find one on a step with no park: while any
+          thread is blocked on one, the kernel hands over after every
+          step.
+        """
         if state is _BLOCKED:
             thread.blocked_on = on
             thread.blocked_arg = arg
             thread.blocked_since = self.time
+            if self._consumer is not None:
+                monitor = self.monitors.get(on)
+                if monitor is None:
+                    self._hand_over_each_step = True
+                    self._drain_at = self._seq
+                else:
+                    owner = monitor.owner
+                    if owner is not None and self.threads[owner].state is _BLOCKED:
+                        self._drain_at = self._seq
         else:
             thread.waiting_on = on
             thread.waiting_since = self.time
@@ -1329,6 +1366,9 @@ class Kernel:
         status = RunStatus.COMPLETED
         consumer = self._consumer
         while True:
+            if consumer is not None and self._seq >= self._drain_at:
+                # before the abort check: the batch may prove a failure
+                self.drain()
             if self.abort_reason is not None:
                 # Early abort (online detector found a permanent failure):
                 # fall through to the normal quiescence diagnosis below.
@@ -1336,8 +1376,6 @@ class Kernel:
             if self.steps >= self.max_steps:
                 status = RunStatus.STEP_LIMIT
                 break
-            if consumer is not None and self._seq >= self._drain_at:
-                self.drain()
             if not self.step():
                 break
         self.drain()

@@ -1,8 +1,8 @@
 """Batched detection equals per-event detection.
 
-A :class:`DetectorPipeline` bound to a kernel folds most detectors over
-batches the kernel buffers (:meth:`Kernel.install_consumer`), and routes
-only the abort-capable ones inline.  These tests hold that to the
+A :class:`DetectorPipeline` bound to a kernel folds every detector over
+batches the kernel buffers (:meth:`Kernel.install_consumer`) and polls
+the abort-capable ones after each batch.  These tests hold that to the
 per-event pipeline it replaced:
 
 * every registered program, under no fault, each registered fault plan,
@@ -271,50 +271,41 @@ def test_manually_stepped_kernel_drains_on_read():
     assert pipeline.findings() == found
 
 
-class AbortOnWrite(OnlineDetector):
-    """A custom abort-capable detector: ends the run at its first write
-    and notes how many events had been emitted at each delivery."""
+class AbortOnRelease(OnlineDetector):
+    """A custom abort-capable detector: asks to end the run at its first
+    release, and notes how many events had been emitted when each
+    release was delivered."""
 
-    name = "abort-on-write"
-    kinds = frozenset({EventKind.WRITE, EventKind.READ})
+    name = "abort-on-release"
+    kinds = frozenset({EventKind.MONITOR_RELEASE})
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.emitted_at_delivery = []
-        self.wrote = False
 
     def on_event(self, event):
         self.emitted_at_delivery.append((event.seq, self.kernel.events_emitted))
-        self.wrote = self.wrote or event.kind is EventKind.WRITE
 
     def finish(self):
-        return self.wrote
+        return len(self.emitted_at_delivery)
 
     def abort_reason(self):
-        return "wrote" if self.wrote else None
+        return "released" if self.emitted_at_delivery else None
 
 
-def test_custom_abort_capable_detector_stays_inline():
-    kernel = RunExecutor(RunConfig(workload="pc-bug"))(RandomScheduler(seed=1))
-    detector = AbortOnWrite(kernel)
+def test_custom_abort_capable_detector_polled_after_each_batch():
+    kernel = long_kernel(RandomScheduler(seed=1))
+    detector = AbortOnRelease(kernel)
     pipeline = DetectorPipeline([detector]).attach(kernel)
-    assert detector.on_event in pipeline.kernel_routes[EventKind.WRITE]
     result = kernel.run()
-    assert result.abort_reason == pipeline.aborted == "wrote"
-    # delivered as each event was emitted, not in a batch afterwards
-    assert detector.emitted_at_delivery
-    assert all(seq + 1 == emitted for seq, emitted in detector.emitted_at_delivery)
-    # and the run stopped at the step boundary after the first write
-    reference = RunExecutor(RunConfig(workload="pc-bug"))(RandomScheduler(seed=1))
-
-    def stop_at_write(event):
-        if event.kind is EventKind.WRITE:
-            reference.request_abort("wrote")
-
-    reference.subscribe(stop_at_write)
-    assert result.steps == reference.run().steps < RunExecutor(
-        RunConfig(workload="pc-bug")
-    ).execute(RandomScheduler(seed=1)).steps
+    assert result.abort_reason == pipeline.aborted == "released"
+    # folded in a batch, not delivered as each release was emitted
+    seq, emitted = detector.emitted_at_delivery[0]
+    assert emitted > seq + 1
+    # polled after that first batch, which ended the run
+    assert {at for _, at in detector.emitted_at_delivery} == {emitted}
+    assert kernel.events_emitted == emitted >= CHUNK_EVENTS
+    assert result.steps < long_kernel(RandomScheduler(seed=1)).run().steps
 
 
 # -- a fold does not depend on how its batch is split ------------------------

@@ -66,6 +66,26 @@ class TestDedupeHbRaces:
 
 
 class TestDetectionSummary:
+    def test_summary_is_the_report_projection(self):
+        """``summary`` reads counts and primary classes without building
+        the report; it must equal the projection of the full report, on
+        runs with races, stuck threads, starvation, completion-time
+        violations, premature re-entries and deadlocks alike."""
+        from repro.detect import OnlineReentryDetector, default_detectors
+        from tests.detect.test_online_equivalence import _prefix_runs
+
+        classes = set()
+        for workload, result, expectations in _prefix_runs():
+            detectors = [*default_detectors(expectations), OnlineReentryDetector()]
+            pipeline = DetectorPipeline(detectors)
+            pipeline.fold(result.trace)
+            summary = pipeline.summary(result)
+            report = pipeline.report(result)
+            projected = DetectionSummary.from_report(report, pipeline.aborted)
+            assert summary == projected, workload
+            classes.update(summary.classes)
+        assert {"FF-T1", "FF-T4", "FF-T5"} <= classes
+
     def test_dict_round_trip(self):
         summary = DetectionSummary(
             races=2,
@@ -213,12 +233,9 @@ class AbortOnCallEnd(OnlineDetector):
         self.abort_after = abort_after
         self.ends = 0
         self.polls = 0
-        self.abort_seq = None
 
     def on_event(self, event):
         self.ends += 1
-        if self.ends == self.abort_after:
-            self.abort_seq = event.seq
 
     def abort_reason(self):
         self.polls += 1
@@ -228,6 +245,21 @@ class AbortOnCallEnd(OnlineDetector):
 
     def finish(self):
         return self.ends
+
+
+class Batches(OnlineDetector):
+    """Records the size of each batch it is handed."""
+
+    name = "batches"
+
+    def __init__(self):
+        self.sizes = []
+
+    def fold(self, events):
+        self.sizes.append(len(events))
+
+    def finish(self):
+        return len(self.sizes)
 
 
 class TestKindRouting:
@@ -261,26 +293,30 @@ class TestKindRouting:
         assert pipeline.events_seen == 0
 
     def test_custom_abort_reason_honoured(self):
+        """A custom abort-capable detector is polled after each batch:
+        pc-ok's run is one batch, handed over as the run ends, so the
+        reason is reported and the run is not shortened."""
         detector = AbortOnCallEnd(abort_after=2)
         kernel, pipeline = _attached(WORKLOADS["pc-ok"], 0, detector)
         result = kernel.run()
-        assert result.abort_reason == "saw 2 call ends"
+        # polled once, after the one batch held every call end
+        assert detector.ends > 2
+        assert result.abort_reason == f"saw {detector.ends} call ends"
         assert pipeline.aborted == result.abort_reason
         assert pipeline.summary(result).aborted == result.abort_reason
-        # the run stopped at the end of the aborting event's step
-        aborting = result.trace[detector.abort_seq]
-        assert aborting.kind is EventKind.CALL_END
-        assert result.trace[-1].time == aborting.time == result.steps
+        assert detector.polls == 1
         natural = WORKLOADS["pc-ok"](RandomScheduler(seed=0)).run()
-        assert result.steps < natural.steps
+        assert result.steps == natural.steps
 
-    def test_abort_polled_only_after_own_kinds(self):
-        detector = AbortOnCallEnd(abort_after=10**6)
-        kernel, _ = _attached(WORKLOADS["pc-ok"], 0, detector)
+    def test_abort_polled_once_per_batch(self):
+        detector, batches = AbortOnCallEnd(abort_after=10**6), Batches()
+        seed = 2  # a run the spinner keeps going for several batches
+        kernel, _ = _attached(deadlock_plus_spinner, seed, detector, batches)
         result = kernel.run()
-        ends = sum(e.kind is EventKind.CALL_END for e in result.trace)
         assert result.abort_reason is None
-        assert detector.polls == detector.ends == ends
+        assert len(batches.sizes) > 2
+        assert detector.polls == len(batches.sizes)
+        assert sum(batches.sizes) == kernel.events_emitted
 
     def test_abort_not_polled_without_early_stop(self):
         detector = AbortOnCallEnd(abort_after=1)
@@ -331,12 +367,12 @@ def test_aborted_runs_pinned(name):
 
 
 class TestAbortPollRouting:
-    def test_waitgraph_polled_only_where_a_cycle_can_form(self):
-        """The wait-for detector's abort reason can only change after a
-        kind in ``_CYCLE_KINDS``; the pipeline polls it after exactly
-        those events, not after every kind the detector folds."""
+    def test_waitgraph_polled_after_each_batch(self):
+        """The wait-for detector folds like every detector and is polled
+        once per batch: once for a pc-bug run, which never aborts, and
+        after each hand-over of a run that closes a cycle."""
         from repro.detect.online import default_detectors
-        from repro.detect.waitgraph import _CYCLE_KINDS, OnlineWaitGraphDetector
+        from repro.detect.waitgraph import OnlineWaitGraphDetector
 
         class Counting(OnlineWaitGraphDetector):
             polls = 0
@@ -345,15 +381,23 @@ class TestAbortPollRouting:
                 self.polls += 1
                 return super().abort_reason()
 
-        counting = Counting()
-        detectors = [
-            counting if d.name == "waitgraph" else d for d in default_detectors()
-        ]
-        assert counting in detectors
+        def counted():
+            counting, batches = Counting(), Batches()
+            detectors = [
+                counting if d.name == "waitgraph" else d
+                for d in default_detectors()
+            ]
+            return counting, batches, [*detectors, batches]
+
+        counting, batches, detectors = counted()
         kernel, pipeline = _attached(WORKLOADS["pc-bug"], 0, *detectors)
-        result = kernel.run()
+        kernel.run()
         assert pipeline.aborted is None
-        cycle_events = sum(1 for e in result.trace if e.kind in _CYCLE_KINDS)
-        folded = sum(1 for e in result.trace if e.kind in Counting.kinds)
-        assert counting.polls == cycle_events
-        assert 0 < cycle_events < folded
+        assert counting.polls == len(batches.sizes) == 1
+
+        seed, _ = _deadlocking_seed()
+        counting, batches, detectors = counted()
+        kernel, pipeline = _attached(deadlock_plus_spinner, seed, *detectors)
+        result = kernel.run()
+        assert pipeline.aborted == result.abort_reason is not None
+        assert counting.polls == len(batches.sizes)

@@ -253,6 +253,22 @@ class TestScenarioFiles:
         with pytest.raises(RunConfigError, match="unknown key"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            '[explore]\nstop_on_failure = 1\n',
+            '[explore]\nseeds = "a:b"\n',
+            '[campaign]\nworkers = true\n',
+            '[campaign]\njournal = 3\n',
+            '[campaign]\nquiet = "yes"\n',
+        ],
+    )
+    def test_driver_value_of_wrong_type_rejected(self, tmp_path, table):
+        pytest.importorskip("tomllib")
+        path = self._write(tmp_path, '[run]\nworkload = "pc-ok"\n' + table)
+        with pytest.raises(RunConfigError, match="must be|seed spec"):
+            load_scenario(path)
+
     def test_invalid_run_table_rejected(self, tmp_path):
         pytest.importorskip("tomllib")
         path = self._write(tmp_path, '[run]\nworkload = "no-such"\n')

@@ -576,6 +576,21 @@ class TestScenarioRun:
         with pytest.raises(SystemExit):
             main(["run", str(tmp_path / "nope.toml")])
 
+    def test_campaign_budget_of_wrong_type_clean_error(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            '[run]\nworkload = "pc-ok"\n[campaign]\nbudget = "many"\n',
+        )
+        with pytest.raises(SystemExit, match=r"^error: .*budget must be an integer"):
+            main(["run", path])
+
+    def test_explore_runs_of_wrong_type_clean_error(self, tmp_path):
+        path = self._write(
+            tmp_path, '[run]\nworkload = "pc-ok"\n[explore]\nruns = "x"\n'
+        )
+        with pytest.raises(SystemExit, match=r"^error: .*runs must be an integer"):
+            main(["run", path])
+
 
 class TestScenarioParity:
     """A job run from flags and from the equivalent scenario file prints
