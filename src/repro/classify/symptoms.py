@@ -68,6 +68,8 @@ _WRITE = EventKind.WRITE
 # Python-level property read.
 _BLOCKED_VALUE = ThreadState.BLOCKED.value
 _WAITING_VALUE = ThreadState.WAITING.value
+_STEP_LIMIT = RunStatus.STEP_LIMIT
+_DEADLOCK = RunStatus.DEADLOCK
 _PRIMITIVE_GRANTS = frozenset({_SEM_ACQUIRE, _RW_ACQUIRE, _RW_DOWNGRADE})
 
 
@@ -495,14 +497,15 @@ class SymptomTracker:
         observations: List[Tuple[Symptom, Dict[str, Any]]] = list(
             self._env_findings
         )
-        if result.status is RunStatus.STEP_LIMIT:
+        status = result.status
+        if status is _STEP_LIMIT:
             observations.append(
                 (
                     Symptom.NEVER_COMPLETES,
                     {"detail": f"step budget exhausted after {result.steps} steps"},
                 )
             )
-        if result.status is RunStatus.DEADLOCK:
+        if status is _DEADLOCK:
             observations.append(
                 (
                     Symptom.DEADLOCK_CYCLE,
@@ -551,17 +554,6 @@ class SymptomTracker:
                     observations.append((Symptom.BARRIER_STARVE, context))
                 else:
                     observations.append((Symptom.PERMANENTLY_WAITING, context))
-        # A notify that woke nobody is only evidence of failure when some
-        # thread on the same monitor ended up waiting forever — otherwise it
-        # is the normal "notify with nobody waiting" of a correct monitor.
-        waiting_monitors = {
-            monitor
-            for monitor, threads in self._waits.items()
-            if any(
-                result.thread_states.get(t) == _WAITING_VALUE
-                for t in threads
-            )
-        }
         for thread, component, method in self._premature:
             observations.append(
                 (
@@ -575,6 +567,19 @@ class SymptomTracker:
                     },
                 )
             )
+        if not self._lost:
+            return observations
+        # A notify that woke nobody is only evidence of failure when some
+        # thread on the same monitor ended up waiting forever — otherwise it
+        # is the normal "notify with nobody waiting" of a correct monitor.
+        waiting_monitors = {
+            monitor
+            for monitor, threads in self._waits.items()
+            if any(
+                result.thread_states.get(t) == _WAITING_VALUE
+                for t in threads
+            )
+        }
         for thread, kind_value, monitor, component, method in self._lost:
             if monitor in waiting_monitors:
                 observations.append(

@@ -268,6 +268,9 @@ class OnlineLocksetDetector(OnlineDetector):
     def finish(self) -> List[RaceReport]:
         return list(self.detector.reports)
 
+    def finding_count(self) -> int:
+        return len(self.detector.reports)
+
 
 def detect_races(trace: Trace) -> List[RaceReport]:
     """Run the lockset algorithm over a whole trace (replays the stored

@@ -131,6 +131,13 @@ class OnlineDetector:
         hand-over (:meth:`~repro.vm.kernel.Kernel.park`)."""
         return None
 
+    def finding_count(self) -> int:
+        """How many findings :meth:`finish` would return.  A detector
+        that can count them without building them overrides this; a
+        pipeline's :meth:`~DetectorPipeline.summary` reads only counts
+        unless a detector found something."""
+        return len(self.finish())
+
 
 def replay(events: Iterable[Event], detector: OnlineDetector) -> OnlineDetector:
     """Fold every event into the detector; returns the detector for
@@ -241,6 +248,15 @@ class DetectionSummary:
         )
 
 
+#: the detectors whose findings a :class:`DetectionSummary` counts, and
+#: those among them whose findings are also evidence of a symptom
+_COUNTED = ("lockset", "hb", "lockgraph", "starvation", "completion", "reentry")
+_EVIDENCE = ("lockset", "hb", "starvation", "completion", "reentry")
+
+#: the summary of a run in which nothing was found
+_CLEAN = DetectionSummary()
+
+
 def _can_abort(detector: OnlineDetector) -> bool:
     # read through the instance, so a wrapper that takes its inner
     # detector's bound ``abort_reason`` is polled as that detector
@@ -299,6 +315,14 @@ class DetectorPipeline:
                 self.routes[kind] = self.routes.get(kind, ()) + (target.on_event,)
         #: the fold of the symptom tracker, then of each detector
         self._folds = (self.symptoms.fold, *[d.fold for d in self.detectors])
+        #: detector name -> detector (the last of a name, as in findings)
+        self._named = {detector.name: detector for detector in self.detectors}
+        #: (name, finding count) of each detector a summary counts
+        self._counters = tuple(
+            (name, self._named[name].finding_count)
+            for name in _COUNTED
+            if name in self._named
+        )
 
     def _poll(self) -> None:
         """Ask each abort-capable detector for a reason; the first one is
@@ -391,35 +415,39 @@ class DetectorPipeline:
 
     def summary(self, result: "RunResult") -> DetectionSummary:
         """The compact summary engine workers ship across processes: the
-        :class:`DetectionSummary` of :meth:`report`, read from the
-        findings' counts and each observation's primary class, without
-        assembling the report."""
-        found = self.findings()
-        races = found.get("lockset", [])
-        hb_races = found.get("hb", [])
-        starvation = found.get("starvation", [])
-        completion = found.get("completion", [])
-        reentry = found.get("reentry", [])
+        :class:`DetectionSummary` of :meth:`report`, without assembling
+        the report.  It reads each detector's finding count and the
+        symptom tracker's observations; only a detector that found
+        something builds its findings, whose observations add classes."""
+        if self._kernel is not None:
+            self._kernel.drain()
+        counts = {name: count() for name, count in self._counters}
         observations = self.symptoms.observations(result)
-        if races or hb_races or starvation or completion or reentry:
+        evidence = [name for name in _EVIDENCE if counts.get(name)]
+        if evidence:
             from .report import finding_observations
 
+            found = {name: self._named[name].finish() for name in evidence}
             observations += finding_observations(
-                races=races,
-                hb_races=hb_races,
-                starvation=starvation,
-                completion_violations=completion,
-                reentry=reentry,
+                races=found.get("lockset", ()),
+                hb_races=found.get("hb", ()),
+                starvation=found.get("starvation", ()),
+                completion_violations=found.get("completion", ()),
+                reentry=found.get("reentry", ()),
             )
+        waitgraph = self._named.get("waitgraph")
+        cycle = tuple(waitgraph.finish()) if waitgraph is not None else ()
+        if not (observations or cycle or self.aborted or any(counts.values())):
+            return _CLEAN
         codes = (CANDIDATES[symptom][0].code for symptom, _ in observations)
         return DetectionSummary(
-            races=len(races),
-            hb_races=len(hb_races),
-            potential_deadlocks=len(found.get("lockgraph", [])),
-            deadlock_cycle=tuple(found.get("waitgraph", [])),
-            starvation=len(starvation),
-            completion_violations=len(completion),
-            reentry=len(reentry),
+            races=counts.get("lockset", 0),
+            hb_races=counts.get("hb", 0),
+            potential_deadlocks=counts.get("lockgraph", 0),
+            deadlock_cycle=cycle,
+            starvation=counts.get("starvation", 0),
+            completion_violations=counts.get("completion", 0),
+            reentry=counts.get("reentry", 0),
             classes=tuple(dict.fromkeys(codes)),
             aborted=self.aborted,
         )

@@ -239,6 +239,9 @@ class OnlineReentryDetector(OnlineDetector):
     def finish(self) -> List[ReentryFinding]:
         return list(self._findings)
 
+    def finding_count(self) -> int:
+        return len(self._findings)
+
 
 def detect_reentry(trace: Iterable[Event]) -> List[ReentryFinding]:
     """Batch form: replay a stored trace through the online detector."""

@@ -285,6 +285,9 @@ class OnlineHbDetector(OnlineDetector):
     def finish(self) -> List[HbRace]:
         return list(self.races)
 
+    def finding_count(self) -> int:
+        return len(self.races)
+
 
 def detect_races_hb(trace: Trace, max_reports: int = 100) -> List[HbRace]:
     """Vector-clock race detection over a whole trace (replays the stored

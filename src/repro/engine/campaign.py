@@ -526,9 +526,14 @@ class _Aggregator:
         shard_id: str = "",
         frame: Optional[TelemetryFrame] = None,
     ) -> None:
-        # the decisions themselves are the exact key of a schedule
+        # the decisions themselves are the exact key of a schedule (a
+        # tuple does not keep its hash: adding and comparing sizes hashes
+        # it once)
         key = summary.decisions
-        duplicate = key in self._seen
+        seen = self._seen
+        known = len(seen)
+        seen.add(key)
+        duplicate = len(seen) == known
         summaries = self.result.summaries
         if duplicate:
             # a failing schedule keeps its lowest seed, the one an inline
@@ -537,15 +542,15 @@ class _Aggregator:
             if index is not None and summary.seed < summaries[index].seed:
                 summaries[index] = _without_metrics(summary)
         else:
-            self._seen.add(key)
             if not summary.ok:
                 self._failed = True
                 if self._seeded:
                     self._failing[key] = len(summaries)
             summaries.append(_without_metrics(summary))
+            detection = summary.detection
             if summary.status == _DEADLOCK or (
-                summary.detection or {}
-            ).get("deadlock_cycle"):
+                detection and detection.get("deadlock_cycle")
+            ):
                 self._deadlocked = True
         self.progress.note_run(summary, duplicate=duplicate)
         if self.live is not None:
@@ -732,20 +737,23 @@ def _run_inline(
 ) -> Optional[str]:
     """Sequential in-process execution (``workers=0``): no isolation, no
     timeouts beyond the per-run alarm — the debug path."""
+    merge = aggregator.merge
     while pending:
         shard = pending.popleft()
-        outcome = execute_shard(
-            spec.worker_task(shard),
-            emit=lambda summary, _sid=shard.shard_id: aggregator.merge(
-                summary, shard_id=_sid
-            ),
-        )
-        exhausted_flags[shard.shard_id] = outcome.exhausted
+        shard_id = shard.shard_id
+        # only the journal reads a shard's summaries once they are merged
+        journaled: List[RunSummary] = []
+
+        def emit(summary: RunSummary) -> None:
+            if journal is not None:
+                journaled.append(summary)
+            merge(summary, shard_id=shard_id)
+
+        outcome = execute_shard(spec.worker_task(shard), emit=emit)
+        exhausted_flags[shard_id] = outcome.exhausted
         if journal is not None:
-            journal.append_shard(
-                shard.shard_id, outcome.summaries, exhausted=outcome.exhausted
-            )
-        progress.note_shard_done(shard.shard_id, exhausted=outcome.exhausted)
+            journal.append_shard(shard_id, journaled, exhausted=outcome.exhausted)
+        progress.note_shard_done(shard_id, exhausted=outcome.exhausted)
         progress.maybe_emit()
         goal = aggregator.goal_reached()
         if goal is not None:

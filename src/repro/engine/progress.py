@@ -144,7 +144,9 @@ class ProgressTracker:
             if not summary.ok:
                 self.failures += 1
                 self.signatures.setdefault(summary.signature)
-            self.classes.update(summary.detected_classes)
+            classes = summary.detected_classes
+            if classes:
+                self.classes.update(classes)
             if summary.metrics:
                 fold_record(self.metrics, summary.metrics)
             if self.coverage is not None:

@@ -73,7 +73,8 @@ class WorkerTask:
 
 @dataclass
 class ShardOutcome:
-    """An inline-executed shard's aggregated result."""
+    """An inline-executed shard's aggregated result: its summaries in
+    completion order, kept only when no ``emit`` streamed them."""
 
     shard_id: str
     summaries: List[RunSummary] = field(default_factory=list)
@@ -88,16 +89,18 @@ def execute_shard(
 
     ``emit`` is called with each run's summary as it completes (the
     streaming hook: the process worker posts to the result queue, inline
-    mode feeds the orchestrator's aggregator directly).
+    mode feeds the orchestrator's aggregator directly).  Without one, the
+    outcome keeps the summaries instead; with one, the caller keeps what
+    it needs, so a shard holds no second reference to every run.
     """
     executor = RunExecutor(task.config)
     outcome = ShardOutcome(shard_id=task.shard.shard_id)
+    if emit is None:
+        emit = outcome.summaries.append
+    summarize = executor.summarize
 
     def on_run(run: ExplorationRun) -> None:
-        summary = executor.summarize(run)
-        outcome.summaries.append(summary)
-        if emit is not None:
-            emit(summary)
+        emit(summarize(run))
 
     shard = task.shard
     try:

@@ -256,6 +256,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
+        #: name -> what :func:`~repro.obs.sink.fold_record` resolved it
+        #: to in this registry; emptied whenever a metric is replaced
+        self.fold_slots: Dict[str, Any] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
@@ -316,6 +319,7 @@ class MetricsRegistry:
     def add(self, metric: Metric) -> None:
         """Hold ``metric`` under its name, replacing any metric there."""
         self._metrics[metric.name] = metric
+        self.fold_slots.clear()
 
 
 def metric_from_dict(payload: Dict[str, Any]) -> Metric:

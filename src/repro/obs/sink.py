@@ -114,23 +114,6 @@ RECORD_SCHEMA: Dict[str, Tuple[str, str, Optional[str], Dict[str, Any]]] = {
     ),
 }
 
-#: record name -> the :class:`~repro.vm.monitor.MonitorObject` counter
-#: it reports, for the series that list only nonzero monitors
-_PER_MONITOR = (
-    ("vm_monitor_contended_ticks_total", "contended_ticks"),
-    ("vm_notify_lost_total", "lost_notifies"),
-    ("vm_entry_queue_depth_peak", "entry_peak"),
-    ("vm_wait_queue_depth_peak", "wait_peak"),
-)
-
-#: record name -> the ``Kernel.thread_stats`` counter it reports
-_PER_THREAD = (
-    ("vm_context_switches_total", "context_switches"),
-    ("vm_blocked_ticks_total", "blocked_ticks"),
-    ("vm_waiting_ticks_total", "waiting_ticks"),
-)
-
-
 class InstrumentationSink:
     """Writes a run's native counters into its metrics record.
 
@@ -278,72 +261,121 @@ class InstrumentationSink:
         the kernel's native counters: what the executor ships as
         ``RunSummary.metrics`` and :func:`fold_record` folds.  Hold ticks
         list every monitor acquired at least once, even at 0; the other
-        per-monitor and per-thread series list only nonzero entries."""
+        per-monitor and per-thread series list only nonzero entries.
+        One pass over the monitors and one over the threads fill every
+        series (the per-thread counters are those
+        :meth:`~repro.vm.kernel.Kernel.thread_stats` reports)."""
         self._finish()
         kernel = self._kernel
-        now = kernel.time if kernel is not None else 0
-        monitors = list(kernel.monitors.values()) if kernel is not None else []
-        acquired = [m for m in monitors if m.acquisitions]
+        acquisitions: Dict[str, int] = {}
+        hold_ticks: Dict[str, int] = {}
+        contended: Dict[str, int] = {}
+        lost: Dict[str, int] = {}
+        entry_peak: Dict[str, int] = {}
+        wait_peak: Dict[str, int] = {}
         record: Dict[str, Any] = {
             "vm_events_total": self.events_seen,
-            "vm_monitor_acquisitions_total": {
-                m.name: m.acquisitions for m in acquired
-            },
-            "vm_monitor_hold_ticks_total": {
-                m.name: m.hold_ticks
-                + (now - m.hold_since if m.owner is not None else 0)
-                for m in acquired
-            },
+            "vm_monitor_acquisitions_total": acquisitions,
+            "vm_monitor_hold_ticks_total": hold_ticks,
+            "vm_monitor_contended_ticks_total": contended,
+            "vm_notify_lost_total": lost,
+            "vm_entry_queue_depth_peak": entry_peak,
+            "vm_wait_queue_depth_peak": wait_peak,
         }
-        for name, counter in _PER_MONITOR:
-            record[name] = {
-                m.name: getattr(m, counter) for m in monitors if getattr(m, counter)
-            }
         if self._events_per_second is not None:
             record["vm_events_per_second"] = self._events_per_second
         if kernel is not None:
+            now = kernel.time
+            for m in kernel.monitors.values():
+                name = m.name
+                if m.acquisitions:
+                    acquisitions[name] = m.acquisitions
+                    hold_ticks[name] = m.hold_ticks + (
+                        now - m.hold_since if m.owner is not None else 0
+                    )
+                if m.contended_ticks:
+                    contended[name] = m.contended_ticks
+                if m.lost_notifies:
+                    lost[name] = m.lost_notifies
+                if m.entry_peak:
+                    entry_peak[name] = m.entry_peak
+                if m.wait_peak:
+                    wait_peak[name] = m.wait_peak
+            switches: Dict[str, int] = {}
+            blocked: Dict[str, int] = {}
+            waiting: Dict[str, int] = {}
             record["vm_steps_total"] = kernel.steps
-            stats = kernel.thread_stats().items()
-            for name, counter in _PER_THREAD:
-                record[name] = {
-                    thread: s[counter] for thread, s in stats if s[counter]
-                }
+            record["vm_context_switches_total"] = switches
+            record["vm_blocked_ticks_total"] = blocked
+            record["vm_waiting_ticks_total"] = waiting
+            for t in kernel.threads.values():
+                if t.context_switches:
+                    switches[t.name] = t.context_switches
+                if t.blocked_ticks:
+                    blocked[t.name] = t.blocked_ticks
+                if t.waiting_ticks:
+                    waiting[t.name] = t.waiting_ticks
         if self._run_wall is not None:
             record["run_wall_seconds"] = list(self._run_wall)
         return record
+
+
+def _fold_slot(
+    registry: MetricsRegistry, name: str
+) -> Tuple[str, Optional[str], Dict[Any, Any], Any, Dict[str, Any]]:
+    """How :func:`fold_record` folds ``name`` into ``registry``: its
+    kind, its label key, the series and metric it folds into (created on
+    first use), and the label sets of the label values seen so far."""
+    try:
+        kind, help_text, label, options = RECORD_SCHEMA[name]
+    except KeyError:
+        raise ValueError(f"unknown metric {name!r} in a metrics record") from None
+    metric = registry.get(name)
+    if metric is None or metric.kind != kind:
+        # get-or-create; raises ValueError when ``name`` is another kind
+        metric = getattr(registry, kind)(name, help_text, **options)
+    return kind, label, metric._series, metric, {}
 
 
 def fold_record(registry: MetricsRegistry, record: Dict[str, Any]) -> None:
     """Fold one run's metrics record into ``registry`` in one pass: add
     the counters, keep the peak of each gauge, observe the histogram.
 
+    Each name is resolved against :data:`RECORD_SCHEMA` and the registry
+    once per registry (its ``fold_slots``, which the registry empties
+    whenever a metric is replaced), and each label value's label set is
+    built once; later records go straight into the resolved series.
     Raises ``ValueError`` for a name outside :data:`RECORD_SCHEMA` (on
     ``--resume`` the record comes from a file) and for a name
     ``registry`` already holds as another kind of metric.
     """
+    slots = registry.fold_slots
     for name, value in record.items():
-        try:
-            kind, help_text, label, options = RECORD_SCHEMA[name]
-        except KeyError:
-            raise ValueError(f"unknown metric {name!r} in a metrics record") from None
-        metric = registry.get(name)
-        if metric is None or metric.kind != kind:
-            # get-or-create; raises ValueError when ``name`` is another kind
-            metric = getattr(registry, kind)(name, help_text, **options)
-        if kind == "histogram":
+        slot = slots.get(name)
+        if slot is None:
+            slot = slots[name] = _fold_slot(registry, name)
+        kind, label, series, metric, labelsets = slot
+        if label is None:
+            if kind == "counter":
+                series[()] = series.get((), 0) + value
+            else:  # a peak gauge
+                old = series.get(())
+                if old is None or value > old:
+                    series[()] = value
+        elif kind == "counter":
+            for key, v in value.items():
+                labels = labelsets.get(key) or labelsets.setdefault(
+                    key, ((label, key),)
+                )
+                series[labels] = series.get(labels, 0) + v
+        elif kind == "gauge":  # a peak gauge
+            for key, v in value.items():
+                labels = labelsets.get(key) or labelsets.setdefault(
+                    key, ((label, key),)
+                )
+                old = series.get(labels)
+                if old is None or v > old:
+                    series[labels] = v
+        else:
             status, seconds = value
             metric.observe(seconds, **{label: status})
-            continue
-        series = metric._series  # one pass, straight into the series
-        pairs = (
-            (((), value),)
-            if label is None
-            else ((((label, key),), v) for key, v in value.items())
-        )
-        if kind == "counter":
-            for key, v in pairs:
-                series[key] = series.get(key, 0) + v
-        else:  # a peak gauge
-            for key, v in pairs:
-                if key not in series or v > series[key]:
-                    series[key] = v

@@ -62,9 +62,12 @@ __all__ = [
     "wilson_interval",
 ]
 
-# Read on every merged run: bound once (an enum member's ``.value`` is a
-# Python-level property read on 3.11).
+# Read on every run: bound once (an enum member's ``.value`` is a
+# Python-level property read on 3.11, and so is a member lookup on its
+# class before 3.12).
 _COMPLETED = RunStatus.COMPLETED.value
+_COMPLETED_STATUS = RunStatus.COMPLETED
+_STATUS_VALUES = {status: status.value for status in RunStatus}
 
 #: Builds a fresh kernel (components + threads registered) around the
 #: scheduler the explorer supplies.  Must not run it.
@@ -189,19 +192,27 @@ class RunSummary:
         detection: Optional[Dict[str, Any]] = None,
         metrics: Optional[Dict[str, Any]] = None,
     ) -> "RunSummary":
-        return cls(
+        """The summary of ``result``.  Every run of a campaign makes one,
+        so the fields go straight into the instance dict: the frozen
+        dataclass's own ``__init__`` sets them one ``object.__setattr__``
+        at a time."""
+        summary = object.__new__(cls)
+        summary.__dict__.update(
             index=index,
-            status=result.status.value,
+            status=_STATUS_VALUES[result.status],
             decisions=tuple(decisions),
             prefix=tuple(prefix),
             seed=seed,
             steps=result.steps,
-            stuck_threads=tuple(sorted(result.stuck_threads)),
-            crashed=tuple(sorted(result.crashed)),
-            arc_hits=tuple(tuple(row) for row in arc_hits),
+            stuck_threads=(
+                tuple(sorted(result.stuck_threads)) if result.stuck_threads else ()
+            ),
+            crashed=tuple(sorted(result.crashed)) if result.crashed else (),
+            arc_hits=tuple(tuple(row) for row in arc_hits) if arc_hits else (),
             detection=detection,
             metrics=metrics,
         )
+        return summary
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -264,7 +275,7 @@ class ExplorationRun:
 
     @property
     def failed(self) -> bool:
-        return self.result.status is not RunStatus.COMPLETED or bool(
+        return self.result.status is not _COMPLETED_STATUS or bool(
             self.result.crashed
         )
 

@@ -109,6 +109,9 @@ _WAITING = ThreadState.WAITING
 _CLOCK_WAIT = ThreadState.CLOCK_WAIT
 _TERMINATED = ThreadState.TERMINATED
 _CRASHED = ThreadState.CRASHED
+#: thread state -> its value (``ThreadState.X.value`` is a Python-level
+#: property read)
+_STATE_VALUES = {state: state.value for state in ThreadState}
 
 _THREAD_START = EventKind.THREAD_START
 _THREAD_END = EventKind.THREAD_END
@@ -376,6 +379,9 @@ class Kernel:
         self.components: Dict[str, Any] = {}
         #: id of a registered component -> the name its events carry
         self._component_names: Dict[int, str] = {}
+        #: id of a registered component -> its monitor's name (its
+        #: ``_vm_name``), which :meth:`_monitor_name` reads first
+        self._monitor_names: Dict[int, str] = {}
         self._clock_waiters: List[SimThread] = []
         #: deadline index: never later than the earliest armed deadline
         #: of a timed park, so :meth:`step` scans for expiries only once
@@ -455,6 +461,9 @@ class Kernel:
         if attach is not None:
             attach(self, unique)
         self._component_names[id(component)] = self._component_name(component)
+        vm_name = _vm_name_of(component)
+        if vm_name is not None:
+            self._monitor_names[id(component)] = vm_name
         return component
 
     def _add(self, primitive: Any) -> Any:
@@ -523,7 +532,11 @@ class Kernel:
     # -- monitor-name resolution -------------------------------------------------
 
     def _monitor_name(self, ref: Any, thread: SimThread) -> str:
-        """Resolve a syscall's monitor reference to a monitor name."""
+        """Resolve a syscall's monitor reference to a monitor name: a
+        registered component's is looked up by identity."""
+        name = self._monitor_names.get(id(ref))
+        if name is not None:
+            return name
         if ref is None:
             innermost = thread.innermost_monitor()
             if innermost is None:
@@ -1379,17 +1392,31 @@ class Kernel:
             if not self.step():
                 break
         self.drain()
-        # Close the open blocked/waiting intervals of threads still queued
-        # at the end, so the native tick counters include time-to-end (a
-        # deadlocked thread's blocked_ticks reach the quiescence point).
+        # One pass over the threads: close the open blocked/waiting
+        # intervals of threads still queued at the end, so the native tick
+        # counters include time-to-end (a deadlocked thread's blocked_ticks
+        # reach the quiescence point), and collect the result's tables.
+        now = self.time
+        thread_results: Dict[str, Any] = {}
+        thread_states: Dict[str, str] = {}
+        crashed: Dict[str, BaseException] = {}
+        live: List[str] = []
         for t in self.threads.values():
             if t.blocked_since is not None:
-                t.blocked_ticks += self.time - t.blocked_since
+                t.blocked_ticks += now - t.blocked_since
                 t.blocked_since = None
             if t.waiting_since is not None:
-                t.waiting_ticks += self.time - t.waiting_since
+                t.waiting_ticks += now - t.waiting_since
                 t.waiting_since = None
-        live = [t for t in self.threads.values() if t.is_live()]
+            state = t.state
+            thread_states[t.name] = _STATE_VALUES[state]
+            if state is _TERMINATED:
+                thread_results[t.name] = t.result
+            elif state is _CRASHED:
+                if t.exception is not None:
+                    crashed[t.name] = t.exception
+            else:
+                live.append(t.name)
         cycle = self._wait_for_cycle() if live else []
         if status is not RunStatus.STEP_LIMIT:
             if live:
@@ -1400,19 +1427,11 @@ class Kernel:
             status=status,
             trace=self.trace,
             steps=self.steps,
-            thread_results={
-                t.name: t.result
-                for t in self.threads.values()
-                if t.state is _TERMINATED
-            },
-            thread_states={t.name: t.state.value for t in self.threads.values()},
+            thread_results=thread_results,
+            thread_states=thread_states,
             deadlock_cycle=cycle,
-            stuck_threads=[t.name for t in live],
-            crashed={
-                t.name: t.exception
-                for t in self.threads.values()
-                if t.state is _CRASHED and t.exception is not None
-            },
+            stuck_threads=live,
+            crashed=crashed,
             choice_log=self.choice_log,
             ready_log=self.ready_log,
             abort_reason=self.abort_reason,

@@ -147,9 +147,11 @@ class TestExecuteShard:
         task = WorkerTask(shard=random_shard((5, 6, 7)), config=run_config())
         streamed = []
         outcome = execute_shard(task, emit=streamed.append)
-        assert [s.seed for s in outcome.summaries] == [5, 6, 7]
-        assert outcome.summaries == streamed
+        assert [s.seed for s in streamed] == [5, 6, 7]
+        # a streamed shard keeps no second reference to its summaries
+        assert outcome.summaries == []
         assert not outcome.exhausted
+        assert execute_shard(task).summaries == streamed
 
     def test_timeout_shard_reports_timeout_status(self):
         task = WorkerTask(

@@ -282,3 +282,35 @@ class TestRunSummary:
             index=0, status="completed", decisions=(), crashed=("t",)
         )
         assert not crashed.ok  # a crash is a failure even if the run ended
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_from_result_is_the_constructed_summary(self, seed):
+        """``from_result`` fills the instance dict directly; it must be
+        the summary the dataclass constructor builds, field for field
+        and in field order."""
+        run = explore_random(racing_pair_factory, seeds=[seed]).runs[0]
+        result = run.result
+        kwargs = dict(
+            arc_hits=[["send", "s0", "s1", 2]],
+            detection={"classes": ["FF-T4"]},
+            metrics={"vm_steps_total": result.steps},
+        )
+        summary = run.summary(**kwargs)
+        built = RunSummary(
+            index=run.index,
+            status=result.status.value,
+            decisions=tuple(run.decisions),
+            prefix=tuple(run.prefix),
+            seed=run.seed,
+            steps=result.steps,
+            stuck_threads=tuple(sorted(result.stuck_threads)),
+            crashed=tuple(sorted(result.crashed)),
+            arc_hits=(("send", "s0", "s1", 2),),
+            detection=kwargs["detection"],
+            metrics=kwargs["metrics"],
+        )
+        assert summary == built
+        assert list(vars(summary)) == list(vars(built))
+        assert summary.schedule_key == built.schedule_key
+        bare = run.summary()
+        assert (bare.arc_hits, bare.detection, bare.metrics) == ((), None, None)
