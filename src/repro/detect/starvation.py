@@ -124,6 +124,8 @@ class OnlineStarvationDetector(OnlineDetector):
         self._prim_kind: Dict[str, str] = {}
         #: mode of each thread's last rw request on a lock.
         self._rw_mode: Dict[Tuple[str, str], str] = {}
+        #: thread -> monitor it is queued to reacquire after a wake
+        self._reacquiring: Dict[str, str] = {}
 
     def reset(self) -> None:
         for state in (
@@ -133,6 +135,7 @@ class OnlineStarvationDetector(OnlineDetector):
             self._notify_bypasses,
             self._prim_kind,
             self._rw_mode,
+            self._reacquiring,
         ):
             state.clear()
 
@@ -142,6 +145,7 @@ class OnlineStarvationDetector(OnlineDetector):
         wait_sets = self._wait_sets
         lock_bypasses = self._lock_bypasses
         notify_bypasses = self._notify_bypasses
+        reacquiring = self._reacquiring
         for event in events:
             kind = event.kind
             if kind not in kinds:
@@ -151,6 +155,7 @@ class OnlineStarvationDetector(OnlineDetector):
             if kind is _MONITOR_REQUEST:
                 entry_sets.setdefault(monitor, {}).setdefault(thread, event.seq)
             elif kind is _MONITOR_ACQUIRE or kind in _PRIMITIVE_GRANTS:
+                reacquiring.pop(thread, None)
                 queued = entry_sets.setdefault(monitor, {})
                 arrived = queued.pop(thread, event.seq)
                 for bystander, bystander_arrived in queued.items():
@@ -169,6 +174,7 @@ class OnlineStarvationDetector(OnlineDetector):
                         notify_bypasses[key] = notify_bypasses.get(key, 0) + 1
                 # the woken thread re-enters the entry set
                 entry_sets.setdefault(monitor, {}).setdefault(thread, seq)
+                reacquiring[thread] = monitor
             elif kind in _PRIMITIVE_REQUESTS:
                 # Semaphore and rw-lock queues starve exactly like entry
                 # sets: same arrival bookkeeping, different report kind.
@@ -184,15 +190,17 @@ class OnlineStarvationDetector(OnlineDetector):
                 if event.detail.get("primitive") == "semaphore":
                     entry_sets.setdefault(monitor, {}).pop(thread, None)
             elif kind is _INTERRUPT:
-                # An interrupted primitive acquirer leaves its queue for
-                # good; monitor entry sets are left to the monitor
-                # protocol events (a post-wait reacquirer stays queued with
-                # the interrupt pending, so popping it here would lose its
-                # arrival).
+                # An interrupted acquirer leaves its queue for good: a
+                # primitive's, or a monitor's entry set on a fresh acquire
+                # (MonitorObject.cancel).  A post-wait reacquirer stays
+                # queued with the interrupt pending, so popping it here
+                # would lose its arrival.
+                kept = reacquiring.get(thread)
                 for mon, queued in entry_sets.items():
-                    if mon in self._prim_kind:
+                    if mon != kept:
                         queued.pop(thread, None)
             elif kind in _THREAD_EXITS:
+                reacquiring.pop(thread, None)
                 for queued in entry_sets.values():
                     queued.pop(thread, None)
                 for waiters in wait_sets.values():

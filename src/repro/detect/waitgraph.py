@@ -88,6 +88,9 @@ class WaitForState:
         rw_held: rw-lock -> thread -> hold depth across both modes.
         rw_writer: rw-lock -> active writer thread.
         rw_req_mode: thread -> mode of its outstanding rw acquire.
+        reacquiring: thread -> monitor it is queued to reacquire after
+            a wake (its ``blocked_on`` entry came from a
+            MONITOR_NOTIFIED, not a MONITOR_REQUEST).
     """
 
     owner: Dict[str, str] = field(default_factory=dict)
@@ -100,6 +103,7 @@ class WaitForState:
     rw_held: Dict[str, Dict[str, int]] = field(default_factory=dict)
     rw_writer: Dict[str, str] = field(default_factory=dict)
     rw_req_mode: Dict[str, str] = field(default_factory=dict)
+    reacquiring: Dict[str, str] = field(default_factory=dict)
 
     def _clear_request(self, thread: str) -> None:
         """Drop the outstanding-acquire bookkeeping of ``thread``."""
@@ -107,6 +111,7 @@ class WaitForState:
         self.request_kind.pop(thread, None)
         self.sem_req_n.pop(thread, None)
         self.rw_req_mode.pop(thread, None)
+        self.reacquiring.pop(thread, None)
 
 
 def _cycle_of(state: WaitForState) -> List[str]:
@@ -224,6 +229,7 @@ class OnlineWaitGraphDetector(OnlineDetector):
         state = self.state
         owner, blocked_on, waiting_on = state.owner, state.blocked_on, state.waiting_on
         clear_request = state._clear_request
+        reacquiring = state.reacquiring
         hold_count = self._hold_count
         kinds = self.kinds
         for event in events:
@@ -238,6 +244,7 @@ class OnlineWaitGraphDetector(OnlineDetector):
                     blocked_on[thread] = monitor
             elif kind is _MONITOR_ACQUIRE:
                 blocked_on.pop(thread, None)
+                reacquiring.pop(thread, None)
                 owner[monitor] = thread
                 key = (thread, monitor)
                 hold_count[key] = hold_count.get(key, 0) + event.detail.get("count", 1)
@@ -258,6 +265,7 @@ class OnlineWaitGraphDetector(OnlineDetector):
             elif kind is _MONITOR_NOTIFIED:
                 waiting_on.pop(thread, None)
                 blocked_on[thread] = monitor
+                reacquiring[thread] = monitor
             elif kind is _SEM_REQUEST:
                 blocked_on[thread] = monitor
                 state.request_kind[thread] = "semaphore"
@@ -327,10 +335,14 @@ class OnlineWaitGraphDetector(OnlineDetector):
                     clear_request(thread)
             elif kind is _INTERRUPT:
                 # An interrupted primitive acquirer resumes immediately (no
-                # grant event follows); monitor bookkeeping is untouched —
-                # monitor interrupts are resolved by later protocol events.
+                # grant event follows), and so does a fresh monitor
+                # acquirer: MonitorObject.cancel takes it out of the entry
+                # set.  A thread reacquiring a monitor after a wake stays
+                # queued, its interrupt pending until it holds the lock.
                 if state.request_kind.get(thread) in ("semaphore", "rwlock"):
                     clear_request(thread)
+                elif thread in blocked_on and thread not in reacquiring:
+                    del blocked_on[thread]
             elif kind in _THREAD_EXITS:
                 clear_request(thread)
                 waiting_on.pop(thread, None)

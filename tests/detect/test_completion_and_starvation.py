@@ -13,8 +13,10 @@ from repro.testing import TestSequence, run_sequence
 from repro.vm import (
     Acquire,
     FifoScheduler,
+    Interrupt,
     Kernel,
     Notify,
+    RandomScheduler,
     Release,
     RoundRobinScheduler,
     SelectionPolicy,
@@ -199,3 +201,57 @@ class TestStarvation:
             kernel.run().trace, bypass_threshold=2, include_resolved=True
         )
         assert reports and "starvation" in str(reports[0])
+
+
+def interrupted_acquirer_kernel(scheduler):
+    """``t`` blocks acquiring ``m`` behind ``v``; ``i`` interrupts it out
+    of the entry set, and ``t`` ends up waiting on ``n`` for good; ``w``
+    takes ``m`` later.  Nobody overtakes ``t`` on ``m``: it left."""
+    kernel = Kernel(scheduler=scheduler, max_steps=500)
+    kernel.new_monitor("m")
+    kernel.new_monitor("n")
+
+    def t():
+        try:
+            yield Acquire("m")
+        except InterruptedError:
+            yield Acquire("n")
+            yield Wait("n")  # never notified
+        else:
+            yield Release("m")
+
+    def v():
+        yield Acquire("m")
+        for _ in range(4):
+            yield Yield()
+        yield Release("m")
+
+    def w():
+        for _ in range(6):
+            yield Yield()
+        yield Acquire("m")
+        yield Release("m")
+
+    def i():
+        for _ in range(2):
+            yield Yield()
+        yield Interrupt("t")
+
+    for name, body in (("v", v), ("t", t), ("w", w), ("i", i)):
+        kernel.spawn(body, name=name)
+    return kernel
+
+
+def test_interrupted_fresh_acquirer_leaves_the_monitor_queue():
+    """MonitorObject.cancel takes an interrupted fresh acquirer out of
+    the entry set, so a later grant of that monitor bypasses nobody."""
+    interrupted_blocked = 0
+    for seed in range(20):
+        result = interrupted_acquirer_kernel(RandomScheduler(seed)).run()
+        interrupted_blocked += any(
+            e.kind.name == "INTERRUPT" and e.detail["thread_state"] == "blocked"
+            for e in result.trace
+        )
+        assert analyze_starvation(result.trace, bypass_threshold=0) == [], seed
+    assert interrupted_blocked
+
