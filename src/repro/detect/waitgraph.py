@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.vm.events import Event, EventKind
+from repro.vm.events import EDGE_KINDS, Event, EventKind
 from repro.vm.trace import Trace
 from repro.vm.waitq import find_cycle
 
@@ -55,19 +55,9 @@ _RW_GRANTS = frozenset({_RW_ACQUIRE, _RW_DOWNGRADE})
 _THREAD_EXITS = frozenset({_THREAD_END, _THREAD_CRASH})
 
 #: kinds that add a blocked-on edge or redirect an ownership edge: the
-#: only events after which a new cycle can appear
-_CYCLE_KINDS = frozenset(
-    {
-        _MONITOR_REQUEST,
-        _MONITOR_NOTIFIED,
-        _MONITOR_ACQUIRE,
-        _SEM_REQUEST,
-        _SEM_ACQUIRE,
-        _RW_REQUEST,
-        _RW_ACQUIRE,
-    }
-)
-
+#: only events after which a new cycle can appear (the kernel hands a
+#: batch over after a step that emitted one; see Kernel.park)
+_CYCLE_KINDS = EDGE_KINDS
 
 @dataclass
 class WaitForState:

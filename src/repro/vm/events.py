@@ -15,7 +15,7 @@ from collections import _tuplegetter  # type: ignore[attr-defined]
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["EventKind", "Event", "TRANSITION_OF_EVENT", "WakeReason"]
+__all__ = ["EDGE_KINDS", "EventKind", "Event", "TRANSITION_OF_EVENT", "WakeReason"]
 
 
 class WakeReason(enum.Enum):
@@ -130,6 +130,24 @@ TRANSITION_OF_EVENT: Dict[EventKind, str] = {
     EventKind.BARRIER_AWAIT: "B1",
     EventKind.BARRIER_TRIP: "B2",
 }
+
+
+#: The requests and grants: the only kinds whose event adds a blocked-on
+#: edge to the wait-for graph or redirects an ownership edge (a woken
+#: waiter re-entering the entry set requests the monitor again), so the
+#: only events after which a new wait-for cycle can appear.  Releases,
+#: waits, exits, timeouts and interrupts only remove edges.
+EDGE_KINDS = frozenset(
+    {
+        EventKind.MONITOR_REQUEST,
+        EventKind.MONITOR_NOTIFIED,
+        EventKind.MONITOR_ACQUIRE,
+        EventKind.SEM_REQUEST,
+        EventKind.SEM_ACQUIRE,
+        EventKind.RW_REQUEST,
+        EventKind.RW_ACQUIRE,
+    }
+)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from .errors import (
     ThreadCrashedError,
     UnknownSyscallError,
 )
-from .events import Event, EventKind, WakeReason
+from .events import EDGE_KINDS, Event, EventKind, WakeReason
 from .monitor import MonitorObject, SelectionPolicy
 from .primitives import (
     RW_PREFERENCES,
@@ -325,7 +325,8 @@ class Kernel:
         #: receives the run's events in batches (:meth:`install_consumer`)
         self._consumer: Optional[Callable[[List[Event]], None]] = None
         #: True once a thread has blocked on a semaphore or rw-lock, until
-        #: a hand-over finds none blocked there (:meth:`park`)
+        #: a hand-over finds none blocked there: meanwhile each step that
+        #: emitted a request or a grant hands over (:meth:`park`)
         self._hand_over_each_step = False
         self.trace_mode = trace_mode
         self.scheduler = scheduler or FifoScheduler()
@@ -421,6 +422,9 @@ class Kernel:
         else:
             self._log, self._cursor = [], 0
             self._record = self._log.append if self._consumer is not None else None
+        #: where the next look for a request or grant among the pending
+        #: events starts (:meth:`_hand_over`)
+        self._scanned = self._cursor
 
     @property
     def rng(self) -> random.Random:
@@ -688,7 +692,27 @@ class Kernel:
             self._cursor = len(log)
         else:
             log.clear()
+        self._scanned = self._cursor
         consumer(batch)
+
+    def _hand_over(self) -> None:
+        """The run loop's hand-over at a step boundary: :meth:`drain`,
+        unless a thread is blocked on a semaphore or rw-lock and the
+        events pending since the last hand-over hold no request or grant
+        (:data:`~repro.vm.events.EDGE_KINDS`) and fewer than
+        :data:`CHUNK_EVENTS` events; those wait for a later step."""
+        if self._hand_over_each_step:
+            log = self._log
+            end = len(log)
+            if end - self._cursor < CHUNK_EVENTS:
+                for i in range(self._scanned, end):
+                    if log[i].kind in EDGE_KINDS:
+                        break
+                else:
+                    self._scanned = end
+                    self._drain_at = self._seq + 1
+                    return
+        self.drain()
 
     def release(self) -> None:
         """Let a finished run be freed by reference counting.
@@ -820,7 +844,15 @@ class Kernel:
           is out the detector searches for a cycle after every request
           or grant, so it may find one on a step with no park: while any
           thread is blocked on one, the kernel hands over after every
-          step.
+          step that emitted a request or a grant
+          (:data:`~repro.vm.events.EDGE_KINDS`; :meth:`_hand_over`).
+
+        That narrower rule stops a run where a hand-over after every
+        step would: only a request or a grant adds a blocked-on edge or
+        redirects an ownership edge, so only folding one can close a
+        cycle, and the wait-for detector searches only after one.  A
+        step without one leaves the detector's answer where the last
+        hand-over left it, and its events may wait for the next batch.
         """
         if state is _BLOCKED:
             thread.blocked_on = on
@@ -1381,7 +1413,7 @@ class Kernel:
         while True:
             if consumer is not None and self._seq >= self._drain_at:
                 # before the abort check: the batch may prove a failure
-                self.drain()
+                self._hand_over()
             if self.abort_reason is not None:
                 # Early abort (online detector found a permanent failure):
                 # fall through to the normal quiescence diagnosis below.
