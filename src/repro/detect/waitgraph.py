@@ -59,6 +59,7 @@ _THREAD_EXITS = frozenset({_THREAD_END, _THREAD_CRASH})
 #: batch over after a step that emitted one; see Kernel.park)
 _CYCLE_KINDS = EDGE_KINDS
 
+
 @dataclass
 class WaitForState:
     """Final synchronization state reconstructed from a trace.

@@ -77,10 +77,6 @@ class RunTimeoutInterrupt(BaseException):
 #: alarm raises into it
 _TIMEOUT_GRACE = 0.05
 
-#: run status -> its value (an enum member's ``.value`` is a
-#: Python-level property read on 3.11)
-_STATUS_VALUES = {status: status.value for status in RunStatus}
-
 
 def timed_runner(timeout: float) -> KernelRunner:
     """A kernel runner that aborts after ``timeout`` wall-clock seconds,
@@ -313,7 +309,7 @@ class RunExecutor:
         def run(kernel: Kernel) -> RunResult:
             started = time.perf_counter()
             result = timed(kernel)
-            observe_run(time.perf_counter() - started, _STATUS_VALUES[result.status])
+            observe_run(time.perf_counter() - started, result.status.value)
             return result
 
         return run

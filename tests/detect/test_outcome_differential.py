@@ -1,11 +1,11 @@
 """Detection never changes a run's outcome.
 
 A bound :class:`~repro.detect.online.DetectorPipeline` may end a run
-early, but only on a wait-for cycle that is permanent, so the run it
-stops would have reached the same diagnosis on its own.  Every
-conformance program of ``tests/vm/test_ready_set.py``, and a program
-whose interrupt takes a thread out of a monitor's entry set, runs under
-random seeds 0-19 twice, with and without a bound pipeline:
+early, on a wait-for cycle it takes to be permanent, so the run it stops
+should reach the same diagnosis on its own.  Every conformance program
+of ``tests/vm/test_ready_set.py``, and a program whose interrupt takes
+a thread out of a monitor's entry set, runs under random seeds 0-19
+twice, with and without a bound pipeline:
 
 * both runs end with the same status;
 * a run the pipeline did not abort takes the same steps and decisions
@@ -42,9 +42,11 @@ SEEDS = range(20)
 def interrupted_acquirer(scheduler):
     """``t`` holds ``x`` and blocks on ``m``, which ``v`` holds; ``i``
     interrupts ``t``, which leaves the entry set of ``m`` and releases
-    ``x``; only then does ``v`` request ``x``.  No schedule deadlocks
-    once ``t`` has blocked on ``m``: a wait-for edge ``t -> v`` kept
-    past the interrupt closes a cycle that does not exist."""
+    ``x``; only then does ``v`` request ``x``.  A run whose interrupt
+    finds ``t`` blocked never deadlocks, so a wait-for edge ``t -> v``
+    kept past the interrupt closes a cycle that does not exist.  (An
+    interrupt that comes before ``t`` blocks only sets its flag, which a
+    monitor acquire does not read: those runs may deadlock, both ways.)"""
     kernel = Kernel(scheduler=scheduler, max_steps=500)
     kernel.new_monitor("x")
     kernel.new_monitor("m")
@@ -108,24 +110,20 @@ def test_the_interrupt_program_meets_the_stale_edge():
     statuses = {}
     for seed in SEEDS:
         natural, _ = outcomes(program, seed)
-        blocked = [
-            e.seq
-            for e in natural.trace
-            if e.kind.name == "INTERRUPT" and e.detail["thread_state"] == "blocked"
-        ]
-        if blocked:
-            requests = [
-                e.seq
-                for e in natural.trace
-                if e.thread == "v" and e.monitor == "x" and e.kind.name == "MONITOR_REQUEST"
-            ]
-            releases = [
-                e.seq
-                for e in natural.trace
-                if e.thread == "t" and e.monitor == "x" and e.kind.name == "MONITOR_RELEASE"
-            ]
-            if requests and releases and requests[0] < releases[0]:
-                statuses[seed] = natural.status
+        first = {}
+        for e in natural.trace:
+            first.setdefault((e.thread, e.kind.name, e.monitor), e)
+        interrupt = first.get(("t", "INTERRUPT", None))
+        request = first.get(("v", "MONITOR_REQUEST", "x"))
+        release = first.get(("t", "MONITOR_RELEASE", "x"))
+        if (
+            interrupt is not None
+            and interrupt.detail["thread_state"] == "blocked"
+            and request is not None
+            and release is not None
+            and request.seq < release.seq
+        ):
+            statuses[seed] = natural.status
     assert statuses, "no seed requests x while the interrupted t still holds it"
     assert set(statuses.values()) == {RunStatus.COMPLETED}
 
