@@ -106,7 +106,7 @@ def test_a_cycle_closed_without_a_park_stops_the_run_on_its_step():
     assert without_park, "no seed closed the cycle on a step without a park"
 
 
-class Batches(OnlineDetector):
+class BatchLog(OnlineDetector):
     """A pipeline member that keeps each batch it is handed."""
 
     name = "batches"
@@ -131,7 +131,7 @@ PRIMITIVE_PROGRAMS = sorted(
 def test_every_batch_but_the_last_holds_a_request_or_a_grant(name):
     for seed in range(10):
         kernel = PROGRAMS[name](RandomScheduler(seed))
-        batches = Batches()
+        batches = BatchLog()
         DetectorPipeline([*default_detectors(), batches]).bind(kernel)
         kernel.run()
         for batch in batches.batches[:-1]:
@@ -144,7 +144,7 @@ def test_a_semaphore_run_hands_over_on_fewer_steps_than_it_takes():
     handed = steps = 0
     for seed in range(20):
         kernel = PROGRAMS["sem/NativeSemaphore"](RandomScheduler(seed))
-        batches = Batches()
+        batches = BatchLog()
         DetectorPipeline([*default_detectors(), batches]).bind(kernel)
         steps += kernel.run().steps
         handed += len(batches.batches)
