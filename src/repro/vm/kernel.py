@@ -1233,8 +1233,8 @@ class Kernel:
         loop (no event replay needed): ``context_switches`` (times the
         thread was scheduled after a different thread ran), and the
         virtual-time totals ``blocked_ticks`` / ``waiting_ticks``.  The
-        :class:`~repro.obs.InstrumentationSink` consumes these directly
-        instead of re-deriving them from the trace."""
+        :class:`~repro.obs.InstrumentationSink` reads the same counters
+        off the threads instead of re-deriving them from the trace."""
         return {
             t.name: {
                 "context_switches": t.context_switches,
